@@ -109,22 +109,23 @@ class ManufacturedCase:
     d2phi_formal: np.ndarray
     d3phi_formal: np.ndarray
 
-    def velocity(self, x, y):
-        a = npoly.polyval(x, self.phi)
-        db = npoly.polyval(y, self.dphi_formal)
-        da = npoly.polyval(x, self.dphi_formal)
-        b = npoly.polyval(y, self.phi)
-        return a * db, -da * b
-
-    def velocity_gradient(self, x, y):
-        """Components (d u1/dx, d u1/dy, d u2/dx, d u2/dy)."""
+    def velocity_and_gradient(self, x, y):
+        """(u1, u2, d u1/dx, d u1/dy, d u2/dx, d u2/dy), with each of the
+        six 1-D factors A, A', A'' at x and B, B', B'' at y evaluated once."""
         a = npoly.polyval(x, self.phi)
         da = npoly.polyval(x, self.dphi_formal)
         d2a = npoly.polyval(x, self.d2phi_formal)
         b = npoly.polyval(y, self.phi)
         db = npoly.polyval(y, self.dphi_formal)
         d2b = npoly.polyval(y, self.d2phi_formal)
-        return da * db, a * d2b, -d2a * b, -da * db
+        return a * db, -da * b, da * db, a * d2b, -d2a * b, -da * db
+
+    def velocity(self, x, y):
+        return self.velocity_and_gradient(x, y)[:2]
+
+    def velocity_gradient(self, x, y):
+        """Components (d u1/dx, d u1/dy, d u2/dx, d u2/dy)."""
+        return self.velocity_and_gradient(x, y)[2:]
 
     def pressure(self, x, y):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -248,44 +249,69 @@ class ErrorNorms:
     ew_h1_full: float
 
 
-def error_norms(space, state, pi, case: ManufacturedCase,
-                params: MaterialParams = None,
-                degree=fem.ERROR_QUAD_DEGREE) -> ErrorNorms:
-    params = params or fem.MaterialParams(shift=case.shift)
-    rule = fem.triangle_rule(degree)
-    tris = space.fluid_tris
-    _, det, g = fem._phys_grads(space, tris, rule)
+def _fluid_error_squares(space, u, pi, case, rule, tris):
+    """Squared L2, full-gradient, eps and pressure errors on `tris`."""
+    _, det, inv = fem._tri_geometry(space, tris)
     pts = fem.quadrature_points(space, tris, rule)
-    n = fem.p2_values(rule.points)
+    ex_x, ex_y, d11, d12, d21, d22 = case.velocity_and_gradient(
+        pts[..., 0], pts[..., 1])
+    wdet = rule.weights[None, :] * det[:, None]
 
     dofs = space.velocity_dofs_of_tris(tris)
-    cx = state.u[dofs[:, 0::2]]
-    cy = state.u[dofs[:, 1::2]]
-    uh_x = np.einsum("ti,qi->tq", cx, n)
-    uh_y = np.einsum("ti,qi->tq", cy, n)
-    gh_xx = np.einsum("ti,tqi->tq", cx, g[..., 0])
-    gh_xy = np.einsum("ti,tqi->tq", cx, g[..., 1])
-    gh_yx = np.einsum("ti,tqi->tq", cy, g[..., 0])
-    gh_yy = np.einsum("ti,tqi->tq", cy, g[..., 1])
-
-    ex_x, ex_y = case.velocity(pts[..., 0], pts[..., 1])
-    d11, d12, d21, d22 = case.velocity_gradient(pts[..., 0], pts[..., 1])
-
-    e_x, e_y = uh_x - ex_x, uh_y - ex_y
-    e11, e12 = gh_xx - d11, gh_xy - d12
-    e21, e22 = gh_yx - d21, gh_yy - d22
-
-    wdet = rule.weights[None, :] * det[:, None]
+    cx = u[dofs[:, 0::2]]
+    cy = u[dofs[:, 1::2]]
+    n = fem.p2_values(rule.points).T                 # (6, nq)
+    e_x = cx @ n - ex_x
+    e_y = cy @ n - ex_y
     l2_sq = np.sum(wdet * (e_x**2 + e_y**2))
+
+    # d/dx_a = d/dxi inv[0, a] + d/deta inv[1, a], affine on each triangle
+    gref = fem.p2_grads(rule.points)                 # (nq, 6, 2)
+    g_xi, g_eta = gref[..., 0].T, gref[..., 1].T
+    inv = inv[..., None]                             # broadcast over points
+
+    def gradient_error(c, exact_dx, exact_dy):
+        r_xi, r_eta = c @ g_xi, c @ g_eta
+        return (r_xi * inv[:, 0, 0] + r_eta * inv[:, 1, 0] - exact_dx,
+                r_xi * inv[:, 0, 1] + r_eta * inv[:, 1, 1] - exact_dy)
+
+    e11, e12 = gradient_error(cx, d11, d12)
+    e21, e22 = gradient_error(cy, d21, d22)
     grad_sq = np.sum(wdet * (e11**2 + e12**2 + e21**2 + e22**2))
     eps12 = 0.5 * (e12 + e21)
     eps_sq = np.sum(wdet * (e11**2 + e22**2 + 2.0 * eps12**2))
 
-    p1 = fem.p1_values(rule.points)
     cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
-    pih = np.einsum("ti,qi->tq", cp, p1)
-    e_p = pih - case.pressure(pts[..., 0], pts[..., 1])
+    e_p = cp @ fem.p1_values(rule.points).T - case.pressure(pts[..., 0], pts[..., 1])
     pi_sq = np.sum(wdet * e_p**2)
+    return np.array([l2_sq, grad_sq, eps_sq, pi_sq])
+
+
+# Fluid triangles per batch of the error-norm quadrature.  Each (triangle x
+# point) temporary of the degree-38 rule then takes about 3 MB, so the
+# batch loop needs tens of MB whatever the mesh level.
+ERROR_NORM_CHUNK = 1024
+
+
+def error_norms(space, state, pi, case: ManufacturedCase,
+                params: MaterialParams = None,
+                degree=fem.ERROR_QUAD_DEGREE) -> ErrorNorms:
+    """Errors of (state, pi) against the exact fields of `case`.
+
+    The fluid integrals are summed chunk by chunk over at most
+    `ERROR_NORM_CHUNK` fluid triangles.  Reference derivatives of the
+    discrete velocity come from one matrix product per component and
+    reference direction, and each triangle's affine inverse Jacobian maps
+    them to physical ones, so no (triangle x point x basis) gradient
+    tensor is built."""
+    params = params or fem.MaterialParams(shift=case.shift)
+    rule = fem.triangle_rule(degree)
+    fluid = space.fluid_tris
+    squares = np.zeros(4)
+    for start in range(0, fluid.size, ERROR_NORM_CHUNK):
+        squares += _fluid_error_squares(space, state.u, pi, case, rule,
+                                        fluid[start:start + ERROR_NORM_CHUNK])
+    l2_sq, grad_sq, eps_sq, pi_sq = squares
 
     # exact solid fields are identically zero: the Gram quadratic forms are
     # exact (polynomial integrands within the degree-6 rule)
@@ -391,7 +417,9 @@ def convergence_study(levels, params: MaterialParams) -> ConvergenceReport:
             err = error_norms(space, state, state.pi, case, params)
             row.eu_h1, row.epi_l2, row.ew_h1 = err.eu_h1, err.epi_l2, err.ew_h1
             row.eu_seminorm, row.ew_h1_full = err.eu_seminorm, err.ew_h1_full
-        except Exception as exc:   # partial report with the level marked
+        # numeric failures give a partial report with the level marked;
+        # anything else is a programming error and propagates
+        except (sla.SingularMatrixError, sla.SolveAccuracyError, MemoryError) as exc:
             row.failed = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return ConvergenceReport(rows=rows)

@@ -229,12 +229,12 @@ def run_infsup(cfg: RunConfig) -> bool:
     return all(r.beta > 0 for r in report.rows)
 
 
-def _evolve_initial_state(space, case):
+def _evolve_initial_state(space, case, params):
     u = fem.interpolate(space, case.velocity, "velocity")
     u[space.constrained_mask] = 0.0
     state = solver.FsiState(u, np.zeros(space.num_solid_dofs),
                             np.zeros(space.num_solid_dofs))
-    scale = semigroup.h_norm(space, state)
+    scale = semigroup.h_norm(space, state, params)
     state.u /= scale
     return state
 
@@ -243,7 +243,7 @@ def run_evolve(cfg: RunConfig) -> bool:
     level = cfg.levels[0]
     space = fem.build_space(meshmod.generate(level))
     case = analysis.manufactured_case(cfg.shift)
-    initial = _evolve_initial_state(space, case)
+    initial = _evolve_initial_state(space, case, cfg.params)
     config = semigroup.EvolutionConfig(t_final=cfg.t_final, n_steps=cfg.n_steps)
     result = semigroup.evolve(space, cfg.params, initial, config)
     path = _write(cfg, "energy_trace.csv", result.trace.csv())

@@ -11,7 +11,10 @@ Bundled rules: degree 6 for system matrices (integrands are at most
 degree 4 under affine maps), degree 12 for manufactured-data load vectors
 (cross-checked against a higher-order rule; the residual effect sits at
 the direct-solver tolerance), and degree 38 for error norms (exact for
-squared manufactured-solution errors).
+squared manufactured-solution errors).  The degree-38 rule has 400 points
+per triangle, so `analysis.error_norms` evaluates it chunk by chunk over
+the fluid triangles, from reference derivatives and each triangle's
+inverse Jacobian, without forming a physical-gradient tensor.
 """
 
 from __future__ import annotations

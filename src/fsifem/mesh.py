@@ -211,7 +211,7 @@ def export_mesh(mesh: TriMesh, path) -> None:
 
 
 def import_mesh(path) -> TriMesh:
-    """Read a mesh written by :func:`export_mesh`."""
+    """Read a mesh written by :func:`export_mesh` and :func:`validate` it."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -240,7 +240,7 @@ def import_mesh(path) -> TriMesh:
     except (ValueError, KeyError, IndexError) as err:
         raise MeshError(f"malformed mesh file {path!s}: {err}") from err
 
-    return TriMesh(
+    mesh = TriMesh(
         vertices=vertices,
         triangles=triangles,
         tri_region=tri_region,
@@ -250,6 +250,8 @@ def import_mesh(path) -> TriMesh:
         hypotenuse=math.sqrt(2.0) / (6 * 2**level),
         n=6 * 2**level,
     )
+    validate(mesh)
+    return mesh
 
 
 def signed_areas(mesh: TriMesh) -> np.ndarray:

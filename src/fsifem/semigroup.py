@@ -82,9 +82,8 @@ def energy_components(space, params: MaterialParams, state: FsiState):
     return e_fluid, e_pot, e_kin, dissipation
 
 
-def h_norm(space, state: FsiState, params: MaterialParams = None) -> float:
+def h_norm(space, state: FsiState, params: MaterialParams) -> float:
     """Energy norm sqrt(||u||^2 + (sigma(w),eps(w)) + ||w||^2 + ||z||^2)."""
-    params = params or MaterialParams()
     e_fluid, e_pot, e_kin, _ = energy_components(space, params, state)
     return math.sqrt(max(e_fluid + e_pot + e_kin, 0.0))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,78 @@ def test_error_norm_includes_seminorm_column(solved1, params, case):
     assert err.ew_h1 <= err.ew_h1_full * 3.0 + 1e-30
 
 
+def _single_batch_fluid_norms(space, state, pi, case):
+    """(eu_h1, epi_l2, eu_seminorm) with every fluid triangle in one batch
+    and the physical gradients of all basis functions formed explicitly."""
+    rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
+    tris = space.fluid_tris
+    _, det, g = fem._phys_grads(space, tris, rule)
+    pts = fem.quadrature_points(space, tris, rule)
+    n = fem.p2_values(rule.points)
+    dofs = space.velocity_dofs_of_tris(tris)
+    cx = state.u[dofs[:, 0::2]]
+    cy = state.u[dofs[:, 1::2]]
+    uh_x = np.einsum("ti,qi->tq", cx, n)
+    uh_y = np.einsum("ti,qi->tq", cy, n)
+    gh_xx = np.einsum("ti,tqi->tq", cx, g[..., 0])
+    gh_xy = np.einsum("ti,tqi->tq", cx, g[..., 1])
+    gh_yx = np.einsum("ti,tqi->tq", cy, g[..., 0])
+    gh_yy = np.einsum("ti,tqi->tq", cy, g[..., 1])
+    ex_x, ex_y = case.velocity(pts[..., 0], pts[..., 1])
+    d11, d12, d21, d22 = case.velocity_gradient(pts[..., 0], pts[..., 1])
+    e_x, e_y = uh_x - ex_x, uh_y - ex_y
+    e11, e12 = gh_xx - d11, gh_xy - d12
+    e21, e22 = gh_yx - d21, gh_yy - d22
+    wdet = rule.weights[None, :] * det[:, None]
+    l2_sq = np.sum(wdet * (e_x**2 + e_y**2))
+    grad_sq = np.sum(wdet * (e11**2 + e12**2 + e21**2 + e22**2))
+    eps12 = 0.5 * (e12 + e21)
+    eps_sq = np.sum(wdet * (e11**2 + e22**2 + 2.0 * eps12**2))
+    cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
+    pih = np.einsum("ti,qi->tq", cp, fem.p1_values(rule.points))
+    e_p = pih - case.pressure(pts[..., 0], pts[..., 1])
+    pi_sq = np.sum(wdet * e_p**2)
+    return math.sqrt(l2_sq + grad_sq), math.sqrt(pi_sq), math.sqrt(eps_sq)
+
+
+def test_chunked_norms_match_single_batch_formula(params, case):
+    space = fem.build_space(meshmod.generate(2))
+    state, _ = solver.solve_resolvent(space, params,
+                                      analysis.manufactured_data(space, case))
+    err = analysis.error_norms(space, state, state.pi, case, params)
+    expected = _single_batch_fluid_norms(space, state, state.pi, case)
+    assert (err.eu_h1, err.epi_l2, err.eu_seminorm) == pytest.approx(expected,
+                                                                     rel=1e-13)
+
+
+def test_norms_do_not_depend_on_chunk_size(solved1, params, case, monkeypatch):
+    space, _, state, _ = solved1
+    norms = {}
+    for chunk in (7, space.fluid_tris.size):   # 7 leaves a ragged last chunk
+        monkeypatch.setattr(analysis, "ERROR_NORM_CHUNK", chunk)
+        norms[chunk] = analysis.error_norms(space, state, state.pi, case, params)
+    many, one = norms.values()
+    for field in ("eu_h1", "epi_l2", "ew_h1", "eu_seminorm", "ew_h1_full"):
+        assert getattr(many, field) == pytest.approx(getattr(one, field), rel=1e-13)
+
+
+def test_error_norm_memory_is_bounded(params, case):
+    # one batch of all 4096 fluid triangles allocates about 460 MB here
+    space = fem.build_space(meshmod.generate(3))
+    state = solver.FsiState(
+        u=fem.interpolate(space, case.velocity, "velocity"),
+        w=np.zeros(space.num_solid_dofs),
+        z=np.zeros(space.num_solid_dofs))
+    tracemalloc.start()
+    try:
+        analysis.error_norms(space, state, np.zeros(space.num_pressure_dofs),
+                             case, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
 # -- convergence study -------------------------------------------------------
 
 def test_convergence_rows_and_rates_structure(params):
@@ -171,22 +244,32 @@ def test_rates_recomputed_from_csv(params):
     assert recomputed == pytest.approx(report.fluid_rates[0], rel=1e-12)
 
 
-def test_partial_report_marks_failed_level(params, monkeypatch):
+def _fail_second_solve(monkeypatch, error):
     calls = {"n": 0}
     original = solver.solve_resolvent
 
     def flaky(space, prm, data):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise RuntimeError("injected failure")
+            raise error
         return original(space, prm, data)
 
     monkeypatch.setattr(analysis.solver, "solve_resolvent", flaky)
+
+
+def test_partial_report_marks_failed_level(params, monkeypatch):
+    _fail_second_solve(monkeypatch, sla.SolveAccuracyError("injected failure"))
     report = analysis.convergence_study([0, 1], params)
     assert report.rows[0].failed is None
-    assert "injected failure" in report.rows[1].failed
+    assert report.rows[1].failed == "SolveAccuracyError: injected failure"
     assert report.fluid_rates == [None]
     assert report.convergence_csv().splitlines()[2].endswith("injected failure")
+
+
+def test_programming_error_propagates_from_study(params, monkeypatch):
+    _fail_second_solve(monkeypatch, TypeError("injected bug"))
+    with pytest.raises(TypeError, match="injected bug"):
+        analysis.convergence_study([0, 1], params)
 
 
 def test_rate_floor_reports_dash():

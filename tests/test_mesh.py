@@ -141,6 +141,18 @@ def test_import_rejects_garbage(tmp_path):
         meshmod.import_mesh(path)
 
 
+def test_import_rejects_reversed_triangle(mesh0, tmp_path):
+    path = tmp_path / "reversed.txt"
+    meshmod.export_mesh(mesh0, path)
+    lines = path.read_text().splitlines()
+    row = 1 + mesh0.num_vertices          # first triangle line
+    idx, v0, v1, v2, region = lines[row].split()
+    lines[row] = " ".join((idx, v0, v2, v1, region))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshmod.MeshError, match="oriented"):
+        meshmod.import_mesh(path)
+
+
 def test_hypotenuse_is_diagonal_length():
     for level in range(3):
         m = meshmod.generate(level)

@@ -125,7 +125,18 @@ def test_report_fields_are_measured(space0, params):
     direct = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
     assert report.residual == pytest.approx(direct, rel=1e-6)
     assert report.pivot_growth >= 1.0
-    assert report.elapsed > 0.0
+    assert report.solve_time > 0.0
+    assert report.factor_time > 0.0
+
+
+def test_repeated_solve_time_excludes_factor_time(rng):
+    a = sp.csr_matrix(rng.standard_normal((30, 30)) + 30 * np.eye(30))
+    factor = sla.Factorization(a)
+    factor.factor_time = 1e3   # far above any real solve of this size
+    for _ in range(2):
+        _, report = factor.solve(rng.standard_normal(30))
+        assert report.factor_time == 1e3
+        assert 0.0 < report.solve_time < 1e3
 
 
 def test_solve_dense_oracle_matches_numpy(rng):
