@@ -298,7 +298,7 @@ def _certify_lines(cfg: RunConfig):
     for _ in range(100):
         v = rng.standard_normal(nf)
         rhs = np.concatenate([m_free @ v, np.zeros(space1.num_pressure_dofs)])
-        v_ker = proj._lu.solve(rhs)[:nf]
+        v_ker = proj.solve(rhs)[0][:nf]
         a_vv = v_ker @ (a_free @ v_ker)
         eps_vv = v_ker @ (k_free @ v_ker)
         h1_vv = v_ker @ ((m_free + g_free) @ v_ker)

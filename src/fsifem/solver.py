@@ -473,7 +473,7 @@ def monolithic_solve(space, params: MaterialParams, data: ResolventData) -> FsiS
     rhs[:nf] = data.u_load[free] + lam * (t_map.T @ (mq - s_mat @ w_lift))
     rhs[nf + npr:] = (mq - s_mat @ w_lift)[ii]
 
-    x = sla.solve_dense(mat, rhs)
+    x = np.linalg.solve(mat, rhs)
     u = space.expand_velocity(x[:nf])
     pi = x[nf:nf + npr]
     w = t_map @ x[:nf] + w_lift

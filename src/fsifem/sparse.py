@@ -1,12 +1,14 @@
 """Sparse linear algebra: CSR storage, direct LU solves with residual
-verification, a dense fallback for oracles, and block inverse iteration
-for smallest generalized eigenvalues.
+verification, and Lanczos for smallest generalized eigenvalues.
 
-Factorization is delegated to SuperLU (scipy) with partial pivoting; the
-wrapper enforces the contracts this package relies on: every solve reports
-its measured relative residual, singular factors raise with the offending
-pivot index, and repeated solves of identical inputs are bitwise
-reproducible.
+Factorization is delegated to SuperLU (scipy).  The ordering follows the
+matrix: with a zero-free diagonal (the SPD velocity, solid and mass
+blocks) SuperLU orders A + A^T by minimum degree and prefers diagonal
+pivots; otherwise (saddle matrices, whose pressure block is zero) it uses
+COLAMD with partial pivoting.  The wrapper enforces the contracts this
+package relies on: every solve reports its measured relative residual,
+singular factors raise with the offending pivot index, and repeated
+solves of identical inputs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class SolveAccuracyError(Exception):
 
 
 class EigenIterationError(Exception):
-    """Inverse iteration did not converge within the iteration cap."""
+    """An eigensolve hit its iteration cap or failed its residual check."""
 
     def __init__(self, message, value, vector):
         super().__init__(message)
@@ -120,7 +122,14 @@ def _as_csr(a):
 
 
 class Factorization:
-    """Reusable sparse LU factorization of a square matrix."""
+    """Reusable sparse LU factorization of a square matrix.
+
+    A zero-free diagonal selects SuperLU's symmetric mode: minimum degree
+    on A + A^T, the same permutation for rows and columns, and a diagonal
+    pivot kept unless it is below 1e-3 of its column's largest entry.  Any
+    zero on the diagonal (every saddle matrix) selects COLAMD with partial
+    pivoting.
+    """
 
     def __init__(self, a):
         csr = _as_csr(a)
@@ -129,9 +138,14 @@ class Factorization:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         self._a = csr
         self._max_a = np.abs(csr.data).max() if csr.nnz else 0.0
+        if np.all(csr.diagonal() != 0):
+            ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                            options=dict(SymmetricMode=True))
+        else:
+            ordering = {}
         t0 = time.perf_counter()
         try:
-            self._lu = spla.splu(csr.tocsc())
+            self._lu = spla.splu(csr.tocsc(), **ordering)
         except RuntimeError as err:
             raise SingularMatrixError(_locate_pivot(csr), str(err)) from err
         self.factor_time = time.perf_counter() - t0
@@ -144,7 +158,9 @@ class Factorization:
                              if self._max_a > 0 else 0.0)
 
     def solve(self, b, check=True):
-        """Solve Ax = b; returns (x, LinearSolveReport)."""
+        """Solve AX = B for a vector or a matrix of columns; returns
+        (X, LinearSolveReport) with the largest per-column relative
+        residual, which must not exceed 1e-10 when `check` is set."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self._a.shape[0]:
             raise ValueError(
@@ -152,13 +168,15 @@ class Factorization:
         t0 = time.perf_counter()
         x = self._lu.solve(b)
         solve_time = time.perf_counter() - t0
-        norm_b = np.linalg.norm(b)
-        residual = (np.linalg.norm(self._a @ x - b) / norm_b) if norm_b > 0 else 0.0
+        norm_b = np.linalg.norm(b, axis=0)
+        norm_r = np.linalg.norm(self._a @ x - b, axis=0)
+        residual = np.max(np.divide(norm_r, norm_b, out=np.zeros_like(norm_r),
+                                    where=norm_b > 0), initial=0.0)
         report = LinearSolveReport(residual=float(residual),
                                    pivot_growth=float(self.pivot_growth),
                                    solve_time=solve_time,
                                    factor_time=self.factor_time)
-        if check and b.ndim == 1 and residual > _SOLVE_TOL:
+        if check and residual > _SOLVE_TOL:
             raise SolveAccuracyError(
                 f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}")
         return x, report
@@ -186,11 +204,6 @@ def solve(a, b):
     return Factorization(a).solve(b)
 
 
-def solve_dense(a, b):
-    """Dense LAPACK solve, used as an independent oracle."""
-    return np.linalg.solve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def _m_orthonormalize(x, m_csr):
     """Return X with X^T M X = I (Cholesky of the small Gram matrix)."""
     gram = x.T @ (m_csr @ x)
@@ -207,6 +220,10 @@ def inverse_iteration(apply_s_inverse, m, n, k=4, tol=EIG_TOL, max_iter=EIG_MAX_
     Rayleigh quotient.  `apply_s_inverse` maps a matrix of column vectors
     to S^{-1} times those columns; the eigenresidual is measured relative
     to theta * ||M q||.
+
+    The package no longer calls this (see `smallest_gen_eig`); it stays
+    only because the benchmark's trace layer, `perfbench/shims.py`, wraps
+    it by name, and goes with the next change to the benchmark.
     """
     m_csr = _as_csr(m)
     k = min(k, n)
@@ -231,12 +248,42 @@ def inverse_iteration(apply_s_inverse, m, n, k=4, tol=EIG_TOL, max_iter=EIG_MAX_
         f"(last value {theta})", theta, q)
 
 
-def smallest_gen_eig(s, m, k=4, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
-    """Smallest eigenpair of S q = theta M q for explicit sparse S, M."""
-    s_csr = _as_csr(s)
+def smallest_gen_eig(s, m, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
+    """Smallest eigenpair (theta, q) of S q = theta M q, M SPD.
+
+    S is a symmetric sparse matrix or a `LinearOperator`; it is only
+    applied.  ARPACK's Lanczos runs on M^{-1} S in the M inner product to
+    machine precision, with M^{-1} from one factorization of M and a fixed
+    start vector, so repeated calls give the same bits.  The returned pair
+    is checked with one more apply: ||S q - theta M q|| <= tol * theta *
+    ||M q||.  Failing the check raises EigenIterationError carrying the
+    pair; hitting `max_iter` restarts raises it with no pair.
+    """
     m_csr = _as_csr(m)
-    if s_csr.shape != m_csr.shape:
-        raise ValueError(f"dimension mismatch: S {s_csr.shape}, M {m_csr.shape}")
-    lu = Factorization(s_csr)
-    return inverse_iteration(lambda b: lu._lu.solve(b), m_csr, s_csr.shape[0],
-                             k=k, tol=tol, max_iter=max_iter)
+    s_op = s if isinstance(s, spla.LinearOperator) else _as_csr(s)
+    if s_op.shape != m_csr.shape:
+        raise ValueError(f"dimension mismatch: S {s_op.shape}, M {m_csr.shape}")
+    n = m_csr.shape[0]
+    if n == 1:   # ARPACK needs more unknowns than wanted eigenvalues
+        q = np.ones(1)
+        theta = float((s_op @ q)[0] / (m_csr @ q)[0])
+    else:
+        m_factor = factorize(m_csr)
+        m_inverse = spla.LinearOperator((n, n), dtype=float,
+                                        matvec=lambda b: m_factor.solve(b)[0])
+        start = np.random.default_rng(20240601).standard_normal(n)
+        try:
+            values, vectors = spla.eigsh(s_op, k=1, M=m_csr, Minv=m_inverse,
+                                         which="SA", v0=start, maxiter=max_iter)
+        except spla.ArpackNoConvergence as err:
+            # with k = 1 no pair has converged when ARPACK gives up
+            raise EigenIterationError(
+                f"Lanczos did not converge in {max_iter} restarts", None, None) from err
+        theta, q = float(values[0]), vectors[:, 0]
+    mq = m_csr @ q
+    res = np.linalg.norm(s_op @ q - theta * mq)
+    if not res <= tol * abs(theta) * np.linalg.norm(mq):
+        raise EigenIterationError(
+            f"eigenresidual {res:.3e} exceeds {tol:.0e} * theta * ||M q|| "
+            f"(value {theta})", theta, q)
+    return theta, q / np.linalg.norm(q)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.polynomial import polynomial as npoly
 
 from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
@@ -189,6 +190,24 @@ def test_norms_do_not_depend_on_chunk_size(solved1, params, case, monkeypatch):
         assert getattr(many, field) == pytest.approx(getattr(one, field), rel=1e-13)
 
 
+def test_solid_error_norm_uses_given_moduli(space0, case, rng):
+    stiff = fem.MaterialParams(lame_lambda=10.0, lame_mu=3.0, shift=1.0)
+    state = solver.FsiState(u=np.zeros(space0.num_velocity_dofs),
+                            w=rng.standard_normal(space0.num_solid_dofs),
+                            z=np.zeros(space0.num_solid_dofs))
+    err = analysis.error_norms(space0, state, np.zeros(space0.num_pressure_dofs),
+                               case, stiff)
+    w = state.w
+    gram = fem.assemble_solid_stiffness(space0, stiff) + fem.assemble_solid_mass(space0)
+    assert err.ew_h1 == pytest.approx(math.sqrt(w @ (gram @ w)), rel=1e-12)
+    # unit moduli lambda = mu = 1 give a far smaller norm, so no default is safe
+    unit = analysis.error_norms(space0, state, np.zeros(space0.num_pressure_dofs),
+                                case, fem.MaterialParams(shift=1.0))
+    assert err.ew_h1 > 1.5 * unit.ew_h1
+    with pytest.raises(TypeError):
+        analysis.error_norms(space0, state, np.zeros(space0.num_pressure_dofs), case)
+
+
 def test_error_norm_memory_is_bounded(params, case):
     # one batch of all 4096 fluid triangles allocates about 460 MB here
     space = fem.build_space(meshmod.generate(3))
@@ -319,6 +338,61 @@ def test_infsup_constants_only_subspace(space0):
     assert beta_const > 0
     # the full inf-sup constant is a minimum over all pressures
     assert analysis.infsup_beta(space0) <= beta_const + 1e-12
+
+
+# beta_h of the block inverse iteration on the saddle factorization that
+# the Lanczos eigensolve replaced
+PREVIOUS_BETA = {0: 0.4495509962707977, 1: 0.45732875888393204,
+                 2: 0.4609207370265064, 3: 0.46255872333160747}
+
+
+@pytest.fixture(scope="module")
+def infsup_runs():
+    """level -> (beta, Schur applies, shapes given to sla.factorize)."""
+    real_eig, real_factorize = sla.smallest_gen_eig, sla.factorize
+    runs = {}
+    for level in PREVIOUS_BETA:
+        applies, shapes = [], []
+
+        def counting_eig(s, m, **kwargs):
+            def apply(q):
+                applies.append(1)
+                return s @ q
+            return real_eig(spla.LinearOperator(s.shape, matvec=apply, dtype=float),
+                            m, **kwargs)
+
+        def recording_factorize(a):
+            shapes.append(a.shape)
+            return real_factorize(a)
+
+        space = fem.build_space(meshmod.generate(level))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sla, "smallest_gen_eig", counting_eig)
+            mp.setattr(sla, "factorize", recording_factorize)
+            beta = analysis.infsup_beta(space)
+        runs[level] = (space, beta, len(applies), shapes)
+    return runs
+
+
+def test_infsup_matches_previous_eigensolve(infsup_runs):
+    for level, (_, beta, _, _) in infsup_runs.items():
+        assert beta == pytest.approx(PREVIOUS_BETA[level], rel=1e-10)
+
+
+def test_infsup_applies_do_not_grow_with_level(infsup_runs):
+    counts = [infsup_runs[level][2] for level in (1, 2, 3)]
+    assert max(counts) <= 1.5 * min(counts)
+
+
+def test_infsup_factorizes_no_saddle_matrix(infsup_runs):
+    for space, _, _, shapes in infsup_runs.values():
+        nf, npr = space.num_free_velocity_dofs, space.num_pressure_dofs
+        assert shapes
+        assert set(shapes) <= {(nf, nf), (npr, npr)}
+
+
+def test_infsup_is_bitwise_repeatable(space1):
+    assert analysis.infsup_beta(space1) == analysis.infsup_beta(space1)
 
 
 def test_infsup_csv_layout():
