@@ -317,7 +317,7 @@ def error_norms(space, state, pi, case: ManufacturedCase, params: MaterialParams
     # exact (polynomial integrands within the degree-6 rule)
     sops = fem.solid_operators(space, params)
     ew = state.w
-    ew_energy_sq = ew @ ((sops.stiffness + sops.mass) @ ew)
+    ew_energy_sq = ew @ (sops.energy @ ew)
     ew_full_sq = ew @ ((sops.grad + sops.mass) @ ew)
 
     return ErrorNorms(

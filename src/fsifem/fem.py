@@ -616,6 +616,7 @@ class SolidOperators:
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix   # (sigma(u), eps(v)) with the given Lame moduli
     grad: sp.csr_matrix
+    energy: sp.csr_matrix      # stiffness + mass, the solid block of the H inner product
 
 
 def fluid_operators(space) -> FluidOperators:
@@ -636,9 +637,12 @@ def solid_operators(space, params: MaterialParams) -> SolidOperators:
         if "solid_mass" not in space._cache:
             space._cache["solid_mass"] = assemble_solid_mass(space)
             space._cache["solid_grad"] = assemble_solid_grad(space)
+        mass = space._cache["solid_mass"]
+        stiffness = assemble_solid_stiffness(space, params)
         space._cache[key] = SolidOperators(
-            mass=space._cache["solid_mass"],
-            stiffness=assemble_solid_stiffness(space, params),
+            mass=mass,
+            stiffness=stiffness,
             grad=space._cache["solid_grad"],
+            energy=stiffness + mass,
         )
     return space._cache[key]

@@ -70,30 +70,39 @@ class EnergyTrace:
         return "\n".join(lines) + "\n"
 
 
+def _h_terms(space, params: MaterialParams, a, b: FsiState):
+    """The fluid, solid-potential and solid-kinetic terms of (a, b)_H.
+
+    `a` is a state or resolvent data Y* = (u*, w*, z*), whose fluid part
+    enters through its load vector (u*, phi_i)."""
+    fops = fem.fluid_operators(space)
+    sops = fem.solid_operators(space, params)
+    if isinstance(a, solver.ResolventData):
+        fluid, w, z = a.u_load @ b.u, a.w_star, a.z_star
+    else:
+        fluid, w, z = a.u @ (fops.mass @ b.u), a.w, a.z
+    return fluid, w @ (sops.energy @ b.w), z @ (sops.mass @ b.z)
+
+
+def h_inner(space, params: MaterialParams, a, b: FsiState) -> float:
+    """(a, b)_H = (u_a, u_b) + (sigma(w_a), eps(w_b)) + (w_a, w_b) + (z_a, z_b);
+    `a` may be resolvent data, paired through its fluid load vector."""
+    fluid, potential, kinetic = _h_terms(space, params, a, b)
+    return float(fluid + potential + kinetic)
+
+
 def energy_components(space, params: MaterialParams, state: FsiState):
     """(fluid, solid potential, solid kinetic) squared norms and the
     dissipation integrand ||eps(u)||^2."""
-    fops = fem.fluid_operators(space)
-    sops = fem.solid_operators(space, params)
-    e_fluid = float(state.u @ (fops.mass @ state.u))
-    e_pot = float(state.w @ ((sops.stiffness + sops.mass) @ state.w))
-    e_kin = float(state.z @ (sops.mass @ state.z))
-    dissipation = float(state.u @ (fops.strain @ state.u))
-    return e_fluid, e_pot, e_kin, dissipation
+    e_fluid, e_pot, e_kin = _h_terms(space, params, state, state)
+    dissipation = state.u @ (fem.fluid_operators(space).strain @ state.u)
+    return float(e_fluid), float(e_pot), float(e_kin), float(dissipation)
 
 
 def h_norm(space, state: FsiState, params: MaterialParams) -> float:
     """Energy norm sqrt(||u||^2 + (sigma(w),eps(w)) + ||w||^2 + ||z||^2)."""
     e_fluid, e_pot, e_kin, _ = energy_components(space, params, state)
     return math.sqrt(max(e_fluid + e_pot + e_kin, 0.0))
-
-
-def h_inner(space, params: MaterialParams, a: FsiState, b: FsiState) -> float:
-    fops = fem.fluid_operators(space)
-    sops = fem.solid_operators(space, params)
-    return float(a.u @ (fops.mass @ b.u)
-                 + a.w @ ((sops.stiffness + sops.mass) @ b.w)
-                 + a.z @ (sops.mass @ b.z))
 
 
 def _trace_row(space, params, state, step, time):
@@ -179,15 +188,9 @@ def generator_quadratic_form(space, params: MaterialParams,
     vector on the fluid side."""
     lam = params.shift
     state, _ = solver.solve_resolvent(space, params, data)
-    fops = fem.fluid_operators(space)
-    sops = fem.solid_operators(space, params)
-    yy = (state.u @ (fops.mass @ state.u)
-          + state.w @ ((sops.stiffness + sops.mass) @ state.w)
-          + state.z @ (sops.mass @ state.z))
-    ys_y = (data.u_load @ state.u
-            + data.w_star @ ((sops.stiffness + sops.mass) @ state.w)
-            + data.z_star @ (sops.mass @ state.z))
-    dissipation = float(state.u @ (fops.strain @ state.u))
+    yy = h_inner(space, params, state, state)
+    ys_y = h_inner(space, params, data, state)
+    dissipation = float(state.u @ (fem.fluid_operators(space).strain @ state.u))
     return float(lam * yy - ys_y), dissipation
 
 

@@ -9,6 +9,12 @@ form.  The solid displacement is recovered afterwards from the interface
 trace of the velocity plus the data terms, and the solid velocity is
 z = lam * w - w*.
 
+The saddle matrix [[A_lam + (1/lam) E^T S E, B^T], [B, 0]] is factorized
+once per parameter set, in the nested-dissection order computed from the
+coordinates of its unknowns (`saddle_coordinates`: free velocity dofs,
+then pressure vertices); the discrete-kernel projection factorizes its
+[[M, B^T], [B, 0]] the same way.
+
 A dense monolithic assembly of the same coupled problem (interface trial
 constraint w = (1/lam)(u + w*) on Gamma_s, solid tests paired with fluid
 test traces) is kept as a coarse-mesh oracle.
@@ -16,7 +22,7 @@ test traces) is kept as a coarse-mesh oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,29 +171,23 @@ def solid_resolvent_inverse(space, params: MaterialParams, load):
 
 
 # ---------------------------------------------------------------------------
-# saddle system assembly and the resolvent operator
+# the resolvent operator and the discrete-kernel projection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SaddleSystem:
-    """Assembled mixed system in the free-velocity numbering."""
-
-    a_lambda: sla.SparseMatrix
-    b: sla.SparseMatrix
-    rhs_velocity: np.ndarray
-    rhs_pressure: np.ndarray
-    space: object = field(repr=False)
-    params: MaterialParams = None
-
-    def matrix(self):
-        """Full saddle matrix [[A, B^T], [B, 0]]."""
-        a = self.a_lambda.to_csr()
-        b = self.b.to_csr()
-        return sp.bmat([[a, b.T], [b, None]], format="csr")
+def saddle_coordinates(space):
+    """One coordinate row per unknown of the fluid saddle numbering: the
+    node of each free velocity dof, then each pressure vertex."""
+    velocity_nodes = space.fluid_nodes[space.free_velocity_dofs // 2]
+    return np.vstack([space.node_xy[velocity_nodes],
+                      space.node_xy[space.pressure_nodes]])
 
 
 class ResolventOperator:
-    """Factorized solver for (lam I - A_h) Y = Y* at fixed parameters."""
+    """Factorized solver for (lam I - A_h) Y = Y* at fixed parameters.
+
+    `saddle` is the matrix in the free-velocity-then-pressure numbering and
+    `factor` its nested-dissection LU; `solve` builds the right-hand side
+    from the data and recovers the solid fields."""
 
     def __init__(self, space, params: MaterialParams):
         self.space = space
@@ -216,7 +216,7 @@ class ResolventOperator:
         self.b_free = self.div_b[:, free].tocsr()
         self.saddle = sp.bmat([[self.a_free, self.b_free.T],
                                [self.b_free, None]], format="csr")
-        self.factor = sla.factorize(self.saddle)
+        self.factor = sla.factorize(self.saddle, saddle_coordinates(space))
 
     # -- data handling ------------------------------------------------------
 
@@ -232,17 +232,6 @@ class ResolventOperator:
         w0 = (self.dmap.columns @ data.w_star[self.space.iface_solid_dofs]) / lam
         w0 += solid_resolvent_inverse(self.space, self.params, mq)
         return q, mq, w0
-
-    def assemble(self, data: ResolventData) -> SaddleSystem:
-        space = self.space
-        _, mq, w0 = self._data_terms(data)
-        rhs_v = data.u_load[space.free_velocity_dofs].copy()
-        rhs_v[space.iface_free_dofs] += self.dmap.columns.T @ mq - self._s_e.T @ w0
-        return SaddleSystem(a_lambda=sla.SparseMatrix(self.a_free),
-                            b=sla.SparseMatrix(self.b_free),
-                            rhs_velocity=rhs_v,
-                            rhs_pressure=np.zeros(space.num_pressure_dofs),
-                            space=space, params=self.params)
 
     def solve(self, data: ResolventData):
         space = self.space
@@ -260,10 +249,6 @@ class ResolventOperator:
         return FsiState(u=u, w=w, z=z, pi=pi), report
 
 
-def assemble_system(space, params: MaterialParams, data: ResolventData) -> SaddleSystem:
-    return _operator(space, params).assemble(data)
-
-
 def solve_resolvent(space, params: MaterialParams, data: ResolventData):
     """One-shot resolvent solve; reuses a cached factorized operator."""
     return _operator(space, params).solve(data)
@@ -274,6 +259,30 @@ def _operator(space, params) -> ResolventOperator:
     if key not in space._cache:
         space._cache[key] = ResolventOperator(space, params)
     return space._cache[key]
+
+
+def kernel_projection(space):
+    """M-orthogonal projection of free-velocity vectors onto ker B.
+
+    Returns `project(v)`, which solves [[M, B^T], [B, 0]] [w; p] = [M v; 0]
+    (free-velocity mass M, divergence B) with one checked solve and returns
+    w, the divergence-free vector closest to v in the L2 norm.  The saddle
+    matrix is factorized once, in the nested-dissection order of
+    `saddle_coordinates`.
+    """
+    fops = fem.fluid_operators(space)
+    free = space.free_velocity_dofs
+    m_free = fops.mass[free][:, free].tocsr()
+    b_free = fops.div[:, free].tocsr()
+    factor = sla.factorize(sp.bmat([[m_free, b_free.T], [b_free, None]], format="csr"),
+                           saddle_coordinates(space))
+    zero_pressure = np.zeros(space.num_pressure_dofs)
+
+    def project(v):
+        x, _ = factor.solve(np.concatenate([m_free @ v, zero_pressure]))
+        return x[:free.size]
+
+    return project
 
 
 # ---------------------------------------------------------------------------

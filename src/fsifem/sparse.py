@@ -1,14 +1,20 @@
-"""Sparse linear algebra: CSR storage, direct LU solves with residual
-verification, and Lanczos for smallest generalized eigenvalues.
+"""Sparse linear algebra: direct LU solves with residual verification, a
+coordinate nested-dissection ordering, and Lanczos for smallest
+generalized eigenvalues.
 
-Factorization is delegated to SuperLU (scipy).  The ordering follows the
-matrix: with a zero-free diagonal (the SPD velocity, solid and mass
-blocks) SuperLU orders A + A^T by minimum degree and prefers diagonal
-pivots; otherwise (saddle matrices, whose pressure block is zero) it uses
-COLAMD with partial pivoting.  The wrapper enforces the contracts this
-package relies on: every solve reports its measured relative residual,
-singular factors raise with the offending pivot index, and repeated
-solves of identical inputs are bitwise reproducible.
+Factorization is delegated to SuperLU (scipy).  Given one coordinate row
+per unknown, the matrix is factorized in the nested-dissection order of
+`nested_dissection` with diagonal pivots preferred; the resolvent and
+kernel-projection saddle matrices take this path, because their zero
+pressure block leaves SuperLU's own orderings with COLAMD and partial
+pivoting, which fills about twice as much.  Without coordinates the
+ordering follows the matrix: with a zero-free diagonal (the SPD velocity,
+solid and mass blocks) SuperLU orders A + A^T by minimum degree and
+prefers diagonal pivots; otherwise it uses COLAMD with partial pivoting.
+The wrapper enforces the contracts this package relies on: every solve
+reports its measured relative residual, singular factors raise with the
+offending pivot index in the caller's numbering, and repeated solves of
+identical inputs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import scipy.sparse.linalg as spla
 EIG_TOL = 1e-8
 EIG_MAX_ITER = 500
 _SOLVE_TOL = 1e-10
+_ND_LEAF = 64      # nested dissection leaves blocks of at most this many unknowns whole
 
 
 class SingularMatrixError(Exception):
@@ -46,63 +53,6 @@ class EigenIterationError(Exception):
         self.vector = vector
 
 
-class SparseMatrix:
-    """Compressed-sparse-row matrix with sorted, duplicate-free rows."""
-
-    def __init__(self, csr: sp.csr_matrix):
-        csr = csr.tocsr().copy()
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        self._csr = csr
-
-    @classmethod
-    def from_coo(cls, rows, cols, values, shape):
-        return cls(sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr())
-
-    @classmethod
-    def from_dense(cls, a):
-        return cls(sp.csr_matrix(np.asarray(a, dtype=float)))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(sp.identity(n, format="csr"))
-
-    @property
-    def shape(self):
-        return self._csr.shape
-
-    @property
-    def nnz(self):
-        return self._csr.nnz
-
-    @property
-    def row_offsets(self):
-        return self._csr.indptr
-
-    @property
-    def col_indices(self):
-        return self._csr.indices
-
-    @property
-    def values(self):
-        return self._csr.data
-
-    def matvec(self, x):
-        return self._csr @ x
-
-    __matmul__ = matvec
-
-    def transpose(self):
-        return SparseMatrix(self._csr.T.tocsr())
-
-    def to_dense(self):
-        return self._csr.toarray()
-
-    def to_csr(self):
-        return self._csr
-
-
 @dataclass(frozen=True)
 class LinearSolveReport:
     """Measured (never assumed) quality of a direct solve."""
@@ -114,8 +64,6 @@ class LinearSolveReport:
 
 
 def _as_csr(a):
-    if isinstance(a, SparseMatrix):
-        return a.to_csr()
     if sp.issparse(a):
         return a.tocsr()
     raise TypeError(f"expected a sparse matrix, got {type(a)!r}")
@@ -124,38 +72,54 @@ def _as_csr(a):
 class Factorization:
     """Reusable sparse LU factorization of a square matrix.
 
-    A zero-free diagonal selects SuperLU's symmetric mode: minimum degree
-    on A + A^T, the same permutation for rows and columns, and a diagonal
-    pivot kept unless it is below 1e-3 of its column's largest entry.  Any
-    zero on the diagonal (every saddle matrix) selects COLAMD with partial
-    pivoting.
+    With `xy`, one coordinate row per unknown, A is factorized as P A P^T
+    in the coordinate nested-dissection order of `nested_dissection`:
+    SuperLU keeps that order (NATURAL, symmetric mode) and a diagonal pivot
+    unless it is below 1e-3 of its column's largest entry.  `solve` permutes
+    the right-hand side and the solution, so callers see their own
+    numbering.  Without `xy`, a zero-free diagonal selects SuperLU's
+    symmetric mode with minimum degree on A + A^T, and any zero on the
+    diagonal selects COLAMD with partial pivoting.  The singular-pivot,
+    pivot-growth and residual checks run on the factorized matrix.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, xy=None):
         csr = _as_csr(a)
         n, m = csr.shape
         if n != m:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
-        self._a = csr
-        self._max_a = np.abs(csr.data).max() if csr.nnz else 0.0
-        if np.all(csr.diagonal() != 0):
+        t0 = time.perf_counter()
+        if xy is not None:
+            self._perm = nested_dissection(csr, xy)
+            csr = csr[self._perm][:, self._perm].tocsr()
+            ordering = dict(permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+                            options=dict(SymmetricMode=True))
+        elif np.all(csr.diagonal() != 0):
+            self._perm = None
             ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
                             options=dict(SymmetricMode=True))
         else:
+            self._perm = None
             ordering = {}
-        t0 = time.perf_counter()
+        self._a = csr
+        self._max_a = np.abs(csr.data).max() if csr.nnz else 0.0
         try:
             self._lu = spla.splu(csr.tocsc(), **ordering)
         except RuntimeError as err:
-            raise SingularMatrixError(_locate_pivot(csr), str(err)) from err
+            raise SingularMatrixError(self._caller_index(_locate_pivot(csr)),
+                                      str(err)) from err
         self.factor_time = time.perf_counter() - t0
         udiag = np.abs(self._lu.U.diagonal())
         if self._max_a > 0 and udiag.min() <= 1e-14 * self._max_a:
-            raise SingularMatrixError(int(np.argmin(udiag)),
-                                      "factorization singular to tolerance "
-                                      f"(pivot {int(np.argmin(udiag))})")
+            pivot = self._caller_index(int(np.argmin(udiag)))
+            raise SingularMatrixError(pivot, "factorization singular to tolerance "
+                                             f"(pivot {pivot})")
         self.pivot_growth = (np.abs(self._lu.U.data).max() / self._max_a
                              if self._max_a > 0 else 0.0)
+
+    def _caller_index(self, k):
+        """Unknown k of the factorized matrix in the caller's numbering."""
+        return int(self._perm[k]) if self._perm is not None and k >= 0 else k
 
     def solve(self, b, check=True):
         """Solve AX = B for a vector or a matrix of columns; returns
@@ -165,6 +129,8 @@ class Factorization:
         if b.shape[0] != self._a.shape[0]:
             raise ValueError(
                 f"dimension mismatch: matrix {self._a.shape}, rhs {b.shape}")
+        if self._perm is not None:
+            b = b[self._perm]
         t0 = time.perf_counter()
         x = self._lu.solve(b)
         solve_time = time.perf_counter() - t0
@@ -179,7 +145,70 @@ class Factorization:
         if check and residual > _SOLVE_TOL:
             raise SolveAccuracyError(
                 f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}")
+        if self._perm is not None:
+            x_perm, x = x, np.empty_like(x)
+            x[self._perm] = x_perm
         return x, report
+
+
+def nested_dissection(a, xy):
+    """Fill-reducing order of the unknowns of `a` from their coordinates.
+
+    Each block of more than 64 unknowns is split at the median
+    coordinate along its longer extent.  The separator is the unknowns of
+    the upper side with a neighbour below in the pattern of |A| + |A^T|,
+    plus every unknown left without a neighbour on its own side; both
+    sides are ordered recursively and the separator is numbered after them
+    (George, SIAM J. Numer. Anal. 10, 1973).  A block keeps ascending index
+    order.  So every unknown follows a neighbour or shares a block with
+    one, and in a saddle matrix numbered velocity before pressure each
+    pressure unknown follows a velocity unknown it couples to: its pivot
+    is not structurally zero.  Returns the permutation: position k holds
+    the unknown ordered k-th.
+    """
+    csr = _as_csr(a)
+    xy = np.asarray(xy, dtype=float)
+    n = csr.shape[0]
+    if xy.shape[0] != n:
+        raise ValueError(f"need one coordinate row per unknown, got {xy.shape} "
+                         f"for {n} unknowns")
+    pattern = (abs(csr) + abs(csr.T)).tocsr()
+    pattern.data[:] = 1.0
+    mark = np.zeros(n)
+    order = []
+
+    def near(rows, members):
+        """Which rows have a neighbour among `members`."""
+        mark[members] = 1.0
+        hit = (rows @ mark) > 0
+        mark[members] = 0.0
+        return hit
+
+    def dissect(block):
+        if block.size <= _ND_LEAF:
+            order.append(block)
+            return
+        pts = xy[block]
+        coord = pts[:, np.argmax(np.ptp(pts, axis=0))]
+        median = np.median(coord)
+        lower = coord < median
+        if not lower.any():            # at least half the block on its minimum
+            lower = coord <= median
+        if lower.all():                # coincident points: no split
+            order.append(block)
+            return
+        rows = pattern[block]
+        near_low = near(rows, block[lower])
+        rest = ~lower & ~near_low
+        near_rest = near(rows, block[rest])
+        low = lower & near_low
+        rest &= near_rest
+        dissect(block[low])
+        dissect(block[rest])
+        order.append(block[~low & ~rest])
+
+    dissect(np.arange(n))
+    return np.concatenate(order)
 
 
 def _locate_pivot(csr):
@@ -195,8 +224,8 @@ def _locate_pivot(csr):
     return int(bad[0]) if bad.size else int(np.argmin(d))
 
 
-def factorize(a) -> Factorization:
-    return Factorization(a)
+def factorize(a, xy=None) -> Factorization:
+    return Factorization(a, xy)
 
 
 def solve(a, b):

@@ -55,6 +55,31 @@ def test_trace_total_is_component_sum(space0, params, rng):
     assert row.e_total == e_fluid + e_pot + e_kin
 
 
+def test_h_inner_matches_separate_sum_formula_bitwise(space1, params, rng):
+    # the formulas that rebuilt K_sigma + M_s at every call
+    fops = fem.fluid_operators(space1)
+    sops = fem.solid_operators(space1, params)
+    a, b = solver.random_state(space1, rng), solver.random_state(space1, rng)
+    data = _random_data(space1, rng)
+    assert semigroup.h_inner(space1, params, a, b) == float(
+        a.u @ (fops.mass @ b.u) + a.w @ ((sops.stiffness + sops.mass) @ b.w)
+        + a.z @ (sops.mass @ b.z))
+    assert semigroup.energy_components(space1, params, a) == (
+        float(a.u @ (fops.mass @ a.u)),
+        float(a.w @ ((sops.stiffness + sops.mass) @ a.w)),
+        float(a.z @ (sops.mass @ a.z)),
+        float(a.u @ (fops.strain @ a.u)))
+    state, _ = solver.solve_resolvent(space1, params, data)
+    yy = (state.u @ (fops.mass @ state.u)
+          + state.w @ ((sops.stiffness + sops.mass) @ state.w)
+          + state.z @ (sops.mass @ state.z))
+    ys_y = (data.u_load @ state.u
+            + data.w_star @ ((sops.stiffness + sops.mass) @ state.w)
+            + data.z_star @ (sops.mass @ state.z))
+    assert semigroup.generator_quadratic_form(space1, params, data) == (
+        float(params.shift * yy - ys_y), float(state.u @ (fops.strain @ state.u)))
+
+
 # -- single step -------------------------------------------------------------
 
 def test_step_zero_state_is_equilibrium(space0):

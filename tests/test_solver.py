@@ -98,9 +98,12 @@ def test_solid_operator_lower_bound(space0, params, rng):
 # -- assembly ----------------------------------------------------------------
 
 def test_zero_data_zero_rhs(space0, params):
-    system = solver.assemble_system(space0, params, solver.zero_data(space0))
-    assert np.all(system.rhs_velocity == 0.0)
-    assert np.all(system.rhs_pressure == 0.0)
+    # zero data must give a zero right-hand side, whose residual the solve
+    # reports as exactly 0, and a zero pressure
+    op = solver._operator(space0, params)
+    state, report = op.solve(solver.zero_data(space0))
+    assert report.residual == 0.0
+    assert np.all(state.pi == 0.0)
 
 
 def test_schur_block_symmetry(space0, params):
@@ -122,20 +125,29 @@ def test_a_lambda_dominates_strain_form(space0, params, rng):
 
 
 def test_a_lambda_spd_on_divergence_free_kernel(space0, params, rng):
-    import scipy.sparse as sp
     op = solver._operator(space0, params)
-    free = space0.free_velocity_dofs
-    fops = fem.fluid_operators(space0)
-    m_free = fops.mass[free][:, free]
-    b_free = fops.div[:, free]
-    proj = sla.factorize(sp.bmat([[m_free, b_free.T], [b_free, None]], format="csc"))
-    nf = free.size
+    b_free = fem.fluid_operators(space0).div[:, space0.free_velocity_dofs]
+    project = solver.kernel_projection(space0)
     for _ in range(20):
-        v = rng.standard_normal(nf)
-        rhs = np.concatenate([m_free @ v, np.zeros(space0.num_pressure_dofs)])
-        v_ker = proj.solve(rhs)[0][:nf]
+        v_ker = project(rng.standard_normal(space0.num_free_velocity_dofs))
         assert np.abs(b_free @ v_ker).max() <= 1e-10
         assert v_ker @ (op.a_free @ v_ker) > 0.0
+
+
+def test_kernel_projection_is_m_orthogonal(space0, rng):
+    fops = fem.fluid_operators(space0)
+    free = space0.free_velocity_dofs
+    m_free = fops.mass[free][:, free]
+    b_free = fops.div[:, free].toarray()
+    project = solver.kernel_projection(space0)
+    v = rng.standard_normal(free.size)
+    v_ker = project(v)
+    # the defect v - P v is M-orthogonal to ker B (dense null-space basis)
+    _, sing, vt = np.linalg.svd(b_free)
+    kernel = vt[np.count_nonzero(sing > 1e-10 * sing[0]):].T
+    defect = kernel.T @ (m_free @ (v - v_ker))
+    assert np.abs(defect).max() <= 1e-10 * np.linalg.norm(m_free @ v)
+    assert _rel(project(v_ker), v_ker) <= 1e-12
 
 
 def test_b_has_full_row_rank(space0):
@@ -177,6 +189,58 @@ def test_solve_deterministic_bitwise(space0, params, rng):
     assert np.array_equal(s1.u, s2.u)
     assert np.array_equal(s1.pi, s2.pi)
     assert np.array_equal(s1.w, s2.w)
+
+
+def test_operator_rebuild_is_bitwise_identical(space1, params, rng):
+    data = _random_data(space1, rng)
+    s1, _ = solver.ResolventOperator(space1, params).solve(data)
+    s2, _ = solver.ResolventOperator(space1, params).solve(data)
+    for a, b in ((s1.u, s2.u), (s1.pi, s2.pi), (s1.w, s2.w), (s1.z, s2.z)):
+        assert np.array_equal(a, b)
+
+
+def _factor_or_error(saddle, xy=None):
+    try:
+        return sla.factorize(saddle, xy), None
+    except sla.SingularMatrixError as err:
+        return None, type(err)
+
+
+def test_nested_dissection_no_worse_than_colamd_over_parameters(monkeypatch):
+    # record the saddle matrix (the factorization given coordinates), also
+    # when its factorization fails
+    saddles = []
+    real_factorize = sla.factorize
+
+    def recording(a, xy=None):
+        if xy is not None:
+            saddles.append(a)
+        return real_factorize(a, xy)
+
+    monkeypatch.setattr(sla, "factorize", recording)
+    space = fem.build_space(meshmod.generate(2))
+    xy = solver.saddle_coordinates(space)
+    rng = np.random.default_rng(20241018)
+    for shift in (1e-3, 1.0, 1e3):
+        for lame_lambda, lame_mu in ((1.0, 1.0), (1e6, 1.0), (1.0, 1e-3), (1.0, 1e3)):
+            params = fem.MaterialParams(lame_lambda=lame_lambda, lame_mu=lame_mu,
+                                        shift=shift)
+            saddles.clear()
+            try:
+                solver.ResolventOperator(space, params)
+            except sla.SingularMatrixError:
+                pass
+            saddle = saddles[-1]
+            assert saddle.shape == (xy.shape[0], xy.shape[0])
+            nd, nd_error = _factor_or_error(saddle, xy)
+            colamd, colamd_error = _factor_or_error(saddle)
+            assert nd_error == colamd_error, params
+            if nd is None:
+                continue
+            b = rng.standard_normal(saddle.shape[0])
+            nd_res = nd.solve(b, check=False)[1].residual
+            colamd_res = colamd.solve(b, check=False)[1].residual
+            assert nd_res <= max(1e-12, 2.0 * colamd_res), (params, nd_res, colamd_res)
 
 
 def test_interface_trace_identity(space1, params, rng):
