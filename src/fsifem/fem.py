@@ -15,6 +15,19 @@ squared manufactured-solution errors).  The degree-38 rule has 400 points
 per triangle, so `analysis.error_norms` evaluates it chunk by chunk over
 the fluid triangles, from reference derivatives and each triangle's
 inverse Jacobian, without forming a physical-gradient tensor.
+
+Assembly is class-grouped.  Every local matrix depends on its triangle
+only through the affine Jacobian (v1 - v0, v2 - v0), so `_local_matrices`
+groups the triangles by the exact bit pattern of that Jacobian, runs the
+form's kernel (`_element_kernel`) on one representative per class and
+gathers the result back.  Equal bits give equal matrices, so this needs no
+tolerance and the assembled matrices are bitwise those of a per-triangle
+kernel; a structured level-3 mesh has 124 fluid and 28 solid classes among
+4 096 and 512 triangles, a jittered mesh one class per triangle.  Every
+global matrix then goes through one COO-to-CSR scatter (`_scatter`) whose
+row and column arrays are built as int32, the index type of the result.
+The interface-edge integrals are vectorized over the edges and accumulate
+with `np.add.at` in edge order, the order of a loop over the edges.
 """
 
 from __future__ import annotations
@@ -266,29 +279,31 @@ def build_space(mesh: meshmod.TriMesh) -> TaylorHoodSpace:
 
 
 # ---------------------------------------------------------------------------
-# element geometry and batched local matrices
+# element geometry and class-grouped local matrices
 # ---------------------------------------------------------------------------
 
-def _tri_geometry(space, tris):
-    """Jacobian data for a batch of triangles."""
-    v = space.mesh.vertices[space.mesh.triangles[tris]]   # (nt, 3, 2)
-    e1 = v[:, 1] - v[:, 0]
-    e2 = v[:, 2] - v[:, 0]
+def _jacobian_inverse(e1, e2):
+    """Determinants and inverses of the affine maps with columns e1, e2."""
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    inv = np.empty((len(tris), 2, 2))
+    inv = np.empty((det.size, 2, 2))
     inv[:, 0, 0] = e2[:, 1]
     inv[:, 0, 1] = -e2[:, 0]
     inv[:, 1, 0] = -e1[:, 1]
     inv[:, 1, 1] = e1[:, 0]
     inv /= det[:, None, None]
+    return det, inv
+
+
+def _tri_geometry(space, tris):
+    """Jacobian data for a batch of triangles."""
+    v = space.mesh.vertices[space.mesh.triangles[tris]]   # (nt, 3, 2)
+    det, inv = _jacobian_inverse(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
     return v, det, inv
 
 
-def _phys_grads(space, tris, rule):
-    v, det, inv = _tri_geometry(space, tris)
-    gref = p2_grads(rule.points)                 # (nq, 6, 2)
-    g = np.einsum("qib,tba->tqia", gref, inv)    # physical gradients
-    return v, det, g
+def _ref_to_phys(inv, rule):
+    """Physical P2 gradients at the rule's points, (nt, nq, 6, 2)."""
+    return np.einsum("qib,tba->tqia", p2_grads(rule.points), inv)
 
 
 def _local_vector_mass(det, mref):
@@ -297,6 +312,15 @@ def _local_vector_mass(det, mref):
     m = det[:, None, None] * mref[None, :, :]
     out[:, 0::2, 0::2] = m
     out[:, 1::2, 1::2] = m
+    return out
+
+
+def _local_gradient(det, g, w):
+    """grad(u):grad(v) local matrices, (nt, 12, 12)."""
+    e1 = np.einsum("q,tqic,tqjc->tij", w, g, g) * det[:, None, None]
+    out = np.zeros((det.size, 12, 12))
+    out[:, 0::2, 0::2] = e1
+    out[:, 1::2, 1::2] = e1
     return out
 
 
@@ -341,14 +365,32 @@ def _p2_mass_ref(degree=SYSTEM_QUAD_DEGREE):
     return np.einsum("q,qi,qj->ij", rule.weights, n, n)
 
 
-def _local_matrices(space, tris, params, form):
-    rule = triangle_rule(SYSTEM_QUAD_DEGREE)
+@lru_cache(maxsize=None)
+def _p1_mass_ref(degree=SYSTEM_QUAD_DEGREE):
+    rule = triangle_rule(degree)
+    n = p1_values(rule.points)
+    return np.einsum("q,qi,qj->ij", rule.weights, n, n)
+
+
+def _element_kernel(jac, params, form):
+    """Local matrices of `form` on triangles given by their Jacobians.
+
+    jac is (nt, 2, 2) with rows v1 - v0 and v2 - v0; every local matrix
+    depends on the triangle only through these four numbers.  Besides
+    FORMS, `gradient` is the full-gradient Gram form on either region and
+    `pressure_mass` the P1 mass form (3x3).
+    """
+    det, inv = _jacobian_inverse(jac[:, 0], jac[:, 1])
     if form in ("fluid_mass", "solid_mass"):
-        _, det, _ = _tri_geometry(space, tris)
         return _local_vector_mass(det, _p2_mass_ref())
-    _, det, g = _phys_grads(space, tris, rule)
+    if form == "pressure_mass":
+        return det[:, None, None] * _p1_mass_ref()[None, :, :]
+    rule = triangle_rule(SYSTEM_QUAD_DEGREE)
+    g = _ref_to_phys(inv, rule)
     if form == "fluid_strain":
         return _local_strain(det, g, rule.weights)
+    if form == "gradient":
+        return _local_gradient(det, g, rule.weights)
     if form == "divergence":
         return _local_divergence(det, g, rule)
     if form == "solid_stiffness":
@@ -356,6 +398,28 @@ def _local_matrices(space, tris, params, form):
         return (params.lame_lambda * _local_div_div(det, g, rule.weights)
                 + _local_strain(det, g, rule.weights, mu_factor=2.0 * params.lame_mu))
     raise ValueError(f"unknown form {form!r}")
+
+
+def _jacobians(space, tris):
+    """(nt, 2, 2) Jacobian rows v1 - v0, v2 - v0 of a batch of triangles."""
+    v = space.mesh.vertices[space.mesh.triangles[tris]]
+    return v[:, 1:] - v[:, :1]
+
+
+def _local_matrices(space, tris, params, form):
+    """Local matrices of `form` on `tris`, one kernel call per Jacobian class.
+
+    Triangles whose Jacobians have the same bit pattern get bitwise the
+    same local matrix, so the kernel runs on one representative of each
+    class and the result is gathered back.  No tolerance is involved: on a
+    mesh without repeated shapes every triangle is its own class.
+    """
+    jac = _jacobians(space, tris)
+    # each Jacobian's 32 bytes as one opaque key: equal keys are equal bits
+    # (a 1-D void sort, several times faster than np.unique(axis=0))
+    keys = jac.reshape(len(tris), 4).view(np.dtype((np.void, 32)))
+    _, first, cls = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return _element_kernel(jac[first], params, form)[cls]
 
 
 def element_matrices(space, tri, params: MaterialParams, form: str):
@@ -379,21 +443,17 @@ def element_matrices(space, tri, params: MaterialParams, form: str):
 # global assembly
 # ---------------------------------------------------------------------------
 
-def _scatter_square(local, dofs, size):
-    nt, nl, _ = local.shape
-    rows = np.repeat(dofs, nl, axis=1).ravel()
-    cols = np.tile(dofs, (1, nl)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(size, size)).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
+def _scatter(local, row_dofs, col_dofs, shape):
+    """Sum local matrices (nt, nr, nc) into a CSR matrix of `shape`.
 
-
-def _scatter_rect(local, row_dofs, col_dofs, shape):
+    row_dofs (nt, nr) and col_dofs (nt, nc) are the global indices of the
+    local rows and columns.  The COO indices are built as int32, the index
+    type of the result, so no int64 copy of the 2 x nt x nr x nc indices
+    is ever held.
+    """
     nt, nr, nc = local.shape
-    rows = np.repeat(row_dofs, nc, axis=1).ravel()
-    cols = np.tile(col_dofs, (1, nr)).ravel()
+    rows = np.repeat(row_dofs.astype(np.int32), nc, axis=1).ravel()
+    cols = np.tile(col_dofs.astype(np.int32), (1, nr)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
     mat.sum_duplicates()
     mat.eliminate_zeros()
@@ -401,72 +461,60 @@ def _scatter_rect(local, row_dofs, col_dofs, shape):
     return mat
 
 
-def assemble_fluid_mass(space, params=None):
+def _assemble_velocity(space, params, form):
     tris = space.fluid_tris
-    local = _local_matrices(space, tris, params, "fluid_mass")
-    return _scatter_square(local, space.velocity_dofs_of_tris(tris), space.num_velocity_dofs)
+    dofs = space.velocity_dofs_of_tris(tris)
+    n = space.num_velocity_dofs
+    return _scatter(_local_matrices(space, tris, params, form), dofs, dofs, (n, n))
+
+
+def _assemble_solid(space, params, form):
+    tris = space.solid_tris
+    dofs = space.solid_dofs_of_tris(tris)
+    n = space.num_solid_dofs
+    return _scatter(_local_matrices(space, tris, params, form), dofs, dofs, (n, n))
+
+
+def assemble_fluid_mass(space, params=None):
+    return _assemble_velocity(space, params, "fluid_mass")
 
 
 def assemble_fluid_strain(space, params=None):
-    tris = space.fluid_tris
-    local = _local_matrices(space, tris, params, "fluid_strain")
-    return _scatter_square(local, space.velocity_dofs_of_tris(tris), space.num_velocity_dofs)
+    return _assemble_velocity(space, params, "fluid_strain")
 
 
 def assemble_fluid_grad(space):
     """Full-gradient Gram matrix (grad u, grad v) on the fluid, for H1 norms."""
-    tris = space.fluid_tris
-    rule = triangle_rule(SYSTEM_QUAD_DEGREE)
-    _, det, g = _phys_grads(space, tris, rule)
-    e1 = np.einsum("q,tqic,tqjc->tij", rule.weights, g, g) * det[:, None, None]
-    local = np.zeros((len(tris), 12, 12))
-    local[:, 0::2, 0::2] = e1
-    local[:, 1::2, 1::2] = e1
-    return _scatter_square(local, space.velocity_dofs_of_tris(tris), space.num_velocity_dofs)
+    return _assemble_velocity(space, None, "gradient")
 
 
 def assemble_divergence(space):
     tris = space.fluid_tris
-    local = _local_matrices(space, tris, None, "divergence")
     rows = space.pressure_loc[space.mesh.triangles[tris]]
-    return _scatter_rect(local, rows, space.velocity_dofs_of_tris(tris),
-                         (space.num_pressure_dofs, space.num_velocity_dofs))
+    return _scatter(_local_matrices(space, tris, None, "divergence"), rows,
+                    space.velocity_dofs_of_tris(tris),
+                    (space.num_pressure_dofs, space.num_velocity_dofs))
 
 
 def assemble_solid_mass(space, params=None):
-    tris = space.solid_tris
-    local = _local_matrices(space, tris, params, "solid_mass")
-    return _scatter_square(local, space.solid_dofs_of_tris(tris), space.num_solid_dofs)
+    return _assemble_solid(space, params, "solid_mass")
 
 
 def assemble_solid_stiffness(space, params: MaterialParams):
-    tris = space.solid_tris
-    local = _local_matrices(space, tris, params, "solid_stiffness")
-    return _scatter_square(local, space.solid_dofs_of_tris(tris), space.num_solid_dofs)
+    return _assemble_solid(space, params, "solid_stiffness")
 
 
 def assemble_solid_grad(space):
     """Full-gradient Gram matrix on the solid, for the standard H1 norm."""
-    tris = space.solid_tris
-    rule = triangle_rule(SYSTEM_QUAD_DEGREE)
-    _, det, g = _phys_grads(space, tris, rule)
-    e1 = np.einsum("q,tqic,tqjc->tij", rule.weights, g, g) * det[:, None, None]
-    local = np.zeros((len(tris), 12, 12))
-    local[:, 0::2, 0::2] = e1
-    local[:, 1::2, 1::2] = e1
-    return _scatter_square(local, space.solid_dofs_of_tris(tris), space.num_solid_dofs)
+    return _assemble_solid(space, None, "gradient")
 
 
 def assemble_pressure_mass(space):
     tris = space.fluid_tris
-    rule = triangle_rule(SYSTEM_QUAD_DEGREE)
-    _, det, _ = _tri_geometry(space, tris)
-    p1 = p1_values(rule.points)
-    mref = np.einsum("q,qi,qj->ij", rule.weights, p1, p1)
-    local = det[:, None, None] * mref[None, :, :]
     rows = space.pressure_loc[space.mesh.triangles[tris]]
-    return _scatter_rect(local, rows, rows,
-                         (space.num_pressure_dofs, space.num_pressure_dofs))
+    n = space.num_pressure_dofs
+    return _scatter(_local_matrices(space, tris, None, "pressure_mass"), rows, rows,
+                    (n, n))
 
 
 def quadrature_points(space, tris, rule):
@@ -538,16 +586,22 @@ def _edge_shape(t):
     ])
 
 
+def _iface_vector_positions(space):
+    """(ne, 3, 2) interleaved interface dofs of each edge's nodes."""
+    pos = space.iface_node_pos[space.iface_edge_nodes]
+    return 2 * pos[:, :, None] + np.arange(2)
+
+
 def iface_trace_mass(space):
     """Vector-P2 mass matrix of the interface curve, interleaved layout."""
     ni = space.iface_nodes.size
     t, w = _edge_rule()
     n = _edge_shape(t)
     mloc = space.iface_edge_length * np.einsum("q,qi,qj->ij", w, n, n)
+    pos = space.iface_node_pos[space.iface_edge_nodes]           # (ne, 3)
     m = np.zeros((ni, ni))
-    for enodes in space.iface_edge_nodes:
-        pos = space.iface_node_pos[enodes]
-        m[np.ix_(pos, pos)] += mloc
+    # np.add.at applies the edges in order, as a loop over edges would
+    np.add.at(m, (pos[:, :, None], pos[:, None, :]), mloc)
     out = np.zeros((2 * ni, 2 * ni))
     out[0::2, 0::2] = m
     out[1::2, 1::2] = m
@@ -556,41 +610,37 @@ def iface_trace_mass(space):
 
 def iface_normal_moments(space):
     """Vector r with r_i = integral over Gamma_s of nu . phi_i ds."""
-    ni = space.iface_nodes.size
     t, w = _edge_rule()
     shape_int = space.iface_edge_length * (w @ _edge_shape(t))   # (3,)
-    r = np.zeros(2 * ni)
-    for enodes, nu in zip(space.iface_edge_nodes, space.iface_edge_normals):
-        pos = space.iface_node_pos[enodes]
-        for comp in range(2):
-            r[2 * pos + comp] += nu[comp] * shape_int
+    r = np.zeros(2 * space.iface_nodes.size)
+    contrib = space.iface_edge_normals[:, None, :] * shape_int[None, :, None]
+    np.add.at(r, _iface_vector_positions(space), contrib)
     return r
+
+
+def _iface_edge_pressures(space, pressure):
+    """(ne, 2) P1 pressure values at the two end vertices of each edge."""
+    return np.asarray(pressure)[space.pressure_loc[space.iface_edge_nodes[:, :2]]]
 
 
 def iface_pressure_integral(space, pressure):
     """Integral of a P1 pressure field over Gamma_s."""
-    total = 0.0
-    h = space.iface_edge_length
-    for enodes in space.iface_edge_nodes:
-        pv = space.pressure_loc[enodes[:2]]
-        total += 0.5 * h * (pressure[pv[0]] + pressure[pv[1]])
-    return total
+    p = _iface_edge_pressures(space, pressure)
+    per_edge = 0.5 * space.iface_edge_length * (p[:, 0] + p[:, 1])
+    # summed edge by edge (np.sum would pair the terms differently)
+    return float(np.cumsum(per_edge)[-1])
 
 
 def iface_pressure_normal_moments(space, pressure):
     """Vector m with m_i = integral over Gamma_s of p (nu . phi_i) ds."""
-    ni = space.iface_nodes.size
     t, w = _edge_rule()
     n = _edge_shape(t)
-    h = space.iface_edge_length
-    m = np.zeros(2 * ni)
-    for enodes, nu in zip(space.iface_edge_nodes, space.iface_edge_normals):
-        pv = space.pressure_loc[enodes[:2]]
-        pvals = pressure[pv[0]] * (1.0 - t) + pressure[pv[1]] * t
-        contrib = h * np.einsum("q,q,qi->i", w, pvals, n)
-        pos = space.iface_node_pos[enodes]
-        for comp in range(2):
-            m[2 * pos + comp] += nu[comp] * contrib
+    p = _iface_edge_pressures(space, pressure)
+    pvals = p[:, :1] * (1.0 - t) + p[:, 1:] * t                   # (ne, nq)
+    contrib = space.iface_edge_length * np.einsum("q,eq,qi->ei", w, pvals, n)
+    m = np.zeros(2 * space.iface_nodes.size)
+    np.add.at(m, _iface_vector_positions(space),
+              space.iface_edge_normals[:, None, :] * contrib[:, :, None])
     return m
 
 

@@ -326,18 +326,24 @@ def interface_flux(space, params, state, pi, g, data, extension=None):
         eg[space.iface_velocity_dofs] = g
     else:
         eg = _check_extension(space, g, extension)
+    return float(_momentum_residual(space, params, state.u, pi, data.u_load) @ eg)
+
+
+def _momentum_residual(space, params, u, pi, u_load):
+    """Discrete fluid momentum residual K_eps u + lam M u + B^T pi - l.
+
+    Full velocity layout.  It vanishes on free interior dofs for a
+    resolvent solution, so its interface entries are the fluid traction
+    moments and its pairing with any extension is the traction functional.
+    """
     fops = fem.fluid_operators(space)
-    lam = params.shift
-    return float(state.u @ (fops.strain @ eg) + pi @ (fops.div @ eg)
-                 + lam * (state.u @ (fops.mass @ eg)) - data.u_load @ eg)
+    return (fops.strain @ u + params.shift * (fops.mass @ u)
+            + fops.div.T @ pi - u_load)
 
 
 def _fluid_flux_moments(space, params, state, pi, data):
     """Fluid traction against every interface basis trace, in one pass."""
-    fops = fem.fluid_operators(space)
-    lam = params.shift
-    vec = (fops.strain @ state.u + lam * (fops.mass @ state.u)
-           + fops.div.T @ pi - data.u_load)
+    vec = _momentum_residual(space, params, state.u, pi, data.u_load)
     return vec[space.iface_velocity_dofs]
 
 
@@ -364,12 +370,8 @@ def recover_c0(space, params, state, pi_q0, data):
     representative) against the L2(Gamma_s) projection of the normal field
     onto the discrete trace space.
     """
-    fops = fem.fluid_operators(space)
-    lam = params.shift
-    vec = (fops.strain @ state.u + lam * (fops.mass @ state.u)
-           + fops.div.T @ pi_q0 - data.u_load)
-    moments = vec[space.iface_velocity_dofs]
-    moments = moments + fem.iface_pressure_normal_moments(space, pi_q0)
+    moments = (_fluid_flux_moments(space, params, state, pi_q0, data)
+               + fem.iface_pressure_normal_moments(space, pi_q0))
     moments = moments - _solid_flux_moments(space, params, state, data)
     m_gamma = fem.iface_trace_mass(space)
     nu_proj = np.linalg.solve(m_gamma, fem.iface_normal_moments(space))

@@ -140,7 +140,8 @@ def _single_batch_fluid_norms(space, state, pi, case):
     and the physical gradients of all basis functions formed explicitly."""
     rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
     tris = space.fluid_tris
-    _, det, g = fem._phys_grads(space, tris, rule)
+    _, det, inv = fem._tri_geometry(space, tris)
+    g = fem._ref_to_phys(inv, rule)
     pts = fem.quadrature_points(space, tris, rule)
     n = fem.p2_values(rule.points)
     dofs = space.velocity_dofs_of_tris(tris)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -172,6 +173,151 @@ def test_divergence_form_is_divergence_theorem(space0, params, rng):
         coeffs = rng.standard_normal(12)
         b_const = float(b_local.sum(axis=0) @ coeffs)   # mu = sum of P1 hats = 1
         assert b_const == pytest.approx(-_edge_flux(space0, int(tri), coeffs), abs=1e-12)
+
+
+# -- class-grouped assembly --------------------------------------------------
+
+_REGION_FORMS = (
+    ("fluid_tris", ("fluid_mass", "fluid_strain", "gradient", "divergence",
+                    "pressure_mass")),
+    ("solid_tris", ("solid_mass", "solid_stiffness", "gradient")),
+)
+
+
+def _assert_grouped_matches_per_triangle(space, params):
+    for region, forms in _REGION_FORMS:
+        tris = getattr(space, region)
+        jac = fem._jacobians(space, tris)
+        for form in forms:
+            grouped = fem._local_matrices(space, tris, params, form)
+            per_triangle = fem._element_kernel(jac, params, form)
+            assert grouped.shape == per_triangle.shape
+            assert grouped.tobytes() == per_triangle.tobytes(), (region, form)
+    # and through the scatter: the cached stiffness is the per-triangle sum
+    tris = space.solid_tris
+    dofs = space.solid_dofs_of_tris(tris)
+    n = space.num_solid_dofs
+    reference = fem._scatter(fem._element_kernel(fem._jacobians(space, tris), params,
+                                                 "solid_stiffness"), dofs, dofs, (n, n))
+    assembled = fem.solid_operators(space, params).stiffness
+    assert assembled.indices.dtype == reference.indices.dtype == np.int32
+    assert np.array_equal(assembled.indptr, reference.indptr)
+    assert np.array_equal(assembled.indices, reference.indices)
+    assert assembled.data.tobytes() == reference.data.tobytes()
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_class_grouped_assembly_is_bitwise_per_triangle(level):
+    space = fem.build_space(meshmod.generate(level))
+    _assert_grouped_matches_per_triangle(
+        space, fem.MaterialParams(lame_lambda=3.0, lame_mu=0.7))
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """(form, number of triangles) of every element-kernel call."""
+    calls = []
+    kernel = fem._element_kernel
+
+    def counting(jac, params, form):
+        calls.append((form, len(jac)))
+        return kernel(jac, params, form)
+
+    monkeypatch.setattr(fem, "_element_kernel", counting)
+    return calls
+
+
+def test_jittered_mesh_gives_one_class_per_triangle(mesh1, kernel_calls):
+    rng = np.random.default_rng(11)
+    fixed = np.zeros(mesh1.num_vertices, dtype=bool)
+    fixed[mesh1.edges[mesh1.edge_tag != meshmod.INTERIOR].ravel()] = True
+    vertices = mesh1.vertices.copy()
+    # at most 0.14 h per vertex, below the inradius 0.29 h: orientation kept
+    vertices[~fixed] += rng.uniform(-0.1, 0.1, ((~fixed).sum(), 2)) / mesh1.n
+    jittered = dataclasses.replace(mesh1, vertices=vertices)
+    assert np.all(meshmod.signed_areas(jittered) > 0)
+    space = fem.build_space(jittered)
+
+    fem.fluid_operators(space)
+    fem.solid_operators(space, fem.MaterialParams())
+    seen = [n for _, n in kernel_calls]
+    assert seen == [space.fluid_tris.size] * 5 + [space.solid_tris.size] * 3
+    _assert_grouped_matches_per_triangle(
+        space, fem.MaterialParams(lame_lambda=3.0, lame_mu=0.7))
+
+
+def test_kernel_runs_once_per_jacobian_class(kernel_calls):
+    space = fem.build_space(meshmod.generate(3))
+    assert (space.fluid_tris.size, space.solid_tris.size) == (4096, 512)
+    fem.fluid_operators(space)
+    fem.solid_operators(space, fem.MaterialParams())
+    fluid = ("fluid_mass", "fluid_strain", "gradient", "divergence", "pressure_mass")
+    solid = ("solid_mass", "gradient", "solid_stiffness")
+    assert kernel_calls == [(f, 124) for f in fluid] + [(f, 28) for f in solid]
+
+
+# -- interface integrals -----------------------------------------------------
+
+def _loop_trace_mass(space):
+    ni = space.iface_nodes.size
+    t, w = fem.gauss_legendre_01(4)
+    n = fem._edge_shape(t)
+    mloc = space.iface_edge_length * np.einsum("q,qi,qj->ij", w, n, n)
+    m = np.zeros((ni, ni))
+    for enodes in space.iface_edge_nodes:
+        pos = space.iface_node_pos[enodes]
+        m[np.ix_(pos, pos)] += mloc
+    out = np.zeros((2 * ni, 2 * ni))
+    out[0::2, 0::2] = m
+    out[1::2, 1::2] = m
+    return out
+
+
+def _loop_normal_moments(space):
+    t, w = fem.gauss_legendre_01(4)
+    shape_int = space.iface_edge_length * (w @ fem._edge_shape(t))
+    r = np.zeros(2 * space.iface_nodes.size)
+    for enodes, nu in zip(space.iface_edge_nodes, space.iface_edge_normals):
+        pos = space.iface_node_pos[enodes]
+        for comp in range(2):
+            r[2 * pos + comp] += nu[comp] * shape_int
+    return r
+
+
+def _loop_pressure_integral(space, pressure):
+    total = 0.0
+    h = space.iface_edge_length
+    for enodes in space.iface_edge_nodes:
+        pv = space.pressure_loc[enodes[:2]]
+        total += 0.5 * h * (pressure[pv[0]] + pressure[pv[1]])
+    return total
+
+
+def _loop_pressure_normal_moments(space, pressure):
+    t, w = fem.gauss_legendre_01(4)
+    n = fem._edge_shape(t)
+    h = space.iface_edge_length
+    m = np.zeros(2 * space.iface_nodes.size)
+    for enodes, nu in zip(space.iface_edge_nodes, space.iface_edge_normals):
+        pv = space.pressure_loc[enodes[:2]]
+        pvals = pressure[pv[0]] * (1.0 - t) + pressure[pv[1]] * t
+        contrib = h * np.einsum("q,q,qi->i", w, pvals, n)
+        pos = space.iface_node_pos[enodes]
+        for comp in range(2):
+            m[2 * pos + comp] += nu[comp] * contrib
+    return m
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_interface_integrals_match_edge_loop_bitwise(level, rng):
+    space = fem.build_space(meshmod.generate(level))
+    pressure = rng.standard_normal(space.num_pressure_dofs)
+    assert np.array_equal(fem.iface_trace_mass(space), _loop_trace_mass(space))
+    assert np.array_equal(fem.iface_normal_moments(space), _loop_normal_moments(space))
+    assert (fem.iface_pressure_integral(space, pressure)
+            == _loop_pressure_integral(space, pressure))
+    assert np.array_equal(fem.iface_pressure_normal_moments(space, pressure),
+                          _loop_pressure_normal_moments(space, pressure))
 
 
 # -- interpolation -----------------------------------------------------------
