@@ -289,7 +289,7 @@ def _certify_lines(cfg: RunConfig):
     k_free = fops.strain[free][:, free].tocsr()
     g_free = fops.grad[free][:, free].tocsr()
     project = solver.kernel_projection(space1)
-    a_free = solver._operator(space1, params).a_free
+    a_free = solver.schur_form(space1, params)
     worst_gap, alpha = 0.0, math.inf
     for _ in range(100):
         v_ker = project(rng.standard_normal(free.size))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
+from fsifem import analysis, fem, mesh as meshmod, semigroup, solver, sparse as sla
 
 
 def _random_data(space, rng):
@@ -107,31 +108,30 @@ def test_zero_data_zero_rhs(space0, params):
 
 
 def test_schur_block_symmetry(space0, params):
-    op = solver._operator(space0, params)
-    c = op.schur_block
-    assert np.abs(c - c.T).max() <= 1e-12 * np.abs(c).max()
+    a = solver.schur_form(space0, params)
+    assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
 
 
 def test_a_lambda_dominates_strain_form(space0, params, rng):
     # a_lambda(phi, phi) >= ||eps(phi)||^2: the added terms are nonnegative
-    op = solver._operator(space0, params)
+    a_free = solver.schur_form(space0, params)
     free = space0.free_velocity_dofs
     k_free = fem.fluid_operators(space0).strain[free][:, free]
     for _ in range(100):
         v = rng.standard_normal(free.size)
-        a_vv = v @ (op.a_free @ v)
+        a_vv = v @ (a_free @ v)
         k_vv = v @ (k_free @ v)
         assert a_vv >= k_vv - 1e-12 * abs(a_vv)
 
 
 def test_a_lambda_spd_on_divergence_free_kernel(space0, params, rng):
-    op = solver._operator(space0, params)
+    a_free = solver.schur_form(space0, params)
     b_free = fem.fluid_operators(space0).div[:, space0.free_velocity_dofs]
     project = solver.kernel_projection(space0)
     for _ in range(20):
         v_ker = project(rng.standard_normal(space0.num_free_velocity_dofs))
         assert np.abs(b_free @ v_ker).max() <= 1e-10
-        assert v_ker @ (op.a_free @ v_ker) > 0.0
+        assert v_ker @ (a_free @ v_ker) > 0.0
 
 
 def test_kernel_projection_is_m_orthogonal(space0, rng):
@@ -182,6 +182,55 @@ def test_monolithic_oracle_equivalence(space0, params, rng):
     assert _rel(schur_state.w, mono.w) <= 1e-10
 
 
+def _schur_solve(space, params, data):
+    """The Dirichlet-map Schur solve: the solid condensed into a_lambda by
+    E, its state recovered as w = E u|Gamma / lam + w0."""
+    lam = params.shift
+    fops = fem.fluid_operators(space)
+    free = space.free_velocity_dofs
+    dmap = solver.dirichlet_map(space, params)
+    e, s_e = dmap.columns, dmap.s_matrix @ dmap.columns
+    b_free = fops.div[:, free]
+    saddle = sp.bmat([[solver.schur_form(space, params), b_free.T], [b_free, None]],
+                     format="csr")
+    mq = fem.solid_operators(space, params).mass @ (lam * data.w_star + data.z_star)
+    w0 = e @ data.w_star[space.iface_solid_dofs] / lam
+    w0 += solver.solid_resolvent_inverse(space, params, mq)
+    rhs_v = data.u_load[free].copy()
+    rhs_v[space.iface_free_dofs] += e.T @ mq - s_e.T @ w0
+    x, _ = sla.factorize(saddle, solver.saddle_coordinates(space)).solve(
+        np.concatenate([rhs_v, np.zeros(space.num_pressure_dofs)]))
+    u = space.expand_velocity(x[:free.size])
+    w = e @ u[space.iface_velocity_dofs] / lam + w0
+    return solver.FsiState(u=u, w=w, z=lam * w - data.w_star, pi=x[free.size:])
+
+
+def test_sparse_resolvent_matches_schur_form(params, rng):
+    # eliminating v = lam w_i from the sparse resolvent gives the Schur form
+    for level in range(4):
+        space = fem.build_space(meshmod.generate(level))
+        data = _random_data(space, rng)
+        assert np.abs(data.w_star).max() > 0 and np.abs(data.z_star).max() > 0
+        state, _ = solver.ResolventOperator(space, params).solve(data)
+        schur = _schur_solve(space, params, data)
+        for field in ("u", "pi", "w", "z"):
+            assert _rel(getattr(state, field), getattr(schur, field)) <= 1e-10, (level, field)
+
+
+def test_euler_step_makes_one_checked_solve(space1, params, rng, monkeypatch):
+    stepper = semigroup.Stepper(space1, params)
+    calls = []
+    real_solve = sla.Factorization.solve
+
+    def counting(self, b, check=True):
+        calls.append(check)
+        return real_solve(self, b, check)
+
+    monkeypatch.setattr(sla.Factorization, "solve", counting)
+    stepper.step(solver.random_state(space1, rng))
+    assert calls == [True]
+
+
 def test_solve_deterministic_bitwise(space0, params, rng):
     data = _random_data(space0, rng)
     s1, _ = solver.solve_resolvent(space0, params, data)
@@ -219,7 +268,7 @@ def test_nested_dissection_no_worse_than_colamd_over_parameters(monkeypatch):
 
     monkeypatch.setattr(sla, "factorize", recording)
     space = fem.build_space(meshmod.generate(2))
-    xy = solver.saddle_coordinates(space)
+    xy = solver.saddle_coordinates(space, space.solid_interior_dofs)
     rng = np.random.default_rng(20241018)
     for shift in (1e-3, 1.0, 1e3):
         for lame_lambda, lame_mu in ((1.0, 1.0), (1e6, 1.0), (1.0, 1e-3), (1.0, 1e3)):
@@ -234,10 +283,16 @@ def test_nested_dissection_no_worse_than_colamd_over_parameters(monkeypatch):
             assert saddle.shape == (xy.shape[0], xy.shape[0])
             nd, nd_error = _factor_or_error(saddle, xy)
             colamd, colamd_error = _factor_or_error(saddle)
-            assert nd_error == colamd_error, params
-            if nd is None:
+            if colamd is None:
+                assert nd_error == colamd_error, params
                 continue
             b = rng.standard_normal(saddle.shape[0])
+            if nd is None:
+                # nested dissection may refuse a pivot only where COLAMD's
+                # factor fails the checked solve
+                with pytest.raises(sla.SolveAccuracyError):
+                    colamd.solve(b)
+                continue
             nd_res = nd.solve(b, check=False)[1].residual
             colamd_res = colamd.solve(b, check=False)[1].residual
             assert nd_res <= max(1e-12, 2.0 * colamd_res), (params, nd_res, colamd_res)
@@ -403,6 +458,23 @@ def test_domain_conditions_detect_corruption(space0, params, rng):
     a2 = next(c for c in report.checks if c.name == "A2_gamma_f_zero")
     assert not a2.passed
     assert a2.residual == pytest.approx(0.125 / max(1.0, np.abs(corrupted.u).max()))
+
+
+def test_domain_conditions_factorize_nothing(params, rng, monkeypatch):
+    # the flux check needs the shifted solid matrix, not its interior factor
+    space = fem.build_space(meshmod.generate(0))
+    state = solver.random_state(space, rng)
+    pi = rng.standard_normal(space.num_pressure_dofs)
+    calls = []
+    real_factorize = sla.factorize
+
+    def recording(a, xy=None):
+        calls.append(a.shape)
+        return real_factorize(a, xy)
+
+    monkeypatch.setattr(sla, "factorize", recording)
+    solver.check_domain_conditions(space, params, state, pi, solver.zero_data(space))
+    assert calls == []
 
 
 def test_domain_conditions_zero_state(space0, params):
