@@ -92,6 +92,28 @@ def _check_lists(expanded):
                     f"{name}: coefficient of x^{k} is {h}, formal derivative gives {f}")
 
 
+def _polyvals(t, coefficient_lists):
+    return tuple(npoly.polyval(t, c) for c in coefficient_lists)
+
+
+def velocity_fields(fx, fy):
+    """(u1, u2, d u1/dx, d u1/dy, d u2/dx, d u2/dy) of u = (A B', -A' B)
+    from the x-factors (A, A', A'') and the y-factors (B, B', B'')."""
+    a, da, d2a = fx
+    b, db, d2b = fy
+    return a * db, -da * b, da * db, a * d2b, -d2a * b, -da * db
+
+
+def _resolvent_data(lam, fx, fy):
+    """u* = lam u - (1/2) Laplace u from the x-factors (A, A', A'', A''')
+    and the y-factors (B, B', B'', B''')."""
+    a, da, d2a, d3a = fx
+    b, db, d2b, d3b = fy
+    u1 = lam * a * db - 0.5 * (d2a * db + a * d3b)
+    u2 = -lam * da * b + 0.5 * (d3a * b + da * d2b)
+    return u1, u2
+
+
 @dataclass
 class ManufacturedCase:
     """Closed-form exact solution and resolvent data of the benchmark.
@@ -110,16 +132,14 @@ class ManufacturedCase:
     d2phi_formal: np.ndarray
     d3phi_formal: np.ndarray
 
+    def factors(self, t):
+        """(phi, phi', phi'') at the coordinates t, from the formal lists."""
+        return _polyvals(t, (self.phi, self.dphi_formal, self.d2phi_formal))
+
     def velocity_and_gradient(self, x, y):
         """(u1, u2, d u1/dx, d u1/dy, d u2/dx, d u2/dy), with each of the
         six 1-D factors A, A', A'' at x and B, B', B'' at y evaluated once."""
-        a = npoly.polyval(x, self.phi)
-        da = npoly.polyval(x, self.dphi_formal)
-        d2a = npoly.polyval(x, self.d2phi_formal)
-        b = npoly.polyval(y, self.phi)
-        db = npoly.polyval(y, self.dphi_formal)
-        d2b = npoly.polyval(y, self.d2phi_formal)
-        return a * db, -da * b, da * db, a * d2b, -d2a * b, -da * db
+        return velocity_fields(self.factors(x), self.factors(y))
 
     def velocity(self, x, y):
         return self.velocity_and_gradient(x, y)[:2]
@@ -133,18 +153,8 @@ class ManufacturedCase:
 
     def data(self, x, y):
         """u* from the hardcoded derivative lists."""
-        lam = self.shift
-        a = npoly.polyval(x, self.phi)
-        da = npoly.polyval(x, self.dphi)
-        d2a = npoly.polyval(x, self.d2phi)
-        d3a = npoly.polyval(x, self.d3phi)
-        b = npoly.polyval(y, self.phi)
-        db = npoly.polyval(y, self.dphi)
-        d2b = npoly.polyval(y, self.d2phi)
-        d3b = npoly.polyval(y, self.d3phi)
-        u1 = lam * a * db - 0.5 * (d2a * db + a * d3b)
-        u2 = -lam * da * b + 0.5 * (d3a * b + da * d2b)
-        return u1, u2
+        hard = (self.phi, self.dphi, self.d2phi, self.d3phi)
+        return _resolvent_data(self.shift, _polyvals(x, hard), _polyvals(y, hard))
 
 
 def manufactured_case(shift: float) -> ManufacturedCase:
@@ -208,23 +218,16 @@ def fluid_sample_points(count=1000):
 def verify_data_identity(case: ManufacturedCase, count=1000) -> float:
     """Max residual of lam u - (1/2) Laplace u - u* at quasi-random points.
 
-    The left side uses the formal derivatives of the expanded phi, the
-    right side the hardcoded lists, so a transcription typo shows up as a
-    nonzero residual.  For divergence-free u, div(eps(u)) = Laplace(u)/2,
+    Both sides use the u* formula of `ManufacturedCase.data`: the left side
+    with the formal derivatives of the expanded phi, the right side with
+    the hardcoded lists, so a transcription typo shows up as a nonzero
+    residual.  For divergence-free u, div(eps(u)) = Laplace(u)/2,
     which also certifies that the exact pressure is identically zero.
     """
     x, y = fluid_sample_points(count)
-    lam = case.shift
-    a = npoly.polyval(x, case.phi)
-    da = npoly.polyval(x, case.dphi_formal)
-    d2a = npoly.polyval(x, case.d2phi_formal)
-    d3a = npoly.polyval(x, case.d3phi_formal)
-    b = npoly.polyval(y, case.phi)
-    db = npoly.polyval(y, case.dphi_formal)
-    d2b = npoly.polyval(y, case.d2phi_formal)
-    d3b = npoly.polyval(y, case.d3phi_formal)
-    lhs1 = lam * a * db - 0.5 * (d2a * db + a * d3b)
-    lhs2 = -lam * da * b + 0.5 * (d3a * b + da * d2b)
+    formal = (case.phi, case.dphi_formal, case.d2phi_formal, case.d3phi_formal)
+    lhs1, lhs2 = _resolvent_data(case.shift, _polyvals(x, formal),
+                                 _polyvals(y, formal))
     rhs1, rhs2 = case.data(x, y)
     return float(max(np.abs(lhs1 - rhs1).max(), np.abs(lhs2 - rhs2).max()))
 
@@ -250,12 +253,33 @@ class ErrorNorms:
     ew_h1_full: float
 
 
+def _exact_fields(space, case, rule, tris):
+    """Exact (u1, u2, d u1/dx, d u1/dy, d u2/dx, d u2/dy, pi) at the rule's
+    points on `tris`, each (nt, nq), evaluated once per coordinate class.
+
+    The x of a quadrature point depends only on the x of the triangle's
+    three vertices, and likewise for y.  So the triangles are grouped by
+    the bits of their vertex x-triples and, separately, of their
+    y-triples; the points and the 1-D factors are computed for one
+    representative per class and gathered back.  That is bitwise the
+    per-point evaluation, and on a mesh without repeated coordinates every
+    triangle is its own class."""
+    verts = space.mesh.vertices[space.mesh.triangles[tris]]
+    rows = []
+    for axis in (0, 1):
+        first, cls = fem.bit_classes(verts[..., axis])
+        rows.append((fem.quadrature_points(space, tris[first], rule)[..., axis], cls))
+    (x, x_cls), (y, y_cls) = rows
+    # the gathered factor tables are temporaries: only the six fields stay
+    fields = velocity_fields([f[x_cls] for f in case.factors(x)],
+                             [f[y_cls] for f in case.factors(y)])
+    return fields + (case.pressure(x[x_cls], y[y_cls]),)
+
+
 def _fluid_error_squares(space, u, pi, case, rule, tris):
     """Squared L2, full-gradient, eps and pressure errors on `tris`."""
     _, det, inv = fem._tri_geometry(space, tris)
-    pts = fem.quadrature_points(space, tris, rule)
-    ex_x, ex_y, d11, d12, d21, d22 = case.velocity_and_gradient(
-        pts[..., 0], pts[..., 1])
+    ex_x, ex_y, d11, d12, d21, d22, ex_p = _exact_fields(space, case, rule, tris)
     wdet = rule.weights[None, :] * det[:, None]
 
     dofs = space.velocity_dofs_of_tris(tris)
@@ -283,7 +307,7 @@ def _fluid_error_squares(space, u, pi, case, rule, tris):
     eps_sq = np.sum(wdet * (e11**2 + e22**2 + 2.0 * eps12**2))
 
     cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
-    e_p = cp @ fem.p1_values(rule.points).T - case.pressure(pts[..., 0], pts[..., 1])
+    e_p = cp @ fem.p1_values(rule.points).T - ex_p
     pi_sq = np.sum(wdet * e_p**2)
     return np.array([l2_sq, grad_sq, eps_sq, pi_sq])
 
@@ -300,11 +324,16 @@ def error_norms(space, state, pi, case: ManufacturedCase, params: MaterialParams
     solid energy norm uses the Lame moduli of `params`.
 
     The fluid integrals are summed chunk by chunk over at most
-    `ERROR_NORM_CHUNK` fluid triangles.  Reference derivatives of the
-    discrete velocity come from one matrix product per component and
-    reference direction, and each triangle's affine inverse Jacobian maps
-    them to physical ones, so no (triangle x point x basis) gradient
-    tensor is built."""
+    `ERROR_NORM_CHUNK` fluid triangles.  In each chunk the exact fields
+    come from 1-D factors evaluated once per class of equal vertex
+    x-triples and once per class of equal vertex y-triples
+    (`_exact_fields`), bitwise the per-point values.  A level-4 mesh has
+    2 816 x-classes and 208 y-classes, summed over chunks, against 16 384
+    fluid triangles.  Building the classes per chunk keeps memory bounded
+    on any mesh.  Reference derivatives of the discrete velocity come from
+    one matrix product per component and reference direction, and each
+    triangle's affine inverse Jacobian maps them to physical ones, so no
+    (triangle x point x basis) gradient tensor is built."""
     rule = fem.triangle_rule(degree)
     fluid = space.fluid_tris
     squares = np.zeros(4)

@@ -15,15 +15,21 @@ squared manufactured-solution errors).  The degree-38 rule has 400 points
 per triangle, so `analysis.error_norms` evaluates it chunk by chunk over
 the fluid triangles, from reference derivatives and each triangle's
 inverse Jacobian, without forming a physical-gradient tensor.
+`quadrature_points` is an explicit barycentric sum, so a point's x depends
+only on the x of the triangle's vertices and its y only on their y.
 
-Assembly is class-grouped.  Every local matrix depends on its triangle
-only through the affine Jacobian (v1 - v0, v2 - v0), so `_local_matrices`
-groups the triangles by the exact bit pattern of that Jacobian, runs the
-form's kernel (`_element_kernel`) on one representative per class and
-gathers the result back.  Equal bits give equal matrices, so this needs no
-tolerance and the assembled matrices are bitwise those of a per-triangle
-kernel; a structured level-3 mesh has 124 fluid and 28 solid classes among
-4 096 and 512 triangles, a jittered mesh one class per triangle.  Every
+Assembly and the exact fields of the error norms are class-grouped by
+`bit_classes`, which groups rows of floats by their exact bits.  Every
+local matrix depends on its triangle only through the affine Jacobian
+(v1 - v0, v2 - v0), so `_local_matrices` groups the triangles by the bits
+of that Jacobian, runs the form's kernel (`_element_kernel`) on one
+representative per class and gathers the result back.  Equal bits give
+equal matrices, so this needs no tolerance and the assembled matrices are
+bitwise those of a per-triangle kernel; a structured level-3 mesh has 124
+fluid and 28 solid classes among 4 096 and 512 triangles, a jittered mesh
+one class per triangle.  The error norms group each chunk's triangles by
+their vertex x-triples and, separately, y-triples, and evaluate the
+separable exact field on one representative per class.  Every
 global matrix then goes through one COO-to-CSR scatter (`_scatter`) whose
 row and column arrays are built as int32, the index type of the result.
 The interface-edge integrals are vectorized over the edges and accumulate
@@ -406,6 +412,22 @@ def _jacobians(space, tris):
     return v[:, 1:] - v[:, :1]
 
 
+def bit_classes(rows):
+    """Group the rows of a float array (n, k) by their exact bit patterns.
+
+    Returns `first`, the index of one representative row per class, and
+    `cls`, the class of every row, so `rows[first][cls]` is bitwise
+    `rows`.  Rows that differ in any bit (0.0 and -0.0 included) fall in
+    different classes; no tolerance is involved.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    # each row's bytes as one opaque key: equal keys are equal bits
+    # (a 1-D void sort, several times faster than np.unique(axis=0))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, cls = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return first, cls
+
+
 def _local_matrices(space, tris, params, form):
     """Local matrices of `form` on `tris`, one kernel call per Jacobian class.
 
@@ -415,10 +437,7 @@ def _local_matrices(space, tris, params, form):
     mesh without repeated shapes every triangle is its own class.
     """
     jac = _jacobians(space, tris)
-    # each Jacobian's 32 bytes as one opaque key: equal keys are equal bits
-    # (a 1-D void sort, several times faster than np.unique(axis=0))
-    keys = jac.reshape(len(tris), 4).view(np.dtype((np.void, 32)))
-    _, first, cls = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    first, cls = bit_classes(jac.reshape(len(tris), 4))
     return _element_kernel(jac[first], params, form)[cls]
 
 
@@ -518,9 +537,13 @@ def assemble_pressure_mass(space):
 
 
 def quadrature_points(space, tris, rule):
-    """Physical quadrature points, (nt, nq, 2)."""
-    v = space.mesh.vertices[space.mesh.triangles[tris]]
-    return np.einsum("qk,tkd->tqd", rule.points, v)
+    """Physical quadrature points, (nt, nq, 2).
+
+    An explicit barycentric sum, so each coordinate of a point depends
+    only on the same coordinate of the triangle's three vertices."""
+    v = space.mesh.vertices[space.mesh.triangles[tris]][:, None]   # (nt, 1, 3, 2)
+    p = rule.points[:, :, None]                                    # (nq, 3, 1)
+    return p[:, 0] * v[..., 0, :] + p[:, 1] * v[..., 1, :] + p[:, 2] * v[..., 2, :]
 
 
 def assemble_fluid_load(space, field, degree=DATA_QUAD_DEGREE):

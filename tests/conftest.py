@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,21 @@ def mesh0():
 @pytest.fixture(scope="session")
 def mesh1():
     return meshmod.generate(1)
+
+
+@pytest.fixture(scope="session")
+def jittered_mesh1(mesh1):
+    """Level-1 mesh with every interior vertex moved independently, so no
+    two triangles share a Jacobian."""
+    rng = np.random.default_rng(11)
+    fixed = np.zeros(mesh1.num_vertices, dtype=bool)
+    fixed[mesh1.edges[mesh1.edge_tag != meshmod.INTERIOR].ravel()] = True
+    vertices = mesh1.vertices.copy()
+    # at most 0.14 h per vertex, below the inradius 0.29 h: orientation kept
+    vertices[~fixed] += rng.uniform(-0.1, 0.1, ((~fixed).sum(), 2)) / mesh1.n
+    jittered = dataclasses.replace(mesh1, vertices=vertices)
+    assert np.all(meshmod.signed_areas(jittered) > 0)
+    return jittered
 
 
 @pytest.fixture(scope="session")

@@ -191,6 +191,91 @@ def test_norms_do_not_depend_on_chunk_size(solved1, params, case, monkeypatch):
         assert getattr(many, field) == pytest.approx(getattr(one, field), rel=1e-13)
 
 
+def _per_point_fluid_error_squares(space, u, pi, case, rule, tris):
+    """`analysis._fluid_error_squares` with the exact fields evaluated at
+    every quadrature point of every triangle, no coordinate classes."""
+    _, det, inv = fem._tri_geometry(space, tris)
+    pts = fem.quadrature_points(space, tris, rule)
+    ex_x, ex_y, d11, d12, d21, d22 = case.velocity_and_gradient(
+        pts[..., 0], pts[..., 1])
+    wdet = rule.weights[None, :] * det[:, None]
+
+    dofs = space.velocity_dofs_of_tris(tris)
+    cx = u[dofs[:, 0::2]]
+    cy = u[dofs[:, 1::2]]
+    n = fem.p2_values(rule.points).T
+    e_x = cx @ n - ex_x
+    e_y = cy @ n - ex_y
+    l2_sq = np.sum(wdet * (e_x**2 + e_y**2))
+
+    gref = fem.p2_grads(rule.points)
+    g_xi, g_eta = gref[..., 0].T, gref[..., 1].T
+    inv = inv[..., None]
+
+    def gradient_error(c, exact_dx, exact_dy):
+        r_xi, r_eta = c @ g_xi, c @ g_eta
+        return (r_xi * inv[:, 0, 0] + r_eta * inv[:, 1, 0] - exact_dx,
+                r_xi * inv[:, 0, 1] + r_eta * inv[:, 1, 1] - exact_dy)
+
+    e11, e12 = gradient_error(cx, d11, d12)
+    e21, e22 = gradient_error(cy, d21, d22)
+    grad_sq = np.sum(wdet * (e11**2 + e12**2 + e21**2 + e22**2))
+    eps12 = 0.5 * (e12 + e21)
+    eps_sq = np.sum(wdet * (e11**2 + e22**2 + 2.0 * eps12**2))
+
+    cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
+    e_p = cp @ fem.p1_values(rule.points).T - case.pressure(pts[..., 0], pts[..., 1])
+    pi_sq = np.sum(wdet * e_p**2)
+    return np.array([l2_sq, grad_sq, eps_sq, pi_sq])
+
+
+def _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch):
+    u = fem.interpolate(space, case.velocity, "velocity")
+    state = solver.FsiState(u=u + 1e-9 * rng.standard_normal(u.size),
+                            w=rng.standard_normal(space.num_solid_dofs),
+                            z=np.zeros(space.num_solid_dofs))
+    pi = rng.standard_normal(space.num_pressure_dofs)
+    grouped = analysis.error_norms(space, state, pi, case, params)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_fluid_error_squares", _per_point_fluid_error_squares)
+        per_point = analysis.error_norms(space, state, pi, case, params)
+    assert grouped == per_point
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_class_evaluated_norms_are_bitwise_per_point(level, params, case, rng,
+                                                     monkeypatch):
+    space = fem.build_space(meshmod.generate(level))
+    _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch)
+
+
+def test_jittered_mesh_norms_are_bitwise_per_point(jittered_mesh1, params, case, rng,
+                                                   monkeypatch):
+    space = fem.build_space(jittered_mesh1)
+    verts = space.mesh.vertices[space.mesh.triangles[space.fluid_tris]]
+    # only triangles with three fixed boundary vertices can share a class
+    for axis in (0, 1):
+        assert fem.bit_classes(verts[..., axis])[0].size >= space.fluid_tris.size - 2
+    _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch)
+
+
+def test_exact_field_evaluated_once_per_coordinate_class(params, case, monkeypatch):
+    space = fem.build_space(meshmod.generate(3))
+    state = solver.zero_state(space)
+    evaluated = []
+    polyval = npoly.polyval
+
+    def counting(x, c, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return polyval(x, c, *args, **kwargs)
+
+    monkeypatch.setattr(analysis.npoly, "polyval", counting)
+    analysis.error_norms(space, state, state.pi, case, params)
+    nq = fem.triangle_rule(fem.ERROR_QUAD_DEGREE).weights.size
+    per_point = 6 * space.fluid_tris.size * nq   # six factors at every point
+    assert 0 < sum(evaluated) <= per_point / 8
+
+
 def test_solid_error_norm_uses_given_moduli(space0, case, rng):
     stiff = fem.MaterialParams(lame_lambda=10.0, lame_mu=3.0, shift=1.0)
     state = solver.FsiState(u=np.zeros(space0.num_velocity_dofs),

@@ -1,5 +1,5 @@
-import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +25,19 @@ def test_quadrature_unit_integral():
         rule = fem.triangle_rule(degree)
         assert float(rule.weights.sum()) == pytest.approx(0.5, abs=1e-15)
         assert np.all(rule.weights > 0)
+
+
+@pytest.mark.parametrize("degree", [fem.DATA_QUAD_DEGREE, fem.ERROR_QUAD_DEGREE])
+def test_quadrature_points_match_einsum_bitwise(degree, rng):
+    rule = fem.triangle_rule(degree)
+    structured = meshmod.generate(2)
+    verts = rng.random((3000, 2))
+    random = SimpleNamespace(vertices=verts, triangles=np.arange(3000).reshape(1000, 3))
+    for msh in (structured, random):
+        tris = np.arange(len(msh.triangles))
+        pts = fem.quadrature_points(SimpleNamespace(mesh=msh), tris, rule)
+        reference = np.einsum("qk,tkd->tqd", rule.points, msh.vertices[msh.triangles])
+        assert np.array_equal(pts, reference)
 
 
 # -- space construction ------------------------------------------------------
@@ -227,16 +240,8 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_jittered_mesh_gives_one_class_per_triangle(mesh1, kernel_calls):
-    rng = np.random.default_rng(11)
-    fixed = np.zeros(mesh1.num_vertices, dtype=bool)
-    fixed[mesh1.edges[mesh1.edge_tag != meshmod.INTERIOR].ravel()] = True
-    vertices = mesh1.vertices.copy()
-    # at most 0.14 h per vertex, below the inradius 0.29 h: orientation kept
-    vertices[~fixed] += rng.uniform(-0.1, 0.1, ((~fixed).sum(), 2)) / mesh1.n
-    jittered = dataclasses.replace(mesh1, vertices=vertices)
-    assert np.all(meshmod.signed_areas(jittered) > 0)
-    space = fem.build_space(jittered)
+def test_jittered_mesh_gives_one_class_per_triangle(jittered_mesh1, kernel_calls):
+    space = fem.build_space(jittered_mesh1)
 
     fem.fluid_operators(space)
     fem.solid_operators(space, fem.MaterialParams())
