@@ -267,7 +267,7 @@ def _exact_fields(space, case, rule, tris):
     verts = space.mesh.vertices[space.mesh.triangles[tris]]
     rows = []
     for axis in (0, 1):
-        first, cls = fem.bit_classes(verts[..., axis])
+        first, cls = sla.bit_classes(verts[..., axis])
         rows.append((fem.quadrature_points(space, tris[first], rule)[..., axis], cls))
     (x, x_cls), (y, y_cls) = rows
     # the gathered factor tables are temporaries: only the six fields stay

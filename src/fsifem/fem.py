@@ -19,7 +19,7 @@ inverse Jacobian, without forming a physical-gradient tensor.
 only on the x of the triangle's vertices and its y only on their y.
 
 Assembly and the exact fields of the error norms are class-grouped by
-`bit_classes`, which groups rows of floats by their exact bits.  Every
+`sparse.bit_classes`, which groups rows of floats by their exact bits.  Every
 local matrix depends on its triangle only through the affine Jacobian
 (v1 - v0, v2 - v0), so `_local_matrices` groups the triangles by the bits
 of that Jacobian, runs the form's kernel (`_element_kernel`) on one
@@ -45,6 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import mesh as meshmod
+from . import sparse as sla
 
 SYSTEM_QUAD_DEGREE = 6
 DATA_QUAD_DEGREE = 12
@@ -412,22 +413,6 @@ def _jacobians(space, tris):
     return v[:, 1:] - v[:, :1]
 
 
-def bit_classes(rows):
-    """Group the rows of a float array (n, k) by their exact bit patterns.
-
-    Returns `first`, the index of one representative row per class, and
-    `cls`, the class of every row, so `rows[first][cls]` is bitwise
-    `rows`.  Rows that differ in any bit (0.0 and -0.0 included) fall in
-    different classes; no tolerance is involved.
-    """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    # each row's bytes as one opaque key: equal keys are equal bits
-    # (a 1-D void sort, several times faster than np.unique(axis=0))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    _, first, cls = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    return first, cls
-
-
 def _local_matrices(space, tris, params, form):
     """Local matrices of `form` on `tris`, one kernel call per Jacobian class.
 
@@ -437,7 +422,7 @@ def _local_matrices(space, tris, params, form):
     mesh without repeated shapes every triangle is its own class.
     """
     jac = _jacobians(space, tris)
-    first, cls = bit_classes(jac.reshape(len(tris), 4))
+    first, cls = sla.bit_classes(jac.reshape(len(tris), 4))
     return _element_kernel(jac[first], params, form)[cls]
 
 

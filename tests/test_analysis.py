@@ -255,7 +255,7 @@ def test_jittered_mesh_norms_are_bitwise_per_point(jittered_mesh1, params, case,
     verts = space.mesh.vertices[space.mesh.triangles[space.fluid_tris]]
     # only triangles with three fixed boundary vertices can share a class
     for axis in (0, 1):
-        assert fem.bit_classes(verts[..., axis])[0].size >= space.fluid_tris.size - 2
+        assert sla.bit_classes(verts[..., axis])[0].size >= space.fluid_tris.size - 2
     _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch)
 
 

@@ -241,8 +241,9 @@ def test_nested_dissection_agrees_with_colamd(operators, rng):
 
 
 def test_level3_saddle_fill_stays_nested_dissection(operators):
-    # nested dissection: 4.28 M; a fall-back to COLAMD gives 8.36 M
-    assert operators[3].factor._lu.nnz <= 5_500_000
+    # node nested dissection: 3.14 M; cutting through nodes and taking the
+    # upper boundary layer gave 4.28 M, a fall-back to COLAMD 8.36 M
+    assert operators[3].factor._lu.nnz <= 3_600_000
 
 
 def test_coordinates_select_natural_symmetric_mode(space0, params, monkeypatch):
@@ -259,6 +260,10 @@ def test_nested_dissection_validates_coordinates(space0, params):
     saddle = solver._operator(space0, params).saddle
     with pytest.raises(ValueError, match="coordinate row per unknown"):
         sla.nested_dissection(saddle, np.zeros((3, 2)))
+    xy = solver.saddle_coordinates(space0, space0.solid_interior_dofs)
+    xy[5, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sla.nested_dissection(saddle, xy)
 
 
 def test_nested_dissection_singular_pivot_in_caller_numbering():
@@ -276,3 +281,75 @@ def test_nested_dissection_singular_pivot_in_caller_numbering():
     with pytest.raises(sla.SingularMatrixError) as err:
         sla.factorize(a, xy)
     assert err.value.pivot == k
+
+
+def _grid_laplacian(k):
+    """Five-point Laplacian of a k x k grid, unknown i + k j at (i, j)."""
+    line = sp.diags([-np.ones(k - 1), 2.0 * np.ones(k), -np.ones(k - 1)], [-1, 0, 1])
+    a = (sp.kron(sp.identity(k), line) + sp.kron(line, sp.identity(k))).tocsr()
+    i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="xy")
+    return a, np.column_stack([i.ravel(), j.ravel()]).astype(float)
+
+
+@pytest.mark.parametrize("k", [9, 12])
+def test_nested_dissection_top_separator_is_one_grid_line(k):
+    a, xy = _grid_laplacian(k)
+    perm = sla.nested_dissection(a, xy)
+    assert np.array_equal(np.sort(perm), np.arange(k * k))
+    top = xy[perm[-k:]]
+    # one full grid line, and the middle one: no half-empty side
+    assert np.unique(top[:, 0]).size == 1 or np.unique(top[:, 1]).size == 1
+    assert np.unique(top, axis=0).shape[0] == k
+    line = top[0, 0] if np.unique(top[:, 0]).size == 1 else top[0, 1]
+    assert line in ((k - 1) // 2, k // 2)
+
+
+def test_nested_dissection_degenerate_inputs_keep_index_order(rng):
+    base = sp.random(100, 100, density=0.1, random_state=3, format="csr")
+    a = (base + base.T + 10 * sp.identity(100)).tocsr()
+    # every unknown at one coordinate: one node, nothing to cut
+    perm = sla.nested_dissection(a, np.tile([0.25, -1.5], (100, 1)))
+    assert np.array_equal(perm, np.arange(100))
+    # no more unknowns than a leaf holds
+    n = sla._ND_LEAF
+    perm = sla.nested_dissection(a[:n, :n], rng.standard_normal((n, 2)))
+    assert np.array_equal(perm, np.arange(n))
+
+
+def test_nested_dissection_keeps_the_unknowns_of_a_node_together():
+    # two unknowns per grid node, 2i and 2i + 1 at node i, with different
+    # reach: the five-point stencil on component 0, its two-step version
+    # (neighbours one and two lines away) on component 1, coupled at each
+    # node; an unknown-level cut would put only component 1 of the second
+    # line into the separator
+    k = 10
+    five, xy = _grid_laplacian(k)
+    line = sp.diags([-np.ones(k - 2), -np.ones(k - 1), 4.0 * np.ones(k),
+                     -np.ones(k - 1), -np.ones(k - 2)], [-2, -1, 0, 1, 2])
+    wide = sp.kron(sp.identity(k), line) + sp.kron(line, sp.identity(k))
+    a = (sp.kron(five, sp.diags([1.0, 0.0]))
+         + sp.kron(wide, sp.diags([0.0, 1.0]))
+         + sp.kron(sp.identity(k * k), sp.csr_matrix([[0.0, 0.5], [0.5, 0.0]]))).tocsr()
+    perm = sla.nested_dissection(a, np.repeat(xy, 2, axis=0))
+    assert np.array_equal(np.sort(perm), np.arange(2 * k * k))
+    position = np.empty_like(perm)
+    position[perm] = np.arange(perm.size)
+    assert np.all(position[1::2] == position[0::2] + 1)
+
+
+def test_nested_dissection_on_a_jittered_mesh(jittered_mesh1, params, rng):
+    space = fem.build_space(jittered_mesh1)
+    op = solver.ResolventOperator(space, params)
+    n = op.saddle.shape[0]
+    perm = sla.nested_dissection(
+        op.saddle, solver.saddle_coordinates(space, space.solid_interior_dofs))
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    position = np.empty(n, dtype=np.int64)
+    position[perm] = np.arange(n)
+    b = op.b_free.copy()
+    b.eliminate_zeros()
+    first_velocity = np.minimum.reduceat(position[b.indices], b.indptr[:-1])
+    pressure = space.num_free_velocity_dofs + space.solid_interior_dofs.size
+    assert np.all(first_velocity < position[pressure:])
+    x, report = op.factor.solve(rng.standard_normal(n))
+    assert report.residual <= 1e-10
