@@ -253,69 +253,122 @@ class ErrorNorms:
     ew_h1_full: float
 
 
-def _exact_fields(space, case, rule, tris):
-    """Exact (u1, u2, d u1/dx, d u1/dy, d u2/dx, d u2/dy, pi) at the rule's
-    points on `tris`, each (nt, nq), evaluated once per coordinate class.
+def _class_tables(space, case, rule, tris):
+    """For x and then y: the quadrature coordinate and the 1-D exact
+    factors (A, A', A'') at the rule's points of one representative
+    triangle per coordinate class, and the class of every triangle.
 
     The x of a quadrature point depends only on the x of the triangle's
     three vertices, and likewise for y.  So the triangles are grouped by
     the bits of their vertex x-triples and, separately, of their
-    y-triples; the points and the 1-D factors are computed for one
-    representative per class and gathered back.  That is bitwise the
-    per-point evaluation, and on a mesh without repeated coordinates every
-    triangle is its own class."""
+    y-triples, and a class's row gathered back is bitwise the per-point
+    value.  On a mesh without repeated coordinates every triangle is its
+    own class."""
     verts = space.mesh.vertices[space.mesh.triangles[tris]]
-    rows = []
+    tables = []
     for axis in (0, 1):
         first, cls = sla.bit_classes(verts[..., axis])
-        rows.append((fem.quadrature_points(space, tris[first], rule)[..., axis], cls))
-    (x, x_cls), (y, y_cls) = rows
-    # the gathered factor tables are temporaries: only the six fields stay
-    fields = velocity_fields([f[x_cls] for f in case.factors(x)],
-                             [f[y_cls] for f in case.factors(y)])
-    return fields + (case.pressure(x[x_cls], y[y_cls]),)
+        coord = fem.quadrature_coordinate(space, tris[first], rule, axis)
+        tables.append((coord, case.factors(coord), cls))
+    return tables
 
 
 def _fluid_error_squares(space, u, pi, case, rule, tris):
-    """Squared L2, full-gradient, eps and pressure errors on `tris`."""
-    _, det, inv = fem._tri_geometry(space, tris)
-    ex_x, ex_y, d11, d12, d21, d22, ex_p = _exact_fields(space, case, rule, tris)
-    wdet = rule.weights[None, :] * det[:, None]
+    """Squared L2, full-gradient, eps and pressure errors on `tris`.
 
+    The four integrands w det (...) are formed in row blocks of
+    `_ERROR_NORM_BLOCK` triangles, whose (triangle x point) temporaries
+    stay in cache, and written to four (nt, nq) tables; each table is
+    summed once, so the block size does not change a bit.  Each integrand
+    is bitwise that of the per-point formula with the exact fields
+    u = (A B', -A' B): negation is exact, so u2 - (-(A' B)) is
+    u2 + A' B, d u2/dx - (-(A'' B)) is d u2/dx + A'' B, and
+    d u2/dy = -(A' B') = -d u1/dx."""
+    _, det, inv = fem._tri_geometry(space, tris)
+    (x, fx, x_cls), (y, fy, y_cls) = _class_tables(space, case, rule, tris)
     dofs = space.velocity_dofs_of_tris(tris)
     cx = u[dofs[:, 0::2]]
     cy = u[dofs[:, 1::2]]
+    cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
     n = fem.p2_values(rule.points).T                 # (6, nq)
-    e_x = cx @ n - ex_x
-    e_y = cy @ n - ex_y
-    l2_sq = np.sum(wdet * (e_x**2 + e_y**2))
-
     # d/dx_a = d/dxi inv[0, a] + d/deta inv[1, a], affine on each triangle
     gref = fem.p2_grads(rule.points)                 # (nq, 6, 2)
     g_xi, g_eta = gref[..., 0].T, gref[..., 1].T
-    inv = inv[..., None]                             # broadcast over points
+    p1 = fem.p1_values(rule.points).T
 
-    def gradient_error(c, exact_dx, exact_dy):
-        r_xi, r_eta = c @ g_xi, c @ g_eta
-        return (r_xi * inv[:, 0, 0] + r_eta * inv[:, 1, 0] - exact_dx,
-                r_xi * inv[:, 0, 1] + r_eta * inv[:, 1, 1] - exact_dy)
+    def product(c, m, s):
+        """Rows s of c @ m.  numpy hands a one-row product to gemv, whose
+        sums can differ from GEMM's in the last bit, so one row of a
+        taller c is taken from a two-row GEMM."""
+        if s.stop - s.start == 1 < len(c):
+            lo = min(s.start, len(c) - 2)
+            return (c[lo:lo + 2] @ m)[s.start - lo, None]
+        return c[s] @ m
 
-    e11, e12 = gradient_error(cx, d11, d12)
-    e21, e22 = gradient_error(cy, d21, d22)
-    grad_sq = np.sum(wdet * (e11**2 + e12**2 + e21**2 + e22**2))
-    eps12 = 0.5 * (e12 + e21)
-    eps_sq = np.sum(wdet * (e11**2 + e22**2 + 2.0 * eps12**2))
+    def gradient(c, s):
+        """(d/dx, d/dy) on the rows s of the discrete field with
+        coefficients c."""
+        r_xi, r_eta = product(c, g_xi, s), product(c, g_eta, s)
+        d_dx = r_xi * inv[s, 0, 0, None]
+        d_dx += r_eta * inv[s, 1, 0, None]
+        r_xi *= inv[s, 0, 1, None]
+        r_eta *= inv[s, 1, 1, None]
+        r_xi += r_eta
+        return d_dx, r_xi
 
-    cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
-    e_p = cp @ fem.p1_values(rule.points).T - ex_p
-    pi_sq = np.sum(wdet * e_p**2)
-    return np.array([l2_sq, grad_sq, eps_sq, pi_sq])
+    squares = np.empty((4, tris.size, rule.weights.size))
+    l2, grad, eps, pres = squares
+    for start in range(0, tris.size, _ERROR_NORM_BLOCK):
+        s = slice(start, min(start + _ERROR_NORM_BLOCK, tris.size))
+        a, da, d2a = (f[x_cls[s]] for f in fx)
+        b, db, d2b = (f[y_cls[s]] for f in fy)
+        wdet = rule.weights * det[s, None]
+
+        e_x = product(cx, n, s)
+        e_x -= a * db
+        e_y = product(cy, n, s)
+        e_y += da * b
+        e_x *= e_x
+        e_y *= e_y
+        e_x += e_y
+        np.multiply(wdet, e_x, out=l2[s])
+
+        dadb = da * db                               # d u1/dx = -d u2/dy
+        e11, e12 = gradient(cx, s)
+        e21, e22 = gradient(cy, s)
+        e11 -= dadb
+        e12 -= a * d2b
+        e21 += d2a * b
+        e22 += dadb
+        eps12 = e12 + e21
+        eps12 *= 0.5
+        eps12 *= eps12
+        eps12 *= 2.0
+        for e in (e11, e12, e21, e22):
+            e *= e
+        e12 += e11                                   # e11^2 + e12^2: + commutes
+        e12 += e21
+        e12 += e22
+        np.multiply(wdet, e12, out=grad[s])
+        e11 += e22
+        e11 += eps12
+        np.multiply(wdet, e11, out=eps[s])
+
+        e_p = product(cp, p1, s)
+        e_p -= case.pressure(x[x_cls[s]], y[y_cls[s]])
+        e_p *= e_p
+        np.multiply(wdet, e_p, out=pres[s])
+    return np.array([np.sum(table) for table in squares])
 
 
-# Fluid triangles per batch of the error-norm quadrature.  Each (triangle x
-# point) temporary of the degree-38 rule then takes about 3 MB, so the
-# batch loop needs tens of MB whatever the mesh level.
+# Fluid triangles per batch of the error-norm quadrature.  The batches fix
+# the order of the sums, and the four (triangle x point) integrand tables
+# of the degree-38 rule take about 13 MB, so the batch loop needs a few
+# tens of MB whatever the mesh level.
 ERROR_NORM_CHUNK = 1024
+# Triangles per row block inside a batch: each (triangle x point)
+# temporary then takes about 400 KB, so a block's passes run from cache.
+_ERROR_NORM_BLOCK = 128
 
 
 def error_norms(space, state, pi, case: ManufacturedCase, params: MaterialParams,
@@ -324,16 +377,20 @@ def error_norms(space, state, pi, case: ManufacturedCase, params: MaterialParams
     solid energy norm uses the Lame moduli of `params`.
 
     The fluid integrals are summed chunk by chunk over at most
-    `ERROR_NORM_CHUNK` fluid triangles.  In each chunk the exact fields
-    come from 1-D factors evaluated once per class of equal vertex
-    x-triples and once per class of equal vertex y-triples
-    (`_exact_fields`), bitwise the per-point values.  A level-4 mesh has
-    2 816 x-classes and 208 y-classes, summed over chunks, against 16 384
-    fluid triangles.  Building the classes per chunk keeps memory bounded
-    on any mesh.  Reference derivatives of the discrete velocity come from
-    one matrix product per component and reference direction, and each
-    triangle's affine inverse Jacobian maps them to physical ones, so no
-    (triangle x point x basis) gradient tensor is built."""
+    `ERROR_NORM_CHUNK` fluid triangles; the chunks fix the order of the
+    sums.  In each chunk the exact fields come from 1-D factors evaluated
+    once per class of equal vertex x-triples and once per class of equal
+    vertex y-triples (`_class_tables`), bitwise the per-point values.  A
+    level-4 mesh has 2 816 x-classes and 208 y-classes, summed over
+    chunks, against 16 384 fluid triangles.  Building the classes per
+    chunk keeps memory bounded on any mesh.  Inside a chunk the four
+    integrands are formed in row blocks of `_ERROR_NORM_BLOCK` triangles,
+    whose temporaries stay in cache, and each chunk's integrand table is
+    summed once, so every sum is bitwise that of the unblocked formula.
+    Reference derivatives of the discrete velocity come from one matrix
+    product per component and reference direction, and each triangle's
+    affine inverse Jacobian maps them to physical ones, so no (triangle x
+    point x basis) gradient tensor is built."""
     rule = fem.triangle_rule(degree)
     fluid = space.fluid_tris
     squares = np.zeros(4)
@@ -373,6 +430,8 @@ class ConvergenceRow:
     eu_seminorm: float = math.nan
     ew_h1_full: float = math.nan
     failed: str | None = None
+    # relative residual of the level's resolvent solve; not part of the CSV
+    solve_residual: float = math.nan
 
 
 def _rate(e_coarse, e_fine):
@@ -442,7 +501,8 @@ def convergence_study(levels, params: MaterialParams) -> ConvergenceReport:
         try:
             space = fem.build_space(msh)
             data = manufactured_data(space, case)
-            state, _ = solver.solve_resolvent(space, params, data)
+            state, report = solver.solve_resolvent(space, params, data)
+            row.solve_residual = report.residual
             err = error_norms(space, state, state.pi, case, params)
             row.eu_h1, row.epi_l2, row.ew_h1 = err.eu_h1, err.epi_l2, err.ew_h1
             row.eu_seminorm, row.ew_h1_full = err.eu_seminorm, err.ew_h1_full

@@ -13,10 +13,14 @@ degree 4 under affine maps), degree 12 for manufactured-data load vectors
 the direct-solver tolerance), and degree 38 for error norms (exact for
 squared manufactured-solution errors).  The degree-38 rule has 400 points
 per triangle, so `analysis.error_norms` evaluates it chunk by chunk over
-the fluid triangles, from reference derivatives and each triangle's
-inverse Jacobian, without forming a physical-gradient tensor.
-`quadrature_points` is an explicit barycentric sum, so a point's x depends
-only on the x of the triangle's vertices and its y only on their y.
+the fluid triangles, and inside a chunk in row blocks whose temporaries
+stay in cache, from reference derivatives and each triangle's inverse
+Jacobian, without forming a physical-gradient tensor.
+`quadrature_coordinate` gives one coordinate of the physical points as a
+(triangle x point) plane, by an explicit barycentric sum, so a point's x
+depends only on the x of the triangle's vertices and its y only on their
+y.  The error norms and the fluid load take the planes they need;
+`quadrature_points` stacks the two.
 
 Assembly and the exact fields of the error norms are class-grouped by
 `sparse.bit_classes`, which groups rows of floats by their exact bits.  Every
@@ -521,14 +525,24 @@ def assemble_pressure_mass(space):
                     (n, n))
 
 
-def quadrature_points(space, tris, rule):
-    """Physical quadrature points, (nt, nq, 2).
+def quadrature_coordinate(space, tris, rule, axis):
+    """One coordinate (0 = x, 1 = y) of the physical quadrature points,
+    as an (nt, nq) plane.
 
-    An explicit barycentric sum, so each coordinate of a point depends
-    only on the same coordinate of the triangle's three vertices."""
-    v = space.mesh.vertices[space.mesh.triangles[tris]][:, None]   # (nt, 1, 3, 2)
-    p = rule.points[:, :, None]                                    # (nq, 3, 1)
-    return p[:, 0] * v[..., 0, :] + p[:, 1] * v[..., 1, :] + p[:, 2] * v[..., 2, :]
+    An explicit barycentric sum, so it depends only on the same coordinate
+    of the triangle's three vertices."""
+    v = space.mesh.vertices[space.mesh.triangles[tris], axis]     # (nt, 3)
+    p = rule.points
+    out = v[:, 0, None] * p[:, 0]
+    out += v[:, 1, None] * p[:, 1]
+    out += v[:, 2, None] * p[:, 2]
+    return out
+
+
+def quadrature_points(space, tris, rule):
+    """Physical quadrature points, (nt, nq, 2)."""
+    return np.stack([quadrature_coordinate(space, tris, rule, axis)
+                     for axis in (0, 1)], axis=-1)
 
 
 def assemble_fluid_load(space, field, degree=DATA_QUAD_DEGREE):
@@ -539,8 +553,8 @@ def assemble_fluid_load(space, field, degree=DATA_QUAD_DEGREE):
     tris = space.fluid_tris
     rule = triangle_rule(degree)
     _, det, _ = _tri_geometry(space, tris)
-    pts = quadrature_points(space, tris, rule)
-    fx, fy = field(pts[..., 0], pts[..., 1])
+    fx, fy = field(quadrature_coordinate(space, tris, rule, 0),
+                   quadrature_coordinate(space, tris, rule, 1))
     n = p2_values(rule.points)                       # (nq, 6)
     lx = np.einsum("q,qi,tq->ti", rule.weights, n, fx) * det[:, None]
     ly = np.einsum("q,qi,tq->ti", rule.weights, n, fy) * det[:, None]

@@ -52,6 +52,9 @@ class EnergyTraceRow:
     e_solid_potential: float  # (sigma(w), eps(w)) + ||w||^2 over the solid
     e_solid_kinetic: float    # ||z||^2 over the solid
     dissipation: float        # ||eps(u)||^2 over the fluid
+    # relative residual of the solve that produced the state (0 for the
+    # initial state, which no solve produced); not part of the CSV
+    solve_residual: float = 0.0
 
     @property
     def e_total(self):
@@ -105,11 +108,11 @@ def h_norm(space, state: FsiState, params: MaterialParams) -> float:
     return math.sqrt(max(e_fluid + e_pot + e_kin, 0.0))
 
 
-def _trace_row(space, params, state, step, time):
+def _trace_row(space, params, state, step, time, solve_residual):
     e_fluid, e_pot, e_kin, dis = energy_components(space, params, state)
     return EnergyTraceRow(step=step, time=time, e_fluid=e_fluid,
                           e_solid_potential=e_pot, e_solid_kinetic=e_kin,
-                          dissipation=dis)
+                          dissipation=dis, solve_residual=solve_residual)
 
 
 class Stepper:
@@ -126,8 +129,9 @@ class Stepper:
 
     def step(self, state: FsiState, step_index=0, time=0.0):
         data = self.op.data_from_state(state, scale=self.params.shift)
-        new_state, _ = self.op.solve(data)
-        row = _trace_row(self.space, self.params, new_state, step_index, time)
+        new_state, report = self.op.solve(data)
+        row = _trace_row(self.space, self.params, new_state, step_index, time,
+                         report.residual)
         return new_state, new_state.pi, row
 
 
@@ -144,6 +148,7 @@ class EvolutionResult:
     energy_final_sq: float
     dissipation_physical: float   # sum over steps of 2 dt ||eps(u_{k+1})||^2
     dissipation_numerical: float  # sum over steps of ||Y_{k+1} - Y_k||_H^2
+    solve_residual_max: float     # largest relative residual of the step solves
 
     @property
     def balance_residual(self):
@@ -165,18 +170,21 @@ def evolve(space, params: MaterialParams, initial: FsiState,
     e0_sq = rows[0].e_total
     phys = 0.0
     num = 0.0
+    worst = 0.0
     row = rows[0]
     for k in range(1, config.n_steps + 1):
         prev = state
         state, _, row = stepper.step(state, step_index=k, time=k * dt)
         phys += 2.0 * dt * row.dissipation
+        worst = max(worst, row.solve_residual)
         diff = FsiState(state.u - prev.u, state.w - prev.w, state.z - prev.z)
         num += h_inner(space, params, diff, diff)
         if k % config.record_every == 0 or k == config.n_steps:
             rows.append(row)
     return EvolutionResult(trace=EnergyTrace(rows), final_state=state,
                            energy_initial_sq=e0_sq, energy_final_sq=row.e_total,
-                           dissipation_physical=phys, dissipation_numerical=num)
+                           dissipation_physical=phys, dissipation_numerical=num,
+                           solve_residual_max=worst)
 
 
 def generator_quadratic_form(space, params: MaterialParams,

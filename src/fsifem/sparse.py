@@ -118,8 +118,10 @@ class Factorization:
             pivot = self._caller_index(int(np.argmin(udiag)))
             raise SingularMatrixError(pivot, "factorization singular to tolerance "
                                              f"(pivot {pivot})")
-        self.pivot_growth = (np.abs(u.data).max() / self._max_a
-                             if self._max_a > 0 else 0.0)
+        # max|U| without an |U| temporary: this runs at the peak of memory,
+        # just after scipy built its CSC copies of L and U
+        max_u = max(u.data.max(), -u.data.min())
+        self.pivot_growth = max_u / self._max_a if self._max_a > 0 else 0.0
 
     def _caller_index(self, k):
         """Unknown k of the factorized matrix in the caller's numbering."""

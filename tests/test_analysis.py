@@ -191,6 +191,18 @@ def test_norms_do_not_depend_on_chunk_size(solved1, params, case, monkeypatch):
         assert getattr(many, field) == pytest.approx(getattr(one, field), rel=1e-13)
 
 
+def test_norms_do_not_depend_on_block_size(solved1, params, case, monkeypatch):
+    space, _, state, _ = solved1
+    for chunk in (7, 1024):
+        norms = []
+        for block in (1, 7, analysis._ERROR_NORM_BLOCK):
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "ERROR_NORM_CHUNK", chunk)
+                m.setattr(analysis, "_ERROR_NORM_BLOCK", block)
+                norms.append(analysis.error_norms(space, state, state.pi, case, params))
+        assert norms[0] == norms[1] == norms[2]
+
+
 def _per_point_fluid_error_squares(space, u, pi, case, rule, tris):
     """`analysis._fluid_error_squares` with the exact fields evaluated at
     every quadrature point of every triangle, no coordinate classes."""
@@ -308,7 +320,7 @@ def test_error_norm_memory_is_bounded(params, case):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2**20
+    assert peak < 45 * 2**20
 
 
 # -- convergence study -------------------------------------------------------
@@ -318,6 +330,7 @@ def test_convergence_rows_and_rates_structure(params):
     assert [r.elements for r in report.rows] == [72, 288]
     assert len(report.fluid_rates) == 1
     assert all(r.failed is None for r in report.rows)
+    assert all(0.0 < r.solve_residual <= 1e-10 for r in report.rows)
     assert report.rows[0].eu_h1 > report.rows[1].eu_h1
 
 
@@ -367,6 +380,7 @@ def test_partial_report_marks_failed_level(params, monkeypatch):
     report = analysis.convergence_study([0, 1], params)
     assert report.rows[0].failed is None
     assert report.rows[1].failed == "SolveAccuracyError: injected failure"
+    assert math.isnan(report.rows[1].solve_residual)
     assert report.fluid_rates == [None]
     assert report.convergence_csv().splitlines()[2].endswith("injected failure")
 

@@ -190,6 +190,15 @@ def test_evolve_record_every(space0, params, rng):
     assert [row.step for row in result.trace.rows] == [0, 4, 8, 10]
 
 
+def test_evolve_keeps_largest_step_residual(space0, params, rng):
+    config = semigroup.EvolutionConfig(t_final=0.2, n_steps=10)
+    result = semigroup.evolve(space0, params, solver.random_state(space0, rng), config)
+    rows = result.trace.rows
+    assert rows[0].solve_residual == 0.0          # the initial state: no solve
+    assert 0.0 < result.solve_residual_max <= 1e-10
+    assert result.solve_residual_max == max(r.solve_residual for r in rows[1:])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         semigroup.EvolutionConfig(t_final=0.0, n_steps=5)

@@ -186,6 +186,19 @@ def test_report_fields_are_measured(space0, params):
     assert report.factor_time > 0.0
 
 
+def test_pivot_growth_is_max_abs_u_over_max_abs_a(space0, params, rng):
+    saddle = solver._operator(space0, params).saddle
+    xy = solver.saddle_coordinates(space0, space0.solid_interior_dofs)
+    cases = [(saddle, xy),                                   # nested dissection
+             (saddle, None), (-saddle, None),                # COLAMD
+             (fem.assemble_fluid_mass(space0), None),        # minimum degree
+             (sp.csr_matrix(rng.standard_normal((40, 40))), None)]
+    for a, coordinates in cases:
+        factor = sla.Factorization(a, xy=coordinates)
+        expected = np.abs(factor._lu.U.data).max() / np.abs(a.data).max()
+        assert factor.pivot_growth == expected
+
+
 def test_repeated_solve_time_excludes_factor_time(rng):
     a = sp.csr_matrix(rng.standard_normal((30, 30)) + 30 * np.eye(30))
     factor = sla.Factorization(a)
