@@ -284,7 +284,7 @@ def _fluid_error_squares(space, u, pi, case, rule, tris):
     u = (A B', -A' B): negation is exact, so u2 - (-(A' B)) is
     u2 + A' B, d u2/dx - (-(A'' B)) is d u2/dx + A'' B, and
     d u2/dy = -(A' B') = -d u1/dx."""
-    _, det, inv = fem._tri_geometry(space, tris)
+    det, inv = fem._tri_geometry(space, tris)
     (x, fx, x_cls), (y, fy, y_cls) = _class_tables(space, case, rule, tris)
     dofs = space.velocity_dofs_of_tris(tris)
     cx = u[dofs[:, 0::2]]
@@ -371,8 +371,8 @@ ERROR_NORM_CHUNK = 1024
 _ERROR_NORM_BLOCK = 128
 
 
-def error_norms(space, state, pi, case: ManufacturedCase, params: MaterialParams,
-                degree=fem.ERROR_QUAD_DEGREE) -> ErrorNorms:
+def error_norms(space, state, pi, case: ManufacturedCase,
+                params: MaterialParams) -> ErrorNorms:
     """Errors of (state, pi) against the exact fields of `case`; the
     solid energy norm uses the Lame moduli of `params`.
 
@@ -391,7 +391,7 @@ def error_norms(space, state, pi, case: ManufacturedCase, params: MaterialParams
     product per component and reference direction, and each triangle's
     affine inverse Jacobian maps them to physical ones, so no (triangle x
     point x basis) gradient tensor is built."""
-    rule = fem.triangle_rule(degree)
+    rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
     fluid = space.fluid_tris
     squares = np.zeros(4)
     for start in range(0, fluid.size, ERROR_NORM_CHUNK):

@@ -287,7 +287,7 @@ def _certify_lines(cfg: RunConfig):
     free = space1.free_velocity_dofs
     m_free = fops.mass[free][:, free].tocsr()
     k_free = fops.strain[free][:, free].tocsr()
-    g_free = fops.grad[free][:, free].tocsr()
+    g_free = fem.assemble(space1, "fluid_gradient")[free][:, free].tocsr()
     project = solver.kernel_projection(space1)
     a_free = solver.schur_form(space1, params)
     worst_gap, alpha = 0.0, math.inf

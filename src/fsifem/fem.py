@@ -22,6 +22,15 @@ depends only on the x of the triangle's vertices and its y only on their
 y.  The error norms and the fluid load take the planes they need;
 `quadrature_points` stacks the two.
 
+`assemble(space, form, params)` is the one entry to global assembly.  The
+form's entry in `_FORMS` names its element kernel and its row and column
+dofs, and the columns fix the region: `divergence` has pressure rows and
+velocity columns, `pressure_mass` pressure rows and columns, and every
+other form the interleaved vector dofs of its region.  `fluid_operators`
+and `solid_operators` bundle the forms the solves read and keep them on
+the space (`TaylorHoodSpace.cached`), as the solver keeps its
+factorizations there.
+
 Assembly and the exact fields of the error norms are class-grouped by
 `sparse.bit_classes`, which groups rows of floats by their exact bits.  Every
 local matrix depends on its triangle only through the affine Jacobian
@@ -57,7 +66,23 @@ DATA_QUAD_DEGREE = 12
 # error-norm rule is exact for them
 ERROR_QUAD_DEGREE = 38
 
-FORMS = ("fluid_mass", "fluid_strain", "divergence", "solid_mass", "solid_stiffness")
+# assembled form -> (element kernel, row dofs, column dofs).  The dofs are
+# the interleaved "velocity" or "solid" P2 layouts or the P1 "pressure"
+# vertices; a form lives on the solid exactly when its columns are solid
+# dofs.  Both full-gradient Gram forms run the one `gradient` kernel.
+_FORMS = {
+    "fluid_mass": ("fluid_mass", "velocity", "velocity"),
+    "fluid_strain": ("fluid_strain", "velocity", "velocity"),
+    "fluid_gradient": ("gradient", "velocity", "velocity"),
+    "divergence": ("divergence", "pressure", "velocity"),
+    "pressure_mass": ("pressure_mass", "pressure", "pressure"),
+    "solid_mass": ("solid_mass", "solid", "solid"),
+    "solid_stiffness": ("solid_stiffness", "solid", "solid"),
+    "solid_gradient": ("gradient", "solid", "solid"),
+}
+FORMS = tuple(_FORMS)
+# points of the Gauss-Legendre rule on interface edges (exact to degree 7)
+EDGE_QUAD_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -141,10 +166,6 @@ def p2_grads(bary):
 
 def p1_values(bary):
     return bary.copy()
-
-
-def p1_grads():
-    return _GRAD_L.copy()
 
 
 class TaylorHoodSpace:
@@ -265,17 +286,33 @@ class TaylorHoodSpace:
     def velocity_dofs_of_tris(self, tris):
         """(ntris, 12) full-velocity dof table, interleaved components."""
         loc = self.fluid_loc[self.tri_nodes[tris]]
-        return np.stack([2 * loc, 2 * loc + 1], axis=2).reshape(len(tris), 12)
+        return _interleave(2 * loc, 2 * loc + 1)
 
     def solid_dofs_of_tris(self, tris):
+        """(ntris, 12) solid dof table, interleaved components."""
         loc = self.solid_loc[self.tri_nodes[tris]]
-        return np.stack([2 * loc, 2 * loc + 1], axis=2).reshape(len(tris), 12)
+        return _interleave(2 * loc, 2 * loc + 1)
 
     def expand_velocity(self, u_free):
         """Scatter a free-dof vector to the full velocity layout."""
         u = np.zeros(self.num_velocity_dofs)
         u[self.free_velocity_dofs] = u_free
         return u
+
+    def cached(self, key, build):
+        """The value kept under `key`, made by `build()` on first use.
+
+        The space owns its assembled matrices, factorizations and
+        operators, so every later request for the same key reuses them."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+
+def _interleave(x, y):
+    """x0, y0, x1, y1, ... along the last axis of two equal-shape arrays:
+    the layout of every vector field (dof = 2*node + component)."""
+    return np.stack([x, y], axis=-1).reshape(*x.shape[:-1], 2 * x.shape[-1])
 
 
 def _inverse_map(ids, size):
@@ -305,11 +342,16 @@ def _jacobian_inverse(e1, e2):
     return det, inv
 
 
+def _jacobians(space, tris):
+    """(nt, 2, 2) Jacobian rows v1 - v0, v2 - v0 of a batch of triangles."""
+    v = space.mesh.vertices[space.mesh.triangles[tris]]
+    return v[:, 1:] - v[:, :1]
+
+
 def _tri_geometry(space, tris):
-    """Jacobian data for a batch of triangles."""
-    v = space.mesh.vertices[space.mesh.triangles[tris]]   # (nt, 3, 2)
-    det, inv = _jacobian_inverse(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    return v, det, inv
+    """Determinants and inverse Jacobians of a batch of triangles."""
+    jac = _jacobians(space, tris)
+    return _jacobian_inverse(jac[:, 0], jac[:, 1])
 
 
 def _ref_to_phys(inv, rule):
@@ -370,15 +412,15 @@ def _local_divergence(det, g, rule):
 
 
 @lru_cache(maxsize=None)
-def _p2_mass_ref(degree=SYSTEM_QUAD_DEGREE):
-    rule = triangle_rule(degree)
+def _p2_mass_ref():
+    rule = triangle_rule(SYSTEM_QUAD_DEGREE)
     n = p2_values(rule.points)
     return np.einsum("q,qi,qj->ij", rule.weights, n, n)
 
 
 @lru_cache(maxsize=None)
-def _p1_mass_ref(degree=SYSTEM_QUAD_DEGREE):
-    rule = triangle_rule(degree)
+def _p1_mass_ref():
+    rule = triangle_rule(SYSTEM_QUAD_DEGREE)
     n = p1_values(rule.points)
     return np.einsum("q,qi,qj->ij", rule.weights, n, n)
 
@@ -387,9 +429,9 @@ def _element_kernel(jac, params, form):
     """Local matrices of `form` on triangles given by their Jacobians.
 
     jac is (nt, 2, 2) with rows v1 - v0 and v2 - v0; every local matrix
-    depends on the triangle only through these four numbers.  Besides
-    FORMS, `gradient` is the full-gradient Gram form on either region and
-    `pressure_mass` the P1 mass form (3x3).
+    depends on the triangle only through these four numbers.  `form` names
+    a kernel of `_FORMS`: each form's own name, except `gradient`, the
+    full-gradient Gram kernel of both `*_gradient` forms.
     """
     det, inv = _jacobian_inverse(jac[:, 0], jac[:, 1])
     if form in ("fluid_mass", "solid_mass"):
@@ -411,12 +453,6 @@ def _element_kernel(jac, params, form):
     raise ValueError(f"unknown form {form!r}")
 
 
-def _jacobians(space, tris):
-    """(nt, 2, 2) Jacobian rows v1 - v0, v2 - v0 of a batch of triangles."""
-    v = space.mesh.vertices[space.mesh.triangles[tris]]
-    return v[:, 1:] - v[:, :1]
-
-
 def _local_matrices(space, tris, params, form):
     """Local matrices of `form` on `tris`, one kernel call per Jacobian class.
 
@@ -430,21 +466,27 @@ def _local_matrices(space, tris, params, form):
     return _element_kernel(jac[first], params, form)[cls]
 
 
-def element_matrices(space, tri, params: MaterialParams, form: str):
-    """Local matrix of one bilinear form on one triangle.
-
-    Vector forms give a 12x12 matrix in the interleaved layout; the mixed
-    `divergence` form gives 3x12 (pressure rows, velocity columns).
-    """
-    if form not in FORMS:
+def _form_spec(form):
+    """(element kernel, row dofs, column dofs, region) of an assembled form."""
+    if form not in _FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-    region = space.mesh.tri_region[tri]
-    wants_solid = form.startswith("solid")
-    if wants_solid != (region == meshmod.SOLID):
+    kernel, rows, cols = _FORMS[form]
+    return kernel, rows, cols, meshmod.SOLID if cols == "solid" else meshmod.FLUID
+
+
+def element_matrices(space, tri, params: MaterialParams, form: str):
+    """Local matrix of one form of `FORMS` on one triangle of its region.
+
+    Vector forms give a 12x12 matrix in the interleaved layout, `divergence`
+    3x12 (pressure rows, velocity columns) and `pressure_mass` 3x3.
+    """
+    kernel, _, _, region = _form_spec(form)
+    tri_region = space.mesh.tri_region[tri]
+    if tri_region != region:
         raise ValueError(
             f"form {form!r} incompatible with triangle {tri} in region "
-            f"{meshmod.REGION_NAMES[region]}")
-    return _local_matrices(space, np.array([tri]), params, form)[0]
+            f"{meshmod.REGION_NAMES[tri_region]}")
+    return _local_matrices(space, np.array([tri]), params, kernel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,60 +511,32 @@ def _scatter(local, row_dofs, col_dofs, shape):
     return mat
 
 
-def _assemble_velocity(space, params, form):
-    tris = space.fluid_tris
-    dofs = space.velocity_dofs_of_tris(tris)
-    n = space.num_velocity_dofs
-    return _scatter(_local_matrices(space, tris, params, form), dofs, dofs, (n, n))
+def _dofs_of_tris(space, tris, layout):
+    """Global dofs of `tris` in one of the layouts of `_FORMS`, and the
+    layout's size."""
+    if layout == "pressure":
+        return space.pressure_loc[space.mesh.triangles[tris]], space.num_pressure_dofs
+    if layout == "velocity":
+        return space.velocity_dofs_of_tris(tris), space.num_velocity_dofs
+    return space.solid_dofs_of_tris(tris), space.num_solid_dofs
 
 
-def _assemble_solid(space, params, form):
-    tris = space.solid_tris
-    dofs = space.solid_dofs_of_tris(tris)
-    n = space.num_solid_dofs
-    return _scatter(_local_matrices(space, tris, params, form), dofs, dofs, (n, n))
+def assemble(space, form: str, params: MaterialParams | None = None):
+    """Global CSR matrix of one form of `FORMS` over its region.
 
-
-def assemble_fluid_mass(space, params=None):
-    return _assemble_velocity(space, params, "fluid_mass")
-
-
-def assemble_fluid_strain(space, params=None):
-    return _assemble_velocity(space, params, "fluid_strain")
-
-
-def assemble_fluid_grad(space):
-    """Full-gradient Gram matrix (grad u, grad v) on the fluid, for H1 norms."""
-    return _assemble_velocity(space, None, "gradient")
-
-
-def assemble_divergence(space):
-    tris = space.fluid_tris
-    rows = space.pressure_loc[space.mesh.triangles[tris]]
-    return _scatter(_local_matrices(space, tris, None, "divergence"), rows,
-                    space.velocity_dofs_of_tris(tris),
-                    (space.num_pressure_dofs, space.num_velocity_dofs))
-
-
-def assemble_solid_mass(space, params=None):
-    return _assemble_solid(space, params, "solid_mass")
-
-
-def assemble_solid_stiffness(space, params: MaterialParams):
-    return _assemble_solid(space, params, "solid_stiffness")
-
-
-def assemble_solid_grad(space):
-    """Full-gradient Gram matrix on the solid, for the standard H1 norm."""
-    return _assemble_solid(space, None, "gradient")
-
-
-def assemble_pressure_mass(space):
-    tris = space.fluid_tris
-    rows = space.pressure_loc[space.mesh.triangles[tris]]
-    n = space.num_pressure_dofs
-    return _scatter(_local_matrices(space, tris, None, "pressure_mass"), rows, rows,
-                    (n, n))
+    `divergence` has pressure rows and velocity columns, `pressure_mass`
+    pressure rows and columns, and every other form the vector dofs of its
+    region.  Only `solid_stiffness` reads `params` (the Lame moduli).
+    """
+    kernel, row_layout, col_layout, region = _form_spec(form)
+    if form == "solid_stiffness" and params is None:
+        raise ValueError("solid_stiffness needs the Lame moduli: pass params")
+    tris = space.solid_tris if region == meshmod.SOLID else space.fluid_tris
+    rows, n_rows = _dofs_of_tris(space, tris, row_layout)
+    cols, n_cols = ((rows, n_rows) if col_layout == row_layout
+                    else _dofs_of_tris(space, tris, col_layout))
+    return _scatter(_local_matrices(space, tris, params, kernel), rows, cols,
+                    (n_rows, n_cols))
 
 
 def quadrature_coordinate(space, tris, rule, axis):
@@ -545,14 +559,14 @@ def quadrature_points(space, tris, rule):
                      for axis in (0, 1)], axis=-1)
 
 
-def assemble_fluid_load(space, field, degree=DATA_QUAD_DEGREE):
+def assemble_fluid_load(space, field):
     """Load vector (f, phi_i) over the fluid for a vector field f(x, y).
 
     `field` must accept coordinate arrays and return the component pair
-    (f_x, f_y)."""
+    (f_x, f_y).  Integrated with the degree-`DATA_QUAD_DEGREE` rule."""
     tris = space.fluid_tris
-    rule = triangle_rule(degree)
-    _, det, _ = _tri_geometry(space, tris)
+    rule = triangle_rule(DATA_QUAD_DEGREE)
+    det, _ = _tri_geometry(space, tris)
     fx, fy = field(quadrature_coordinate(space, tris, rule, 0),
                    quadrature_coordinate(space, tris, rule, 1))
     n = p2_values(rule.points)                       # (nq, 6)
@@ -571,32 +585,22 @@ def interpolate(space, field, target: str):
     Vector fields return (f_x, f_y) component arrays; scalar fields return
     one array.  target is 'velocity', 'pressure' or 'displacement'.
     """
-    if target == "velocity":
-        xy = space.node_xy[space.fluid_nodes]
-        fx, fy = field(xy[:, 0], xy[:, 1])
-        out = np.empty(space.num_velocity_dofs)
-        out[0::2] = fx
-        out[1::2] = fy
-        return out
-    if target == "displacement":
-        xy = space.node_xy[space.solid_nodes]
-        fx, fy = field(xy[:, 0], xy[:, 1])
-        out = np.empty(space.num_solid_dofs)
-        out[0::2] = fx
-        out[1::2] = fy
-        return out
     if target == "pressure":
         xy = space.node_xy[space.pressure_nodes]
         return np.asarray(field(xy[:, 0], xy[:, 1]), dtype=float)
-    raise ValueError(f"unknown interpolation target {target!r}")
+    if target not in ("velocity", "displacement"):
+        raise ValueError(f"unknown interpolation target {target!r}")
+    xy = space.node_xy[space.fluid_nodes if target == "velocity" else space.solid_nodes]
+    fx, fy = field(xy[:, 0], xy[:, 1])
+    return _interleave(np.asarray(fx, dtype=float), np.asarray(fy, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # interface-edge integrals (quadratic traces on Gamma_s)
 # ---------------------------------------------------------------------------
 
-def _edge_rule(npts=4):
-    return gauss_legendre_01(npts)
+def _edge_rule():
+    return gauss_legendre_01(EDGE_QUAD_POINTS)
 
 
 def _edge_shape(t):
@@ -678,7 +682,6 @@ def iface_perimeter(space):
 class FluidOperators:
     mass: sp.csr_matrix
     strain: sp.csr_matrix
-    grad: sp.csr_matrix
     div: sp.csr_matrix
     pressure_mass: sp.csr_matrix
 
@@ -692,29 +695,20 @@ class SolidOperators:
 
 
 def fluid_operators(space) -> FluidOperators:
-    if "fluid_ops" not in space._cache:
-        space._cache["fluid_ops"] = FluidOperators(
-            mass=assemble_fluid_mass(space),
-            strain=assemble_fluid_strain(space),
-            grad=assemble_fluid_grad(space),
-            div=assemble_divergence(space),
-            pressure_mass=assemble_pressure_mass(space),
-        )
-    return space._cache["fluid_ops"]
+    return space.cached("fluid_ops", lambda: FluidOperators(
+        mass=assemble(space, "fluid_mass"),
+        strain=assemble(space, "fluid_strain"),
+        div=assemble(space, "divergence"),
+        pressure_mass=assemble(space, "pressure_mass"),
+    ))
 
 
 def solid_operators(space, params: MaterialParams) -> SolidOperators:
-    key = ("solid_ops", params.lame_lambda, params.lame_mu)
-    if key not in space._cache:
-        if "solid_mass" not in space._cache:
-            space._cache["solid_mass"] = assemble_solid_mass(space)
-            space._cache["solid_grad"] = assemble_solid_grad(space)
-        mass = space._cache["solid_mass"]
-        stiffness = assemble_solid_stiffness(space, params)
-        space._cache[key] = SolidOperators(
-            mass=mass,
-            stiffness=stiffness,
-            grad=space._cache["solid_grad"],
-            energy=stiffness + mass,
-        )
-    return space._cache[key]
+    def build():
+        mass = space.cached("solid_mass", lambda: assemble(space, "solid_mass"))
+        grad = space.cached("solid_grad", lambda: assemble(space, "solid_gradient"))
+        stiffness = assemble(space, "solid_stiffness", params)
+        return SolidOperators(mass=mass, stiffness=stiffness, grad=grad,
+                              energy=stiffness + mass)
+
+    return space.cached(("solid_ops", params.lame_lambda, params.lame_mu), build)

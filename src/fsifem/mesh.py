@@ -285,10 +285,10 @@ def validate(mesh: TriMesh) -> None:
     if not math.isclose(mesh.hypotenuse, math.sqrt(2.0) / n, rel_tol=1e-15):
         raise MeshError("hypotenuse inconsistent with level")
 
-    if np.any(signed_areas(mesh) <= 0):
+    areas = signed_areas(mesh)
+    if np.any(areas <= 0):
         raise MeshError("non-positively-oriented triangle")
 
-    areas = signed_areas(mesh)
     fluid_area = areas[mesh.tri_region == FLUID].sum()
     solid_area = areas[mesh.tri_region == SOLID].sum()
     if abs(fluid_area - 8.0 / 9.0) > 1e-14 or abs(solid_area - 1.0 / 9.0) > 1e-14:

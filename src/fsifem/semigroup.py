@@ -27,15 +27,12 @@ from .solver import FsiState
 class EvolutionConfig:
     t_final: float
     n_steps: int
-    record_every: int = 1
 
     def __post_init__(self):
         if not self.t_final > 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be positive, got {self.n_steps}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be positive, got {self.record_every}")
 
     @property
     def dt(self):
@@ -123,21 +120,14 @@ class Stepper:
         self.params = params
         self.op = solver._operator(space, params)
 
-    @property
-    def dt(self):
-        return 1.0 / self.params.shift
-
     def step(self, state: FsiState, step_index=0, time=0.0):
+        """One resolvent factor (lam I - A_h)^{-1} (lam Y) with lam = 1/dt:
+        the new state (its pressure in `.pi`) and its energy-trace row."""
         data = self.op.data_from_state(state, scale=self.params.shift)
         new_state, report = self.op.solve(data)
         row = _trace_row(self.space, self.params, new_state, step_index, time,
                          report.residual)
-        return new_state, new_state.pi, row
-
-
-def step(space, params: MaterialParams, state: FsiState):
-    """One resolvent factor (lam I - A_h)^{-1} (lam Y) with lam = 1/dt."""
-    return Stepper(space, params).step(state)
+        return new_state, row
 
 
 @dataclass
@@ -174,13 +164,12 @@ def evolve(space, params: MaterialParams, initial: FsiState,
     row = rows[0]
     for k in range(1, config.n_steps + 1):
         prev = state
-        state, _, row = stepper.step(state, step_index=k, time=k * dt)
+        state, row = stepper.step(state, step_index=k, time=k * dt)
         phys += 2.0 * dt * row.dissipation
         worst = max(worst, row.solve_residual)
         diff = FsiState(state.u - prev.u, state.w - prev.w, state.z - prev.z)
         num += h_inner(space, params, diff, diff)
-        if k % config.record_every == 0 or k == config.n_steps:
-            rows.append(row)
+        rows.append(row)
     return EvolutionResult(trace=EnergyTrace(rows), final_state=state,
                            energy_initial_sq=e0_sq, energy_final_sq=row.e_total,
                            dissipation_physical=phys, dissipation_numerical=num,
@@ -201,9 +190,3 @@ def generator_quadratic_form(space, params: MaterialParams,
     dissipation = float(state.u @ (fem.fluid_operators(space).strain @ state.u))
     return float(lam * yy - ys_y), dissipation
 
-
-def energy_identity_check(space, params: MaterialParams,
-                          data: solver.ResolventData) -> float:
-    """|(A_h Y, Y)_H + ||eps(u_h)||^2| for Y = (lam - A_h)^{-1} Y*."""
-    qform, dissipation = generator_quadratic_form(space, params, data)
-    return abs(qform + dissipation)

@@ -23,6 +23,15 @@ checked solve.  The solid displacement is w = (u + w*)/lam on Gamma_s and
 v/lam inside, and the solid velocity is z = lam * w - w*.  The
 discrete-kernel projection factorizes its [[M, B^T], [B, 0]] the same way.
 
+The interface traction is the solid residual M_s (lam w* + z*) - S w
+(`_solid_residual`).  With w the lift w*/lam on Gamma_s (`_solid_lift`)
+it is the solid part of the solve's right-hand side and of the dense
+oracle's; with w a solution its Gamma_s entries are the solid traction
+moments that the A5b flux check and the c0 recovery compare with the
+fluid momentum residual (`_momentum_residual`).  Matrices, factorizations
+and operators are kept on the space per parameter set
+(`TaylorHoodSpace.cached`).
+
 A dense monolithic assembly of the same coupled problem (interface trial
 constraint w = (1/lam)(u + w*) on Gamma_s, solid tests paired with fluid
 test traces) is kept as a coarse-mesh oracle.
@@ -109,9 +118,9 @@ def data_from_vectors(space, u_star, w_star, z_star) -> ResolventData:
                          np.asarray(z_star, dtype=float).copy())
 
 
-def data_from_field(space, u_star_field, degree=fem.DATA_QUAD_DEGREE) -> ResolventData:
+def data_from_field(space, u_star_field) -> ResolventData:
     """Data with closed-form fluid field u* and zero solid data."""
-    return ResolventData(fem.assemble_fluid_load(space, u_star_field, degree),
+    return ResolventData(fem.assemble_fluid_load(space, u_star_field),
                          np.zeros(space.num_solid_dofs),
                          np.zeros(space.num_solid_dofs))
 
@@ -127,36 +136,55 @@ class DirichletMap:
     columns[:, j] is the solid field equal to the j-th interface basis
     trace on Gamma_s (exactly, at nodes) and discrete-harmonic inside:
     interior test functions see a zero residual of (lam^2+1) M + K_sigma.
-    The interior factorization is shared by every extension and by the
-    solid resolvent inverse.
     """
 
     columns: np.ndarray
     s_matrix: sp.csr_matrix
-    interior_factor: sla.Factorization
-    params: MaterialParams
+
+
+def _param_key(name, params):
+    """Cache key of an object built for one parameter set."""
+    return (name, params.lame_lambda, params.lame_mu, params.shift)
 
 
 def _shifted_solid_matrix(space, params):
     """S = K_sigma + (lam^2 + 1) M_s over the full solid layout, cached per
     space and parameters."""
-    key = ("solid_shifted", params.lame_lambda, params.lame_mu, params.shift)
-    if key not in space._cache:
+    def build():
         ops = fem.solid_operators(space, params)
         lam = params.shift
-        space._cache[key] = (ops.stiffness + (lam * lam + 1.0) * ops.mass).tocsr()
-    return space._cache[key]
+        return (ops.stiffness + (lam * lam + 1.0) * ops.mass).tocsr()
+
+    return space.cached(_param_key("solid_shifted", params), build)
 
 
 def _solid_interior_factor(space, params):
     """Factorization of the interior block S_ii, shared by the Dirichlet
     map and the solid resolvent inverse."""
-    key = ("solid_factor", params.lame_lambda, params.lame_mu, params.shift)
-    if key not in space._cache:
+    def build():
         ii = space.solid_interior_dofs
-        s_mat = _shifted_solid_matrix(space, params)
-        space._cache[key] = sla.factorize(s_mat[ii][:, ii].tocsc())
-    return space._cache[key]
+        return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii].tocsc())
+
+    return space.cached(_param_key("solid_factor", params), build)
+
+
+def _solid_lift(space, lam, w_star):
+    """The solid displacement's trace part w*/lam on Gamma_s, zero inside:
+    a resolvent solution has w = (u + w*)/lam on Gamma_s."""
+    lift = np.zeros(space.num_solid_dofs)
+    bb = space.iface_solid_dofs
+    lift[bb] = w_star[bb] / lam
+    return lift
+
+
+def _solid_residual(mass_s, s_matrix, lam, data, w):
+    """Solid residual M_s (lam w* + z*) - S w over the full solid layout.
+
+    Its Gamma_s entries are the solid traction moments <sigma(w).nu, phi_i>
+    of a resolvent solution w, and with w the lift they are the solid part
+    of the solve's right-hand side.  The caller passes the solid mass M_s
+    and the shifted matrix S it already holds."""
+    return mass_s @ (lam * data.w_star + data.z_star) - s_matrix @ w
 
 
 def dirichlet_map(space, params: MaterialParams) -> DirichletMap:
@@ -169,8 +197,7 @@ def dirichlet_map(space, params: MaterialParams) -> DirichletMap:
     columns = np.zeros((space.num_solid_dofs, bb.size))
     columns[bb, np.arange(bb.size)] = 1.0
     columns[ii] = interior
-    return DirichletMap(columns=columns, s_matrix=s_mat,
-                        interior_factor=factor, params=params)
+    return DirichletMap(columns=columns, s_matrix=s_mat)
 
 
 def solid_resolvent_inverse(space, params: MaterialParams, load):
@@ -287,13 +314,11 @@ class ResolventOperator:
         space = self.space
         lam = self.params.shift
         nf = space.num_free_velocity_dofs
-        # w_lift carries the trace datum: w = (u + w*)/lam on Gamma_s
-        w_lift = np.zeros(space.num_solid_dofs)
-        w_lift[space.iface_solid_dofs] = data.w_star[space.iface_solid_dofs] / lam
-        r = self.mass_s @ (lam * data.w_star + data.z_star) - self.s_matrix @ w_lift
+        w_lift = _solid_lift(space, lam, data.w_star)
         rhs = np.zeros(self.saddle.shape[0])
         rhs[:nf] = data.u_load[space.free_velocity_dofs]
-        rhs[self._solid_rows] += r
+        rhs[self._solid_rows] += _solid_residual(self.mass_s, self.s_matrix, lam,
+                                                 data, w_lift)
         x, report = self.factor.solve(rhs)
         u = space.expand_velocity(x[:nf])
         pi = x[nf + space.solid_interior_dofs.size:]
@@ -308,10 +333,8 @@ def solve_resolvent(space, params: MaterialParams, data: ResolventData):
 
 
 def _operator(space, params) -> ResolventOperator:
-    key = ("resolvent_op", params.lame_lambda, params.lame_mu, params.shift)
-    if key not in space._cache:
-        space._cache[key] = ResolventOperator(space, params)
-    return space._cache[key]
+    return space.cached(_param_key("resolvent_op", params),
+                        lambda: ResolventOperator(space, params))
 
 
 def kernel_projection(space):
@@ -394,19 +417,12 @@ def _momentum_residual(space, params, u, pi, u_load):
             + fops.div.T @ pi - u_load)
 
 
-def _fluid_flux_moments(space, params, state, pi, data):
-    """Fluid traction against every interface basis trace, in one pass."""
-    vec = _momentum_residual(space, params, state.u, pi, data.u_load)
-    return vec[space.iface_velocity_dofs]
-
-
 def _solid_flux_moments(space, params, state, data):
     """Solid traction <sigma(w).nu, phi_i> against interface basis traces."""
-    s_mat = _shifted_solid_matrix(space, params)
-    mass_s = fem.solid_operators(space, params).mass
-    q = params.shift * data.w_star + data.z_star
-    vec = mass_s @ q - s_mat @ state.w
-    return vec[space.iface_solid_dofs]
+    residual = _solid_residual(fem.solid_operators(space, params).mass,
+                               _shifted_solid_matrix(space, params), params.shift,
+                               data, state.w)
+    return residual[space.iface_solid_dofs]
 
 
 def solid_interface_flux(space, params, state, g, data):
@@ -423,7 +439,8 @@ def recover_c0(space, params, state, pi_q0, data):
     representative) against the L2(Gamma_s) projection of the normal field
     onto the discrete trace space.
     """
-    moments = (_fluid_flux_moments(space, params, state, pi_q0, data)
+    fluid = _momentum_residual(space, params, state.u, pi_q0, data.u_load)
+    moments = (fluid[space.iface_velocity_dofs]
                + fem.iface_pressure_normal_moments(space, pi_q0))
     moments = moments - _solid_flux_moments(space, params, state, data)
     m_gamma = fem.iface_trace_mass(space)
@@ -477,7 +494,7 @@ def check_domain_conditions(space, params, state, pi, data) -> DomainConditionRe
     den = (np.abs(div_b) @ np.abs(u)).max(initial=0.0)
     div_res = num / den if den > 0 else 0.0
 
-    fl = _fluid_flux_moments(space, params, state, pi, data)
+    fl = _momentum_residual(space, params, u, pi, data.u_load)[space.iface_velocity_dofs]
     so = _solid_flux_moments(space, params, state, data)
     scale = max(1.0, np.abs(fl).max(initial=0.0), np.abs(so).max(initial=0.0))
     a5b = np.abs(fl - so).max(initial=0.0) / scale
@@ -530,12 +547,10 @@ def monolithic_solve(space, params: MaterialParams, data: ResolventData) -> FsiS
     mat[nf + npr:, :nf] = st[ii]
     mat[nf + npr:, nf + npr:] = s_dense[np.ix_(ii, ii)]
 
-    q = lam * data.w_star + data.z_star
-    mq = mass_s @ q
-    w_lift = np.zeros(ns)
-    w_lift[bb] = data.w_star[bb] / lam
-    rhs[:nf] = data.u_load[free] + lam * (t_map.T @ (mq - s_mat @ w_lift))
-    rhs[nf + npr:] = (mq - s_mat @ w_lift)[ii]
+    w_lift = _solid_lift(space, lam, data.w_star)
+    r = _solid_residual(mass_s, s_mat, lam, data, w_lift)
+    rhs[:nf] = data.u_load[free] + lam * (t_map.T @ r)
+    rhs[nf + npr:] = r[ii]
 
     x = np.linalg.solve(mat, rhs)
     u = space.expand_velocity(x[:nf])

@@ -299,11 +299,6 @@ def factorize(a, xy=None) -> Factorization:
     return Factorization(a, xy)
 
 
-def solve(a, b):
-    """Direct sparse solve with verified relative residual <= 1e-10."""
-    return Factorization(a).solve(b)
-
-
 def _m_orthonormalize(x, m_csr):
     """Return X with X^T M X = I (Cholesky of the small Gram matrix)."""
     gram = x.T @ (m_csr @ x)

@@ -140,7 +140,7 @@ def _single_batch_fluid_norms(space, state, pi, case):
     and the physical gradients of all basis functions formed explicitly."""
     rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
     tris = space.fluid_tris
-    _, det, inv = fem._tri_geometry(space, tris)
+    det, inv = fem._tri_geometry(space, tris)
     g = fem._ref_to_phys(inv, rule)
     pts = fem.quadrature_points(space, tris, rule)
     n = fem.p2_values(rule.points)
@@ -206,7 +206,7 @@ def test_norms_do_not_depend_on_block_size(solved1, params, case, monkeypatch):
 def _per_point_fluid_error_squares(space, u, pi, case, rule, tris):
     """`analysis._fluid_error_squares` with the exact fields evaluated at
     every quadrature point of every triangle, no coordinate classes."""
-    _, det, inv = fem._tri_geometry(space, tris)
+    det, inv = fem._tri_geometry(space, tris)
     pts = fem.quadrature_points(space, tris, rule)
     ex_x, ex_y, d11, d12, d21, d22 = case.velocity_and_gradient(
         pts[..., 0], pts[..., 1])
@@ -296,7 +296,8 @@ def test_solid_error_norm_uses_given_moduli(space0, case, rng):
     err = analysis.error_norms(space0, state, np.zeros(space0.num_pressure_dofs),
                                case, stiff)
     w = state.w
-    gram = fem.assemble_solid_stiffness(space0, stiff) + fem.assemble_solid_mass(space0)
+    gram = (fem.assemble(space0, "solid_stiffness", stiff)
+            + fem.assemble(space0, "solid_mass"))
     assert err.ew_h1 == pytest.approx(math.sqrt(w @ (gram @ w)), rel=1e-12)
     # unit moduli lambda = mu = 1 give a far smaller norm, so no default is safe
     unit = analysis.error_norms(space0, state, np.zeros(space0.num_pressure_dofs),

@@ -95,7 +95,7 @@ def test_strain_annihilates_rigid_rotation(space0, params):
 
 
 def test_patch_test_rigid_motions(space1):
-    k = fem.assemble_fluid_strain(space1)
+    k = fem.assemble(space1, "fluid_strain")
     xy = space1.node_xy[space1.fluid_nodes]
     motions = [(np.ones(len(xy)), np.zeros(len(xy))),
                (np.zeros(len(xy)), np.ones(len(xy))),
@@ -159,6 +159,18 @@ def test_form_region_mismatch_raises(space0, params):
         fem.element_matrices(space0, 0, params, "nonsense")
 
 
+@pytest.mark.parametrize("form", ["nonsense", "gradient", "fluid_grad"])
+def test_assemble_rejects_unknown_form(space0, params, form):
+    # `gradient` names an element kernel, not an assembled form
+    with pytest.raises(ValueError, match="form must be one of"):
+        fem.assemble(space0, form, params)
+
+
+def test_assemble_stiffness_needs_moduli(space0):
+    with pytest.raises(ValueError, match="Lame moduli"):
+        fem.assemble(space0, "solid_stiffness")
+
+
 def _edge_flux(space, tri, coeffs):
     """Boundary integral of v . nu over one triangle via 1D Gauss."""
     nodes = space.tri_nodes[tri]
@@ -206,17 +218,50 @@ def _assert_grouped_matches_per_triangle(space, params):
             per_triangle = fem._element_kernel(jac, params, form)
             assert grouped.shape == per_triangle.shape
             assert grouped.tobytes() == per_triangle.tobytes(), (region, form)
-    # and through the scatter: the cached stiffness is the per-triangle sum
-    tris = space.solid_tris
-    dofs = space.solid_dofs_of_tris(tris)
-    n = space.num_solid_dofs
-    reference = fem._scatter(fem._element_kernel(fem._jacobians(space, tris), params,
-                                                 "solid_stiffness"), dofs, dofs, (n, n))
-    assembled = fem.solid_operators(space, params).stiffness
-    assert assembled.indices.dtype == reference.indices.dtype == np.int32
-    assert np.array_equal(assembled.indptr, reference.indptr)
-    assert np.array_equal(assembled.indices, reference.indices)
-    assert assembled.data.tobytes() == reference.data.tobytes()
+    # and through the scatter: every assembled form is the sum of its
+    # per-triangle matrices, placed by the row and column dofs written out
+    # here independently of fem's form table
+    layouts = _form_layouts(space)
+    assert set(layouts) == set(fem.FORMS)
+    for form, (tris, kernel, (rows, n_rows), (cols, n_cols)) in layouts.items():
+        local = fem._element_kernel(fem._jacobians(space, tris), params, kernel)
+        reference = fem._scatter(local, rows, cols, (n_rows, n_cols))
+        _assert_same_csr(fem.assemble(space, form, params), reference, form)
+    # the cached operators are the assembled forms
+    stiffness = fem.assemble(space, "solid_stiffness", params)
+    _assert_same_csr(fem.solid_operators(space, params).stiffness, stiffness, "cached")
+
+
+def _form_layouts(space):
+    """form -> (triangles, element kernel, (row dofs, rows), (column dofs, columns))."""
+    fluid, solid = space.fluid_tris, space.solid_tris
+
+    def interleaved(loc):   # dof = 2*node + component, nodes in element order
+        return np.stack([2 * loc, 2 * loc + 1], axis=2).reshape(len(loc), 12)
+
+    velocity = (interleaved(space.fluid_loc[space.tri_nodes[fluid]]),
+                space.num_velocity_dofs)
+    pressure = (space.pressure_loc[space.mesh.triangles[fluid]], space.num_pressure_dofs)
+    displacement = (interleaved(space.solid_loc[space.tri_nodes[solid]]),
+                    space.num_solid_dofs)
+    return {
+        "fluid_mass": (fluid, "fluid_mass", velocity, velocity),
+        "fluid_strain": (fluid, "fluid_strain", velocity, velocity),
+        "fluid_gradient": (fluid, "gradient", velocity, velocity),
+        "divergence": (fluid, "divergence", pressure, velocity),
+        "pressure_mass": (fluid, "pressure_mass", pressure, pressure),
+        "solid_mass": (solid, "solid_mass", displacement, displacement),
+        "solid_stiffness": (solid, "solid_stiffness", displacement, displacement),
+        "solid_gradient": (solid, "gradient", displacement, displacement),
+    }
+
+
+def _assert_same_csr(a, b, label):
+    assert a.shape == b.shape, label
+    assert a.indices.dtype == b.indices.dtype == np.int32, label
+    assert np.array_equal(a.indptr, b.indptr), label
+    assert np.array_equal(a.indices, b.indices), label
+    assert a.data.tobytes() == b.data.tobytes(), label
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -246,7 +291,7 @@ def test_jittered_mesh_gives_one_class_per_triangle(jittered_mesh1, kernel_calls
     fem.fluid_operators(space)
     fem.solid_operators(space, fem.MaterialParams())
     seen = [n for _, n in kernel_calls]
-    assert seen == [space.fluid_tris.size] * 5 + [space.solid_tris.size] * 3
+    assert seen == [space.fluid_tris.size] * 4 + [space.solid_tris.size] * 3
     _assert_grouped_matches_per_triangle(
         space, fem.MaterialParams(lame_lambda=3.0, lame_mu=0.7))
 
@@ -256,7 +301,7 @@ def test_kernel_runs_once_per_jacobian_class(kernel_calls):
     assert (space.fluid_tris.size, space.solid_tris.size) == (4096, 512)
     fem.fluid_operators(space)
     fem.solid_operators(space, fem.MaterialParams())
-    fluid = ("fluid_mass", "fluid_strain", "gradient", "divergence", "pressure_mass")
+    fluid = ("fluid_mass", "fluid_strain", "divergence", "pressure_mass")
     solid = ("solid_mass", "gradient", "solid_stiffness")
     assert kernel_calls == [(f, 124) for f in fluid] + [(f, 28) for f in solid]
 

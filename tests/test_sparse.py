@@ -11,14 +11,14 @@ from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
 
 def test_identity_solve():
     b = np.arange(6, dtype=float)
-    x, report = sla.solve(sp.identity(6, format="csr"), b)
+    x, report = sla.factorize(sp.identity(6, format="csr")).solve(b)
     assert np.array_equal(x, b)
     assert report.residual == 0.0
 
 
 def test_zero_rhs_gives_zero():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x, _ = sla.solve(a, np.zeros(2))
+    x, _ = sla.factorize(a).solve(np.zeros(2))
     assert np.all(x == 0.0)
 
 
@@ -28,7 +28,7 @@ def test_level0_saddle_vs_dense_oracle(space0, params, rng):
     b = rng.standard_normal(a.shape[0])
     x_dense = np.linalg.solve(a.toarray(), b)
     # COLAMD (no coordinates) and the operator's nested-dissection factor
-    for x_sparse, report in (sla.solve(a, b), op.factor.solve(b)):
+    for x_sparse, report in (sla.factorize(a).solve(b), op.factor.solve(b)):
         assert report.residual <= 1e-10
         assert np.linalg.norm(x_sparse - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
 
@@ -47,22 +47,22 @@ def test_symmetric_transpose_agreement(rng):
     base = sp.random(150, 150, density=0.08, random_state=11, format="csr")
     a = (base + base.T + 20 * sp.identity(150)).tocsr()
     b = rng.standard_normal(150)
-    x, _ = sla.solve(a, b)
-    xt, _ = sla.solve(a.T.tocsr(), b)
+    x, _ = sla.factorize(a).solve(b)
+    xt, _ = sla.factorize(a.T.tocsr()).solve(b)
     assert np.linalg.norm(x - xt) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_singular_matrix_reports_pivot():
     a = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
     with pytest.raises(sla.SingularMatrixError) as err:
-        sla.solve(a, np.ones(3))
+        sla.factorize(a).solve(np.ones(3))
     assert err.value.pivot == 1
 
 
 def test_dimension_mismatch_raises():
     a = sp.identity(4, format="csr")
     with pytest.raises(ValueError, match="mismatch"):
-        sla.solve(a, np.ones(5))
+        sla.factorize(a).solve(np.ones(5))
     with pytest.raises(ValueError, match="square"):
         sla.factorize(sp.csr_matrix(np.ones((2, 3))))
 
@@ -73,7 +73,7 @@ def test_coo_duplicates_are_summed():
     cols = np.array([1, 1, 0, 0, 0, 1])
     vals = np.array([2.0, 3.0, 1.0, 4.0, -4.0, 2.0])
     a = sp.coo_matrix((vals, (rows, cols)), shape=(2, 2))
-    x, report = sla.solve(a, np.array([11.0, 4.0]))
+    x, report = sla.factorize(a).solve(np.array([11.0, 4.0]))
     assert np.allclose(x, [1.0, 2.0], rtol=1e-15)
     assert report.residual <= 1e-15
 
@@ -178,7 +178,7 @@ def test_report_fields_are_measured(space0, params):
     a = solver._operator(space0, params).saddle
     rng = np.random.default_rng(5)
     b = rng.standard_normal(a.shape[0])
-    x, report = sla.solve(a, b)
+    x, report = sla.factorize(a).solve(b)
     direct = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
     assert report.residual == pytest.approx(direct, rel=1e-6)
     assert report.pivot_growth >= 1.0
@@ -191,7 +191,7 @@ def test_pivot_growth_is_max_abs_u_over_max_abs_a(space0, params, rng):
     xy = solver.saddle_coordinates(space0, space0.solid_interior_dofs)
     cases = [(saddle, xy),                                   # nested dissection
              (saddle, None), (-saddle, None),                # COLAMD
-             (fem.assemble_fluid_mass(space0), None),        # minimum degree
+             (fem.assemble(space0, "fluid_mass"), None),        # minimum degree
              (sp.csr_matrix(rng.standard_normal((40, 40))), None)]
     for a, coordinates in cases:
         factor = sla.Factorization(a, xy=coordinates)
