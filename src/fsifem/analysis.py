@@ -202,17 +202,14 @@ def _halton(n, base):
 def fluid_sample_points(count=1000):
     """Quasi-random (Halton) points of the fluid region."""
     n_raw = int(count * 1.6) + 32
-    x = _halton(n_raw, 2)
-    y = _halton(n_raw, 3)
-    inside_solid = (x >= 1/3) & (x <= 2/3) & (y >= 1/3) & (y <= 2/3)
-    x, y = x[~inside_solid], y[~inside_solid]
-    while x.size < count:   # top up, the rejection rate is only 1/9
-        n_raw *= 2
+    while True:   # the rejection rate is only 1/9: this rarely doubles
         x = _halton(n_raw, 2)
         y = _halton(n_raw, 3)
         inside_solid = (x >= 1/3) & (x <= 2/3) & (y >= 1/3) & (y <= 2/3)
         x, y = x[~inside_solid], y[~inside_solid]
-    return x[:count], y[:count]
+        if x.size >= count:
+            return x[:count], y[:count]
+        n_raw *= 2
 
 
 def verify_data_identity(case: ManufacturedCase, count=1000) -> float:

@@ -30,6 +30,11 @@ _DEFAULT_LEVELS = {"resolvent": [1], "convergence": [0, 1, 2, 3],
                    "infsup": [0, 1, 2, 3], "evolve": [1], "certify": [0, 1]}
 
 
+# RunConfig field -> the flag that sets it
+_FLAGS = {"shift": "--lambda", "lame_lambda": "--lame-lambda", "lame_mu": "--mu",
+          "t_final": "--t-final", "n_steps": "--steps"}
+
+
 @dataclass
 class RunConfig:
     mode: str
@@ -51,22 +56,24 @@ class RunConfig:
             raise ValueError(f"levels must be nonnegative, got {self.levels}")
         if self.levels != sorted(set(self.levels)):
             raise ValueError(f"levels must be ascending and distinct, got {self.levels}")
-        if not self.shift > 0:
-            raise ValueError(f"lambda must be positive, got {self.shift}")
-        if not self.lame_mu > 0:
-            raise ValueError(f"mu must be positive, got {self.lame_mu}")
-        if self.lame_lambda < 0:
-            raise ValueError(f"lame-lambda must be nonnegative, got {self.lame_lambda}")
-        if self.mode == "evolve":
-            if not self.t_final > 0:
-                raise ValueError(f"t-final must be positive, got {self.t_final}")
-            if self.n_steps < 1:
-                raise ValueError(f"steps must be at least 1, got {self.n_steps}")
+        # the parameter objects check their own fields and name the bad
+        # one first in the message; the usage error adds its flag
+        try:
+            self.params
+            if self.mode == "evolve":
+                self.evolution
+        except ValueError as err:
+            name = str(err).split(" ", 1)[0]
+            raise ValueError(f"{_FLAGS.get(name, name)}: {err}") from err
 
     @property
     def params(self):
         return fem.MaterialParams(lame_lambda=self.lame_lambda,
                                   lame_mu=self.lame_mu, shift=self.shift)
+
+    @property
+    def evolution(self):
+        return semigroup.EvolutionConfig(t_final=self.t_final, n_steps=self.n_steps)
 
 
 def _parse_levels(text):
@@ -242,7 +249,7 @@ def run_evolve(cfg: RunConfig) -> bool:
     space = fem.build_space(meshmod.generate(level))
     case = analysis.manufactured_case(cfg.shift)
     initial = _evolve_initial_state(space, case, cfg.params)
-    config = semigroup.EvolutionConfig(t_final=cfg.t_final, n_steps=cfg.n_steps)
+    config = cfg.evolution
     result = semigroup.evolve(space, cfg.params, initial, config)
     path = _write(cfg, "energy_trace.csv", result.trace.csv())
     totals = [row.e_total for row in result.trace.rows]

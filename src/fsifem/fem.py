@@ -45,8 +45,11 @@ their vertex x-triples and, separately, y-triples, and evaluate the
 separable exact field on one representative per class.  Every
 global matrix then goes through one COO-to-CSR scatter (`_scatter`) whose
 row and column arrays are built as int32, the index type of the result.
-The interface-edge integrals are vectorized over the edges and accumulate
-with `np.add.at` in edge order, the order of a loop over the edges.
+The space reads no grid layout: each interface edge takes its length from
+its vertex coordinates and its unit normal from the edge vector, turned to
+point out of its fluid triangle (`TriMesh.edge_triangles`), so a jittered
+or rotated mesh passes through `build_space` too.  The interface-edge
+integrals accumulate with `np.add.at` in edge order, as a loop would.
 """
 
 from __future__ import annotations
@@ -184,11 +187,9 @@ class TaylorHoodSpace:
         self._cache = {}
         nv = mesh.num_vertices
 
-        # global scalar P2 nodes: vertices then edge midpoints
-        edge_key = mesh.edges[:, 0] * nv + mesh.edges[:, 1]
-        order = np.argsort(edge_key)
-        self._edge_key_sorted = edge_key[order]
-        self._edge_perm = order
+        # global scalar P2 nodes: vertices then edge midpoints; the mesh
+        # sorts its edges by this key
+        self._edge_key = mesh.edges[:, 0] * nv + mesh.edges[:, 1]
         mid_xy = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         self.node_xy = np.vstack([mesh.vertices, mid_xy])
         self.num_nodes = nv + mesh.edges.shape[0]
@@ -256,28 +257,24 @@ class TaylorHoodSpace:
 
     def _edge_index(self, a, b):
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        key = lo * self.mesh.num_vertices + hi
-        pos = np.searchsorted(self._edge_key_sorted, key)
-        return self._edge_perm[pos]
+        return np.searchsorted(self._edge_key, lo * self.mesh.num_vertices + hi)
 
     def _build_iface_edges(self, gs_mask):
         m = self.mesh
-        n, s = m.n, m.n // 3
         eids = np.flatnonzero(gs_mask)
         v0, v1 = m.edges[eids, 0], m.edges[eids, 1]
-        i0, j0 = m.vertex_ij(v0)
-        normals = np.zeros((eids.size, 2))
-        vertical = i0 == (m.edges[eids, 1] % (n + 1))
+        tris = m.edge_triangles[eids]
+        fluid = np.where(m.tri_region[tris[:, 0]] == meshmod.FLUID, tris[:, 0], tris[:, 1])
+        apex = m.triangles[fluid].sum(axis=1) - v0 - v1   # fluid vertex off the edge
+        tangent = m.vertices[v1] - m.vertices[v0]
+        length = np.hypot(tangent[:, 0], tangent[:, 1])
+        normals = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / length[:, None]
         # normal points out of the fluid, into the solid
-        normals[vertical & (i0 == s)] = (1.0, 0.0)
-        normals[vertical & (i0 == 2 * s)] = (-1.0, 0.0)
-        horizontal = ~vertical
-        normals[horizontal & (j0 == s)] = (0.0, 1.0)
-        normals[horizontal & (j0 == 2 * s)] = (0.0, -1.0)
+        normals[np.sum((m.vertices[apex] - m.vertices[v0]) * normals, axis=1) > 0] *= -1.0
         self.iface_edge_nodes = np.column_stack([
             v0, v1, m.num_vertices + eids])          # scalar global nodes
         self.iface_edge_normals = normals
-        self.iface_edge_length = 1.0 / n
+        self.iface_edge_length = length
         # position of each edge node inside self.iface_nodes
         self.iface_node_pos = _inverse_map(self.iface_nodes, self.num_nodes)
 
@@ -623,7 +620,7 @@ def iface_trace_mass(space):
     ni = space.iface_nodes.size
     t, w = _edge_rule()
     n = _edge_shape(t)
-    mloc = space.iface_edge_length * np.einsum("q,qi,qj->ij", w, n, n)
+    mloc = space.iface_edge_length[:, None, None] * np.einsum("q,qi,qj->ij", w, n, n)
     pos = space.iface_node_pos[space.iface_edge_nodes]           # (ne, 3)
     m = np.zeros((ni, ni))
     # np.add.at applies the edges in order, as a loop over edges would
@@ -637,9 +634,9 @@ def iface_trace_mass(space):
 def iface_normal_moments(space):
     """Vector r with r_i = integral over Gamma_s of nu . phi_i ds."""
     t, w = _edge_rule()
-    shape_int = space.iface_edge_length * (w @ _edge_shape(t))   # (3,)
+    shape_int = space.iface_edge_length[:, None] * (w @ _edge_shape(t))   # (ne, 3)
     r = np.zeros(2 * space.iface_nodes.size)
-    contrib = space.iface_edge_normals[:, None, :] * shape_int[None, :, None]
+    contrib = space.iface_edge_normals[:, None, :] * shape_int[:, :, None]
     np.add.at(r, _iface_vector_positions(space), contrib)
     return r
 
@@ -663,7 +660,7 @@ def iface_pressure_normal_moments(space, pressure):
     n = _edge_shape(t)
     p = _iface_edge_pressures(space, pressure)
     pvals = p[:, :1] * (1.0 - t) + p[:, 1:] * t                   # (ne, nq)
-    contrib = space.iface_edge_length * np.einsum("q,eq,qi->ei", w, pvals, n)
+    contrib = space.iface_edge_length[:, None] * np.einsum("q,eq,qi->ei", w, pvals, n)
     m = np.zeros(2 * space.iface_nodes.size)
     np.add.at(m, _iface_vector_positions(space),
               space.iface_edge_normals[:, None, :] * contrib[:, :, None])
@@ -671,7 +668,7 @@ def iface_pressure_normal_moments(space, pressure):
 
 
 def iface_perimeter(space):
-    return space.iface_edge_nodes.shape[0] * space.iface_edge_length
+    return float(space.iface_edge_length.sum())
 
 
 # ---------------------------------------------------------------------------

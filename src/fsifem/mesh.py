@@ -12,15 +12,19 @@ the parent triangles, and no fluid triangle has all three vertices on the
 outer boundary (a single parallel orientation would violate that at two
 corners of the square).
 
-Vertex coordinates are the rationals i/n evaluated in double precision;
-all region and boundary membership is decided by integer index arithmetic,
-never by floating-point comparison against 1/3.
+Vertex coordinates are the rationals i/n evaluated in double precision.
+`generate` decides region membership by integer index arithmetic, never by
+floating-point comparison against 1/3; it is the only place that knows the
+grid layout.  Everything else comes from connectivity: `edge_topology`
+finds the unique edges and each edge's one or two triangles in one
+vectorized pass, and the edge tags follow from those triangles' regions.
+`validate` reruns the same pass to check a mesh read from a file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +57,11 @@ class TriMesh:
     vertices     (nv, 2) float64 coordinates in [0,1]^2
     triangles    (nt, 3) int64 vertex indices, positively oriented
     tri_region   (nt,)  FLUID or SOLID
-    edges        (ne, 2) int64 vertex pairs, v0 < v1
+    edges        (ne, 2) int64 vertex pairs, v0 < v1, sorted by v0 * nv + v1
     edge_tag     (ne,)  GAMMA_F, GAMMA_S or INTERIOR
+    edge_triangles (ne, 2) int64 the one or two triangles of each edge,
+                 -1 for the missing one
     level        refinement level, grid size n = 6 * 2**level
-    hypotenuse   diagonal edge length, (sqrt(2)/6) * 2**(-level)
     """
 
     vertices: np.ndarray
@@ -64,23 +69,26 @@ class TriMesh:
     tri_region: np.ndarray
     edges: np.ndarray
     edge_tag: np.ndarray
+    edge_triangles: np.ndarray
     level: int
-    hypotenuse: float
-    n: int = field(repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, TriMesh):
             return NotImplemented
-        return (
-            self.level == other.level
-            and self.n == other.n
-            and self.hypotenuse == other.hypotenuse
-            and np.array_equal(self.vertices, other.vertices)
-            and np.array_equal(self.triangles, other.triangles)
-            and np.array_equal(self.tri_region, other.tri_region)
-            and np.array_equal(self.edges, other.edges)
-            and np.array_equal(self.edge_tag, other.edge_tag)
-        )
+        return self.level == other.level and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("vertices", "triangles", "tri_region", "edges",
+                         "edge_tag", "edge_triangles"))
+
+    @property
+    def n(self):
+        """Cells per side of the level's grid, 6 * 2**level."""
+        return 6 * 2**self.level
+
+    @property
+    def hypotenuse(self):
+        """Diagonal edge length, (sqrt(2)/6) * 2**(-level)."""
+        return math.sqrt(2.0) / self.n
 
     @property
     def num_triangles(self):
@@ -89,11 +97,6 @@ class TriMesh:
     @property
     def num_vertices(self):
         return self.vertices.shape[0]
-
-    def vertex_ij(self, v):
-        """Grid indices (i, j) of vertex ids; coordinates are (i/n, j/n)."""
-        v = np.asarray(v)
-        return v % (self.n + 1), v // (self.n + 1)
 
 
 def generate(level: int) -> TriMesh:
@@ -138,53 +141,65 @@ def generate(level: int) -> TriMesh:
     tri_region[0::2] = np.where(solid_cell, SOLID, FLUID)
     tri_region[1::2] = tri_region[0::2]
 
-    edges, edge_tag = _build_edges(triangles, n, s)
-
+    edges, edge_triangles = edge_topology(triangles, vertices.shape[0])
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
         tri_region=tri_region,
         edges=edges,
-        edge_tag=edge_tag,
+        edge_tag=_edge_tags(edge_triangles, tri_region),
+        edge_triangles=edge_triangles,
         level=level,
-        hypotenuse=math.sqrt(2.0) / n,
-        n=n,
     )
 
 
-def _build_edges(triangles, n, s):
+def edge_topology(triangles, num_vertices):
+    """Unique edges and the triangles on their sides, in one vectorized pass.
+
+    Returns `edges` (ne, 2) with v0 < v1, sorted by the key v0 * nv + v1,
+    and `edge_triangles` (ne, 2), the one or two triangles of each edge
+    with -1 for the missing one.  An edge of three or more triangles is a
+    MeshError.
+    """
     pairs = np.concatenate([
         triangles[:, [0, 1]],
         triangles[:, [1, 2]],
         triangles[:, [2, 0]],
     ])
     pairs.sort(axis=1)
-    edges = np.unique(pairs, axis=0)
+    key = pairs[:, 0] * num_vertices + pairs[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[start, key.size])
+    if np.any(count > 2):
+        k = np.argmax(count)
+        raise MeshError(f"edge {pairs[order[start[k]]].tolist()} shared by "
+                        f"{count[k]} triangles")
+    tri = order % triangles.shape[0]    # pair p comes from triangle p mod nt
+    edge_triangles = np.full((start.size, 2), -1, dtype=np.int64)
+    edge_triangles[:, 0] = tri[start]
+    two = count == 2
+    edge_triangles[two, 1] = tri[start[two] + 1]
+    return pairs[order[start]], edge_triangles
 
-    i0, j0 = edges[:, 0] % (n + 1), edges[:, 0] // (n + 1)
-    i1, j1 = edges[:, 1] % (n + 1), edges[:, 1] // (n + 1)
 
-    vert = i0 == i1   # edge along a vertical grid line
-    horz = j0 == j1
-    on_gamma_f = (vert & ((i0 == 0) | (i0 == n))) | (horz & ((j0 == 0) | (j0 == n)))
-    jlo, jhi = np.minimum(j0, j1), np.maximum(j0, j1)
-    ilo, ihi = np.minimum(i0, i1), np.maximum(i0, i1)
-    on_gamma_s = (
-        (vert & ((i0 == s) | (i0 == 2 * s)) & (jlo >= s) & (jhi <= 2 * s))
-        | (horz & ((j0 == s) | (j0 == 2 * s)) & (ilo >= s) & (ihi <= 2 * s))
-    )
-
-    edge_tag = np.full(edges.shape[0], INTERIOR, dtype=np.int8)
-    edge_tag[on_gamma_f] = GAMMA_F
-    edge_tag[on_gamma_s] = GAMMA_S
-    return edges, edge_tag
+def _edge_tags(edge_triangles, tri_region):
+    """An edge of one triangle lies on Gamma_f, an edge between triangles
+    of different regions on Gamma_s; every other edge is interior."""
+    t0, t1 = edge_triangles[:, 0], edge_triangles[:, 1]
+    edge_tag = np.full(t0.size, INTERIOR, dtype=np.int8)
+    edge_tag[t1 < 0] = GAMMA_F
+    edge_tag[(t1 >= 0) & (tri_region[t0] != tri_region[t1])] = GAMMA_S
+    return edge_tag
 
 
 def refine(mesh: TriMesh) -> TriMesh:
     """Refine by a factor of 2: every parent triangle becomes 4 children.
 
-    Because all diagonals are parallel, the level-(k+1) structured mesh is
-    exactly the 4-way subdivision of the level-k mesh, so this regenerates.
+    The four child cells of a cell lie in its quadrant and take the
+    direction of its diagonal, so the level-(k+1) structured mesh is exactly
+    the 4-way subdivision of the level-k mesh, and this regenerates.
     """
     return generate(mesh.level + 1)
 
@@ -246,9 +261,8 @@ def import_mesh(path) -> TriMesh:
         tri_region=tri_region,
         edges=edges,
         edge_tag=edge_tag,
+        edge_triangles=edge_topology(triangles, nvert)[1],
         level=level,
-        hypotenuse=math.sqrt(2.0) / (6 * 2**level),
-        n=6 * 2**level,
     )
     validate(mesh)
     return mesh
@@ -260,30 +274,11 @@ def signed_areas(mesh: TriMesh) -> np.ndarray:
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
-def edge_triangle_incidence(mesh: TriMesh):
-    """For each edge, the list of triangle indices sharing it."""
-    pairs = np.concatenate([
-        mesh.triangles[:, [0, 1]],
-        mesh.triangles[:, [1, 2]],
-        mesh.triangles[:, [2, 0]],
-    ])
-    pairs.sort(axis=1)
-    tri_ids = np.tile(np.arange(mesh.num_triangles), 3)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs, tri_ids = pairs[order], tri_ids[order]
-    incidence = {}
-    for (a, b), t in zip(map(tuple, pairs), tri_ids):
-        incidence.setdefault((a, b), []).append(t)
-    return incidence
-
-
 def validate(mesh: TriMesh) -> None:
     """Check every structural invariant; raise MeshError on violation."""
-    n, s = mesh.n, mesh.n // 3
+    n = mesh.n
     if mesh.num_triangles != 2 * n * n:
         raise MeshError(f"expected {2 * n * n} triangles, found {mesh.num_triangles}")
-    if not math.isclose(mesh.hypotenuse, math.sqrt(2.0) / n, rel_tol=1e-15):
-        raise MeshError("hypotenuse inconsistent with level")
 
     areas = signed_areas(mesh)
     if np.any(areas <= 0):
@@ -294,33 +289,26 @@ def validate(mesh: TriMesh) -> None:
     if abs(fluid_area - 8.0 / 9.0) > 1e-14 or abs(solid_area - 1.0 / 9.0) > 1e-14:
         raise MeshError(f"region areas {fluid_area}, {solid_area} do not tile 8/9 + 1/9")
 
-    incidence = edge_triangle_incidence(mesh)
-    tag_of = {tuple(e): t for e, t in zip(mesh.edges, mesh.edge_tag)}
-    if len(tag_of) != len(incidence):
+    edges, edge_triangles = edge_topology(mesh.triangles, mesh.num_vertices)
+    if not (np.array_equal(mesh.edges, edges)
+            and np.array_equal(mesh.edge_triangles, edge_triangles)):
         raise MeshError("edge list does not match triangle connectivity")
-    for e, tris in incidence.items():
-        tag = tag_of.get(e)
-        if tag is None:
-            raise MeshError(f"edge {e} missing from edge list")
-        regions = sorted(mesh.tri_region[t] for t in tris)
-        if tag == GAMMA_F:
-            if len(tris) != 1 or regions != [FLUID]:
-                raise MeshError(f"outer-boundary edge {e} not a single fluid triangle")
-        elif tag == GAMMA_S:
-            if len(tris) != 2 or regions != [FLUID, SOLID]:
-                raise MeshError(f"interface edge {e} not a fluid/solid pair")
-        else:
-            if len(tris) != 2 or regions[0] != regions[1]:
-                raise MeshError(f"interior edge {e} shared by {len(tris)} triangles "
-                                f"with regions {regions}")
+    expected = _edge_tags(edge_triangles, mesh.tri_region)
+    wrong = np.flatnonzero(mesh.edge_tag != expected)
+    if wrong.size:
+        e = wrong[0]
+        raise MeshError(
+            f"edge {edges[e].tolist()} tagged {EDGE_NAMES[mesh.edge_tag[e]]}, but its "
+            f"triangles {edge_triangles[e].tolist()} make it {EDGE_NAMES[expected[e]]}")
+    if np.any(mesh.tri_region[edge_triangles[expected == GAMMA_F, 0]] != FLUID):
+        raise MeshError("an outer-boundary edge belongs to a solid triangle")
 
     n_iface = int(np.sum(mesh.edge_tag == GAMMA_S))
     if n_iface != 8 * 2**mesh.level:
         raise MeshError(f"expected {8 * 2**mesh.level} interface edges, found {n_iface}")
 
     # inf-sup vertex condition: every fluid triangle has a vertex off Gamma_f
-    i, j = mesh.vertex_ij(mesh.triangles)
-    on_outer = (i == 0) | (i == n) | (j == 0) | (j == n)
-    fluid = mesh.tri_region == FLUID
-    if np.any(np.all(on_outer[fluid], axis=1)):
+    on_outer = np.zeros(mesh.num_vertices, dtype=bool)
+    on_outer[mesh.edges[mesh.edge_tag == GAMMA_F]] = True
+    if np.any(np.all(on_outer[mesh.triangles[mesh.tri_region == FLUID]], axis=1)):
         raise MeshError("a fluid triangle has all vertices on Gamma_f")

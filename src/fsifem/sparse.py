@@ -17,7 +17,10 @@ by minimum degree and prefers diagonal pivots; otherwise it uses COLAMD
 with partial pivoting.  The wrapper enforces the contracts this package
 relies on: every solve reports its measured relative residual, singular
 factors raise with the offending pivot index in the caller's numbering,
-and repeated solves of identical inputs are bitwise reproducible.
+and repeated solves of identical inputs are bitwise reproducible.  A
+factor is singular when a pivot has |u_kk| <= _PIVOT_TOL * max|A| with
+_PIVOT_TOL = 1e-14, the one rule both for SuperLU's factor and for the
+dense LU that locates the pivot after SuperLU itself fails.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import scipy.sparse.linalg as spla
 EIG_TOL = 1e-8
 EIG_MAX_ITER = 500
 _SOLVE_TOL = 1e-10
+_PIVOT_TOL = 1e-14   # singular pivot: |u_kk| <= _PIVOT_TOL * max|A|
 _ND_LEAF = 16      # nested dissection numbers blocks of at most this many unknowns whole
 
 
@@ -109,12 +113,12 @@ class Factorization:
         try:
             self._lu = spla.splu(csr.tocsc(), **ordering)
         except RuntimeError as err:
-            raise SingularMatrixError(self._caller_index(_locate_pivot(csr)),
-                                      str(err)) from err
+            pivot = self._caller_index(_locate_pivot(csr, self._max_a))
+            raise SingularMatrixError(pivot, str(err)) from err
         self.factor_time = time.perf_counter() - t0
         u = self._lu.U
         udiag = np.abs(u.diagonal())
-        if self._max_a > 0 and udiag.min() <= 1e-14 * self._max_a:
+        if self._max_a > 0 and udiag.min() <= _PIVOT_TOL * self._max_a:
             pivot = self._caller_index(int(np.argmin(udiag)))
             raise SingularMatrixError(pivot, "factorization singular to tolerance "
                                              f"(pivot {pivot})")
@@ -282,16 +286,16 @@ def nested_dissection(a, xy):
     return np.argsort(where[node], kind="stable")
 
 
-def _locate_pivot(csr):
-    """Best-effort pivot index for a singular matrix (dense LU on small systems)."""
+def _locate_pivot(csr, max_a):
+    """Best-effort pivot index for a singular matrix (dense LU on small
+    systems); max_a is max|A|."""
     n = csr.shape[0]
     if n > 4000:
         return -1
     import scipy.linalg as dla
     _, _, u = dla.lu(csr.toarray())
     d = np.abs(np.diag(u))
-    scale = np.abs(csr.data).max() if csr.nnz else 1.0
-    bad = np.flatnonzero(d <= 1e-14 * max(scale, 1.0))
+    bad = np.flatnonzero(d <= _PIVOT_TOL * max_a)
     return int(bad[0]) if bad.size else int(np.argmin(d))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -312,11 +313,11 @@ def _loop_trace_mass(space):
     ni = space.iface_nodes.size
     t, w = fem.gauss_legendre_01(4)
     n = fem._edge_shape(t)
-    mloc = space.iface_edge_length * np.einsum("q,qi,qj->ij", w, n, n)
+    mref = np.einsum("q,qi,qj->ij", w, n, n)
     m = np.zeros((ni, ni))
-    for enodes in space.iface_edge_nodes:
+    for enodes, h in zip(space.iface_edge_nodes, space.iface_edge_length):
         pos = space.iface_node_pos[enodes]
-        m[np.ix_(pos, pos)] += mloc
+        m[np.ix_(pos, pos)] += h * mref
     out = np.zeros((2 * ni, 2 * ni))
     out[0::2, 0::2] = m
     out[1::2, 1::2] = m
@@ -325,19 +326,19 @@ def _loop_trace_mass(space):
 
 def _loop_normal_moments(space):
     t, w = fem.gauss_legendre_01(4)
-    shape_int = space.iface_edge_length * (w @ fem._edge_shape(t))
+    shape_ref = w @ fem._edge_shape(t)
     r = np.zeros(2 * space.iface_nodes.size)
-    for enodes, nu in zip(space.iface_edge_nodes, space.iface_edge_normals):
+    for enodes, nu, h in zip(space.iface_edge_nodes, space.iface_edge_normals,
+                             space.iface_edge_length):
         pos = space.iface_node_pos[enodes]
         for comp in range(2):
-            r[2 * pos + comp] += nu[comp] * shape_int
+            r[2 * pos + comp] += nu[comp] * (h * shape_ref)
     return r
 
 
 def _loop_pressure_integral(space, pressure):
     total = 0.0
-    h = space.iface_edge_length
-    for enodes in space.iface_edge_nodes:
+    for enodes, h in zip(space.iface_edge_nodes, space.iface_edge_length):
         pv = space.pressure_loc[enodes[:2]]
         total += 0.5 * h * (pressure[pv[0]] + pressure[pv[1]])
     return total
@@ -346,9 +347,9 @@ def _loop_pressure_integral(space, pressure):
 def _loop_pressure_normal_moments(space, pressure):
     t, w = fem.gauss_legendre_01(4)
     n = fem._edge_shape(t)
-    h = space.iface_edge_length
     m = np.zeros(2 * space.iface_nodes.size)
-    for enodes, nu in zip(space.iface_edge_nodes, space.iface_edge_normals):
+    for enodes, nu, h in zip(space.iface_edge_nodes, space.iface_edge_normals,
+                             space.iface_edge_length):
         pv = space.pressure_loc[enodes[:2]]
         pvals = pressure[pv[0]] * (1.0 - t) + pressure[pv[1]] * t
         contrib = h * np.einsum("q,q,qi->i", w, pvals, n)
@@ -368,6 +369,33 @@ def test_interface_integrals_match_edge_loop_bitwise(level, rng):
             == _loop_pressure_integral(space, pressure))
     assert np.array_equal(fem.iface_pressure_normal_moments(space, pressure),
                           _loop_pressure_normal_moments(space, pressure))
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_interface_geometry_from_coordinates(level):
+    space = fem.build_space(meshmod.generate(level))
+    # each edge's own length, within roundoff of the grid spacing 1/n
+    n = 6 * 2**level
+    assert np.abs(space.iface_edge_length * n - 1.0).max() <= 2e-14
+    # axis-aligned unit normals that point from the edge into the solid
+    nu = space.iface_edge_normals
+    assert np.all(np.sort(np.abs(nu), axis=1) == (0.0, 1.0))
+    mid = space.node_xy[space.iface_edge_nodes[:, 2]] + 0.25 / n * nu
+    assert np.all((mid > 1 / 3) & (mid < 2 / 3))
+
+
+def test_rotated_mesh_rotates_interface_geometry(mesh1, space1):
+    # the space reads the geometry, not the grid layout: normals and the
+    # perimeter follow a rigid rotation of the vertices
+    angle = 0.7
+    rot = np.array([[math.cos(angle), -math.sin(angle)],
+                    [math.sin(angle), math.cos(angle)]])
+    rotated = dataclasses.replace(mesh1, vertices=mesh1.vertices @ rot.T)
+    space = fem.build_space(rotated)
+    assert np.array_equal(space.iface_edge_nodes, space1.iface_edge_nodes)
+    assert np.abs(space.iface_edge_normals
+                  - space1.iface_edge_normals @ rot.T).max() <= 1e-15
+    assert abs(fem.iface_perimeter(space) - 4.0 / 3.0) <= 1e-14
 
 
 # -- interpolation -----------------------------------------------------------

@@ -38,6 +38,13 @@ def test_region_areas_tile_exactly(level):
     assert abs(areas[m.tri_region == meshmod.SOLID].sum() - 1.0 / 9.0) <= 1e-14
 
 
+def _grid_ij(m, v):
+    """Grid indices (i, j) of vertex ids, read from their coordinates
+    (i/n, j/n): an oracle independent of the vertex numbering."""
+    ij = np.rint(m.vertices[v] * m.n).astype(np.int64)
+    return ij[..., 0], ij[..., 1]
+
+
 @pytest.mark.parametrize("level", range(4))
 def test_interface_edges(level):
     m = meshmod.generate(level)
@@ -45,16 +52,54 @@ def test_interface_edges(level):
     assert iface.shape[0] == 8 * 2**level
     # all interface edges lie on the perimeter of [1/3, 2/3]^2
     n, s = m.n, m.n // 3
-    i, j = m.vertex_ij(iface)
+    i, j = _grid_ij(m, iface)
     on_perimeter = (((i == s) | (i == 2 * s)) & (j >= s) & (j <= 2 * s)) | \
                    (((j == s) | (j == 2 * s)) & (i >= s) & (i <= 2 * s))
     assert np.all(on_perimeter)
 
 
 @pytest.mark.parametrize("level", range(4))
+def test_tags_from_connectivity_match_grid_layout(level):
+    m = meshmod.generate(level)
+    n, s = m.n, m.n // 3
+    i, j = _grid_ij(m, m.edges)                      # (ne, 2) each
+    vert, horz = i[:, 0] == i[:, 1], j[:, 0] == j[:, 1]
+    outer = (vert & np.isin(i[:, 0], (0, n))) | (horz & np.isin(j[:, 0], (0, n)))
+    iface = ((vert & np.isin(i[:, 0], (s, 2 * s)) & (j.min(1) >= s) & (j.max(1) <= 2 * s))
+             | (horz & np.isin(j[:, 0], (s, 2 * s)) & (i.min(1) >= s)
+                & (i.max(1) <= 2 * s)))
+    expected = np.where(outer, meshmod.GAMMA_F,
+                        np.where(iface, meshmod.GAMMA_S, meshmod.INTERIOR))
+    assert np.array_equal(m.edge_tag, expected)
+
+
+def test_edge_topology_lists_each_edges_triangles(mesh1):
+    nv, nt = mesh1.num_vertices, mesh1.num_triangles
+    edges, edge_tris = meshmod.edge_topology(mesh1.triangles, nv)
+    assert np.array_equal(edges, mesh1.edges)
+    assert np.array_equal(edge_tris, mesh1.edge_triangles)
+    assert np.all(np.diff(edges[:, 0] * nv + edges[:, 1]) > 0)
+    for side in (0, 1):
+        has = edge_tris[:, side] >= 0
+        tris = mesh1.triangles[edge_tris[has, side]]
+        for end in (0, 1):
+            assert np.all(np.any(tris == edges[has, end, None], axis=1))
+    # every triangle is listed once for each of its three edges
+    assert np.array_equal(np.bincount(edge_tris[edge_tris >= 0], minlength=nt),
+                          np.full(nt, 3))
+    assert np.array_equal(edge_tris[:, 1] < 0, mesh1.edge_tag == meshmod.GAMMA_F)
+
+
+def test_edge_topology_rejects_edge_of_three_triangles():
+    triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(meshmod.MeshError, match="3 triangles"):
+        meshmod.edge_topology(triangles, 5)
+
+
+@pytest.mark.parametrize("level", range(4))
 def test_vertex_condition_exhaustive(level):
     m = meshmod.generate(level)
-    i, j = m.vertex_ij(m.triangles)
+    i, j = _grid_ij(m, m.triangles)
     on_outer = (i == 0) | (i == m.n) | (j == 0) | (j == m.n)
     fluid = m.tri_region == meshmod.FLUID
     assert not np.any(np.all(on_outer[fluid], axis=1))
@@ -150,6 +195,23 @@ def test_import_rejects_reversed_triangle(mesh0, tmp_path):
     lines[row] = " ".join((idx, v0, v2, v1, region))
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(meshmod.MeshError, match="oriented"):
+        meshmod.import_mesh(path)
+
+
+def test_import_rejects_swapped_interface_tags(mesh0, tmp_path):
+    # one Interior edge retagged GammaS and one GammaS edge retagged
+    # Interior: the tag counts still match, the connectivity does not
+    path = tmp_path / "swapped.txt"
+    meshmod.export_mesh(mesh0, path)
+    lines = path.read_text().splitlines()
+    first_edge = 1 + mesh0.num_vertices + mesh0.num_triangles
+    rows = {tag: first_edge + int(np.flatnonzero(mesh0.edge_tag == tag)[0])
+            for tag in (meshmod.INTERIOR, meshmod.GAMMA_S)}
+    for tag, other in ((meshmod.INTERIOR, "GammaS"), (meshmod.GAMMA_S, "Interior")):
+        v0, v1, _ = lines[rows[tag]].split()
+        lines[rows[tag]] = f"{v0} {v1} {other}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshmod.MeshError, match="tagged"):
         meshmod.import_mesh(path)
 
 

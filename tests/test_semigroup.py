@@ -230,3 +230,44 @@ def test_trace_csv_columns(space0, params, rng):
     assert lines[0] == ("step,time,E_total,E_fluid,E_solid_potential,"
                         "E_solid_kinetic,dissipation")
     assert len(lines) == 1 + len(result.trace.rows)
+
+
+# -- kernel of the generator -------------------------------------------------
+
+def test_generator_kernel_is_the_pressurized_solid_state(space0, params):
+    # R(1) = (I - A_h)^{-1} densely over (free u, w, z), one solve per unit
+    # vector; A_h has eigenvalue mu = 1 - 1/rho for each eigenvalue rho of R
+    space = space0
+    op = solver._operator(space, params)
+    free = space.free_velocity_dofs
+    nf, ns = free.size, space.num_solid_dofs
+    n = nf + 2 * ns
+
+    def coords(state):
+        return np.concatenate([state.u[free], state.w, state.z])
+
+    def state_of(y):
+        return solver.FsiState(space.expand_velocity(y[:nf]), y[nf:nf + ns], y[nf + ns:])
+
+    r = np.empty((n, n))
+    for k in range(n):
+        unit = np.zeros(n)
+        unit[k] = 1.0
+        r[:, k] = coords(op.solve(op.data_from_state(state_of(unit)))[0])
+    rho, vectors = np.linalg.eig(r)
+    # R maps to zero the data (u*, 0, z*) whose load on the saddle's velocity
+    # and solid rows is a pressure gradient (B^T q, 0): one direction per
+    # pressure and per interface dof
+    keep = np.abs(rho) > 1e-8
+    assert keep.sum() == n - space.num_pressure_dofs - space.num_iface_dofs
+    mu = 1.0 - 1.0 / rho[keep]
+    assert mu.real.max() <= 1e-12
+    zero = np.flatnonzero(np.abs(mu) < 1e-9)
+    assert zero.size == 1
+    # the kernel is a displaced solid at rest, held by a constant pressure
+    y = np.real(vectors[:, keep][:, zero[0]])
+    u, w, z = y[:nf], y[nf:nf + ns], y[nf + ns:]
+    assert np.linalg.norm(u) <= 1e-12 * np.linalg.norm(w)
+    assert np.linalg.norm(z) <= 1e-12 * np.linalg.norm(w)
+    pi = op.solve(op.data_from_state(state_of(y)))[0].pi
+    assert np.ptp(pi) <= 1e-12 * np.abs(pi).max()
