@@ -54,6 +54,7 @@ integrals accumulate with `np.add.at` in edge order, as a loop would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,12 +98,13 @@ class MaterialParams:
     shift: float = 1.0
 
     def __post_init__(self):
-        if not self.lame_mu > 0:
-            raise ValueError(f"lame_mu must be positive, got {self.lame_mu}")
-        if self.lame_lambda < 0:
-            raise ValueError(f"lame_lambda must be nonnegative, got {self.lame_lambda}")
-        if not self.shift > 0:
-            raise ValueError(f"shift must be positive, got {self.shift}")
+        if not (math.isfinite(self.lame_mu) and self.lame_mu > 0):
+            raise ValueError(f"lame_mu must be positive and finite, got {self.lame_mu}")
+        if not (math.isfinite(self.lame_lambda) and self.lame_lambda >= 0):
+            raise ValueError("lame_lambda must be nonnegative and finite, "
+                             f"got {self.lame_lambda}")
+        if not (math.isfinite(self.shift) and self.shift > 0):
+            raise ValueError(f"shift must be positive and finite, got {self.shift}")
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ class EvolutionConfig:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be positive, got {self.n_steps}")
 

@@ -16,8 +16,9 @@ symmetric matrix over free velocity, solid interior and pressure,
      [(1/lam) S_iG,         (1/lam) S_ii, 0  ],
      [B,                    0,            0  ]],
 
-whose elimination of v gives back exactly a_lam.  It is factorized once
-per parameter set, in the nested-dissection order computed from the
+whose elimination of v gives back exactly a_lam.  `resolvent_saddle`
+builds it, and of its blocks the operator keeps only B.  It is factorized
+once per parameter set, in the nested-dissection order computed from the
 coordinates of its unknowns (`saddle_coordinates`), and each solve is one
 checked solve.  The solid displacement is w = (u + w*)/lam on Gamma_s and
 v/lam inside, and the solid velocity is z = lam * w - w*.  The
@@ -30,7 +31,11 @@ oracle's; with w a solution its Gamma_s entries are the solid traction
 moments that the A5b flux check and the c0 recovery compare with the
 fluid momentum residual (`_momentum_residual`).  Matrices, factorizations
 and operators are kept on the space per parameter set
-(`TaylorHoodSpace.cached`).
+(`TaylorHoodSpace.cached`).  A cached operator holds no reference to its
+space, only the dof arrays and sizes it reads, so no reference cycle runs
+through the cache: dropping the last reference to a space frees its
+operators and their factors at once, without waiting for the cyclic
+garbage collector.
 
 A dense monolithic assembly of the same coupled problem (interface trial
 constraint w = (1/lam)(u + w*) on Gamma_s, solid tests paired with fluid
@@ -168,12 +173,12 @@ def _solid_interior_factor(space, params):
     return space.cached(_param_key("solid_factor", params), build)
 
 
-def _solid_lift(space, lam, w_star):
-    """The solid displacement's trace part w*/lam on Gamma_s, zero inside:
-    a resolvent solution has w = (u + w*)/lam on Gamma_s."""
-    lift = np.zeros(space.num_solid_dofs)
-    bb = space.iface_solid_dofs
-    lift[bb] = w_star[bb] / lam
+def _solid_lift(iface_solid_dofs, lam, w_star):
+    """The solid displacement's trace part w*/lam on Gamma_s (the solid
+    dofs `iface_solid_dofs`), zero inside: a resolvent solution has
+    w = (u + w*)/lam on Gamma_s."""
+    lift = np.zeros(w_star.shape)
+    lift[iface_solid_dofs] = w_star[iface_solid_dofs] / lam
     return lift
 
 
@@ -256,17 +261,48 @@ def saddle_coordinates(space, solid_dofs=()):
                       space.node_xy[space.pressure_nodes]])
 
 
+def resolvent_saddle(space, params: MaterialParams):
+    """The resolvent saddle matrix with what its solve needs of its blocks.
+
+    Returns `(saddle, b_free, solid_rows)`: the CSR matrix over free
+    velocity, scaled solid interior v = lam * w_i and pressure, in that
+    order, [[A_lam + (1/lam) S_GG, (1/lam) S_Gi, B^T], [(1/lam) S_iG,
+    (1/lam) S_ii, 0], [B, 0, 0]]; the divergence B on the free velocity
+    dofs; and the row of the velocity-solid block of each solid dof, the
+    Gamma_s dofs on their matching free velocity dofs and the interior
+    after the velocity.  The blocks are temporaries of this call, so none
+    is alive while the caller factorizes the saddle.
+    """
+    lam = params.shift
+    fops = fem.fluid_operators(space)
+    free = space.free_velocity_dofs
+    nf = free.size
+    ii = space.solid_interior_dofs
+    n_vs = nf + ii.size
+    solid_rows = np.empty(space.num_solid_dofs, dtype=np.int64)
+    solid_rows[space.iface_solid_dofs] = space.iface_free_dofs
+    solid_rows[ii] = nf + np.arange(ii.size)
+
+    a_free = (lam * fops.mass + fops.strain)[free][:, free]
+    s = _shifted_solid_matrix(space, params).tocoo()
+    solid = sp.coo_matrix((s.data / lam, (solid_rows[s.row], solid_rows[s.col])),
+                          shape=(n_vs, n_vs))
+    velocity_solid = sp.block_diag((a_free, sp.csr_matrix((ii.size, ii.size))))
+    b_free = fops.div[:, free].tocsr()
+    b = sp.hstack([b_free, sp.csr_matrix((space.num_pressure_dofs, ii.size))])
+    saddle = sp.bmat([[velocity_solid + solid, b.T], [b, None]], format="csr")
+    return saddle, b_free, solid_rows
+
+
 class ResolventOperator:
     """Factorized solver for (lam I - A_h) Y = Y* at fixed parameters.
 
-    `saddle` is the sparse monolithic matrix over free velocity, scaled
-    solid interior v = lam * w_i and pressure, in that order:
-    [[A_lam + (1/lam) S_GG, (1/lam) S_Gi, B^T], [(1/lam) S_iG,
-    (1/lam) S_ii, 0], [B, 0, 0]], with the Gamma rows of the shifted solid
-    matrix S placed on the interface free velocity rows.  `factor` is its
-    nested-dissection LU.  `solve` builds the right-hand side from the
-    data with sparse solid products, no solid solve, and makes one checked
-    solve.
+    `saddle` is the sparse monolithic matrix of `resolvent_saddle` and
+    `factor` its nested-dissection LU.  `solve` builds the right-hand side
+    from the data with sparse solid products, no solid solve, and makes one
+    checked solve.  The operator keeps the dofs and sizes it reads of its
+    space, not the space: a cached operator dies with the space that caches
+    it.
 
     The v = lam * w_i scaling keeps the solid blocks on the scale of the
     velocity blocks; the unscaled unknown w_i leaves 2-15 times larger
@@ -274,34 +310,19 @@ class ResolventOperator:
     """
 
     def __init__(self, space, params: MaterialParams):
-        self.space = space
         self.params = params
-        lam = params.shift
-        fops = fem.fluid_operators(space)
-        self.mass_f = fops.mass
+        self.mass_f = fem.fluid_operators(space).mass
         self.mass_s = fem.solid_operators(space, params).mass
         self.s_matrix = _shifted_solid_matrix(space, params)
-
-        free = space.free_velocity_dofs
-        nf = free.size
-        ii = space.solid_interior_dofs
-        n_vs = nf + ii.size
-        # solid dof -> row of the velocity-solid block: Gamma_s onto the
-        # matching free velocity dof, the interior after the velocity
-        self._solid_rows = np.empty(space.num_solid_dofs, dtype=np.int64)
-        self._solid_rows[space.iface_solid_dofs] = space.iface_free_dofs
-        self._solid_rows[ii] = nf + np.arange(ii.size)
-
-        a_free = (lam * self.mass_f + fops.strain)[free][:, free]
-        s = self.s_matrix.tocoo()
-        solid = sp.coo_matrix(
-            (s.data / lam, (self._solid_rows[s.row], self._solid_rows[s.col])),
-            shape=(n_vs, n_vs))
-        velocity_solid = sp.block_diag((a_free, sp.csr_matrix((ii.size, ii.size))))
-        self.b_free = fops.div[:, free].tocsr()
-        b = sp.hstack([self.b_free, sp.csr_matrix((space.num_pressure_dofs, ii.size))])
-        self.saddle = sp.bmat([[velocity_solid + solid, b.T], [b, None]], format="csr")
-        self.factor = sla.factorize(self.saddle, saddle_coordinates(space, ii))
+        # the dofs and sizes `solve` reads, so that the operator holds no
+        # reference to the space whose cache keeps it
+        self._free = space.free_velocity_dofs
+        self._iface_solid = space.iface_solid_dofs
+        self._num_interior = space.solid_interior_dofs.size
+        self._num_velocity = space.num_velocity_dofs
+        self.saddle, self.b_free, self._solid_rows = resolvent_saddle(space, params)
+        self.factor = sla.factorize(self.saddle,
+                                    saddle_coordinates(space, space.solid_interior_dofs))
 
     # -- data handling ------------------------------------------------------
 
@@ -311,17 +332,17 @@ class ResolventOperator:
                              scale * state.w, scale * state.z)
 
     def solve(self, data: ResolventData):
-        space = self.space
         lam = self.params.shift
-        nf = space.num_free_velocity_dofs
-        w_lift = _solid_lift(space, lam, data.w_star)
+        nf = self._free.size
+        w_lift = _solid_lift(self._iface_solid, lam, data.w_star)
         rhs = np.zeros(self.saddle.shape[0])
-        rhs[:nf] = data.u_load[space.free_velocity_dofs]
+        rhs[:nf] = data.u_load[self._free]
         rhs[self._solid_rows] += _solid_residual(self.mass_s, self.s_matrix, lam,
                                                  data, w_lift)
         x, report = self.factor.solve(rhs)
-        u = space.expand_velocity(x[:nf])
-        pi = x[nf + space.solid_interior_dofs.size:]
+        u = np.zeros(self._num_velocity)
+        u[self._free] = x[:nf]
+        pi = x[nf + self._num_interior:]
         w = x[self._solid_rows] / lam + w_lift
         z = lam * w - data.w_star
         return FsiState(u=u, w=w, z=z, pi=pi), report
@@ -547,7 +568,7 @@ def monolithic_solve(space, params: MaterialParams, data: ResolventData) -> FsiS
     mat[nf + npr:, :nf] = st[ii]
     mat[nf + npr:, nf + npr:] = s_dense[np.ix_(ii, ii)]
 
-    w_lift = _solid_lift(space, lam, data.w_star)
+    w_lift = _solid_lift(bb, lam, data.w_star)
     r = _solid_residual(mass_s, s_mat, lam, data, w_lift)
     rhs[:nf] = data.u_load[free] + lam * (t_map.T @ r)
     rhs[nf + npr:] = r[ii]

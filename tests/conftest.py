@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,3 +63,18 @@ def solved1(space1, params, case):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240915)
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """`traced_peak(call)`: the peak bytes tracemalloc sees allocated while
+    `call()` runs, numpy buffers included.  The result of the call is not
+    kept past the call."""
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -307,20 +306,15 @@ def test_solid_error_norm_uses_given_moduli(space0, case, rng):
         analysis.error_norms(space0, state, np.zeros(space0.num_pressure_dofs), case)
 
 
-def test_error_norm_memory_is_bounded(params, case):
+def test_error_norm_memory_is_bounded(params, case, traced_peak):
     # one batch of all 4096 fluid triangles allocates about 460 MB here
     space = fem.build_space(meshmod.generate(3))
     state = solver.FsiState(
         u=fem.interpolate(space, case.velocity, "velocity"),
         w=np.zeros(space.num_solid_dofs),
         z=np.zeros(space.num_solid_dofs))
-    tracemalloc.start()
-    try:
-        analysis.error_norms(space, state, np.zeros(space.num_pressure_dofs),
-                             case, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: analysis.error_norms(
+        space, state, np.zeros(space.num_pressure_dofs), case, params))
     assert peak < 45 * 2**20
 
 

@@ -34,6 +34,16 @@ def test_rejects_bad_lambda(capsys):
     assert "lambda" in capsys.readouterr().err
 
 
+def test_rejects_nan_lame_lambda(capsys):
+    assert cli.main(["--mode", "resolvent", "--levels", "0", "--lame-lambda", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --lame-lambda:")
+
+
+def test_rejects_infinite_t_final(capsys):
+    assert cli.main(["--mode", "evolve", "--t-final", "inf"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --t-final:")
+
+
 def test_convergence_mode_writes_tables(tmp_path, capsys):
     code = cli.main(["--mode", "convergence", "--levels", "0,1",
                      "--out", str(tmp_path)])

@@ -439,3 +439,7 @@ def test_material_params_validation():
         fem.MaterialParams(lame_lambda=-1.0)
     with pytest.raises(ValueError):
         fem.MaterialParams(shift=0.0)
+    for field in ("lame_lambda", "lame_mu", "shift"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
+                fem.MaterialParams(**{field: value})

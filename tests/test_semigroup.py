@@ -198,6 +198,9 @@ def test_config_validation():
         semigroup.EvolutionConfig(t_final=0.0, n_steps=5)
     with pytest.raises(ValueError):
         semigroup.EvolutionConfig(t_final=1.0, n_steps=0)
+    for t_final in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^t_final must be .*finite"):
+            semigroup.EvolutionConfig(t_final=t_final, n_steps=5)
 
 
 # -- dissipativity identity --------------------------------------------------
