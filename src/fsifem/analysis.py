@@ -160,8 +160,8 @@ class ManufacturedCase:
 def manufactured_case(shift: float) -> ManufacturedCase:
     """Construct and verify the benchmark case (raises on any coefficient
     mismatch between the hardcoded lists and the formal derivatives)."""
-    if not shift > 0:
-        raise ValueError(f"shift must be positive, got {shift}")
+    if not (math.isfinite(shift) and shift > 0):
+        raise ValueError(f"shift must be positive and finite, got {shift}")
     expanded = phi_coefficients()
     _check_lists(expanded)
     as_float = lambda fr: np.array([float(c) for c in fr])

@@ -84,6 +84,7 @@ def _parse_levels(text):
 
 
 def _read_config_file(path):
+    """Each key of the file, '-' read as '_', with its line number and value."""
     values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -93,7 +94,7 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, val = (tok.strip() for tok in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+            values[key.replace("-", "_")] = (lineno, val)
     return values
 
 
@@ -121,16 +122,15 @@ def build_config(argv) -> RunConfig:
     file_vals = _read_config_file(args.config) if args.config else {}
 
     def pick(flag_val, key, convert, fallback):
+        line = file_vals.pop(key, None)
         if flag_val is not None:
             return flag_val
-        if key in file_vals:
-            return convert(file_vals[key])
-        return fallback
+        return fallback if line is None else convert(line[1])
 
     mode = pick(args.mode, "mode", str, None)
     if mode is None:
         raise ValueError("mode is required (flag --mode or config key 'mode')")
-    levels = args.levels if args.levels is not None else file_vals.get("levels")
+    levels = pick(args.levels, "levels", str, None)
     levels = _parse_levels(levels) if levels is not None else list(_DEFAULT_LEVELS[mode])
     out_env = os.environ.get("FSI_OUT_DIR")
     cfg = RunConfig(
@@ -144,6 +144,9 @@ def build_config(argv) -> RunConfig:
         out_dir=pick(args.out_dir, "out", str, out_env if out_env else "."),
         seed=pick(args.seed, "seed", int, 0),
     )
+    # the keys read above are the flag names; any other key is a mistake
+    for key, (lineno, _) in file_vals.items():
+        raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
     cfg.validate()
     return cfg
 

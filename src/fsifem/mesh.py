@@ -233,18 +233,25 @@ def import_mesh(path) -> TriMesh:
     except OSError as err:
         raise MeshError(f"cannot read mesh from {path!s}: {err}") from err
 
+    def entry(row, k):
+        """Fields of line `row` after its index, which must be k."""
+        idx, *fields = lines[row].split()
+        if int(idx) != k:
+            raise MeshError(f"{path!s}:{row + 1}: index {idx} where {k} belongs")
+        return fields
+
     try:
         ntri, nvert, level = (int(tok) for tok in lines[0].split())
         vertices = np.empty((nvert, 2))
         for k in range(nvert):
-            idx, x, y = lines[1 + k].split()
-            vertices[int(idx)] = (float(x), float(y))
+            x, y = entry(1 + k, k)
+            vertices[k] = (float(x), float(y))
         triangles = np.empty((ntri, 3), dtype=np.int64)
         tri_region = np.empty(ntri, dtype=np.int8)
         for k in range(ntri):
-            idx, v0, v1, v2, name = lines[1 + nvert + k].split()
-            triangles[int(idx)] = (int(v0), int(v1), int(v2))
-            tri_region[int(idx)] = _REGION_FROM_NAME[name]
+            v0, v1, v2, name = entry(1 + nvert + k, k)
+            triangles[k] = (int(v0), int(v1), int(v2))
+            tri_region[k] = _REGION_FROM_NAME[name]
         edge_lines = lines[1 + nvert + ntri:]
         edges = np.empty((len(edge_lines), 2), dtype=np.int64)
         edge_tag = np.empty(len(edge_lines), dtype=np.int8)

@@ -17,7 +17,7 @@ symmetric matrix over free velocity, solid interior and pressure,
      [B,                    0,            0  ]],
 
 whose elimination of v gives back exactly a_lam.  `resolvent_saddle`
-builds it, and of its blocks the operator keeps only B.  It is factorized
+builds it, and the operator keeps none of its blocks.  It is factorized
 once per parameter set, in the nested-dissection order computed from the
 coordinates of its unknowns (`saddle_coordinates`), and each solve is one
 checked solve.  The solid displacement is w = (u + w*)/lam on Gamma_s and
@@ -168,7 +168,7 @@ def _solid_interior_factor(space, params):
     map and the solid resolvent inverse."""
     def build():
         ii = space.solid_interior_dofs
-        return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii].tocsc())
+        return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii])
 
     return space.cached(_param_key("solid_factor", params), build)
 
@@ -262,16 +262,16 @@ def saddle_coordinates(space, solid_dofs=()):
 
 
 def resolvent_saddle(space, params: MaterialParams):
-    """The resolvent saddle matrix with what its solve needs of its blocks.
+    """The resolvent saddle matrix and the row map its solve needs.
 
-    Returns `(saddle, b_free, solid_rows)`: the CSR matrix over free
-    velocity, scaled solid interior v = lam * w_i and pressure, in that
-    order, [[A_lam + (1/lam) S_GG, (1/lam) S_Gi, B^T], [(1/lam) S_iG,
-    (1/lam) S_ii, 0], [B, 0, 0]]; the divergence B on the free velocity
-    dofs; and the row of the velocity-solid block of each solid dof, the
-    Gamma_s dofs on their matching free velocity dofs and the interior
-    after the velocity.  The blocks are temporaries of this call, so none
-    is alive while the caller factorizes the saddle.
+    Returns `(saddle, solid_rows)`: the CSR matrix over free velocity,
+    scaled solid interior v = lam * w_i and pressure, in that order,
+    [[A_lam + (1/lam) S_GG, (1/lam) S_Gi, B^T], [(1/lam) S_iG,
+    (1/lam) S_ii, 0], [B, 0, 0]] with B the divergence on the free
+    velocity dofs; and the row of the velocity-solid block of each solid
+    dof, the Gamma_s dofs on their matching free velocity dofs and the
+    interior after the velocity.  The blocks are temporaries of this call,
+    so none is alive while the caller factorizes the saddle.
     """
     lam = params.shift
     fops = fem.fluid_operators(space)
@@ -288,19 +288,19 @@ def resolvent_saddle(space, params: MaterialParams):
     solid = sp.coo_matrix((s.data / lam, (solid_rows[s.row], solid_rows[s.col])),
                           shape=(n_vs, n_vs))
     velocity_solid = sp.block_diag((a_free, sp.csr_matrix((ii.size, ii.size))))
-    b_free = fops.div[:, free].tocsr()
-    b = sp.hstack([b_free, sp.csr_matrix((space.num_pressure_dofs, ii.size))])
+    b = sp.hstack([fops.div[:, free].tocsr(),
+                   sp.csr_matrix((space.num_pressure_dofs, ii.size))])
     saddle = sp.bmat([[velocity_solid + solid, b.T], [b, None]], format="csr")
-    return saddle, b_free, solid_rows
+    return saddle, solid_rows
 
 
 class ResolventOperator:
     """Factorized solver for (lam I - A_h) Y = Y* at fixed parameters.
 
     `saddle` is the sparse monolithic matrix of `resolvent_saddle` and
-    `factor` its nested-dissection LU.  `solve` builds the right-hand side
-    from the data with sparse solid products, no solid solve, and makes one
-    checked solve.  The operator keeps the dofs and sizes it reads of its
+    `factor` its nested-dissection LU, which holds that same object.
+    `solve` builds the right-hand side from the data with sparse solid
+    products, no solid solve, and makes one checked solve.  The operator keeps the dofs and sizes it reads of its
     space, not the space: a cached operator dies with the space that caches
     it.
 
@@ -320,7 +320,7 @@ class ResolventOperator:
         self._iface_solid = space.iface_solid_dofs
         self._num_interior = space.solid_interior_dofs.size
         self._num_velocity = space.num_velocity_dofs
-        self.saddle, self.b_free, self._solid_rows = resolvent_saddle(space, params)
+        self.saddle, self._solid_rows = resolvent_saddle(space, params)
         self.factor = sla.factorize(self.saddle,
                                     saddle_coordinates(space, space.solid_interior_dofs))
 

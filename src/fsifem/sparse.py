@@ -15,8 +15,9 @@ Without coordinates the ordering follows the matrix: with a zero-free
 diagonal (the SPD velocity, solid and mass blocks) SuperLU orders A + A^T
 by minimum degree and prefers diagonal pivots; otherwise it uses COLAMD
 with partial pivoting.  The wrapper enforces the contracts this package
-relies on: every solve reports its measured relative residual, singular
-factors raise with the offending pivot index in the caller's numbering,
+relies on: there is no unchecked solve, and each measures its relative
+residual with the caller's own matrix and right-hand side; singular
+factors raise with the offending pivot index in the caller's numbering;
 and repeated solves of identical inputs are bitwise reproducible.  A
 factor is singular when a pivot has |u_kk| <= _PIVOT_TOL * max|A| with
 _PIVOT_TOL = 1e-14, the one rule both for SuperLU's factor and for the
@@ -48,7 +49,12 @@ class SingularMatrixError(Exception):
 
 
 class SolveAccuracyError(Exception):
-    """A direct solve failed to reach the required relative residual."""
+    """A direct solve missed the required relative residual; `report` is
+    its measured `LinearSolveReport`."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 class EigenIterationError(Exception):
@@ -86,8 +92,9 @@ class Factorization:
     the right-hand side and the solution, so callers see their own
     numbering.  Without `xy`, a zero-free diagonal selects SuperLU's
     symmetric mode with minimum degree on A + A^T, and any zero on the
-    diagonal selects COLAMD with partial pivoting.  The singular-pivot,
-    pivot-growth and residual checks run on the factorized matrix.
+    diagonal selects COLAMD with partial pivoting.  The pivot checks run on
+    the factor, the residual check on the caller's matrix: `_a`, the one
+    matrix kept, is the caller's own object when it is CSR.
     """
 
     def __init__(self, a, xy=None):
@@ -96,53 +103,56 @@ class Factorization:
         if n != m:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         t0 = time.perf_counter()
+        self._perm = None
         if xy is not None:
             self._perm = nested_dissection(csr, xy)
-            csr = csr[self._perm][:, self._perm].tocsr()
             ordering = dict(permc_spec="NATURAL", diag_pivot_thresh=1e-3,
                             options=dict(SymmetricMode=True))
         elif np.all(csr.diagonal() != 0):
-            self._perm = None
             ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
                             options=dict(SymmetricMode=True))
         else:
-            self._perm = None
             ordering = {}
         self._a = csr
-        self._max_a = np.abs(csr.data).max() if csr.nnz else 0.0
+        max_a = np.abs(csr.data).max() if csr.nnz else 0.0
+        # P A P^T is only SuperLU's input, freed before the memory peak at U
+        csc = (csr if self._perm is None else csr[self._perm][:, self._perm]).tocsc()
         try:
-            self._lu = spla.splu(csr.tocsc(), **ordering)
+            self._lu = spla.splu(csc, **ordering)
         except RuntimeError as err:
-            pivot = self._caller_index(_locate_pivot(csr, self._max_a))
+            pivot = self._caller_index(_locate_pivot(csc, max_a))
             raise SingularMatrixError(pivot, str(err)) from err
+        del csc
         self.factor_time = time.perf_counter() - t0
         u = self._lu.U
         udiag = np.abs(u.diagonal())
-        if self._max_a > 0 and udiag.min() <= _PIVOT_TOL * self._max_a:
+        if max_a > 0 and udiag.min() <= _PIVOT_TOL * max_a:
             pivot = self._caller_index(int(np.argmin(udiag)))
             raise SingularMatrixError(pivot, "factorization singular to tolerance "
                                              f"(pivot {pivot})")
         # max|U| without an |U| temporary: this runs at the peak of memory,
         # just after scipy built its CSC copies of L and U
         max_u = max(u.data.max(), -u.data.min())
-        self.pivot_growth = max_u / self._max_a if self._max_a > 0 else 0.0
+        self.pivot_growth = max_u / max_a if max_a > 0 else 0.0
 
     def _caller_index(self, k):
         """Unknown k of the factorized matrix in the caller's numbering."""
         return int(self._perm[k]) if self._perm is not None and k >= 0 else k
 
-    def solve(self, b, check=True):
+    def solve(self, b):
         """Solve AX = B for a vector or a matrix of columns; returns
         (X, LinearSolveReport) with the largest per-column relative
-        residual, which must not exceed 1e-10 when `check` is set."""
+        residual ||AX - B|| / ||B||; above 1e-10 it raises."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self._a.shape[0]:
             raise ValueError(
                 f"dimension mismatch: matrix {self._a.shape}, rhs {b.shape}")
-        if self._perm is not None:
-            b = b[self._perm]
         t0 = time.perf_counter()
-        x = self._lu.solve(b)
+        if self._perm is None:
+            x = self._lu.solve(b)
+        else:
+            x = np.empty_like(b)
+            x[self._perm] = self._lu.solve(b[self._perm])
         solve_time = time.perf_counter() - t0
         norm_b = np.linalg.norm(b, axis=0)
         norm_r = np.linalg.norm(self._a @ x - b, axis=0)
@@ -152,12 +162,9 @@ class Factorization:
                                    pivot_growth=float(self.pivot_growth),
                                    solve_time=solve_time,
                                    factor_time=self.factor_time)
-        if check and residual > _SOLVE_TOL:
+        if residual > _SOLVE_TOL:
             raise SolveAccuracyError(
-                f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}")
-        if self._perm is not None:
-            x_perm, x = x, np.empty_like(x)
-            x[self._perm] = x_perm
+                f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}", report)
         return x, report
 
 
@@ -286,14 +293,14 @@ def nested_dissection(a, xy):
     return np.argsort(where[node], kind="stable")
 
 
-def _locate_pivot(csr, max_a):
-    """Best-effort pivot index for a singular matrix (dense LU on small
-    systems); max_a is max|A|."""
-    n = csr.shape[0]
+def _locate_pivot(a, max_a):
+    """Best-effort pivot index for a singular sparse matrix (dense LU on
+    small systems); max_a is max|A|."""
+    n = a.shape[0]
     if n > 4000:
         return -1
     import scipy.linalg as dla
-    _, _, u = dla.lu(csr.toarray())
+    _, _, u = dla.lu(a.toarray())
     d = np.abs(np.diag(u))
     bad = np.flatnonzero(d <= _PIVOT_TOL * max_a)
     return int(bad[0]) if bad.size else int(np.argmin(d))

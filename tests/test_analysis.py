@@ -60,8 +60,9 @@ def test_velocity_is_divergence_free(case):
 
 
 def test_shift_validation():
-    with pytest.raises(ValueError):
-        analysis.manufactured_case(0.0)
+    for shift in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            analysis.manufactured_case(shift)
 
 
 # -- data identity -----------------------------------------------------------
@@ -371,7 +372,9 @@ def _fail_second_solve(monkeypatch, error):
 
 
 def test_partial_report_marks_failed_level(params, monkeypatch):
-    _fail_second_solve(monkeypatch, sla.SolveAccuracyError("injected failure"))
+    measured = sla.LinearSolveReport(residual=1.0, pivot_growth=1.0,
+                                     solve_time=0.0, factor_time=0.0)
+    _fail_second_solve(monkeypatch, sla.SolveAccuracyError("injected failure", measured))
     report = analysis.convergence_study([0, 1], params)
     assert report.rows[0].failed is None
     assert report.rows[1].failed == "SolveAccuracyError: injected failure"

@@ -105,6 +105,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(lines) == 2             # flag --levels 0 overrides the file
 
 
+@pytest.mark.parametrize("line", ["shift = 5.0", "lamda = 3"])
+def test_config_file_rejects_unknown_key(tmp_path, capsys, line):
+    # a field name or a misspelt flag must not leave the default in force
+    config = tmp_path / "study.cfg"
+    config.write_text(f"mode = resolvent\nlevels = 0\n{line}\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    key = line.split(" ", 1)[0]
+    assert err.startswith("usage error: ")
+    assert f"{config}:3: unknown key '{key}'" in err
+    assert not (tmp_path / "domain_conditions.json").exists()
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("FSI_OUT_DIR", str(target))

@@ -198,6 +198,21 @@ def test_import_rejects_reversed_triangle(mesh0, tmp_path):
         meshmod.import_mesh(path)
 
 
+@pytest.mark.parametrize("row, idx, position", [
+    (1 + 49 + 5, 4, 5),     # triangle 5 numbered 4: row 5 would stay np.empty
+    (1, -49, 0),            # vertex 0 numbered -49, which wraps around to 0
+])
+def test_import_rejects_index_off_its_position(mesh0, tmp_path, row, idx, position):
+    path = tmp_path / "misplaced.txt"
+    meshmod.export_mesh(mesh0, path)
+    lines = path.read_text().splitlines()
+    lines[row] = " ".join([str(idx)] + lines[row].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshmod.MeshError,
+                       match=f"misplaced.txt:{row + 1}: index {idx} where {position}"):
+        meshmod.import_mesh(path)
+
+
 def test_import_rejects_swapped_interface_tags(mesh0, tmp_path):
     # one Interior edge retagged GammaS and one GammaS edge retagged
     # Interior: the tag counts still match, the connectivity does not
