@@ -551,7 +551,8 @@ def pressure_schur_complement(space):
     """Explicit dense S = B K^{-1} B^T in the eps-seminorm convention
     (oracle-sized helper; K is inverted column by column)."""
     k, b, _ = _infsup_blocks(space)
-    x, _ = sla.factorize(k).solve(b.T.toarray())
+    k_xy = solver.velocity_coordinates(space, space.free_velocity_dofs)
+    x, _ = sla.factorize(k, k_xy).solve(b.T.toarray())
     s = b @ x
     return 0.5 * (s + s.T)
 
@@ -559,16 +560,18 @@ def pressure_schur_complement(space):
 def infsup_beta(space) -> float:
     """Discrete inf-sup constant: sqrt of the smallest eigenvalue of
     B K^{-1} B^T q = beta^2 M_p q, by Lanczos against M_p.  Only the SPD
-    free-velocity block K is factorized; each Schur apply is one checked
+    free-velocity block K and M_p are factorized, each in the
+    nested-dissection order of its nodes; each Schur apply is one checked
     K solve, and no saddle matrix is built.  Because beta_h does not
     depend on the mesh, S is spectrally equivalent to M_p uniformly in h
     and the number of applies does not grow with the level."""
     k, b, mp = _infsup_blocks(space)
-    k_factor = sla.factorize(k)
+    k_xy = solver.velocity_coordinates(space, space.free_velocity_dofs)
+    k_factor = sla.factorize(k, k_xy)
     schur = spla.LinearOperator(
         mp.shape, dtype=float,
         matvec=lambda q: b @ k_factor.solve(b.T @ q)[0])
-    value, _ = sla.smallest_gen_eig(schur, mp)
+    value, _ = sla.smallest_gen_eig(schur, mp, solver.pressure_coordinates(space))
     return math.sqrt(value)
 
 

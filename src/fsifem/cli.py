@@ -94,7 +94,10 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, val = (tok.strip() for tok in line.split("=", 1))
-            values[key.replace("-", "_")] = (lineno, val)
+            key = key.replace("-", "_")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = (lineno, val)
     return values
 
 

@@ -240,6 +240,14 @@ def import_mesh(path) -> TriMesh:
             raise MeshError(f"{path!s}:{row + 1}: index {idx} where {k} belongs")
         return fields
 
+    def vertex_refs(row, refs):
+        """The vertex references of line `row`, each in 0..nvert-1."""
+        ids = tuple(int(v) for v in refs)
+        for v in ids:
+            if not 0 <= v < nvert:
+                raise MeshError(f"{path!s}:{row + 1}: vertex {v} outside 0..{nvert - 1}")
+        return ids
+
     try:
         ntri, nvert, level = (int(tok) for tok in lines[0].split())
         vertices = np.empty((nvert, 2))
@@ -249,15 +257,16 @@ def import_mesh(path) -> TriMesh:
         triangles = np.empty((ntri, 3), dtype=np.int64)
         tri_region = np.empty(ntri, dtype=np.int8)
         for k in range(ntri):
-            v0, v1, v2, name = entry(1 + nvert + k, k)
-            triangles[k] = (int(v0), int(v1), int(v2))
+            row = 1 + nvert + k
+            *refs, name = entry(row, k)
+            triangles[k] = vertex_refs(row, refs)
             tri_region[k] = _REGION_FROM_NAME[name]
         edge_lines = lines[1 + nvert + ntri:]
         edges = np.empty((len(edge_lines), 2), dtype=np.int64)
         edge_tag = np.empty(len(edge_lines), dtype=np.int8)
         for k, line in enumerate(edge_lines):
-            v0, v1, name = line.split()
-            edges[k] = (int(v0), int(v1))
+            *refs, name = line.split()
+            edges[k] = vertex_refs(1 + nvert + ntri + k, refs)
             edge_tag[k] = _EDGE_FROM_NAME[name]
     except (ValueError, KeyError, IndexError) as err:
         raise MeshError(f"malformed mesh file {path!s}: {err}") from err

@@ -22,7 +22,10 @@ once per parameter set, in the nested-dissection order computed from the
 coordinates of its unknowns (`saddle_coordinates`), and each solve is one
 checked solve.  The solid displacement is w = (u + w*)/lam on Gamma_s and
 v/lam inside, and the solid velocity is z = lam * w - w*.  The
-discrete-kernel projection factorizes its [[M, B^T], [B, 0]] the same way.
+discrete-kernel projection factorizes its [[M, B^T], [B, 0]] the same way,
+and the Dirichlet map its interior block S_ii, each from the coordinates
+of its own unknowns (`velocity_coordinates`, `solid_coordinates`,
+`pressure_coordinates`).
 
 The interface traction is the solid residual M_s (lam w* + z*) - S w
 (`_solid_residual`).  With w the lift w*/lam on Gamma_s (`_solid_lift`)
@@ -164,11 +167,13 @@ def _shifted_solid_matrix(space, params):
 
 
 def _solid_interior_factor(space, params):
-    """Factorization of the interior block S_ii, shared by the Dirichlet
-    map and the solid resolvent inverse."""
+    """Factorization of the interior block S_ii, in the nested-dissection
+    order of its nodes, shared by the Dirichlet map and the solid resolvent
+    inverse."""
     def build():
         ii = space.solid_interior_dofs
-        return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii])
+        return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii],
+                             solid_coordinates(space, ii))
 
     return space.cached(_param_key("solid_factor", params), build)
 
@@ -249,16 +254,31 @@ def schur_form(space, params: MaterialParams):
     return (a_free + coupling).tocsr()
 
 
+def velocity_coordinates(space, dofs):
+    """The coordinates of the node of each of the velocity dofs `dofs`
+    (full velocity numbering, interleaved components)."""
+    return space.node_xy[space.fluid_nodes[np.asarray(dofs, dtype=np.int64) // 2]]
+
+
+def solid_coordinates(space, dofs):
+    """The coordinates of the node of each of the solid dofs `dofs`
+    (solid numbering, interleaved components)."""
+    return space.node_xy[space.solid_nodes[np.asarray(dofs, dtype=np.int64) // 2]]
+
+
+def pressure_coordinates(space):
+    """The coordinates of each pressure vertex, in pressure numbering."""
+    return space.node_xy[space.pressure_nodes]
+
+
 def saddle_coordinates(space, solid_dofs=()):
-    """One coordinate row per unknown of a saddle numbering: the node of
-    each free velocity dof, then the node of each of `solid_dofs` (solid
-    numbering), then each pressure vertex.  The kernel projection numbers
-    no solid dofs; the resolvent numbers the solid interior."""
-    velocity_nodes = space.fluid_nodes[space.free_velocity_dofs // 2]
-    solid_nodes = space.solid_nodes[np.asarray(solid_dofs, dtype=np.int64) // 2]
-    return np.vstack([space.node_xy[velocity_nodes],
-                      space.node_xy[solid_nodes],
-                      space.node_xy[space.pressure_nodes]])
+    """One coordinate row per unknown of a saddle numbering: each free
+    velocity dof, then each of `solid_dofs` (solid numbering), then each
+    pressure vertex.  The kernel projection numbers no solid dofs; the
+    resolvent numbers the solid interior."""
+    return np.vstack([velocity_coordinates(space, space.free_velocity_dofs),
+                      solid_coordinates(space, solid_dofs),
+                      pressure_coordinates(space)])
 
 
 def resolvent_saddle(space, params: MaterialParams):

@@ -4,24 +4,26 @@ generalized eigenvalues.
 
 Factorization is delegated to SuperLU (scipy).  Given one coordinate row
 per unknown, the matrix is factorized in the nested-dissection order of
-`nested_dissection` with diagonal pivots preferred; the resolvent and
-kernel-projection saddle matrices take this path, because their zero
-pressure block leaves SuperLU's own orderings with COLAMD and partial
-pivoting, which fills 2.7 times as much at level 3.  The ordering works on
-nodes, the unknowns at one coordinate, and splits every block of a depth
-at once: each median cut keeps the smaller of its two boundary layers as
-the separator, so on a P2 mesh the separator is one line of nodes.
-Without coordinates the ordering follows the matrix: with a zero-free
-diagonal (the SPD velocity, solid and mass blocks) SuperLU orders A + A^T
-by minimum degree and prefers diagonal pivots; otherwise it uses COLAMD
-with partial pivoting.  The wrapper enforces the contracts this package
-relies on: there is no unchecked solve, and each measures its relative
-residual with the caller's own matrix and right-hand side; singular
-factors raise with the offending pivot index in the caller's numbering;
-and repeated solves of identical inputs are bitwise reproducible.  A
-factor is singular when a pivot has |u_kk| <= _PIVOT_TOL * max|A| with
-_PIVOT_TOL = 1e-14, the one rule both for SuperLU's factor and for the
-dense LU that locates the pivot after SuperLU itself fails.
+`nested_dissection` with diagonal pivots preferred.  Every factorization
+in the package takes this path: the resolvent and kernel-projection
+saddle matrices, whose zero pressure block leaves SuperLU's COLAMD with
+partial pivoting at 2.7 times the fill at level 3, and the SPD velocity,
+pressure mass and solid interior blocks.  At level 4 the velocity block
+fills 9.00 M entries against 10.69 M under SuperLU's minimum degree on
+A + A^T, the solid interior block 5 % less and the pressure mass 3 %
+more.  The ordering works on nodes, the unknowns at one coordinate, and
+splits every block of a depth at once: each median cut keeps the smaller
+of its two boundary layers as the separator, so on a P2 mesh the
+separator is one line of nodes.  Without coordinates SuperLU's default
+applies, COLAMD with partial pivoting.  The wrapper enforces the
+contracts this package relies on: there is no unchecked solve, and each
+measures its relative residual with the caller's own matrix and
+right-hand side; singular factors raise with the offending pivot index in
+the caller's numbering; and repeated solves of identical inputs are
+bitwise reproducible.  A factor is singular when a pivot has
+|u_kk| <= _PIVOT_TOL * max|A| with _PIVOT_TOL = 1e-14, the one rule both
+for SuperLU's factor and for the dense LU that locates the pivot after
+SuperLU itself fails.
 """
 
 from __future__ import annotations
@@ -90,11 +92,10 @@ class Factorization:
     SuperLU keeps that order (NATURAL, symmetric mode) and a diagonal pivot
     unless it is below 1e-3 of its column's largest entry.  `solve` permutes
     the right-hand side and the solution, so callers see their own
-    numbering.  Without `xy`, a zero-free diagonal selects SuperLU's
-    symmetric mode with minimum degree on A + A^T, and any zero on the
-    diagonal selects COLAMD with partial pivoting.  The pivot checks run on
-    the factor, the residual check on the caller's matrix: `_a`, the one
-    matrix kept, is the caller's own object when it is CSR.
+    numbering.  Without `xy` SuperLU's default applies: COLAMD with partial
+    pivoting.  The pivot checks run on the factor, the residual check on
+    the caller's matrix: `_a`, the one matrix kept, is the caller's own
+    object when it is CSR.
     """
 
     def __init__(self, a, xy=None):
@@ -103,16 +104,11 @@ class Factorization:
         if n != m:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         t0 = time.perf_counter()
-        self._perm = None
+        self._perm, ordering = None, {}
         if xy is not None:
             self._perm = nested_dissection(csr, xy)
             ordering = dict(permc_spec="NATURAL", diag_pivot_thresh=1e-3,
                             options=dict(SymmetricMode=True))
-        elif np.all(csr.diagonal() != 0):
-            ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                            options=dict(SymmetricMode=True))
-        else:
-            ordering = {}
         self._a = csr
         max_a = np.abs(csr.data).max() if csr.nnz else 0.0
         # P A P^T is only SuperLU's input, freed before the memory peak at U
@@ -354,17 +350,18 @@ def inverse_iteration(apply_s_inverse, m, n, k=4, tol=EIG_TOL, max_iter=EIG_MAX_
         f"(last value {theta})", theta, q)
 
 
-def smallest_gen_eig(s, m, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
+def smallest_gen_eig(s, m, xy=None, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
     """Smallest eigenpair (theta, q) of S q = theta M q, M SPD.
 
     S is a symmetric sparse matrix or a `LinearOperator`; it is only
     applied.  ARPACK's Lanczos runs on M^{-1} S in the M inner product
-    until its Ritz value is accurate to 1e-2 * tol, with M^{-1} from one
-    factorization of M and a fixed start vector, so repeated calls give
-    the same bits.  The returned pair
-    is checked with one more apply: ||S q - theta M q|| <= tol * theta *
-    ||M q||.  Failing the check raises EigenIterationError carrying the
-    pair; hitting `max_iter` restarts raises it with no pair.
+    until its Ritz value is accurate to 1e-2 * tol.  M^{-1} comes from one
+    factorization of M, ordered by `xy`, the coordinates of M's unknowns,
+    as in `Factorization`; the start vector is fixed, so repeated calls
+    give the same bits.  The returned pair is checked with one more apply:
+    ||S q - theta M q|| <= tol * theta * ||M q||.  Failing the check raises
+    EigenIterationError carrying the pair; hitting `max_iter` restarts
+    raises it with no pair.
     """
     m_csr = _as_csr(m)
     s_op = s if isinstance(s, spla.LinearOperator) else _as_csr(s)
@@ -375,7 +372,7 @@ def smallest_gen_eig(s, m, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
         q = np.ones(1)
         theta = float((s_op @ q)[0] / (m_csr @ q)[0])
     else:
-        m_factor = factorize(m_csr)
+        m_factor = factorize(m_csr, xy)
         m_inverse = spla.LinearOperator((n, n), dtype=float,
                                         matvec=lambda b: m_factor.solve(b)[0])
         start = np.random.default_rng(20240601).standard_normal(n)

@@ -1,10 +1,11 @@
+import contextlib
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fsifem import analysis, fem, mesh as meshmod, solver
+from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +79,23 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture(scope="session")
+def factorize_calls():
+    """`with factorize_calls() as calls:` records every `sparse.factorize`
+    call made inside the block, in call order, as (shape of the matrix,
+    whether it came with coordinates).  The calls still factorize."""
+    @contextlib.contextmanager
+    def record():
+        calls = []
+        real = sla.factorize
+
+        def recording(a, xy=None):
+            calls.append((a.shape, xy is not None))
+            return real(a, xy)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sla, "factorize", recording)
+            yield calls
+    return record

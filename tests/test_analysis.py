@@ -445,36 +445,32 @@ PREVIOUS_BETA = {0: 0.4495509962707977, 1: 0.45732875888393204,
 
 
 @pytest.fixture(scope="module")
-def infsup_runs():
-    """level -> (beta, Schur applies, shapes given to sla.factorize)."""
-    real_eig, real_factorize = sla.smallest_gen_eig, sla.factorize
+def infsup_runs(factorize_calls):
+    """level -> (beta, Schur applies, factorize calls as (shape, with
+    coordinates))."""
+    real_eig = sla.smallest_gen_eig
     runs = {}
     for level in PREVIOUS_BETA:
-        applies, shapes = [], []
+        applies = []
 
-        def counting_eig(s, m, **kwargs):
+        def counting_eig(s, m, *args, **kwargs):
             def apply(q):
                 applies.append(1)
                 return s @ q
             return real_eig(spla.LinearOperator(s.shape, matvec=apply, dtype=float),
-                            m, **kwargs)
-
-        def recording_factorize(a):
-            shapes.append(a.shape)
-            return real_factorize(a)
+                            m, *args, **kwargs)
 
         space = fem.build_space(meshmod.generate(level))
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, factorize_calls() as calls:
             mp.setattr(sla, "smallest_gen_eig", counting_eig)
-            mp.setattr(sla, "factorize", recording_factorize)
             beta = analysis.infsup_beta(space)
-        runs[level] = (space, beta, len(applies), shapes)
+        runs[level] = (space, beta, len(applies), calls)
     return runs
 
 
 def test_infsup_matches_previous_eigensolve(infsup_runs):
     for level, (_, beta, _, _) in infsup_runs.items():
-        assert beta == pytest.approx(PREVIOUS_BETA[level], rel=1e-10)
+        assert beta == pytest.approx(PREVIOUS_BETA[level], rel=1e-12)
 
 
 def test_infsup_applies_do_not_grow_with_level(infsup_runs):
@@ -483,10 +479,19 @@ def test_infsup_applies_do_not_grow_with_level(infsup_runs):
 
 
 def test_infsup_factorizes_no_saddle_matrix(infsup_runs):
-    for space, _, _, shapes in infsup_runs.values():
+    for space, _, _, calls in infsup_runs.values():
         nf, npr = space.num_free_velocity_dofs, space.num_pressure_dofs
-        assert shapes
-        assert set(shapes) <= {(nf, nf), (npr, npr)}
+        assert calls
+        assert {shape for shape, _ in calls} <= {(nf, nf), (npr, npr)}
+
+
+def test_infsup_velocity_factor_fill_is_nested_dissection(infsup_runs):
+    # level 3: node nested dissection fills 1.78 M, SuperLU's minimum
+    # degree on K + K^T 2.17 M
+    space = infsup_runs[3][0]
+    k, _, _ = analysis._infsup_blocks(space)
+    factor = sla.factorize(k, solver.velocity_coordinates(space, space.free_velocity_dofs))
+    assert factor._lu.nnz <= 1_900_000
 
 
 def test_infsup_is_bitwise_repeatable(space1):

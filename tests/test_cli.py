@@ -118,6 +118,17 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys, line):
     assert not (tmp_path / "domain_conditions.json").exists()
 
 
+def test_config_file_rejects_duplicate_key(tmp_path, capsys):
+    # a repeated key must not silently let its last value win
+    config = tmp_path / "study.cfg"
+    config.write_text("mode = resolvent\nlevels = 0\nlambda = 2.0\nlambda = 3.0\n")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert f"{config}:4: duplicate key 'lambda'" in err
+    assert not (tmp_path / "domain_conditions.json").exists()
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("FSI_OUT_DIR", str(target))

@@ -213,6 +213,29 @@ def test_import_rejects_index_off_its_position(mesh0, tmp_path, row, idx, positi
         meshmod.import_mesh(path)
 
 
+@pytest.mark.parametrize("line, field, vertex", [
+    ("triangle", 2, -49),   # would wrap around to vertex 0
+    ("triangle", 1, 49),    # one past the last of the 49 vertices
+    ("edge", 0, -1),
+    ("edge", 1, 49),
+])
+def test_import_rejects_vertex_reference_out_of_range(mesh0, tmp_path, line, field,
+                                                     vertex):
+    path = tmp_path / "dangling.txt"
+    meshmod.export_mesh(mesh0, path)
+    lines = path.read_text().splitlines()
+    row = 1 + mesh0.num_vertices          # first triangle line
+    if line == "edge":
+        row += mesh0.num_triangles
+    fields = lines[row].split()
+    fields[field] = str(vertex)
+    lines[row] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshmod.MeshError,
+                       match=f"dangling.txt:{row + 1}: vertex {vertex} outside 0..48"):
+        meshmod.import_mesh(path)
+
+
 def test_import_rejects_swapped_interface_tags(mesh0, tmp_path):
     # one Interior edge retagged GammaS and one GammaS edge retagged
     # Interior: the tag counts still match, the connectivity does not

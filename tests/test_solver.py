@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fsifem import analysis, fem, mesh as meshmod, semigroup, solver, sparse as sla
 
@@ -366,18 +367,9 @@ def _factor_or_error(saddle, xy=None):
         return None, type(err)
 
 
-def test_nested_dissection_no_worse_than_colamd_over_parameters(monkeypatch):
-    # record the saddle matrix (the factorization given coordinates), also
-    # when its factorization fails
-    saddles = []
-    real_factorize = sla.factorize
-
-    def recording(a, xy=None):
-        if xy is not None:
-            saddles.append(a)
-        return real_factorize(a, xy)
-
-    monkeypatch.setattr(sla, "factorize", recording)
+def test_nested_dissection_no_worse_than_colamd_over_parameters():
+    # the saddle matrix that ResolventOperator factorizes, built also where
+    # its factorization fails
     space = fem.build_space(meshmod.generate(2))
     xy = solver.saddle_coordinates(space, space.solid_interior_dofs)
     rng = np.random.default_rng(20241018)
@@ -385,12 +377,7 @@ def test_nested_dissection_no_worse_than_colamd_over_parameters(monkeypatch):
         for lame_lambda, lame_mu in ((1.0, 1.0), (1e6, 1.0), (1.0, 1e-3), (1.0, 1e3)):
             params = fem.MaterialParams(lame_lambda=lame_lambda, lame_mu=lame_mu,
                                         shift=shift)
-            saddles.clear()
-            try:
-                solver.ResolventOperator(space, params)
-            except sla.SingularMatrixError:
-                pass
-            saddle = saddles[-1]
+            saddle, _ = solver.resolvent_saddle(space, params)
             assert saddle.shape == (xy.shape[0], xy.shape[0])
             nd, nd_error = _factor_or_error(saddle, xy)
             colamd, colamd_error = _factor_or_error(saddle)
@@ -572,20 +559,13 @@ def test_domain_conditions_detect_corruption(space0, params, rng):
     assert a2.residual == pytest.approx(0.125 / max(1.0, np.abs(corrupted.u).max()))
 
 
-def test_domain_conditions_factorize_nothing(params, rng, monkeypatch):
+def test_domain_conditions_factorize_nothing(params, rng, factorize_calls):
     # the flux check needs the shifted solid matrix, not its interior factor
     space = fem.build_space(meshmod.generate(0))
     state = solver.random_state(space, rng)
     pi = rng.standard_normal(space.num_pressure_dofs)
-    calls = []
-    real_factorize = sla.factorize
-
-    def recording(a, xy=None):
-        calls.append(a.shape)
-        return real_factorize(a, xy)
-
-    monkeypatch.setattr(sla, "factorize", recording)
-    solver.check_domain_conditions(space, params, state, pi, solver.zero_data(space))
+    with factorize_calls() as calls:
+        solver.check_domain_conditions(space, params, state, pi, solver.zero_data(space))
     assert calls == []
 
 
@@ -595,3 +575,47 @@ def test_domain_conditions_zero_state(space0, params):
                                             solver.zero_data(space0))
     assert report.all_passed
     assert all(c.residual == 0.0 for c in report.checks)
+
+
+def test_every_package_factorization_gets_coordinates(params, factorize_calls):
+    space = fem.build_space(meshmod.generate(0))
+    with factorize_calls() as calls:
+        analysis.infsup_beta(space)
+        solver.dirichlet_map(space, params)
+        solver.solid_resolvent_inverse(space, params, np.ones(space.num_solid_dofs))
+        solver.kernel_projection(space)
+        solver.ResolventOperator(space, params)
+    nf, ni = space.num_free_velocity_dofs, space.solid_interior_dofs.size
+    npr = space.num_pressure_dofs
+    # K, M_p, S_ii (once: the solid resolvent inverse reuses the cached
+    # factor), the kernel projection's saddle and the resolvent saddle
+    assert calls == [((nf, nf), True), ((npr, npr), True), ((ni, ni), True),
+                     ((nf + npr, nf + npr), True),
+                     ((nf + ni + npr, nf + ni + npr), True)]
+
+
+class _MinimumDegreeFactor:
+    """The factor an SPD block had before it took coordinates: SuperLU's
+    minimum degree on A + A^T, symmetric mode, diagonal pivots."""
+
+    def __init__(self, a, xy=None):
+        self._lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=1e-3, options=dict(SymmetricMode=True))
+
+    def solve(self, b):
+        return self._lu.solve(b), None
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_nested_dissection_solid_factor_matches_minimum_degree(level, params, monkeypatch):
+    msh = meshmod.generate(level)
+    space = fem.build_space(msh)
+    columns = solver.dirichlet_map(space, params).columns
+    schur = solver.schur_form(space, params).toarray()
+    # a fresh space, so no cached factor of the package's order is reused
+    monkeypatch.setattr(sla, "factorize", _MinimumDegreeFactor)
+    reference = fem.build_space(msh)
+    ref_columns = solver.dirichlet_map(reference, params).columns
+    ref_schur = solver.schur_form(reference, params).toarray()
+    assert np.abs(columns - ref_columns).max() <= 1e-12 * np.abs(ref_columns).max()
+    assert np.abs(schur - ref_schur).max() <= 1e-12 * np.abs(ref_schur).max()

@@ -139,11 +139,14 @@ def test_zero_free_diagonal_gets_symmetric_ordering(monkeypatch):
     space = fem.build_space(meshmod.generate(2))
     k, _, _ = analysis._infsup_blocks(space)
     colamd_fill = spla.splu(k.tocsc()).nnz
+    mmd_fill = spla.splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+                         options=dict(SymmetricMode=True)).nnz
     made = _record_splu(monkeypatch)
-    sla.factorize(k)
+    sla.factorize(k, solver.velocity_coordinates(space, space.free_velocity_dofs))
     (kwargs, lu), = made
-    assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+    assert kwargs["permc_spec"] == "NATURAL"
     assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.nnz < mmd_fill
     assert lu.nnz < colamd_fill
 
 
@@ -191,7 +194,8 @@ def test_pivot_growth_is_max_abs_u_over_max_abs_a(space0, params, rng):
     xy = solver.saddle_coordinates(space0, space0.solid_interior_dofs)
     cases = [(saddle, xy),                                   # nested dissection
              (saddle, None), (-saddle, None),                # COLAMD
-             (fem.assemble(space0, "fluid_mass"), None),        # minimum degree
+             (fem.assemble(space0, "fluid_mass"),               # SPD block
+              solver.velocity_coordinates(space0, np.arange(space0.num_velocity_dofs))),
              (sp.csr_matrix(rng.standard_normal((40, 40))), None)]
     for a, coordinates in cases:
         factor = sla.Factorization(a, xy=coordinates)
