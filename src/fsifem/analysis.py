@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -151,10 +152,14 @@ class ManufacturedCase:
     def pressure(self, x, y):
         return np.zeros_like(np.asarray(x, dtype=float))
 
+    def data_factors(self, t):
+        """(phi, phi', phi'', phi''') at the coordinates t, from the
+        hardcoded lists."""
+        return _polyvals(t, (self.phi, self.dphi, self.d2phi, self.d3phi))
+
     def data(self, x, y):
         """u* from the hardcoded derivative lists."""
-        hard = (self.phi, self.dphi, self.d2phi, self.d3phi)
-        return _resolvent_data(self.shift, _polyvals(x, hard), _polyvals(y, hard))
+        return _resolvent_data(self.shift, self.data_factors(x), self.data_factors(y))
 
 
 def manufactured_case(shift: float) -> ManufacturedCase:
@@ -230,7 +235,12 @@ def verify_data_identity(case: ManufacturedCase, count=1000) -> float:
 
 
 def manufactured_data(space, case: ManufacturedCase) -> solver.ResolventData:
-    return solver.data_from_field(space, case.data)
+    """Resolvent data with the fluid load of u* (`ManufacturedCase.data`,
+    its factors evaluated once per coordinate class) and zero solid data."""
+    load = fem.assemble_fluid_load(space, case.data_factors,
+                                   partial(_resolvent_data, case.shift))
+    return solver.ResolventData(load, np.zeros(space.num_solid_dofs),
+                                np.zeros(space.num_solid_dofs))
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +260,6 @@ class ErrorNorms:
     ew_h1_full: float
 
 
-def _class_tables(space, case, rule, tris):
-    """For x and then y: the quadrature coordinate and the 1-D exact
-    factors (A, A', A'') at the rule's points of one representative
-    triangle per coordinate class, and the class of every triangle.
-
-    The x of a quadrature point depends only on the x of the triangle's
-    three vertices, and likewise for y.  So the triangles are grouped by
-    the bits of their vertex x-triples and, separately, of their
-    y-triples, and a class's row gathered back is bitwise the per-point
-    value.  On a mesh without repeated coordinates every triangle is its
-    own class."""
-    verts = space.mesh.vertices[space.mesh.triangles[tris]]
-    tables = []
-    for axis in (0, 1):
-        first, cls = sla.bit_classes(verts[..., axis])
-        coord = fem.quadrature_coordinate(space, tris[first], rule, axis)
-        tables.append((coord, case.factors(coord), cls))
-    return tables
-
-
 def _fluid_error_squares(space, u, pi, case, rule, tris):
     """Squared L2, full-gradient, eps and pressure errors on `tris`.
 
@@ -282,7 +272,8 @@ def _fluid_error_squares(space, u, pi, case, rule, tris):
     u2 + A' B, d u2/dx - (-(A'' B)) is d u2/dx + A'' B, and
     d u2/dy = -(A' B') = -d u1/dx."""
     det, inv = fem._tri_geometry(space, tris)
-    (x, fx, x_cls), (y, fy, y_cls) = _class_tables(space, case, rule, tris)
+    (x, fx, x_cls), (y, fy, y_cls) = fem.class_factors(space, tris, rule,
+                                                        case.factors)
     dofs = space.velocity_dofs_of_tris(tris)
     cx = u[dofs[:, 0::2]]
     cy = u[dofs[:, 1::2]]
@@ -377,7 +368,7 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     `ERROR_NORM_CHUNK` fluid triangles; the chunks fix the order of the
     sums.  In each chunk the exact fields come from 1-D factors evaluated
     once per class of equal vertex x-triples and once per class of equal
-    vertex y-triples (`_class_tables`), bitwise the per-point values.  A
+    vertex y-triples (`fem.class_factors`), bitwise the per-point values.  A
     level-4 mesh has 2 816 x-classes and 208 y-classes, summed over
     chunks, against 16 384 fluid triangles.  Building the classes per
     chunk keeps memory bounded on any mesh.  Inside a chunk the four

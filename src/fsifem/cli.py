@@ -5,7 +5,9 @@ Modes: resolvent (one manufactured solve + domain-condition report),
 convergence (error/rate tables), infsup (discrete inf-sup constants),
 evolve (backward-Euler energy trace), certify (dissipativity, kernel
 coercivity, and oracle-equivalence checks).  Exit status is 0 exactly when
-every check invoked by the mode passed at its stated tolerance.
+every check invoked by the mode passed at its stated tolerance; a usage
+error exits 2, and an error raised during the run exits 1 tagged with the
+innermost package module of its traceback.
 
 Configuration comes from flags, optionally seeded by a plain-text
 ``key = value`` file (flags win); the output directory falls back to the
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +59,8 @@ class RunConfig:
             raise ValueError(f"levels must be nonnegative, got {self.levels}")
         if self.levels != sorted(set(self.levels)):
             raise ValueError(f"levels must be ascending and distinct, got {self.levels}")
+        if self.seed < 0:
+            raise ValueError(f"--seed: must be a non-negative integer, got {self.seed}")
         # the parameter objects check their own fields and name the bad
         # one first in the message; the usage error adds its flag
         try:
@@ -348,6 +353,18 @@ def run(cfg: RunConfig) -> int:
     return 0 if _RUNNERS[cfg.mode](cfg) else 1
 
 
+def _error_module(err):
+    """The innermost fsifem module in the traceback of `err`: the layer
+    that raised it, or that called out of the package when it was raised.
+    Falls back to the module of the exception's type."""
+    module = type(err).__module__
+    for frame, _ in traceback.walk_tb(err.__traceback__):
+        name = frame.f_globals.get("__name__", "")
+        if name.startswith("fsifem."):
+            module = name
+    return module.rsplit(".", 1)[-1]
+
+
 def main(argv=None) -> int:
     try:
         cfg = build_config(argv if argv is not None else sys.argv[1:])
@@ -360,8 +377,7 @@ def main(argv=None) -> int:
     try:
         return run(cfg)
     except Exception as err:   # tag failures with the originating module
-        module = type(err).__module__.rsplit(".", 1)[-1]
-        print(f"[{module}] {type(err).__name__}: {err}", file=sys.stderr)
+        print(f"[{_error_module(err)}] {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
 

@@ -19,8 +19,8 @@ Jacobian, without forming a physical-gradient tensor.
 `quadrature_coordinate` gives one coordinate of the physical points as a
 (triangle x point) plane, by an explicit barycentric sum, so a point's x
 depends only on the x of the triangle's vertices and its y only on their
-y.  The error norms and the fluid load take the planes they need;
-`quadrature_points` stacks the two.
+y.  `class_factors` takes the planes it needs; `quadrature_points`
+stacks the two.
 
 `assemble(space, form, params)` is the one entry to global assembly.  The
 form's entry in `_FORMS` names its element kernel and its row and column
@@ -40,9 +40,10 @@ representative per class and gathers the result back.  Equal bits give
 equal matrices, so this needs no tolerance and the assembled matrices are
 bitwise those of a per-triangle kernel; a structured level-3 mesh has 124
 fluid and 28 solid classes among 4 096 and 512 triangles, a jittered mesh
-one class per triangle.  The error norms group each chunk's triangles by
-their vertex x-triples and, separately, y-triples, and evaluate the
-separable exact field on one representative per class.  Every
+one class per triangle.  The separable exact fields, in the error norms
+and in the fluid load, have one evaluation path: `class_factors` groups
+the triangles by their vertex x-triples and, separately, y-triples, and
+evaluates the 1-D factors on one representative per class.  Every
 global matrix then goes through one COO-to-CSR scatter (`_scatter`) whose
 row and column arrays are built as int32, the index type of the result.
 The space reads no grid layout: each interface edge takes its length from
@@ -558,16 +559,40 @@ def quadrature_points(space, tris, rule):
                      for axis in (0, 1)], axis=-1)
 
 
-def assemble_fluid_load(space, field):
-    """Load vector (f, phi_i) over the fluid for a vector field f(x, y).
+def class_factors(space, tris, rule, factors):
+    """For x and then y: the quadrature coordinate of the rule's points on
+    one representative triangle per coordinate class, `factors` of it (a
+    tuple of (class x point) planes), and the class of every triangle.
 
-    `field` must accept coordinate arrays and return the component pair
-    (f_x, f_y).  Integrated with the degree-`DATA_QUAD_DEGREE` rule."""
+    The x of a quadrature point depends only on the x of the triangle's
+    three vertices, and likewise for y.  So the triangles are grouped by
+    the bits of their vertex x-triples and, separately, of their
+    y-triples, and a class's row gathered back is bitwise the per-point
+    value.  On a mesh without repeated coordinates every triangle is its
+    own class."""
+    verts = space.mesh.vertices[space.mesh.triangles[tris]]
+    tables = []
+    for axis in (0, 1):
+        first, cls = sla.bit_classes(verts[..., axis])
+        coord = quadrature_coordinate(space, tris[first], rule, axis)
+        tables.append((coord, factors(coord), cls))
+    return tables
+
+
+def assemble_fluid_load(space, factors, field):
+    """Load vector (f, phi_i) over the fluid for a separable vector field
+    f(x, y) = field(factors(x), factors(y)).
+
+    `factors` maps a coordinate array to a tuple of 1-D factor arrays and
+    `field` maps the factors at x and at y to the pair (f_x, f_y).  The
+    factors are evaluated once per coordinate class (`class_factors`), so
+    the load is bitwise that of evaluating f point by point.  Integrated
+    with the degree-`DATA_QUAD_DEGREE` rule."""
     tris = space.fluid_tris
     rule = triangle_rule(DATA_QUAD_DEGREE)
     det, _ = _tri_geometry(space, tris)
-    fx, fy = field(quadrature_coordinate(space, tris, rule, 0),
-                   quadrature_coordinate(space, tris, rule, 1))
+    (_, fx, x_cls), (_, fy, y_cls) = class_factors(space, tris, rule, factors)
+    fx, fy = field(tuple(f[x_cls] for f in fx), tuple(f[y_cls] for f in fy))
     n = p2_values(rule.points)                       # (nq, 6)
     lx = np.einsum("q,qi,tq->ti", rule.weights, n, fx) * det[:, None]
     ly = np.einsum("q,qi,tq->ti", rule.weights, n, fy) * det[:, None]

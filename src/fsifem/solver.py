@@ -27,12 +27,15 @@ and the Dirichlet map its interior block S_ii, each from the coordinates
 of its own unknowns (`velocity_coordinates`, `solid_coordinates`,
 `pressure_coordinates`).
 
-The interface traction is the solid residual M_s (lam w* + z*) - S w
-(`_solid_residual`).  With w the lift w*/lam on Gamma_s (`_solid_lift`)
-it is the solid part of the solve's right-hand side and of the dense
-oracle's; with w a solution its Gamma_s entries are the solid traction
-moments that the A5b flux check and the c0 recovery compare with the
-fluid momentum residual (`_momentum_residual`).  Matrices, factorizations
+The interface traction has one path, `interface_traction_moments`: the
+Gamma_s rows of the fluid momentum residual K_eps u + lam M u + B^T pi - l
+(`_momentum_residual`) and of the solid residual M_s (lam w* + z*) - S w
+(`_solid_residual`).  The A5b flux check compares the two, and the c0
+recovery balances them.  A resolvent solution's momentum residual
+vanishes on every free velocity dof off Gamma_s, so these rows are the
+whole traction functional.  With w the lift w*/lam on Gamma_s
+(`_solid_lift`) the solid residual is also the solid part of the solve's
+right-hand side and of the dense oracle's.  Matrices, factorizations
 and operators are kept on the space per parameter set
 (`TaylorHoodSpace.cached`).  A cached operator holds no reference to its
 space, only the dof arrays and sizes it reads, so no reference cycle runs
@@ -124,13 +127,6 @@ def data_from_vectors(space, u_star, w_star, z_star) -> ResolventData:
     return ResolventData(mass @ np.asarray(u_star, dtype=float),
                          np.asarray(w_star, dtype=float).copy(),
                          np.asarray(z_star, dtype=float).copy())
-
-
-def data_from_field(space, u_star_field) -> ResolventData:
-    """Data with closed-form fluid field u* and zero solid data."""
-    return ResolventData(fem.assemble_fluid_load(space, u_star_field),
-                         np.zeros(space.num_solid_dofs),
-                         np.zeros(space.num_solid_dofs))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +399,7 @@ def kernel_projection(space):
 
 
 # ---------------------------------------------------------------------------
-# pressure decomposition and interface fluxes
+# pressure decomposition and interface tractions
 # ---------------------------------------------------------------------------
 
 def decompose_pressure(space, pi):
@@ -415,75 +411,42 @@ def decompose_pressure(space, pi):
     return pi - c0, float(c0)
 
 
-def _check_extension(space, g, extension):
-    ext = np.asarray(extension, dtype=float)
-    if ext.shape != (space.num_velocity_dofs,):
-        raise ValueError("extension does not match the velocity layout")
-    if not np.array_equal(ext[space.iface_velocity_dofs], np.asarray(g, dtype=float)):
-        raise ValueError("extension trace differs from g on Gamma_s")
-    if np.any(ext[space.constrained_mask] != 0.0):
-        raise ValueError("extension must vanish on Gamma_f")
-    return ext
-
-
-def interface_flux(space, params, state, pi, g, data, extension=None):
-    """Variationally consistent fluid traction <eps(u).nu - pi nu, g>.
-
-    Evaluated through the volume residual (eps(u), eps(Eg)) - (pi, div Eg)
-    + (lam u - u*, Eg) for any discrete extension Eg of the interface trace
-    g vanishing on Gamma_f; the value is extension-independent because the
-    discrete momentum residual vanishes on interior test functions.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (space.num_iface_dofs,):
-        raise ValueError(f"g must be an interface trace of length "
-                         f"{space.num_iface_dofs}, got {g.shape}")
-    if extension is None:
-        eg = np.zeros(space.num_velocity_dofs)
-        eg[space.iface_velocity_dofs] = g
-    else:
-        eg = _check_extension(space, g, extension)
-    return float(_momentum_residual(space, params, state.u, pi, data.u_load) @ eg)
-
-
 def _momentum_residual(space, params, u, pi, u_load):
     """Discrete fluid momentum residual K_eps u + lam M u + B^T pi - l.
 
-    Full velocity layout.  It vanishes on free interior dofs for a
-    resolvent solution, so its interface entries are the fluid traction
-    moments and its pairing with any extension is the traction functional.
-    """
+    Full velocity layout.  It vanishes on the free velocity dofs off
+    Gamma_s for a resolvent solution, so its Gamma_s entries are the fluid
+    traction moments."""
     fops = fem.fluid_operators(space)
     return (fops.strain @ u + params.shift * (fops.mass @ u)
             + fops.div.T @ pi - u_load)
 
 
-def _solid_flux_moments(space, params, state, data):
-    """Solid traction <sigma(w).nu, phi_i> against interface basis traces."""
-    residual = _solid_residual(fem.solid_operators(space, params).mass,
-                               _shifted_solid_matrix(space, params), params.shift,
-                               data, state.w)
-    return residual[space.iface_solid_dofs]
+def interface_traction_moments(space, params, state, pi, data):
+    """The fluid and the solid traction moments on the Gamma_s dofs.
 
-
-def solid_interface_flux(space, params, state, g, data):
-    """Solid-side traction functional, companion to interface_flux."""
-    g = np.asarray(g, dtype=float)
-    return float(_solid_flux_moments(space, params, state, data) @ g)
+    Returns `(fluid, solid)`: the Gamma_s rows of the momentum residual
+    (`_momentum_residual`), <eps(u).nu - pi nu, phi_i>, and of the solid
+    residual (`_solid_residual`), <sigma(w).nu, phi_i>.  The A5b check
+    compares them and the c0 recovery balances them."""
+    fluid = _momentum_residual(space, params, state.u, pi, data.u_load)
+    solid = _solid_residual(fem.solid_operators(space, params).mass,
+                            _shifted_solid_matrix(space, params), params.shift,
+                            data, state.w)
+    return fluid[space.iface_velocity_dofs], solid[space.iface_solid_dofs]
 
 
 def recover_c0(space, params, state, pi_q0, data):
-    """Constant pressure component from the interface flux balance.
+    """Constant pressure component from the interface traction balance.
 
     Realizes the interface average of [eps(u).nu - sigma(w).nu].nu - q0 by
-    pairing the flux-difference functional (with the mean-zero pressure
+    pairing the difference of the traction moments of
+    `interface_traction_moments` (with the mean-zero pressure
     representative) against the L2(Gamma_s) projection of the normal field
     onto the discrete trace space.
     """
-    fluid = _momentum_residual(space, params, state.u, pi_q0, data.u_load)
-    moments = (fluid[space.iface_velocity_dofs]
-               + fem.iface_pressure_normal_moments(space, pi_q0))
-    moments = moments - _solid_flux_moments(space, params, state, data)
+    fluid, solid = interface_traction_moments(space, params, state, pi_q0, data)
+    moments = (fluid + fem.iface_pressure_normal_moments(space, pi_q0)) - solid
     m_gamma = fem.iface_trace_mass(space)
     nu_proj = np.linalg.solve(m_gamma, fem.iface_normal_moments(space))
     q0_line = fem.iface_pressure_integral(space, pi_q0)
@@ -535,8 +498,7 @@ def check_domain_conditions(space, params, state, pi, data) -> DomainConditionRe
     den = (np.abs(div_b) @ np.abs(u)).max(initial=0.0)
     div_res = num / den if den > 0 else 0.0
 
-    fl = _momentum_residual(space, params, u, pi, data.u_load)[space.iface_velocity_dofs]
-    so = _solid_flux_moments(space, params, state, data)
+    fl, so = interface_traction_moments(space, params, state, pi, data)
     scale = max(1.0, np.abs(fl).max(initial=0.0), np.abs(so).max(initial=0.0))
     a5b = np.abs(fl - so).max(initial=0.0) / scale
 

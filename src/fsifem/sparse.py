@@ -95,7 +95,8 @@ class Factorization:
     numbering.  Without `xy` SuperLU's default applies: COLAMD with partial
     pivoting.  The pivot checks run on the factor, the residual check on
     the caller's matrix: `_a`, the one matrix kept, is the caller's own
-    object when it is CSR.
+    object when it is CSR.  A non-finite entry raises ValueError before
+    SuperLU runs.
     """
 
     def __init__(self, a, xy=None):
@@ -111,6 +112,8 @@ class Factorization:
                             options=dict(SymmetricMode=True))
         self._a = csr
         max_a = np.abs(csr.data).max() if csr.nnz else 0.0
+        if not np.isfinite(max_a):
+            raise ValueError(f"matrix has a non-finite entry (max|A| = {max_a})")
         # P A P^T is only SuperLU's input, freed before the memory peak at U
         csc = (csr if self._perm is None else csr[self._perm][:, self._perm]).tocsc()
         try:

@@ -84,6 +84,51 @@ def test_data_identity_shift_invariant(case):
     assert analysis.verify_data_identity(doubled) <= 1e-12
 
 
+def _per_point_load(space, case):
+    """The fluid load of u* with `case.data` evaluated at every quadrature
+    point: the reference for the class-evaluated load."""
+    tris = space.fluid_tris
+    rule = fem.triangle_rule(fem.DATA_QUAD_DEGREE)
+    det, _ = fem._tri_geometry(space, tris)
+    fx, fy = case.data(fem.quadrature_coordinate(space, tris, rule, 0),
+                       fem.quadrature_coordinate(space, tris, rule, 1))
+    n = fem.p2_values(rule.points)
+    lx = np.einsum("q,qi,tq->ti", rule.weights, n, fx) * det[:, None]
+    ly = np.einsum("q,qi,tq->ti", rule.weights, n, fy) * det[:, None]
+    load = np.zeros(space.num_velocity_dofs)
+    dofs = space.velocity_dofs_of_tris(tris)
+    np.add.at(load, dofs[:, 0::2], lx)
+    np.add.at(load, dofs[:, 1::2], ly)
+    return load
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, "jittered"])
+def test_class_evaluated_load_is_bitwise_per_point(level, case, jittered_mesh1):
+    msh = jittered_mesh1 if level == "jittered" else meshmod.generate(level)
+    space = fem.build_space(msh)
+    data = analysis.manufactured_data(space, case)
+    assert np.array_equal(data.u_load, _per_point_load(space, case))
+    assert np.all(data.w_star == 0.0) and np.all(data.z_star == 0.0)
+
+
+def test_load_factors_evaluated_once_per_coordinate_class(case, monkeypatch):
+    space = fem.build_space(meshmod.generate(3))
+    evaluated = []
+    polyval = npoly.polyval
+
+    def counting(x, c, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return polyval(x, c, *args, **kwargs)
+
+    monkeypatch.setattr(analysis.npoly, "polyval", counting)
+    analysis.manufactured_data(space, case)
+    nq = fem.triangle_rule(fem.DATA_QUAD_DEGREE).weights.size
+    verts = space.mesh.vertices[space.mesh.triangles[space.fluid_tris]]
+    classes = sum(sla.bit_classes(verts[..., axis])[0].size for axis in (0, 1))
+    # four factors per class and axis; point by point it is 8 * 4096 * nq
+    assert sum(evaluated) == 4 * classes * nq
+
+
 def test_sample_points_avoid_solid(case):
     x, y = analysis.fluid_sample_points(1000)
     assert x.size == 1000

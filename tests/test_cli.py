@@ -44,6 +44,20 @@ def test_rejects_infinite_t_final(capsys):
     assert capsys.readouterr().err.startswith("usage error: --t-final:")
 
 
+def test_rejects_negative_seed(capsys):
+    assert cli.main(["--mode", "certify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --seed:")
+
+
+@pytest.mark.parametrize("args", [["--mode", "resolvent", "--lambda", "1e200"],
+                                  ["--mode", "evolve", "--t-final", "1e-300",
+                                   "--steps", "2"]])
+def test_overflowing_shift_names_the_sparse_layer(tmp_path, capsys, args):
+    # lam^2 + 1 overflows, so the shifted solid matrix is infinite
+    assert cli.main(args + ["--levels", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("[sparse] ValueError: matrix has a non-finite")
+
+
 def test_convergence_mode_writes_tables(tmp_path, capsys):
     code = cli.main(["--mode", "convergence", "--levels", "0,1",
                      "--out", str(tmp_path)])

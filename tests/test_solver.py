@@ -447,45 +447,38 @@ def test_manufactured_c0_small_and_shrinking(params, case):
     assert values[1] <= values[0]
 
 
-# -- interface flux ----------------------------------------------------------
+# -- interface traction ------------------------------------------------------
 
 def test_flux_zero_state(space0, params):
     state = solver.zero_state(space0)
-    g = np.ones(space0.num_iface_dofs)
-    value = solver.interface_flux(space0, params, state, state.pi, g,
-                                  solver.zero_data(space0))
-    assert value == 0.0
+    fluid, solid = solver.interface_traction_moments(space0, params, state, state.pi,
+                                                     solver.zero_data(space0))
+    assert fluid.shape == solid.shape == (space0.num_iface_dofs,)
+    assert np.all(fluid == 0.0) and np.all(solid == 0.0)
 
 
 def test_flux_extension_independence(solved1, params, rng):
-    space, data, state, _ = solved1
-    g = rng.standard_normal(space.num_iface_dofs)
-    base = solver.interface_flux(space, params, state, state.pi, g, data)
-    extension = np.zeros(space.num_velocity_dofs)
-    extension[space.iface_velocity_dofs] = g
-    interior = np.setdiff1d(space.free_velocity_dofs, space.iface_velocity_dofs)
-    extension[interior[::3]] += rng.standard_normal(interior[::3].size)
-    other = solver.interface_flux(space, params, state, state.pi, g, data,
-                                  extension=extension)
-    assert abs(base - other) <= 1e-9 * max(1.0, abs(base))
-
-
-def test_flux_rejects_bad_extension(solved1, params, rng):
-    space, data, state, _ = solved1
-    g = rng.standard_normal(space.num_iface_dofs)
-    bad = np.zeros(space.num_velocity_dofs)   # trace does not match g
-    with pytest.raises(ValueError, match="trace"):
-        solver.interface_flux(space, params, state, state.pi, g, data, extension=bad)
-    with pytest.raises(ValueError, match="interface trace"):
-        solver.interface_flux(space, params, state, state.pi, g[:-2], data)
+    # the traction functional pairs the momentum residual with an extension
+    # of a trace g; it depends on g alone because the residual of a
+    # resolvent solution vanishes on every free velocity dof off Gamma_s
+    space, manufactured, _, _ = solved1
+    off_gamma = np.setdiff1d(space.free_velocity_dofs, space.iface_velocity_dofs)
+    moments = []
+    for data in (manufactured, _random_data(space, rng)):
+        state, _ = solver.solve_resolvent(space, params, data)
+        residual = solver._momentum_residual(space, params, state.u, state.pi,
+                                             data.u_load)
+        fluid, _ = solver.interface_traction_moments(space, params, state,
+                                                     state.pi, data)
+        moments.append(np.abs(fluid).max())
+        assert np.abs(residual[off_gamma]).max() <= 1e-12 * max(1.0, moments[-1])
+    assert max(moments) > 1e-3     # the Gamma_s rows themselves do not vanish
 
 
 def test_flux_matching_all_basis_traces(solved1, params, rng):
     # interface condition: fluid traction equals solid traction
     space, data, state, _ = solved1
-    fl = solver._momentum_residual(space, params, state.u, state.pi,
-                                   data.u_load)[space.iface_velocity_dofs]
-    so = solver._solid_flux_moments(space, params, state, data)
+    fl, so = solver.interface_traction_moments(space, params, state, state.pi, data)
     scale = max(1.0, np.abs(fl).max(), np.abs(so).max())
     assert np.abs(fl - so).max() <= 1e-9 * scale
 
@@ -494,9 +487,27 @@ def test_flux_matching_random_data(space0, params, rng):
     data = _random_data(space0, rng)
     state, _ = solver.solve_resolvent(space0, params, data)
     g = rng.standard_normal(space0.num_iface_dofs)
-    fluid = solver.interface_flux(space0, params, state, state.pi, g, data)
-    solid = solver.solid_interface_flux(space0, params, state, g, data)
+    fl, so = solver.interface_traction_moments(space0, params, state, state.pi, data)
+    fluid, solid = fl @ g, so @ g
     assert abs(fluid - solid) <= 1e-9 * max(1.0, abs(fluid))
+
+
+def test_a5b_and_c0_read_one_traction_path(space0, params, rng, monkeypatch):
+    data = _random_data(space0, rng)
+    state, _ = solver.solve_resolvent(space0, params, data)
+    pressures = []
+    real = solver.interface_traction_moments
+
+    def recording(space, params, state, pi, data):
+        pressures.append(pi)
+        return real(space, params, state, pi, data)
+
+    monkeypatch.setattr(solver, "interface_traction_moments", recording)
+    solver.check_domain_conditions(space0, params, state, state.pi, data)
+    q0, _ = solver.decompose_pressure(space0, state.pi)
+    solver.recover_c0(space0, params, state, q0, data)
+    assert len(pressures) == 2
+    assert pressures[0] is state.pi and pressures[1] is q0
 
 
 # -- constant-pressure recovery ----------------------------------------------

@@ -59,6 +59,18 @@ def test_singular_matrix_reports_pivot():
     assert err.value.pivot == 1
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_entry_raises_before_superlu(bad, monkeypatch):
+    # (lam^2 + 1) overflows for a shift of 1e200, and S = K + (lam^2 + 1) M
+    # with it; SuperLU would call that matrix singular
+    a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, bad, 1.0], [0.0, 1.0, 2.0]]))
+    calls = []
+    monkeypatch.setattr(sla.spla, "splu", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="non-finite"):
+        sla.factorize(a)
+    assert calls == []
+
+
 def test_dimension_mismatch_raises():
     a = sp.identity(4, format="csr")
     with pytest.raises(ValueError, match="mismatch"):
