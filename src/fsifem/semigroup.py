@@ -108,8 +108,7 @@ def energy_components(space, params: MaterialParams, state: FsiState):
 
 def h_norm(space, state: FsiState, params: MaterialParams) -> float:
     """Energy norm sqrt(||u||^2 + (sigma(w),eps(w)) + ||w||^2 + ||z||^2)."""
-    e_fluid, e_pot, e_kin, _ = energy_components(space, params, state)
-    return math.sqrt(max(e_fluid + e_pot + e_kin, 0.0))
+    return math.sqrt(max(h_inner(space, params, state, state), 0.0))
 
 
 def _trace_row(space, params, state, step, time, solve_residual):

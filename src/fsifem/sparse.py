@@ -14,11 +14,10 @@ A + A^T, the solid interior block 5 % less and the pressure mass 3 %
 more.  The ordering works on nodes, the unknowns at one coordinate, and
 splits every block of a depth at once: each median cut keeps the smaller
 of its two boundary layers as the separator, so on a P2 mesh the
-separator is one line of nodes.  Without coordinates SuperLU's default
-applies, COLAMD with partial pivoting.  The wrapper enforces the
-contracts this package relies on: there is no unchecked solve, and each
-measures its relative residual with the caller's own matrix and
-right-hand side; singular factors raise with the offending pivot index in
+separator is one line of nodes.  The wrapper enforces the contracts this
+package relies on: there is no unchecked solve, and each measures its
+relative residual with the caller's own matrix and right-hand side;
+singular factors raise with the offending pivot index in
 the caller's numbering; and repeated solves of identical inputs are
 bitwise reproducible.  A factor is singular when a pivot has
 |u_kk| <= _PIVOT_TOL * max|A| with _PIVOT_TOL = 1e-14, the one rule both
@@ -73,7 +72,6 @@ class LinearSolveReport:
     """Measured (never assumed) quality of a direct solve."""
 
     residual: float       # ||Ax - b|| / ||b||, 0 for b = 0
-    pivot_growth: float   # max|U| / max|A|
     solve_time: float     # seconds in this solve alone
     factor_time: float    # seconds of the factorization it reused
 
@@ -87,37 +85,33 @@ def _as_csr(a):
 class Factorization:
     """Reusable sparse LU factorization of a square matrix.
 
-    With `xy`, one coordinate row per unknown, A is factorized as P A P^T
+    `xy` holds one coordinate row per unknown.  A is factorized as P A P^T
     in the coordinate nested-dissection order of `nested_dissection`:
     SuperLU keeps that order (NATURAL, symmetric mode) and a diagonal pivot
     unless it is below 1e-3 of its column's largest entry.  `solve` permutes
     the right-hand side and the solution, so callers see their own
-    numbering.  Without `xy` SuperLU's default applies: COLAMD with partial
-    pivoting.  The pivot checks run on the factor, the residual check on
+    numbering.  The pivot checks run on the factor, the residual check on
     the caller's matrix: `_a`, the one matrix kept, is the caller's own
     object when it is CSR.  A non-finite entry raises ValueError before
     SuperLU runs.
     """
 
-    def __init__(self, a, xy=None):
+    def __init__(self, a, xy):
         csr = _as_csr(a)
         n, m = csr.shape
         if n != m:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         t0 = time.perf_counter()
-        self._perm, ordering = None, {}
-        if xy is not None:
-            self._perm = nested_dissection(csr, xy)
-            ordering = dict(permc_spec="NATURAL", diag_pivot_thresh=1e-3,
-                            options=dict(SymmetricMode=True))
+        self._perm = nested_dissection(csr, xy)
         self._a = csr
         max_a = np.abs(csr.data).max() if csr.nnz else 0.0
         if not np.isfinite(max_a):
             raise ValueError(f"matrix has a non-finite entry (max|A| = {max_a})")
         # P A P^T is only SuperLU's input, freed before the memory peak at U
-        csc = (csr if self._perm is None else csr[self._perm][:, self._perm]).tocsc()
+        csc = csr[self._perm][:, self._perm].tocsc()
         try:
-            self._lu = spla.splu(csc, **ordering)
+            self._lu = spla.splu(csc, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+                                 options=dict(SymmetricMode=True))
         except RuntimeError as err:
             pivot = self._caller_index(_locate_pivot(csc, max_a))
             raise SingularMatrixError(pivot, str(err)) from err
@@ -136,32 +130,33 @@ class Factorization:
 
     def _caller_index(self, k):
         """Unknown k of the factorized matrix in the caller's numbering."""
-        return int(self._perm[k]) if self._perm is not None and k >= 0 else k
+        return int(self._perm[k]) if k >= 0 else k
 
     def solve(self, b):
         """Solve AX = B for a vector or a matrix of columns; returns
         (X, LinearSolveReport) with the largest per-column relative
-        residual ||AX - B|| / ||B||; above 1e-10 it raises."""
+        residual ||AX - B|| / ||B||; above 1e-10, or NaN, it raises.  A
+        non-finite entry of B raises ValueError before SuperLU runs."""
         b = np.asarray(b, dtype=float)
+        if b.ndim not in (1, 2):
+            raise ValueError(f"rhs must be a vector or a matrix of columns, "
+                             f"got shape {b.shape}")
         if b.shape[0] != self._a.shape[0]:
             raise ValueError(
                 f"dimension mismatch: matrix {self._a.shape}, rhs {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("rhs has a non-finite entry")
         t0 = time.perf_counter()
-        if self._perm is None:
-            x = self._lu.solve(b)
-        else:
-            x = np.empty_like(b)
-            x[self._perm] = self._lu.solve(b[self._perm])
+        x = np.empty_like(b)
+        x[self._perm] = self._lu.solve(b[self._perm])
         solve_time = time.perf_counter() - t0
         norm_b = np.linalg.norm(b, axis=0)
         norm_r = np.linalg.norm(self._a @ x - b, axis=0)
         residual = np.max(np.divide(norm_r, norm_b, out=np.zeros_like(norm_r),
                                     where=norm_b > 0), initial=0.0)
-        report = LinearSolveReport(residual=float(residual),
-                                   pivot_growth=float(self.pivot_growth),
-                                   solve_time=solve_time,
+        report = LinearSolveReport(residual=float(residual), solve_time=solve_time,
                                    factor_time=self.factor_time)
-        if residual > _SOLVE_TOL:
+        if not residual <= _SOLVE_TOL:
             raise SolveAccuracyError(
                 f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}", report)
         return x, report
@@ -208,9 +203,9 @@ def nested_dissection(a, xy):
     csr = _as_csr(a)
     xy = np.asarray(xy, dtype=float)
     n = csr.shape[0]
-    if xy.shape[0] != n:
-        raise ValueError(f"need one coordinate row per unknown, got {xy.shape} "
-                         f"for {n} unknowns")
+    if xy.ndim != 2 or xy.shape[0] != n or xy.shape[1] == 0:
+        raise ValueError(f"need one coordinate row per unknown, each of at least "
+                         f"one coordinate, got shape {xy.shape} for {n} unknowns")
     if not np.all(np.isfinite(xy)):
         # a NaN coordinate would make a median cut that separates nothing
         raise ValueError("coordinates must be finite")
@@ -305,7 +300,7 @@ def _locate_pivot(a, max_a):
     return int(bad[0]) if bad.size else int(np.argmin(d))
 
 
-def factorize(a, xy=None) -> Factorization:
+def factorize(a, xy) -> Factorization:
     return Factorization(a, xy)
 
 
@@ -353,7 +348,7 @@ def inverse_iteration(apply_s_inverse, m, n, k=4, tol=EIG_TOL, max_iter=EIG_MAX_
         f"(last value {theta})", theta, q)
 
 
-def smallest_gen_eig(s, m, xy=None, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
+def smallest_gen_eig(s, m, xy, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
     """Smallest eigenpair (theta, q) of S q = theta M q, M SPD.
 
     S is a symmetric sparse matrix or a `LinearOperator`; it is only

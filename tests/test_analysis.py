@@ -417,8 +417,7 @@ def _fail_second_solve(monkeypatch, error):
 
 
 def test_partial_report_marks_failed_level(params, monkeypatch):
-    measured = sla.LinearSolveReport(residual=1.0, pivot_growth=1.0,
-                                     solve_time=0.0, factor_time=0.0)
+    measured = sla.LinearSolveReport(residual=1.0, solve_time=0.0, factor_time=0.0)
     _fail_second_solve(monkeypatch, sla.SolveAccuracyError("injected failure", measured))
     report = analysis.convergence_study([0, 1], params)
     assert report.rows[0].failed is None
