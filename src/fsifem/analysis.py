@@ -540,7 +540,8 @@ def _infsup_blocks(space):
 
 def pressure_schur_complement(space):
     """Explicit dense S = B K^{-1} B^T in the eps-seminorm convention
-    (oracle-sized helper; K is inverted column by column)."""
+    (oracle-sized helper; K is inverted column by column, from a factor
+    whose pivots are not tested, as in `infsup_beta`)."""
     k, b, _ = _infsup_blocks(space)
     k_xy = solver.velocity_coordinates(space, space.free_velocity_dofs)
     x, _ = sla.factorize(k, k_xy).solve(b.T.toarray())
@@ -553,7 +554,10 @@ def infsup_beta(space) -> float:
     B K^{-1} B^T q = beta^2 M_p q, by Lanczos against M_p.  Only the SPD
     free-velocity block K and M_p are factorized, each in the
     nested-dissection order of its nodes; each Schur apply is one checked
-    K solve, and no saddle matrix is built.  Because beta_h does not
+    K solve, and no saddle matrix is built.  Neither factor's pivots are
+    tested: K is SPD by Korn's inequality, since the velocity vanishes on
+    Gamma_f, which every valid mesh has, and M_p by its positive triangle
+    areas (`smallest_gen_eig`).  Because beta_h does not
     depend on the mesh, S is spectrally equivalent to M_p uniformly in h
     and the number of applies does not grow with the level."""
     k, b, mp = _infsup_blocks(space)

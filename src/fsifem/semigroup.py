@@ -77,6 +77,14 @@ class EnergyTrace:
         return "\n".join(lines) + "\n"
 
 
+def _dot(x, y):
+    """sum_i x_i y_i by numpy's pairwise summation, not BLAS: OpenBLAS
+    splits a long dot among its threads, so its bits depend on the thread
+    count.  (einsum's running sum is also thread-free, but on level-3
+    velocity vectors it was 8 times less accurate.)"""
+    return np.add.reduce(x * y)
+
+
 def _h_terms(space, params: MaterialParams, a, b: FsiState):
     """The fluid, solid-potential and solid-kinetic terms of (a, b)_H.
 
@@ -85,10 +93,15 @@ def _h_terms(space, params: MaterialParams, a, b: FsiState):
     fops = fem.fluid_operators(space)
     sops = fem.solid_operators(space, params)
     if isinstance(a, solver.ResolventData):
-        fluid, w, z = a.u_load @ b.u, a.w_star, a.z_star
+        fluid, w, z = _dot(a.u_load, b.u), a.w_star, a.z_star
     else:
-        fluid, w, z = a.u @ (fops.mass @ b.u), a.w, a.z
-    return fluid, w @ (sops.energy @ b.w), z @ (sops.mass @ b.z)
+        fluid, w, z = _dot(a.u, fops.mass @ b.u), a.w, a.z
+    return fluid, _dot(w, sops.energy @ b.w), _dot(z, sops.mass @ b.z)
+
+
+def _dissipation(space, u):
+    """||eps(u)||^2 over the fluid."""
+    return _dot(u, fem.fluid_operators(space).strain @ u)
 
 
 def h_inner(space, params: MaterialParams, a, b: FsiState) -> float:
@@ -102,8 +115,7 @@ def energy_components(space, params: MaterialParams, state: FsiState):
     """(fluid, solid potential, solid kinetic) squared norms and the
     dissipation integrand ||eps(u)||^2."""
     e_fluid, e_pot, e_kin = _h_terms(space, params, state, state)
-    dissipation = state.u @ (fem.fluid_operators(space).strain @ state.u)
-    return float(e_fluid), float(e_pot), float(e_kin), float(dissipation)
+    return float(e_fluid), float(e_pot), float(e_kin), float(_dissipation(space, state.u))
 
 
 def h_norm(space, state: FsiState, params: MaterialParams) -> float:
@@ -192,6 +204,5 @@ def generator_quadratic_form(space, params: MaterialParams,
     state, _ = solver.solve_resolvent(space, params, data)
     yy = h_inner(space, params, state, state)
     ys_y = h_inner(space, params, data, state)
-    dissipation = float(state.u @ (fem.fluid_operators(space).strain @ state.u))
-    return float(lam * yy - ys_y), dissipation
+    return float(lam * yy - ys_y), float(_dissipation(space, state.u))
 

@@ -165,7 +165,9 @@ def _shifted_solid_matrix(space, params):
 def _solid_interior_factor(space, params):
     """Factorization of the interior block S_ii, in the nested-dissection
     order of its nodes, shared by the Dirichlet map and the solid resolvent
-    inverse."""
+    inverse.  S_ii is SPD for every valid mesh and material: K_sigma is
+    positive semidefinite and (lam^2 + 1) M_s is SPD, so its pivots are
+    bounded below and are not tested."""
     def build():
         ii = space.solid_interior_dofs
         return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii],
@@ -314,11 +316,13 @@ class ResolventOperator:
     """Factorized solver for (lam I - A_h) Y = Y* at fixed parameters.
 
     `saddle` is the sparse monolithic matrix of `resolvent_saddle` and
-    `factor` its nested-dissection LU, which holds that same object.
-    `solve` builds the right-hand side from the data with sparse solid
-    products, no solid solve, and makes one checked solve.  The operator keeps the dofs and sizes it reads of its
-    space, not the space: a cached operator dies with the space that caches
-    it.
+    `factor` its nested-dissection LU, which holds that same object.  The
+    saddle is indefinite and nearly singular at (shift 1e-3, Lame lambda
+    1e6), so the factor's pivots are tested (`check_pivots`).  `solve`
+    builds the right-hand side from the data with sparse solid products,
+    no solid solve, and makes one checked solve.  The operator keeps the
+    dofs and sizes it reads of its space, not the space: a cached operator
+    dies with the space that caches it.
 
     The v = lam * w_i scaling keeps the solid blocks on the scale of the
     velocity blocks; the unscaled unknown w_i leaves 2-15 times larger
@@ -339,6 +343,7 @@ class ResolventOperator:
         self.saddle, self._solid_rows = resolvent_saddle(space, params)
         self.factor = sla.factorize(self.saddle,
                                     saddle_coordinates(space, space.solid_interior_dofs))
+        self.factor.check_pivots()
 
     # -- data handling ------------------------------------------------------
 
@@ -381,7 +386,7 @@ def kernel_projection(space):
     (free-velocity mass M, divergence B) with one checked solve and returns
     w, the divergence-free vector closest to v in the L2 norm.  The saddle
     matrix is factorized once, in the nested-dissection order of
-    `saddle_coordinates`.
+    `saddle_coordinates`, and, being indefinite, has its pivots tested.
     """
     fops = fem.fluid_operators(space)
     free = space.free_velocity_dofs
@@ -389,6 +394,7 @@ def kernel_projection(space):
     b_free = fops.div[:, free].tocsr()
     factor = sla.factorize(sp.bmat([[m_free, b_free.T], [b_free, None]], format="csr"),
                            saddle_coordinates(space))
+    factor.check_pivots()
     zero_pressure = np.zeros(space.num_pressure_dofs)
 
     def project(v):

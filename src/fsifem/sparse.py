@@ -17,16 +17,29 @@ of its two boundary layers as the separator, so on a P2 mesh the
 separator is one line of nodes.  The wrapper enforces the contracts this
 package relies on: there is no unchecked solve, and each measures its
 relative residual with the caller's own matrix and right-hand side;
-singular factors raise with the offending pivot index in
-the caller's numbering; and repeated solves of identical inputs are
-bitwise reproducible.  A factor is singular when a pivot has
-|u_kk| <= _PIVOT_TOL * max|A| with _PIVOT_TOL = 1e-14, the one rule both
-for SuperLU's factor and for the dense LU that locates the pivot after
-SuperLU itself fails.
+singular factors raise with the offending pivot index in the caller's
+numbering; and repeated solves of identical inputs are bitwise
+reproducible.
+
+The pivot rule has two parts.  Every factorization refuses an exactly
+singular matrix: SuperLU's zero pivot raises SingularMatrixError, with the
+pivot located by a dense LU on matrices of up to 4 000 unknowns.  The
+tolerance test, a pivot with |u_kk| <= _PIVOT_TOL * max|A| with
+_PIVOT_TOL = 1e-14, is `Factorization.check_pivots`, and only the
+indefinite saddle factors call it: admissible parameters make the
+resolvent saddle nearly singular at (shift 1e-3, Lame lambda 1e6), where
+its residual check alone would pass a state with a constant pressure of
+order 1e9.  The test reads SuperLU's U factor, and scipy then keeps CSC
+copies of L and U for as long as the factor lives: at level 4 the inf-sup
+study, whose velocity block and pressure mass are SPD, peaked 86 MB
+higher with them.  The SPD blocks have pivots bounded below for every
+valid mesh and material, each for the reason its caller states, so they
+skip the test.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -42,7 +55,9 @@ _ND_LEAF = 16      # nested dissection numbers blocks of at most this many unkno
 
 
 class SingularMatrixError(Exception):
-    """Factorization hit a zero (or below-tolerance) pivot."""
+    """A factorization hit a zero pivot, or `Factorization.check_pivots`
+    found one at or below the singular tolerance; `pivot` is its unknown
+    in the caller's numbering, -1 where it could not be located."""
 
     def __init__(self, pivot: int, message: str | None = None):
         self.pivot = pivot
@@ -90,10 +105,12 @@ class Factorization:
     SuperLU keeps that order (NATURAL, symmetric mode) and a diagonal pivot
     unless it is below 1e-3 of its column's largest entry.  `solve` permutes
     the right-hand side and the solution, so callers see their own
-    numbering.  The pivot checks run on the factor, the residual check on
-    the caller's matrix: `_a`, the one matrix kept, is the caller's own
-    object when it is CSR.  A non-finite entry raises ValueError before
-    SuperLU runs.
+    numbering.  A non-finite entry raises ValueError before SuperLU runs,
+    and a zero pivot raises SingularMatrixError.  Building the factor never
+    reads SuperLU's U: the tolerance test on the pivots is the separate
+    `check_pivots`, and `pivot_growth` is computed on first use.  The
+    residual check of every solve runs on the caller's matrix: `_a`, the
+    one matrix kept, is the caller's own object when it is CSR.
     """
 
     def __init__(self, a, xy):
@@ -107,7 +124,7 @@ class Factorization:
         max_a = np.abs(csr.data).max() if csr.nnz else 0.0
         if not np.isfinite(max_a):
             raise ValueError(f"matrix has a non-finite entry (max|A| = {max_a})")
-        # P A P^T is only SuperLU's input, freed before the memory peak at U
+        # P A P^T is only SuperLU's input, freed before any solve or U read
         csc = csr[self._perm][:, self._perm].tocsc()
         try:
             self._lu = spla.splu(csc, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
@@ -116,17 +133,31 @@ class Factorization:
             pivot = self._caller_index(_locate_pivot(csc, max_a))
             raise SingularMatrixError(pivot, str(err)) from err
         del csc
+        self._max_a = max_a
         self.factor_time = time.perf_counter() - t0
-        u = self._lu.U
-        udiag = np.abs(u.diagonal())
-        if max_a > 0 and udiag.min() <= _PIVOT_TOL * max_a:
+
+    def check_pivots(self):
+        """Raise SingularMatrixError when a pivot has |u_kk| <= _PIVOT_TOL *
+        max|A|, naming its unknown in the caller's numbering.
+
+        This reads `SuperLU.U`, and scipy then keeps CSC copies of L and U
+        for as long as the factor lives; only the indefinite saddle
+        factors, which admissible parameters can make nearly singular,
+        call it."""
+        udiag = np.abs(self._lu.U.diagonal())
+        if self._max_a > 0 and udiag.min() <= _PIVOT_TOL * self._max_a:
             pivot = self._caller_index(int(np.argmin(udiag)))
             raise SingularMatrixError(pivot, "factorization singular to tolerance "
                                              f"(pivot {pivot})")
-        # max|U| without an |U| temporary: this runs at the peak of memory,
-        # just after scipy built its CSC copies of L and U
+
+    @functools.cached_property
+    def pivot_growth(self):
+        """max|U| / max|A| (0 for A = 0), computed on first use: it reads
+        `SuperLU.U`, with the cost that `check_pivots` states."""
+        u = self._lu.U
+        # max|U| without an |U| temporary on top of scipy's CSC copies of L and U
         max_u = max(u.data.max(), -u.data.min())
-        self.pivot_growth = max_u / max_a if max_a > 0 else 0.0
+        return max_u / self._max_a if self._max_a > 0 else 0.0
 
     def _caller_index(self, k):
         """Unknown k of the factorized matrix in the caller's numbering."""
@@ -355,8 +386,11 @@ def smallest_gen_eig(s, m, xy, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
     applied.  ARPACK's Lanczos runs on M^{-1} S in the M inner product
     until its Ritz value is accurate to 1e-2 * tol.  M^{-1} comes from one
     factorization of M, ordered by `xy`, the coordinates of M's unknowns,
-    as in `Factorization`; the start vector is fixed, so repeated calls
-    give the same bits.  The returned pair is checked with one more apply:
+    as in `Factorization`, whose pivots are not tested: M is SPD, so they
+    are bounded below (for the pressure mass, by the positive triangle
+    areas that every valid mesh has).  The start vector is fixed, so
+    repeated calls give the same bits.  The returned pair is checked with
+    one more apply:
     ||S q - theta M q|| <= tol * theta * ||M q||.  Failing the check raises
     EigenIterationError carrying the pair; hitting `max_iter` restarts
     raises it with no pair.

@@ -538,6 +538,14 @@ def test_infsup_velocity_factor_fill_is_nested_dissection(infsup_runs):
     assert factor._lu.nnz <= 1_900_000
 
 
+def test_infsup_memory_is_bounded(infsup_runs, traced_peak):
+    # the SPD factors never read SuperLU's U, whose CSC copies of L and U
+    # took this peak from 13.1 MB to 27.7 MB
+    space = infsup_runs[3][0]
+    fem.fluid_operators(space)
+    assert traced_peak(lambda: analysis.infsup_beta(space)) < 20 * 2**20
+
+
 def test_infsup_is_bitwise_repeatable(space1):
     assert analysis.infsup_beta(space1) == analysis.infsup_beta(space1)
 

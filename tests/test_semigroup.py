@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,32 @@ def _smooth_state(space, params, rng, passes=3):
 
 
 # -- energy norm -------------------------------------------------------------
+
+_ENERGY_HEX = """
+import numpy as np
+from fsifem import fem, mesh, semigroup, solver
+space = fem.build_space(mesh.generate(3))
+params = fem.MaterialParams(lame_lambda=1.0, lame_mu=1.0, shift=1.0)
+rng = np.random.default_rng(7)
+state, other = solver.random_state(space, rng), solver.random_state(space, rng)
+data = solver.data_from_vectors(space, other.u, other.w, other.z)
+values = (*semigroup.energy_components(space, params, state),
+          semigroup.h_inner(space, params, data, state),
+          *semigroup.generator_quadratic_form(space, params, data))
+print(" ".join(float(v).hex() for v in values))
+"""
+
+
+def test_energy_products_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot of a level-3 velocity vector among its threads
+    src = str(Path(fem.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out.append(subprocess.run([sys.executable, "-c", _ENERGY_HEX], env=env,
+                                  capture_output=True, text=True, check=True).stdout)
+    assert out[0] == out[1]
 
 def test_h_norm_zero(space0, params):
     assert semigroup.h_norm(space0, solver.zero_state(space0), params) == 0.0
@@ -56,28 +87,32 @@ def test_trace_total_is_component_sum(space0, params, rng):
 
 
 def test_h_inner_matches_separate_sum_formula_bitwise(space1, params, rng):
-    # the formulas that rebuilt K_sigma + M_s at every call
+    # the formulas that rebuilt K_sigma + M_s at every call, with the
+    # energy products' BLAS-free dot
+    def dot(x, y):
+        return np.add.reduce(x * y)
+
     fops = fem.fluid_operators(space1)
     sops = fem.solid_operators(space1, params)
     a, b = solver.random_state(space1, rng), solver.random_state(space1, rng)
     data = _random_data(space1, rng)
     assert semigroup.h_inner(space1, params, a, b) == float(
-        a.u @ (fops.mass @ b.u) + a.w @ ((sops.stiffness + sops.mass) @ b.w)
-        + a.z @ (sops.mass @ b.z))
+        dot(a.u, fops.mass @ b.u) + dot(a.w, (sops.stiffness + sops.mass) @ b.w)
+        + dot(a.z, sops.mass @ b.z))
     assert semigroup.energy_components(space1, params, a) == (
-        float(a.u @ (fops.mass @ a.u)),
-        float(a.w @ ((sops.stiffness + sops.mass) @ a.w)),
-        float(a.z @ (sops.mass @ a.z)),
-        float(a.u @ (fops.strain @ a.u)))
+        float(dot(a.u, fops.mass @ a.u)),
+        float(dot(a.w, (sops.stiffness + sops.mass) @ a.w)),
+        float(dot(a.z, sops.mass @ a.z)),
+        float(dot(a.u, fops.strain @ a.u)))
     state, _ = solver.solve_resolvent(space1, params, data)
-    yy = (state.u @ (fops.mass @ state.u)
-          + state.w @ ((sops.stiffness + sops.mass) @ state.w)
-          + state.z @ (sops.mass @ state.z))
-    ys_y = (data.u_load @ state.u
-            + data.w_star @ ((sops.stiffness + sops.mass) @ state.w)
-            + data.z_star @ (sops.mass @ state.z))
+    yy = (dot(state.u, fops.mass @ state.u)
+          + dot(state.w, (sops.stiffness + sops.mass) @ state.w)
+          + dot(state.z, sops.mass @ state.z))
+    ys_y = (dot(data.u_load, state.u)
+            + dot(data.w_star, (sops.stiffness + sops.mass) @ state.w)
+            + dot(data.z_star, sops.mass @ state.z))
     assert semigroup.generator_quadratic_form(space1, params, data) == (
-        float(params.shift * yy - ys_y), float(state.u @ (fops.strain @ state.u)))
+        float(params.shift * yy - ys_y), float(dot(state.u, fops.strain @ state.u)))
 
 
 # -- single step -------------------------------------------------------------

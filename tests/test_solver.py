@@ -361,10 +361,12 @@ def _residual(factor, b):
 
 
 def _factor_or_none(saddle, xy):
-    """The package's factor of `saddle`, or None where its pivot test
-    refuses it."""
+    """The package's factor of `saddle` under the saddle rule, factorize
+    and then test the pivots, or None where that rule refuses it."""
     try:
-        return sla.factorize(saddle, xy)
+        factor = sla.factorize(saddle, xy)
+        factor.check_pivots()
+        return factor
     except sla.SingularMatrixError:
         return None
 

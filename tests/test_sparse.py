@@ -64,6 +64,34 @@ def test_singular_matrix_reports_pivot():
     assert err.value.pivot == 1
 
 
+def test_tiny_pivot_is_refused_by_check_pivots_only():
+    # 1e-20 <= 1e-14 * max|A| but not zero: SuperLU factorizes it, and
+    # only the tolerance test refuses it
+    a = sp.csr_matrix(np.diag([1.0, 1e-20, 2.0]))
+    factor = sla.factorize(a, _one_point(3))
+    with pytest.raises(sla.SingularMatrixError) as err:
+        factor.check_pivots()
+    assert err.value.pivot == 1
+
+
+def test_check_pivots_names_the_callers_unknown():
+    # a path of 40 unknowns with coordinates descending along it, so
+    # nested dissection numbers the high indices first; unknown 5 is cut
+    # off the path and has the tiny pivot
+    n, k = 40, 5
+    a = sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1]).tolil()
+    a[k, :] = 0.0
+    a[:, k] = 0.0
+    a[k, k] = 1e-20
+    a = a.tocsr()
+    a.eliminate_zeros()
+    factor = sla.factorize(a, -np.arange(n, dtype=float)[:, None])
+    assert factor._perm[k] != k
+    with pytest.raises(sla.SingularMatrixError) as err:
+        factor.check_pivots()
+    assert err.value.pivot == k
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_entry_raises_before_superlu(bad, monkeypatch):
     # (lam^2 + 1) overflows for a shift of 1e200, and S = K + (lam^2 + 1) M
@@ -88,8 +116,7 @@ def test_non_finite_rhs_raises_before_superlu(bad):
 
 def test_nan_residual_fails_the_check():
     # a finite right-hand side whose solution overflows: x = (-inf, inf),
-    # so row 0 of A x is inf - inf and the residual is NaN; the pivot
-    # 1e-163 passes the singular test at max|A| = 1e-150, and ||b||^2 is finite
+    # so row 0 of A x is inf - inf and the residual is NaN; ||b||^2 is finite
     a = sp.csr_matrix(np.array([[1e-150, 1e-150], [0.0, 1e-163]]))
     with pytest.raises(sla.SolveAccuracyError) as err:
         sla.factorize(a, _one_point(2)).solve(np.array([1.0, 1e150]))
