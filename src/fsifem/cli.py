@@ -29,6 +29,7 @@ import numpy as np
 from . import analysis, fem, mesh as meshmod, semigroup, solver
 
 MODES = ("resolvent", "convergence", "infsup", "evolve", "certify")
+_SINGLE_LEVEL_MODES = ("resolvent", "evolve")
 _DEFAULT_LEVELS = {"resolvent": [1], "convergence": [0, 1, 2, 3],
                    "infsup": [0, 1, 2, 3], "evolve": [1], "certify": [0, 1]}
 
@@ -59,6 +60,9 @@ class RunConfig:
             raise ValueError(f"levels must be nonnegative, got {self.levels}")
         if self.levels != sorted(set(self.levels)):
             raise ValueError(f"levels must be ascending and distinct, got {self.levels}")
+        if self.mode in _SINGLE_LEVEL_MODES and len(self.levels) > 1:
+            raise ValueError(f"--levels: mode {self.mode} runs one level, "
+                             f"got {self.levels}")
         if self.seed < 0:
             raise ValueError(f"--seed: must be a non-negative integer, got {self.seed}")
         # the parameter objects check their own fields and name the bad
@@ -208,7 +212,7 @@ def run_resolvent(cfg: RunConfig) -> bool:
 
     ok = report.all_passed and identity <= 1e-12
     print(f"resolvent: level {level}, fluid H1 error {err.eu_h1:.6e}, "
-          f"pressure c0 {c0:.3e} (interface estimate {c0_flux:.3e})")
+          f"pressure c0 {c0:.3e} (interface recovery {c0_flux:.3e})")
     for c in report.checks:
         print(f"  {c.name}: residual {c.residual:.3e} <= {c.tolerance:.0e}: "
               f"{'PASS' if c.passed else 'FAIL'}")

@@ -46,11 +46,11 @@ the triangles by their vertex x-triples and, separately, y-triples, and
 evaluates the 1-D factors on one representative per class.  Every
 global matrix then goes through one COO-to-CSR scatter (`_scatter`) whose
 row and column arrays are built as int32, the index type of the result.
-The space reads no grid layout: each interface edge takes its length from
-its vertex coordinates and its unit normal from the edge vector, turned to
-point out of its fluid triangle (`TriMesh.edge_triangles`), so a jittered
-or rotated mesh passes through `build_space` too.  The interface-edge
-integrals accumulate with `np.add.at` in edge order, as a loop would.
+The space reads no grid layout, only the mesh's edge tags, so a jittered
+or rotated mesh passes through `build_space` too.  There is no separate
+interface-edge quadrature: the normal moments <nu, phi_i> on Gamma_s are
+minus the Gamma_s rows of B^T 1, read from the assembled divergence
+(`solver.recover_c0`).
 """
 
 from __future__ import annotations
@@ -86,8 +86,6 @@ _FORMS = {
     "solid_gradient": ("gradient", "solid", "solid"),
 }
 FORMS = tuple(_FORMS)
-# points of the Gauss-Legendre rule on interface edges (exact to degree 7)
-EDGE_QUAD_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -255,31 +253,9 @@ class TaylorHoodSpace:
         solid_iface_mask[self.iface_solid_dofs] = True
         self.solid_interior_dofs = np.flatnonzero(~solid_iface_mask)
 
-        # interface edges: scalar node triplets, outward (fluid-side) normals
-        self._build_iface_edges(gs)
-
     def _edge_index(self, a, b):
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return np.searchsorted(self._edge_key, lo * self.mesh.num_vertices + hi)
-
-    def _build_iface_edges(self, gs_mask):
-        m = self.mesh
-        eids = np.flatnonzero(gs_mask)
-        v0, v1 = m.edges[eids, 0], m.edges[eids, 1]
-        tris = m.edge_triangles[eids]
-        fluid = np.where(m.tri_region[tris[:, 0]] == meshmod.FLUID, tris[:, 0], tris[:, 1])
-        apex = m.triangles[fluid].sum(axis=1) - v0 - v1   # fluid vertex off the edge
-        tangent = m.vertices[v1] - m.vertices[v0]
-        length = np.hypot(tangent[:, 0], tangent[:, 1])
-        normals = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / length[:, None]
-        # normal points out of the fluid, into the solid
-        normals[np.sum((m.vertices[apex] - m.vertices[v0]) * normals, axis=1) > 0] *= -1.0
-        self.iface_edge_nodes = np.column_stack([
-            v0, v1, m.num_vertices + eids])          # scalar global nodes
-        self.iface_edge_normals = normals
-        self.iface_edge_length = length
-        # position of each edge node inside self.iface_nodes
-        self.iface_node_pos = _inverse_map(self.iface_nodes, self.num_nodes)
 
     # -- convenience views -------------------------------------------------
 
@@ -617,85 +593,6 @@ def interpolate(space, field, target: str):
     xy = space.node_xy[space.fluid_nodes if target == "velocity" else space.solid_nodes]
     fx, fy = field(xy[:, 0], xy[:, 1])
     return _interleave(np.asarray(fx, dtype=float), np.asarray(fy, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# interface-edge integrals (quadratic traces on Gamma_s)
-# ---------------------------------------------------------------------------
-
-def _edge_rule():
-    return gauss_legendre_01(EDGE_QUAD_POINTS)
-
-
-def _edge_shape(t):
-    """1D quadratic shapes for nodes (end0, end1, midpoint) at t in [0,1]."""
-    return np.column_stack([
-        2.0 * (t - 0.5) * (t - 1.0),
-        2.0 * t * (t - 0.5),
-        4.0 * t * (1.0 - t),
-    ])
-
-
-def _iface_vector_positions(space):
-    """(ne, 3, 2) interleaved interface dofs of each edge's nodes."""
-    pos = space.iface_node_pos[space.iface_edge_nodes]
-    return 2 * pos[:, :, None] + np.arange(2)
-
-
-def iface_trace_mass(space):
-    """Vector-P2 mass matrix of the interface curve, interleaved layout."""
-    ni = space.iface_nodes.size
-    t, w = _edge_rule()
-    n = _edge_shape(t)
-    mloc = space.iface_edge_length[:, None, None] * np.einsum("q,qi,qj->ij", w, n, n)
-    pos = space.iface_node_pos[space.iface_edge_nodes]           # (ne, 3)
-    m = np.zeros((ni, ni))
-    # np.add.at applies the edges in order, as a loop over edges would
-    np.add.at(m, (pos[:, :, None], pos[:, None, :]), mloc)
-    out = np.zeros((2 * ni, 2 * ni))
-    out[0::2, 0::2] = m
-    out[1::2, 1::2] = m
-    return out
-
-
-def iface_normal_moments(space):
-    """Vector r with r_i = integral over Gamma_s of nu . phi_i ds."""
-    t, w = _edge_rule()
-    shape_int = space.iface_edge_length[:, None] * (w @ _edge_shape(t))   # (ne, 3)
-    r = np.zeros(2 * space.iface_nodes.size)
-    contrib = space.iface_edge_normals[:, None, :] * shape_int[:, :, None]
-    np.add.at(r, _iface_vector_positions(space), contrib)
-    return r
-
-
-def _iface_edge_pressures(space, pressure):
-    """(ne, 2) P1 pressure values at the two end vertices of each edge."""
-    return np.asarray(pressure)[space.pressure_loc[space.iface_edge_nodes[:, :2]]]
-
-
-def iface_pressure_integral(space, pressure):
-    """Integral of a P1 pressure field over Gamma_s."""
-    p = _iface_edge_pressures(space, pressure)
-    per_edge = 0.5 * space.iface_edge_length * (p[:, 0] + p[:, 1])
-    # summed edge by edge (np.sum would pair the terms differently)
-    return float(np.cumsum(per_edge)[-1])
-
-
-def iface_pressure_normal_moments(space, pressure):
-    """Vector m with m_i = integral over Gamma_s of p (nu . phi_i) ds."""
-    t, w = _edge_rule()
-    n = _edge_shape(t)
-    p = _iface_edge_pressures(space, pressure)
-    pvals = p[:, :1] * (1.0 - t) + p[:, 1:] * t                   # (ne, nq)
-    contrib = space.iface_edge_length[:, None] * np.einsum("q,eq,qi->ei", w, pvals, n)
-    m = np.zeros(2 * space.iface_nodes.size)
-    np.add.at(m, _iface_vector_positions(space),
-              space.iface_edge_normals[:, None, :] * contrib[:, :, None])
-    return m
-
-
-def iface_perimeter(space):
-    return float(space.iface_edge_length.sum())
 
 
 # ---------------------------------------------------------------------------

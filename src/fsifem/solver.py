@@ -31,9 +31,10 @@ The interface traction has one path, `interface_traction_moments`: the
 Gamma_s rows of the fluid momentum residual K_eps u + lam M u + B^T pi - l
 (`_momentum_residual`) and of the solid residual M_s (lam w* + z*) - S w
 (`_solid_residual`).  The A5b flux check compares the two, and the c0
-recovery balances them.  A resolvent solution's momentum residual
-vanishes on every free velocity dof off Gamma_s, so these rows are the
-whole traction functional.  With w the lift w*/lam on Gamma_s
+recovery balances them against -B^T 1, the normal moments of Gamma_s
+taken from the assembled divergence.  A resolvent solution's momentum
+residual vanishes on every free velocity dof off Gamma_s, so these rows
+are the whole traction functional.  With w the lift w*/lam on Gamma_s
 (`_solid_lift`) the solid residual is also the solid part of the solve's
 right-hand side and of the dense oracle's.  Matrices, factorizations
 and operators are kept on the space per parameter set
@@ -45,7 +46,8 @@ garbage collector.
 
 A dense monolithic assembly of the same coupled problem (interface trial
 constraint w = (1/lam)(u + w*) on Gamma_s, solid tests paired with fluid
-test traces) is kept as a coarse-mesh oracle.
+test traces) is kept as a coarse-mesh oracle, solved by SuperLU in its
+default order.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import fem
 from . import sparse as sla
@@ -445,18 +448,18 @@ def interface_traction_moments(space, params, state, pi, data):
 def recover_c0(space, params, state, pi_q0, data):
     """Constant pressure component from the interface traction balance.
 
-    Realizes the interface average of [eps(u).nu - sigma(w).nu].nu - q0 by
-    pairing the difference of the traction moments of
-    `interface_traction_moments` (with the mean-zero pressure
-    representative) against the L2(Gamma_s) projection of the normal field
-    onto the discrete trace space.
+    A constant pressure c0 adds c0 B^T 1 to the momentum residual, and on
+    the Gamma_s dofs -B^T 1 is the normal-moment vector r_i = <nu, phi_i>
+    (B^T 1 vanishes on every other free velocity dof).  So with the
+    traction moments of `interface_traction_moments` at the mean-zero
+    pressure representative `pi_q0`, the balance fluid - c0 r = solid
+    gives c0 = ((fluid - solid) . r) / (r . r), the solve's own constant
+    whenever the A5b flux check holds.
     """
     fluid, solid = interface_traction_moments(space, params, state, pi_q0, data)
-    moments = (fluid + fem.iface_pressure_normal_moments(space, pi_q0)) - solid
-    m_gamma = fem.iface_trace_mass(space)
-    nu_proj = np.linalg.solve(m_gamma, fem.iface_normal_moments(space))
-    q0_line = fem.iface_pressure_integral(space, pi_q0)
-    return float((moments @ nu_proj - q0_line) / fem.iface_perimeter(space))
+    ones = np.ones(space.num_pressure_dofs)
+    r = -(fem.fluid_operators(space).div.T @ ones)[space.iface_velocity_dofs]
+    return float(((fluid - solid) @ r) / (r @ r))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +564,11 @@ def monolithic_solve(space, params: MaterialParams, data: ResolventData) -> FsiS
     rhs[:nf] = data.u_load[free] + lam * (t_map.T @ r)
     rhs[nf + npr:] = r[ii]
 
-    x = np.linalg.solve(mat, rhs)
+    # SuperLU's own COLAMD order and partial pivoting, not `sla.factorize`:
+    # the oracle shares neither the package's ordering nor its pivot rule,
+    # and unlike a dense LAPACK solve its bits do not depend on the number
+    # of BLAS threads
+    x = spla.splu(sp.csc_matrix(mat)).solve(rhs)
     u = space.expand_velocity(x[:nf])
     pi = x[nf:nf + npr]
     w = t_map @ x[:nf] + w_lift

@@ -29,6 +29,14 @@ def test_rejects_bad_levels(capsys):
     assert "ascending" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["resolvent", "evolve"])
+def test_single_level_mode_rejects_extra_levels(tmp_path, capsys, mode):
+    # these modes run levels[0]; a second level must not be silently dropped
+    assert cli.main(["--mode", mode, "--levels", "1,2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --levels:")
+    assert not any(tmp_path.iterdir())
+
+
 def test_rejects_bad_lambda(capsys):
     assert cli.main(["--mode", "resolvent", "--lambda", "-2"]) == 2
     assert "lambda" in capsys.readouterr().err

@@ -172,12 +172,21 @@ def test_assemble_stiffness_needs_moduli(space0):
         fem.assemble(space0, "solid_stiffness")
 
 
+def _edge_shape(t):
+    """1D quadratic shapes for nodes (end0, end1, midpoint) at t in [0,1]."""
+    return np.column_stack([
+        2.0 * (t - 0.5) * (t - 1.0),
+        2.0 * t * (t - 0.5),
+        4.0 * t * (1.0 - t),
+    ])
+
+
 def _edge_flux(space, tri, coeffs):
     """Boundary integral of v . nu over one triangle via 1D Gauss."""
     nodes = space.tri_nodes[tri]
     verts = space.node_xy[nodes[:3]]
     t, w = fem.gauss_legendre_01(4)
-    shapes = fem._edge_shape(t)
+    shapes = _edge_shape(t)
     total = 0.0
     for local_edge, (a, b, mid) in enumerate(((0, 1, 3), (1, 2, 4), (2, 0, 5))):
         pa, pb = verts[a], verts[b]
@@ -307,95 +316,74 @@ def test_kernel_runs_once_per_jacobian_class(kernel_calls):
     assert kernel_calls == [(f, 124) for f in fluid] + [(f, 28) for f in solid]
 
 
-# -- interface integrals -----------------------------------------------------
-
-def _loop_trace_mass(space):
-    ni = space.iface_nodes.size
-    t, w = fem.gauss_legendre_01(4)
-    n = fem._edge_shape(t)
-    mref = np.einsum("q,qi,qj->ij", w, n, n)
-    m = np.zeros((ni, ni))
-    for enodes, h in zip(space.iface_edge_nodes, space.iface_edge_length):
-        pos = space.iface_node_pos[enodes]
-        m[np.ix_(pos, pos)] += h * mref
-    out = np.zeros((2 * ni, 2 * ni))
-    out[0::2, 0::2] = m
-    out[1::2, 1::2] = m
-    return out
-
+# -- interface normal moments -----------------------------------------------
 
 def _loop_normal_moments(space):
+    """r_i = integral over Gamma_s of nu . phi_i ds, edge by edge with a
+    4-point Gauss rule, nu the unit normal pointing out of the fluid."""
+    m = space.mesh
     t, w = fem.gauss_legendre_01(4)
-    shape_ref = w @ fem._edge_shape(t)
+    shape_ref = w @ _edge_shape(t)
     r = np.zeros(2 * space.iface_nodes.size)
-    for enodes, nu, h in zip(space.iface_edge_nodes, space.iface_edge_normals,
-                             space.iface_edge_length):
-        pos = space.iface_node_pos[enodes]
+    for e in np.flatnonzero(m.edge_tag == meshmod.GAMMA_S):
+        v0, v1 = m.edges[e]
+        tris = m.edge_triangles[e]
+        fluid = tris[0] if m.tri_region[tris[0]] == meshmod.FLUID else tris[1]
+        apex = m.triangles[fluid].sum() - v0 - v1
+        tangent = m.vertices[v1] - m.vertices[v0]
+        h = math.hypot(*tangent)
+        nu = np.array([tangent[1], -tangent[0]]) / h
+        if (m.vertices[apex] - m.vertices[v0]) @ nu > 0:
+            nu = -nu
+        pos = np.searchsorted(space.iface_nodes, [v0, v1, m.num_vertices + e])
         for comp in range(2):
             r[2 * pos + comp] += nu[comp] * (h * shape_ref)
     return r
 
 
-def _loop_pressure_integral(space, pressure):
-    total = 0.0
-    for enodes, h in zip(space.iface_edge_nodes, space.iface_edge_length):
-        pv = space.pressure_loc[enodes[:2]]
-        total += 0.5 * h * (pressure[pv[0]] + pressure[pv[1]])
-    return total
+def _divergence_of_ones(space):
+    """B^T 1 over the full velocity layout."""
+    return fem.assemble(space, "divergence").T @ np.ones(space.num_pressure_dofs)
 
 
-def _loop_pressure_normal_moments(space, pressure):
-    t, w = fem.gauss_legendre_01(4)
-    n = fem._edge_shape(t)
-    m = np.zeros(2 * space.iface_nodes.size)
-    for enodes, nu, h in zip(space.iface_edge_nodes, space.iface_edge_normals,
-                             space.iface_edge_length):
-        pv = space.pressure_loc[enodes[:2]]
-        pvals = pressure[pv[0]] * (1.0 - t) + pressure[pv[1]] * t
-        contrib = h * np.einsum("q,q,qi->i", w, pvals, n)
-        pos = space.iface_node_pos[enodes]
-        for comp in range(2):
-            m[2 * pos + comp] += nu[comp] * contrib
-    return m
-
-
-@pytest.mark.parametrize("level", [0, 1, 2])
-def test_interface_integrals_match_edge_loop_bitwise(level, rng):
-    space = fem.build_space(meshmod.generate(level))
-    pressure = rng.standard_normal(space.num_pressure_dofs)
-    assert np.array_equal(fem.iface_trace_mass(space), _loop_trace_mass(space))
-    assert np.array_equal(fem.iface_normal_moments(space), _loop_normal_moments(space))
-    assert (fem.iface_pressure_integral(space, pressure)
-            == _loop_pressure_integral(space, pressure))
-    assert np.array_equal(fem.iface_pressure_normal_moments(space, pressure),
-                          _loop_pressure_normal_moments(space, pressure))
+def _assert_divergence_gives_normal_moments(space):
+    bt1 = _divergence_of_ones(space)
+    r = -bt1[space.iface_velocity_dofs]
+    reference = _loop_normal_moments(space)
+    scale = np.abs(reference).max()
+    assert np.abs(r - reference).max() <= 1e-14 * scale
+    # B^T 1 vanishes on every free velocity dof off Gamma_s
+    off = np.ones(space.num_velocity_dofs, dtype=bool)
+    off[space.constrained_mask] = False
+    off[space.iface_velocity_dofs] = False
+    assert np.abs(bt1[off]).max() <= 1e-14 * scale
+    return r
 
 
 @pytest.mark.parametrize("level", range(5))
 def test_interface_geometry_from_coordinates(level):
+    # -B^T 1 on the Gamma_s rows is the normal-moment vector of the edges'
+    # own lengths and normals
     space = fem.build_space(meshmod.generate(level))
-    # each edge's own length, within roundoff of the grid spacing 1/n
-    n = 6 * 2**level
-    assert np.abs(space.iface_edge_length * n - 1.0).max() <= 2e-14
-    # axis-aligned unit normals that point from the edge into the solid
-    nu = space.iface_edge_normals
-    assert np.all(np.sort(np.abs(nu), axis=1) == (0.0, 1.0))
-    mid = space.node_xy[space.iface_edge_nodes[:, 2]] + 0.25 / n * nu
-    assert np.all((mid > 1 / 3) & (mid < 2 / 3))
+    r = _assert_divergence_gives_normal_moments(space)
+    # axis-aligned normals on the square interface: one component per node
+    # pair vanishes, to roundoff, except at the four corners
+    pairs = np.abs(r.reshape(-1, 2)) > 1e-14 * np.abs(r).max()
+    assert np.count_nonzero(np.all(pairs, axis=1)) == 4
 
 
 def test_rotated_mesh_rotates_interface_geometry(mesh1, space1):
-    # the space reads the geometry, not the grid layout: normals and the
-    # perimeter follow a rigid rotation of the vertices
+    # the moments follow a rigid rotation of the vertices: the space reads
+    # the geometry, not the grid layout
     angle = 0.7
     rot = np.array([[math.cos(angle), -math.sin(angle)],
                     [math.sin(angle), math.cos(angle)]])
     rotated = dataclasses.replace(mesh1, vertices=mesh1.vertices @ rot.T)
     space = fem.build_space(rotated)
-    assert np.array_equal(space.iface_edge_nodes, space1.iface_edge_nodes)
-    assert np.abs(space.iface_edge_normals
-                  - space1.iface_edge_normals @ rot.T).max() <= 1e-15
-    assert abs(fem.iface_perimeter(space) - 4.0 / 3.0) <= 1e-14
+    assert np.array_equal(space.iface_velocity_dofs, space1.iface_velocity_dofs)
+    r = _assert_divergence_gives_normal_moments(space)
+    r1 = -_divergence_of_ones(space1)[space1.iface_velocity_dofs]
+    assert np.abs(r.reshape(-1, 2) - r1.reshape(-1, 2) @ rot.T).max() <= 1e-15
 
 
 # -- interpolation -----------------------------------------------------------

@@ -41,11 +41,17 @@ values = (*semigroup.energy_components(space, params, state),
           semigroup.h_inner(space, params, data, state),
           *semigroup.generator_quadratic_form(space, params, data))
 print(" ".join(float(v).hex() for v in values))
+space0 = fem.build_space(mesh.generate(0))
+data0 = solver.data_from_vectors(space0, *(rng.standard_normal(n) for n in (
+    space0.num_velocity_dofs, space0.num_solid_dofs, space0.num_solid_dofs)))
+mono = solver.monolithic_solve(space0, params, data0)
+print(np.concatenate([mono.u, mono.w, mono.z, mono.pi]).tobytes().hex())
 """
 
 
 def test_energy_products_do_not_depend_on_blas_threads():
-    # OpenBLAS splits a dot of a level-3 velocity vector among its threads
+    # OpenBLAS splits a dot of a level-3 velocity vector among its threads,
+    # and a dense LAPACK solve's blocking of the level-0 oracle with them
     src = str(Path(fem.__file__).resolve().parents[1])
     out = []
     for threads in ("1", "2"):
