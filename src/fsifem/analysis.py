@@ -391,8 +391,8 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     # exact (polynomial integrands within the degree-6 rule)
     sops = fem.solid_operators(space, params)
     ew = state.w
-    ew_energy_sq = ew @ (sops.energy @ ew)
-    ew_full_sq = ew @ ((sops.grad + sops.mass) @ ew)
+    ew_energy_sq = sla.dot(ew, sops.energy @ ew)
+    ew_full_sq = sla.dot(ew, (sops.grad + sops.mass) @ ew)
 
     return ErrorNorms(
         eu_h1=math.sqrt(l2_sq + grad_sq),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, fem, mesh as meshmod, semigroup, solver
+from . import analysis, fem, mesh as meshmod, semigroup, solver, sparse as sla
 
 MODES = ("resolvent", "convergence", "infsup", "evolve", "certify")
 _SINGLE_LEVEL_MODES = ("resolvent", "evolve")
@@ -62,6 +62,9 @@ class RunConfig:
             raise ValueError(f"levels must be ascending and distinct, got {self.levels}")
         if self.mode in _SINGLE_LEVEL_MODES and len(self.levels) > 1:
             raise ValueError(f"--levels: mode {self.mode} runs one level, "
+                             f"got {self.levels}")
+        if self.mode == "certify" and self.levels != _DEFAULT_LEVELS["certify"]:
+            raise ValueError("--levels: mode certify runs levels 0 and 1, "
                              f"got {self.levels}")
         if self.seed < 0:
             raise ValueError(f"--seed: must be a non-negative integer, got {self.seed}")
@@ -307,17 +310,17 @@ def _certify_lines(cfg: RunConfig):
     # kernel coercivity, level 1, 100 random divergence-free vectors
     fops = fem.fluid_operators(space1)
     free = space1.free_velocity_dofs
-    m_free = fops.mass[free][:, free].tocsr()
     k_free = fops.strain[free][:, free].tocsr()
-    g_free = fem.assemble(space1, "fluid_gradient")[free][:, free].tocsr()
+    h1_free = (fops.mass[free][:, free].tocsr()
+               + fem.assemble(space1, "fluid_gradient")[free][:, free].tocsr())
     project = solver.kernel_projection(space1)
     a_free = solver.schur_form(space1, params)
-    worst_gap, alpha = 0.0, math.inf
+    worst_gap, alpha = -math.inf, math.inf
     for _ in range(100):
         v_ker = project(rng.standard_normal(free.size))
-        a_vv = v_ker @ (a_free @ v_ker)
-        eps_vv = v_ker @ (k_free @ v_ker)
-        h1_vv = v_ker @ ((m_free + g_free) @ v_ker)
+        a_vv = sla.dot(v_ker, a_free @ v_ker)
+        eps_vv = sla.dot(v_ker, k_free @ v_ker)
+        h1_vv = sla.dot(v_ker, h1_free @ v_ker)
         worst_gap = max(worst_gap, (eps_vv - a_vv) / max(1.0, a_vv))
         alpha = min(alpha, eps_vv / h1_vv)
     ok &= record("kernel_coercivity_gap", worst_gap, 1e-12, worst_gap <= 1e-12)

@@ -572,11 +572,9 @@ def assemble_fluid_load(space, factors, field):
     n = p2_values(rule.points)                       # (nq, 6)
     lx = np.einsum("q,qi,tq->ti", rule.weights, n, fx) * det[:, None]
     ly = np.einsum("q,qi,tq->ti", rule.weights, n, fy) * det[:, None]
-    load = np.zeros(space.num_velocity_dofs)
     dofs = space.velocity_dofs_of_tris(tris)
-    np.add.at(load, dofs[:, 0::2], lx)
-    np.add.at(load, dofs[:, 1::2], ly)
-    return load
+    return np.bincount(dofs.ravel(), weights=_interleave(lx, ly).ravel(),
+                       minlength=space.num_velocity_dofs)
 
 
 def interpolate(space, field, target: str):

@@ -250,6 +250,8 @@ def import_mesh(path) -> TriMesh:
 
     try:
         ntri, nvert, level = (int(tok) for tok in lines[0].split())
+        if not 0 <= level <= _MAX_LEVEL:
+            raise MeshError(f"{path!s}:1: level {level} outside 0..{_MAX_LEVEL}")
         vertices = np.empty((nvert, 2))
         for k in range(nvert):
             x, y = entry(1 + k, k)

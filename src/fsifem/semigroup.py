@@ -8,6 +8,8 @@ generator identity (A_h Y, Y)_H = -||eps(u)||^2 holds to solver roundoff
 match exactly, and the solid equation is tested with z), which makes every
 step a contraction in the energy norm and gives an exact discrete energy
 balance: E_k^2 - E_{k+1}^2 = 2 dt ||eps(u_{k+1})||^2 + ||Y_{k+1} - Y_k||_H^2.
+Every product of (., .)_H is `sparse.dot`, so no energy depends on the
+number of BLAS threads.
 
 A_h has a one-dimensional kernel: a displaced solid at rest (u = z = 0)
 held by a constant fluid pressure c0, the pressurized-solid state.  Every
@@ -22,10 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from . import fem
-from . import solver
+from . import fem, solver, sparse as sla
 from .fem import MaterialParams
 from .solver import FsiState
 
@@ -77,14 +76,6 @@ class EnergyTrace:
         return "\n".join(lines) + "\n"
 
 
-def _dot(x, y):
-    """sum_i x_i y_i by numpy's pairwise summation, not BLAS: OpenBLAS
-    splits a long dot among its threads, so its bits depend on the thread
-    count.  (einsum's running sum is also thread-free, but on level-3
-    velocity vectors it was 8 times less accurate.)"""
-    return np.add.reduce(x * y)
-
-
 def _h_terms(space, params: MaterialParams, a, b: FsiState):
     """The fluid, solid-potential and solid-kinetic terms of (a, b)_H.
 
@@ -93,15 +84,15 @@ def _h_terms(space, params: MaterialParams, a, b: FsiState):
     fops = fem.fluid_operators(space)
     sops = fem.solid_operators(space, params)
     if isinstance(a, solver.ResolventData):
-        fluid, w, z = _dot(a.u_load, b.u), a.w_star, a.z_star
+        fluid, w, z = sla.dot(a.u_load, b.u), a.w_star, a.z_star
     else:
-        fluid, w, z = _dot(a.u, fops.mass @ b.u), a.w, a.z
-    return fluid, _dot(w, sops.energy @ b.w), _dot(z, sops.mass @ b.z)
+        fluid, w, z = sla.dot(a.u, fops.mass @ b.u), a.w, a.z
+    return fluid, sla.dot(w, sops.energy @ b.w), sla.dot(z, sops.mass @ b.z)
 
 
 def _dissipation(space, u):
     """||eps(u)||^2 over the fluid."""
-    return _dot(u, fem.fluid_operators(space).strain @ u)
+    return sla.dot(u, fem.fluid_operators(space).strain @ u)
 
 
 def h_inner(space, params: MaterialParams, a, b: FsiState) -> float:

@@ -1,6 +1,6 @@
 """Sparse linear algebra: direct LU solves with residual verification, a
-coordinate nested-dissection ordering, and Lanczos for smallest
-generalized eigenvalues.
+coordinate nested-dissection ordering, Lanczos for smallest generalized
+eigenvalues, and `dot`, the one inner product of two vectors (no BLAS).
 
 Factorization is delegated to SuperLU (scipy).  Given one coordinate row
 per unknown, the matrix is factorized in the nested-dissection order of
@@ -26,15 +26,14 @@ singular matrix: SuperLU's zero pivot raises SingularMatrixError, with the
 pivot located by a dense LU on matrices of up to 4 000 unknowns.  The
 tolerance test, a pivot with |u_kk| <= _PIVOT_TOL * max|A| with
 _PIVOT_TOL = 1e-14, is `Factorization.check_pivots`, and only the
-indefinite saddle factors call it: admissible parameters make the
-resolvent saddle nearly singular at (shift 1e-3, Lame lambda 1e6), where
-its residual check alone would pass a state with a constant pressure of
-order 1e9.  The test reads SuperLU's U factor, and scipy then keeps CSC
-copies of L and U for as long as the factor lives: at level 4 the inf-sup
-study, whose velocity block and pressure mass are SPD, peaked 86 MB
-higher with them.  The SPD blocks have pivots bounded below for every
-valid mesh and material, each for the reason its caller states, so they
-skip the test.
+resolvent saddle factor calls it: admissible parameters make it nearly
+singular at (shift 1e-3, Lame lambda 1e6), where its residual check alone
+would pass a state with a constant pressure of order 1e9.  The test reads
+SuperLU's U factor, and scipy then keeps CSC copies of L and U for as
+long as the factor lives: at level 4 the inf-sup study, whose velocity
+block and pressure mass are SPD, peaked 86 MB higher with them.  Every
+other factor has pivots bounded below for every valid mesh and material,
+each for the reason its caller states, so it skips the test.
 """
 
 from __future__ import annotations
@@ -141,9 +140,8 @@ class Factorization:
         max|A|, naming its unknown in the caller's numbering.
 
         This reads `SuperLU.U`, and scipy then keeps CSC copies of L and U
-        for as long as the factor lives; only the indefinite saddle
-        factors, which admissible parameters can make nearly singular,
-        call it."""
+        for as long as the factor lives; only the resolvent saddle factor,
+        which admissible parameters can make nearly singular, calls it."""
         udiag = np.abs(self._lu.U.diagonal())
         if self._max_a > 0 and udiag.min() <= _PIVOT_TOL * self._max_a:
             pivot = self._caller_index(int(np.argmin(udiag)))
@@ -191,6 +189,15 @@ class Factorization:
             raise SolveAccuracyError(
                 f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}", report)
         return x, report
+
+
+def dot(x, y):
+    """sum_i x_i y_i of two vectors by numpy's pairwise summation, the
+    package's one vector reduction.  Not BLAS: OpenBLAS splits a dot of
+    more than 10 000 entries among its threads, so its bits would depend
+    on the thread count.  (einsum's running sum is also thread-free, but
+    on level-3 velocity vectors it was 8 times less accurate.)"""
+    return np.add.reduce(x * y)
 
 
 def bit_classes(rows):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fsifem import cli
+from fsifem import cli, fem, mesh as meshmod, sparse as sla
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -33,6 +33,14 @@ def test_rejects_bad_levels(capsys):
 def test_single_level_mode_rejects_extra_levels(tmp_path, capsys, mode):
     # these modes run levels[0]; a second level must not be silently dropped
     assert cli.main(["--mode", mode, "--levels", "1,2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --levels:")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("levels", ["3,4", "1", "0,1,2"])
+def test_certify_rejects_levels_it_does_not_run(tmp_path, capsys, levels):
+    # certify always runs levels 0 and 1; other levels must not pass unread
+    assert cli.main(["--mode", "certify", "--levels", levels, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("usage error: --levels:")
     assert not any(tmp_path.iterdir())
 
@@ -115,6 +123,28 @@ def test_certify_deterministic(tmp_path):
     assert cli.main(["--mode", "certify", "--seed", "7", "--out", str(out1)]) == 0
     assert cli.main(["--mode", "certify", "--seed", "7", "--out", str(out2)]) == 0
     assert (out1 / "certify.txt").read_bytes() == (out2 / "certify.txt").read_bytes()
+    # every gap (eps - a) / max(1, a) is negative, so the largest is too
+    gap = next(line for line in (out1 / "certify.txt").read_text().splitlines()
+               if line.startswith("kernel_coercivity_gap "))
+    assert float(gap.split()[1].removeprefix("value=")) < 0.0
+
+
+def test_certify_tests_pivots_of_the_resolvent_saddles_only(tmp_path, monkeypatch):
+    # the kernel projection's [[M, B^T], [B, 0]] takes no material
+    # parameter and keeps its residual check; only the resolvent saddle of
+    # each level (1, then 0) reads SuperLU's U
+    sizes = []
+    check = sla.Factorization.check_pivots
+
+    def counted(factor):
+        sizes.append(factor._a.shape[0])
+        return check(factor)
+
+    monkeypatch.setattr(sla.Factorization, "check_pivots", counted)
+    assert cli.main(["--mode", "certify", "--out", str(tmp_path)]) == 0
+    spaces = [fem.build_space(meshmod.generate(level)) for level in (1, 0)]
+    assert sizes == [space.free_velocity_dofs.size + space.solid_interior_dofs.size
+                     + space.num_pressure_dofs for space in spaces]
 
 
 def test_config_file_with_flag_override(tmp_path):

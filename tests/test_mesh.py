@@ -213,6 +213,20 @@ def test_import_rejects_index_off_its_position(mesh0, tmp_path, row, idx, positi
         meshmod.import_mesh(path)
 
 
+@pytest.mark.parametrize("level", [-1, 10**6])
+def test_import_rejects_header_level_out_of_range(mesh0, tmp_path, level):
+    # below the range, and so far above it that validate could not even
+    # format the expected triangle count
+    path = tmp_path / "level.txt"
+    meshmod.export_mesh(mesh0, path)
+    lines = path.read_text().splitlines()
+    lines[0] = f"{mesh0.num_triangles} {mesh0.num_vertices} {level}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshmod.MeshError,
+                       match=f"level.txt:1: level {level} outside 0..12"):
+        meshmod.import_mesh(path)
+
+
 @pytest.mark.parametrize("line, field, vertex", [
     ("triangle", 2, -49),   # would wrap around to vertex 0
     ("triangle", 1, 49),    # one past the last of the 49 vertices

@@ -46,12 +46,16 @@ data0 = solver.data_from_vectors(space0, *(rng.standard_normal(n) for n in (
     space0.num_velocity_dofs, space0.num_solid_dofs, space0.num_solid_dofs)))
 mono = solver.monolithic_solve(space0, params, data0)
 print(np.concatenate([mono.u, mono.w, mono.z, mono.pi]).tobytes().hex())
+space5 = fem.build_space(mesh.generate(5))
+pi = rng.standard_normal(space5.num_pressure_dofs)
+print(solver.decompose_pressure(space5, pi)[1].hex())
 """
 
 
 def test_energy_products_do_not_depend_on_blas_threads():
-    # OpenBLAS splits a dot of a level-3 velocity vector among its threads,
-    # and a dense LAPACK solve's blocking of the level-0 oracle with them
+    # OpenBLAS splits a dot of a level-3 velocity vector or a level-5
+    # pressure vector among its threads, and a dense LAPACK solve's
+    # blocking of the level-0 oracle with them
     src = str(Path(fem.__file__).resolve().parents[1])
     out = []
     for threads in ("1", "2"):
