@@ -252,6 +252,10 @@ def import_mesh(path) -> TriMesh:
         ntri, nvert, level = (int(tok) for tok in lines[0].split())
         if not 0 <= level <= _MAX_LEVEL:
             raise MeshError(f"{path!s}:1: level {level} outside 0..{_MAX_LEVEL}")
+        # checked before any allocation sized by them
+        if not (ntri >= 0 and nvert >= 0 and 1 + nvert + ntri <= len(lines)):
+            raise MeshError(f"{path!s}:1: {ntri} triangles and {nvert} vertices "
+                            f"do not fit the file's {len(lines)} lines")
         vertices = np.empty((nvert, 2))
         for k in range(nvert):
             x, y = entry(1 + k, k)

@@ -16,11 +16,26 @@ symmetric matrix over free velocity, solid interior and pressure,
      [(1/lam) S_iG,         (1/lam) S_ii, 0  ],
      [B,                    0,            0  ]],
 
-whose elimination of v gives back exactly a_lam.  `resolvent_saddle`
-builds it, and the operator keeps none of its blocks.  It is factorized
-once per parameter set, in the nested-dissection order computed from the
-coordinates of its unknowns (`saddle_coordinates`), and each solve is one
-checked solve.  The solid displacement is w = (u + w*)/lam on Gamma_s and
+whose elimination of v gives back exactly a_lam.  Its one weak mode is
+the constant pressure c0, which holds a displaced solid: at shift 1e-3
+and Lame lambda 1e6 the nearly incompressible solid barely moves under
+it, and the smallest theta of B A^-1 B^T q = theta M_p q, whose q is the
+constant, falls to 1.25e-10 while the next stays above 0.12.  So the
+matrix is factorized bordered against that mode, by one multiplier row
+and column m = 2^-30 M_p 1 on the pressure rows, which holds the
+pressure to mean zero; the exact scaling keeps SuperLU from pivoting on
+the border row.  `resolvent_saddle` builds it, and the operator keeps
+none of its blocks.  It is factorized once per parameter set, in the
+nested-dissection order computed from the coordinates of its unknowns
+(`saddle_coordinates`), the multiplier last.  c0 then comes from the
+flux equation g^T u = 0, g = B^T 1, by block elimination (T. F. Chan,
+SIAM J. Sci. Stat. Comput. 5, 1984): one bordered solve for h, with
+right-hand side g, at build time, and per solve one checked bordered
+solve x_f and the combination c0 = mu_f / mu_h of their multipliers,
+x = x_f - c0 h and pi = pi_0 + c0.  The state's residual against the
+unbordered saddle is bounded from the residuals of the two bordered
+solves and gated at 1e-10.  The solid displacement is
+w = (u + w*)/lam on Gamma_s and
 v/lam inside, and the solid velocity is z = lam * w - w*.  The
 discrete-kernel projection factorizes its [[M, B^T], [B, 0]] the same way,
 and the Dirichlet map its interior block S_ii, each from the coordinates
@@ -66,6 +81,15 @@ DIV_TOL = 1e-10
 TRACE_TOL = 1e-12
 GAMMA_F_TOL = 1e-12
 FLUX_TOL = 1e-9
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# The resolvent saddle's border is 2^-30 M_p 1, an exact scaling that only
+# moves its multiplier.  SuperLU's threshold test, which swaps in a row
+# when a diagonal is below 1e-3 of its column's largest entry, then never
+# takes the border row, and the leading block pivots as the unbordered
+# saddle does.  Unscaled, the border row was taken 80 times at level 5 at
+# the default parameters, and the factor filled 272.5 M entries instead
+# of 77.6 M.
+_BORDER_SCALE = 2.0 ** -30
 
 
 @dataclass
@@ -283,16 +307,18 @@ def saddle_coordinates(space, solid_dofs=()):
 
 
 def resolvent_saddle(space, params: MaterialParams):
-    """The resolvent saddle matrix and the row map its solve needs.
+    """The bordered resolvent saddle matrix and the row map its solve needs.
 
     Returns `(saddle, solid_rows)`: the CSR matrix over free velocity,
-    scaled solid interior v = lam * w_i and pressure, in that order,
-    [[A_lam + (1/lam) S_GG, (1/lam) S_Gi, B^T], [(1/lam) S_iG,
-    (1/lam) S_ii, 0], [B, 0, 0]] with B the divergence on the free
-    velocity dofs; and the row of the velocity-solid block of each solid
-    dof, the Gamma_s dofs on their matching free velocity dofs and the
-    interior after the velocity.  The blocks are temporaries of this call,
-    so none is alive while the caller factorizes the saddle.
+    scaled solid interior v = lam * w_i, pressure and one multiplier, in
+    that order, [[A_lam + (1/lam) S_GG, (1/lam) S_Gi, B^T, 0],
+    [(1/lam) S_iG, (1/lam) S_ii, 0, 0], [B, 0, 0, m], [0, 0, m^T, 0]]
+    with B the divergence on the free velocity dofs and m = 2^-30 M_p 1
+    (`_BORDER_SCALE`); and the row of the velocity-solid block of each
+    solid dof, the Gamma_s dofs on their matching free velocity dofs and
+    the interior after the velocity.  Its leading block, without the
+    multiplier, is the resolvent saddle.  The blocks are temporaries of this call, so none
+    is alive while the caller factorizes the saddle.
     """
     lam = params.shift
     fops = fem.fluid_operators(space)
@@ -311,21 +337,35 @@ def resolvent_saddle(space, params: MaterialParams):
     velocity_solid = sp.block_diag((a_free, sp.csr_matrix((ii.size, ii.size))))
     b = sp.hstack([fops.div[:, free].tocsr(),
                    sp.csr_matrix((space.num_pressure_dofs, ii.size))])
-    saddle = sp.bmat([[velocity_solid + solid, b.T], [b, None]], format="csr")
+    border = sp.csr_matrix(_BORDER_SCALE
+                           * (fops.pressure_mass @ np.ones(space.num_pressure_dofs)))
+    saddle = sp.bmat([[velocity_solid + solid, b.T, None], [b, None, border.T],
+                      [None, border, None]], format="csr")
     return saddle, solid_rows
 
 
 class ResolventOperator:
     """Factorized solver for (lam I - A_h) Y = Y* at fixed parameters.
 
-    `saddle` is the sparse monolithic matrix of `resolvent_saddle` and
-    `factor` its nested-dissection LU, which holds that same object.  The
-    saddle is indefinite and nearly singular at (shift 1e-3, Lame lambda
-    1e6), so the factor's pivots are tested (`check_pivots`).  `solve`
-    builds the right-hand side from the data with sparse solid products,
-    no solid solve, and makes one checked solve.  The operator keeps the
-    dofs and sizes it reads of its space, not the space: a cached operator
-    dies with the space that caches it.
+    `saddle` is the bordered matrix of `resolvent_saddle` and `factor` its
+    nested-dissection LU, the multiplier numbered last, which holds that
+    same object.  At build time the operator solves it once for h, with
+    g = B^T 1 on the free velocity rows.  `solve` builds the right-hand
+    side from the data with sparse solid products, no solid solve, makes
+    one checked bordered solve x_f and takes c0 = mu_f / mu_h from the two
+    multipliers: then x = x_f - c0 h with pi = pi_0 + c0 meets the
+    divergence rows B u = 0, through the flux equation g^T u = 0.
+
+    The report's residual is that of the returned state against the
+    unbordered saddle, bounded from the two measured bordered residuals
+    as (||r_f|| + |c0| ||r_h|| + the rounding of c0) / ||b||: O(n) work per
+    solve instead of a second product with the saddle.  It leaves out the
+    rounding of the combination, of the order of a residual evaluation's
+    own; on random data over the 15-case parameter grid at levels 0-3 it
+    read 0.84 to 1.38 times the measured residual.  Above 1e-10 it raises
+    SolveAccuracyError.  The operator keeps the dofs and sizes it reads of
+    its space, not the space: a cached operator dies with the space that
+    caches it.
 
     The v = lam * w_i scaling keeps the solid blocks on the scale of the
     velocity blocks; the unscaled unknown w_i leaves 2-15 times larger
@@ -344,9 +384,21 @@ class ResolventOperator:
         self._num_interior = space.solid_interior_dofs.size
         self._num_velocity = space.num_velocity_dofs
         self.saddle, self._solid_rows = resolvent_saddle(space, params)
+        self._pressure = slice(self._free.size + self._num_interior, -1)
         self.factor = sla.factorize(self.saddle,
                                     saddle_coordinates(space, space.solid_interior_dofs))
-        self.factor.check_pivots()
+        # g = B^T 1 is the saddle applied to the unit constant pressure,
+        # its border row m^T 1 cleared
+        unit = np.zeros(self.saddle.shape[0])
+        unit[self._pressure] = 1.0
+        flux = self.saddle @ unit
+        flux[-1] = 0.0
+        self._flux_solution, report = self.factor.solve(flux)
+        # ||r_h|| and ||m||, the two norms of the residual bound of `solve`
+        # (BLAS-free, as the bound is reported)
+        self._flux_residual = report.residual * np.sqrt(sla.dot(flux, flux))
+        border = self.saddle[-1].data
+        self._border_norm = np.sqrt(sla.dot(border, border))
 
     # -- data handling ------------------------------------------------------
 
@@ -355,18 +407,37 @@ class ResolventOperator:
         return ResolventData(scale * (self.mass_f @ state.u),
                              scale * state.w, scale * state.z)
 
+    def _rhs(self, data, w_lift):
+        """The bordered saddle's right-hand side for the data, given the
+        lift w*/lam on Gamma_s; zero on the pressure and multiplier rows."""
+        rhs = np.zeros(self.saddle.shape[0])
+        rhs[:self._free.size] = data.u_load[self._free]
+        rhs[self._solid_rows] += _solid_residual(self.mass_s, self.s_matrix,
+                                                 self.params.shift, data, w_lift)
+        return rhs
+
     def solve(self, data: ResolventData):
         lam = self.params.shift
         nf = self._free.size
         w_lift = _solid_lift(self._iface_solid, lam, data.w_star)
-        rhs = np.zeros(self.saddle.shape[0])
-        rhs[:nf] = data.u_load[self._free]
-        rhs[self._solid_rows] += _solid_residual(self.mass_s, self.s_matrix, lam,
-                                                 data, w_lift)
-        x, report = self.factor.solve(rhs)
+        rhs = self._rhs(data, w_lift)
+        x, bordered = self.factor.solve(rhs)
+        h = self._flux_solution
+        c0 = x[-1] / h[-1]
+        # The unbordered residual of x_f - c0 h + c0 (0, 1) is
+        # r_f - c0 r_h - (mu_f - c0 mu_h) m, and |mu_f - c0 mu_h| <= u |mu_f|
+        # for the rounded quotient c0; the rounding of the combination
+        # below is of the order of a residual evaluation's own.
+        norm_b = np.sqrt(sla.dot(rhs, rhs))
+        bound = (bordered.residual + (abs(c0) * self._flux_residual + _UNIT_ROUNDOFF
+                                      * self._border_norm * abs(x[-1])) / norm_b
+                 if norm_b > 0 else 0.0)
+        report = sla.checked_report(bound, bordered.solve_time, bordered.factor_time)
+        x -= c0 * h
+        x[self._pressure] += c0
         u = np.zeros(self._num_velocity)
         u[self._free] = x[:nf]
-        pi = x[nf + self._num_interior:]
+        pi = x[self._pressure]
         w = x[self._solid_rows] / lam + w_lift
         z = lam * w - data.w_star
         return FsiState(u=u, w=w, z=z, pi=pi), report
@@ -391,8 +462,8 @@ def kernel_projection(space):
     matrix is factorized once, in the nested-dissection order of
     `saddle_coordinates`.  It takes no material parameter, and its
     smallest pivot, 3.1e-2 of max|A| at level 0 and 1.45e-3 at level 4,
-    about halves per level, so even level 12 stays eight orders above the
-    singular tolerance: its pivots are not tested.
+    about halves per level, so even at level 12 it stays near 6e-6 of
+    max|A|: unlike the resolvent saddle, it needs no border.
     """
     fops = fem.fluid_operators(space)
     free = space.free_velocity_dofs

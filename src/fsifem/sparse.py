@@ -4,7 +4,8 @@ eigenvalues, and `dot`, the one inner product of two vectors (no BLAS).
 
 Factorization is delegated to SuperLU (scipy).  Given one coordinate row
 per unknown, the matrix is factorized in the nested-dissection order of
-`nested_dissection` with diagonal pivots preferred.  Every factorization
+`nested_dissection` with diagonal pivots preferred; trailing unknowns
+without a coordinate row are numbered after the others.  Every factorization
 in the package takes this path: the resolvent and kernel-projection
 saddle matrices, whose zero pressure block leaves SuperLU's COLAMD with
 partial pivoting at 2.7 times the fill at level 3, and the SPD velocity,
@@ -21,19 +22,18 @@ singular factors raise with the offending pivot index in the caller's
 numbering; and repeated solves of identical inputs are bitwise
 reproducible.
 
-The pivot rule has two parts.  Every factorization refuses an exactly
-singular matrix: SuperLU's zero pivot raises SingularMatrixError, with the
-pivot located by a dense LU on matrices of up to 4 000 unknowns.  The
-tolerance test, a pivot with |u_kk| <= _PIVOT_TOL * max|A| with
-_PIVOT_TOL = 1e-14, is `Factorization.check_pivots`, and only the
-resolvent saddle factor calls it: admissible parameters make it nearly
-singular at (shift 1e-3, Lame lambda 1e6), where its residual check alone
-would pass a state with a constant pressure of order 1e9.  The test reads
-SuperLU's U factor, and scipy then keeps CSC copies of L and U for as
-long as the factor lives: at level 4 the inf-sup study, whose velocity
-block and pressure mass are SPD, peaked 86 MB higher with them.  Every
-other factor has pivots bounded below for every valid mesh and material,
-each for the reason its caller states, so it skips the test.
+The pivot rule: every factorization refuses an exactly singular matrix.
+SuperLU's zero pivot raises SingularMatrixError, with the pivot located
+by a dense LU on matrices of up to 4 000 unknowns.  There is no tolerance
+test on the pivots, and no path outside the traced `pivot_growth` reads
+SuperLU's U factor: that read makes scipy keep CSC copies of L and U for
+as long as the factor lives, 0.88 GB at level 5.  A nearly singular
+matrix is the caller's to remove.  The one the package meets, the
+resolvent saddle at (shift 1e-3, Lame lambda 1e6), whose constant
+pressure is a near-null mode, is factorized bordered against that mode
+(`solver.ResolventOperator`), with the border numbered after the
+coordinate unknowns.  Every other factor has pivots bounded below for
+every valid mesh and material, each for the reason its caller states.
 """
 
 from __future__ import annotations
@@ -49,14 +49,15 @@ import scipy.sparse.linalg as spla
 EIG_TOL = 1e-8
 EIG_MAX_ITER = 500
 _SOLVE_TOL = 1e-10
-_PIVOT_TOL = 1e-14   # singular pivot: |u_kk| <= _PIVOT_TOL * max|A|
+_PIVOT_TOL = 1e-14   # `_locate_pivot`'s zero pivot: |u_kk| <= _PIVOT_TOL * max|A|
 _ND_LEAF = 16      # nested dissection numbers blocks of at most this many unknowns whole
 
 
 class SingularMatrixError(Exception):
-    """A factorization hit a zero pivot, or `Factorization.check_pivots`
-    found one at or below the singular tolerance; `pivot` is its unknown
-    in the caller's numbering, -1 where it could not be located."""
+    """A factorization hit a zero pivot; `pivot` is its unknown in the
+    caller's numbering, -1 where it could not be located.  A tiny but
+    nonzero pivot does not raise it: the checked residual of each solve
+    is the gate there."""
 
     def __init__(self, pivot: int, message: str | None = None):
         self.pivot = pivot
@@ -99,15 +100,20 @@ def _as_csr(a):
 class Factorization:
     """Reusable sparse LU factorization of a square matrix.
 
-    `xy` holds one coordinate row per unknown.  A is factorized as P A P^T
-    in the coordinate nested-dissection order of `nested_dissection`:
-    SuperLU keeps that order (NATURAL, symmetric mode) and a diagonal pivot
-    unless it is below 1e-3 of its column's largest entry.  `solve` permutes
-    the right-hand side and the solution, so callers see their own
-    numbering.  A non-finite entry raises ValueError before SuperLU runs,
-    and a zero pivot raises SingularMatrixError.  Building the factor never
-    reads SuperLU's U: the tolerance test on the pivots is the separate
-    `check_pivots`, and `pivot_growth` is computed on first use.  The
+    `xy` holds one coordinate row for each of the leading unknowns, at
+    least one and at most all of them.  A is factorized as P A P^T: the
+    leading unknowns in the coordinate nested-dissection order of
+    `nested_dissection` on their block of A, then any trailing unknowns
+    without coordinates in index order.  So a dense border row and column
+    is numbered last, where it adds one row and column to the factor;
+    numbered inside the dissection it would fill the whole block it
+    couples.  SuperLU keeps that order (NATURAL, symmetric mode) and a
+    diagonal pivot unless it is below 1e-3 of its column's largest entry.
+    `solve` permutes the right-hand side and the solution, so callers see
+    their own numbering.  A non-finite entry raises ValueError before
+    SuperLU runs, and a zero pivot raises SingularMatrixError.  No pivot
+    is tested against a tolerance, and nothing but `pivot_growth`, which
+    only the benchmark's traced passes read, reads SuperLU's U.  The
     residual check of every solve runs on the caller's matrix: `_a`, the
     one matrix kept, is the caller's own object when it is CSR.
     """
@@ -117,13 +123,19 @@ class Factorization:
         n, m = csr.shape
         if n != m:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
+        xy = np.asarray(xy, dtype=float)
+        lead = xy.shape[0] if xy.ndim else 0
+        if not 0 < lead <= n:
+            raise ValueError(f"need a coordinate row for each of 1 to {n} leading "
+                             f"unknowns, got shape {xy.shape}")
         t0 = time.perf_counter()
-        self._perm = nested_dissection(csr, xy)
+        leading = nested_dissection(csr if lead == n else csr[:lead, :lead], xy)
+        self._perm = np.concatenate([leading, np.arange(lead, n)])
         self._a = csr
         max_a = np.abs(csr.data).max() if csr.nnz else 0.0
         if not np.isfinite(max_a):
             raise ValueError(f"matrix has a non-finite entry (max|A| = {max_a})")
-        # P A P^T is only SuperLU's input, freed before any solve or U read
+        # P A P^T is only SuperLU's input, freed before any solve
         csc = csr[self._perm][:, self._perm].tocsc()
         try:
             self._lu = spla.splu(csc, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
@@ -135,23 +147,11 @@ class Factorization:
         self._max_a = max_a
         self.factor_time = time.perf_counter() - t0
 
-    def check_pivots(self):
-        """Raise SingularMatrixError when a pivot has |u_kk| <= _PIVOT_TOL *
-        max|A|, naming its unknown in the caller's numbering.
-
-        This reads `SuperLU.U`, and scipy then keeps CSC copies of L and U
-        for as long as the factor lives; only the resolvent saddle factor,
-        which admissible parameters can make nearly singular, calls it."""
-        udiag = np.abs(self._lu.U.diagonal())
-        if self._max_a > 0 and udiag.min() <= _PIVOT_TOL * self._max_a:
-            pivot = self._caller_index(int(np.argmin(udiag)))
-            raise SingularMatrixError(pivot, "factorization singular to tolerance "
-                                             f"(pivot {pivot})")
-
     @functools.cached_property
     def pivot_growth(self):
-        """max|U| / max|A| (0 for A = 0), computed on first use: it reads
-        `SuperLU.U`, with the cost that `check_pivots` states."""
+        """max|U| / max|A| (0 for A = 0), for the benchmark's traced passes
+        only: it reads `SuperLU.U`, and scipy then keeps CSC copies of L
+        and U for as long as the factor lives."""
         u = self._lu.U
         # max|U| without an |U| temporary on top of scipy's CSC copies of L and U
         max_u = max(u.data.max(), -u.data.min())
@@ -183,12 +183,19 @@ class Factorization:
         norm_r = np.linalg.norm(self._a @ x - b, axis=0)
         residual = np.max(np.divide(norm_r, norm_b, out=np.zeros_like(norm_r),
                                     where=norm_b > 0), initial=0.0)
-        report = LinearSolveReport(residual=float(residual), solve_time=solve_time,
-                                   factor_time=self.factor_time)
-        if not residual <= _SOLVE_TOL:
-            raise SolveAccuracyError(
-                f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}", report)
-        return x, report
+        return x, checked_report(residual, solve_time, self.factor_time)
+
+
+def checked_report(residual, solve_time, factor_time):
+    """The `LinearSolveReport` of a solve with relative residual
+    `residual`; above 1e-10, or NaN, it raises SolveAccuracyError carrying
+    the report.  The one residual gate of the package's solves."""
+    report = LinearSolveReport(residual=float(residual), solve_time=solve_time,
+                               factor_time=factor_time)
+    if not residual <= _SOLVE_TOL:
+        raise SolveAccuracyError(
+            f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}", report)
+    return report
 
 
 def dot(x, y):

@@ -99,6 +99,20 @@ def test_resolvent_mode_exports_state(tmp_path):
     assert report["data_identity_residual"] <= 1e-12
 
 
+def test_resolvent_mode_solves_small_shift_nearly_incompressible_solid(tmp_path, capsys):
+    # the constant pressure is a near-null mode of this saddle; factorized
+    # bordered against it, the solve goes through and every check passes
+    code = cli.main(["--mode", "resolvent", "--levels", "1", "--lambda", "1e-3",
+                     "--lame-lambda", "1e6", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    checks = [line for line in out.splitlines() if "residual" in line and "<=" in line]
+    assert len(checks) == 4 and all(line.endswith(": PASS") for line in checks)
+    report = json.loads((tmp_path / "domain_conditions.json").read_text())
+    assert report["solve_residual"] <= 1e-10
+    assert all(c["passed"] for c in report["conditions"].values())
+
+
 def test_infsup_mode(tmp_path, capsys):
     code = cli.main(["--mode", "infsup", "--levels", "0,1", "--out", str(tmp_path)])
     assert code == 0
@@ -129,22 +143,35 @@ def test_certify_deterministic(tmp_path):
     assert float(gap.split()[1].removeprefix("value=")) < 0.0
 
 
-def test_certify_tests_pivots_of_the_resolvent_saddles_only(tmp_path, monkeypatch):
-    # the kernel projection's [[M, B^T], [B, 0]] takes no material
-    # parameter and keeps its residual check; only the resolvent saddle of
-    # each level (1, then 0) reads SuperLU's U
-    sizes = []
-    check = sla.Factorization.check_pivots
+def test_certify_reads_u_of_no_factor(tmp_path, monkeypatch):
+    # no factor of a certify run reads SuperLU's L or U, whose first read
+    # makes scipy keep CSC copies of both: the resolvent saddle is
+    # factorized bordered against its constant pressure, and no pivot is
+    # tested against a tolerance
+    made, reads = [], []
+    real = sla.spla.splu
 
-    def counted(factor):
-        sizes.append(factor._a.shape[0])
-        return check(factor)
+    class Watched:
+        def __init__(self, lu):
+            self._lu = lu
 
-    monkeypatch.setattr(sla.Factorization, "check_pivots", counted)
+        def __getattr__(self, name):
+            if name in ("L", "U"):
+                reads.append(name)
+            return getattr(self._lu, name)
+
+    def watched_splu(a, **kwargs):
+        made.append(a.shape[0])
+        return Watched(real(a, **kwargs))
+
+    monkeypatch.setattr(sla.spla, "splu", watched_splu)
     assert cli.main(["--mode", "certify", "--out", str(tmp_path)]) == 0
+    # the bordered resolvent saddle of each level (1, then 0) is among them
     spaces = [fem.build_space(meshmod.generate(level)) for level in (1, 0)]
-    assert sizes == [space.free_velocity_dofs.size + space.solid_interior_dofs.size
-                     + space.num_pressure_dofs for space in spaces]
+    saddles = [space.free_velocity_dofs.size + space.solid_interior_dofs.size
+               + space.num_pressure_dofs + 1 for space in spaces]
+    assert [n for n in made if n in saddles] == saddles
+    assert reads == []
 
 
 def test_config_file_with_flag_override(tmp_path):

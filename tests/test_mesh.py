@@ -227,6 +227,23 @@ def test_import_rejects_header_level_out_of_range(mesh0, tmp_path, level):
         meshmod.import_mesh(path)
 
 
+@pytest.mark.parametrize("counts", ["72 1000000000000000", "one past the end",
+                                    "-1 49", "72 -49"])
+def test_import_rejects_header_counts_the_file_cannot_hold(mesh0, tmp_path, counts):
+    # refused before an allocation sized by the header: 10^15 vertices
+    # would otherwise end in numpy's MemoryError
+    path = tmp_path / "counts.txt"
+    meshmod.export_mesh(mesh0, path)
+    lines = path.read_text().splitlines()
+    if counts == "one past the end":
+        # the triangle block would end one line after the file does
+        counts = f"{len(lines) - mesh0.num_vertices} {mesh0.num_vertices}"
+    lines[0] = f"{counts} 0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshmod.MeshError, match="counts.txt:1: .* do not fit"):
+        meshmod.import_mesh(path)
+
+
 @pytest.mark.parametrize("line, field, vertex", [
     ("triangle", 2, -49),   # would wrap around to vertex 0
     ("triangle", 1, 49),    # one past the last of the 49 vertices

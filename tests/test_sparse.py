@@ -29,19 +29,32 @@ def test_zero_rhs_gives_zero():
     assert np.all(x == 0.0)
 
 
+def _resolvent_rhs(rng, n, *columns):
+    """A random right-hand side of the bordered resolvent saddle, zero in
+    its multiplier row as in every resolvent solve."""
+    b = rng.standard_normal((n, *columns))
+    b[-1] = 0.0
+    return b
+
+
 def test_level0_saddle_vs_dense_oracle(space0, params, rng):
     op = solver._operator(space0, params)
     a = op.saddle
-    b = rng.standard_normal(a.shape[0])
+    b = _resolvent_rhs(rng, a.shape[0])
     x_dense = np.linalg.solve(a.toarray(), b)
     x_sparse, report = op.factor.solve(b)
     assert report.residual <= 1e-10
     assert np.linalg.norm(x_sparse - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
+    # the border is 2^-30 M_p 1, so a nonzero multiplier row asks for a
+    # pressure mean of order 2^30: that solve misses the check and raises
+    b[-1] = 1.0
+    with pytest.raises(sla.SolveAccuracyError):
+        op.factor.solve(b)
 
 
 def test_solve_is_bitwise_deterministic(space0, params, rng):
     a = solver._operator(space0, params).saddle
-    b = rng.standard_normal(a.shape[0])
+    b = _resolvent_rhs(rng, a.shape[0])
     xy = solver.saddle_coordinates(space0, space0.solid_interior_dofs)
     x1, _ = sla.factorize(a, xy).solve(b)
     x2, _ = sla.factorize(a, xy).solve(b)
@@ -64,32 +77,13 @@ def test_singular_matrix_reports_pivot():
     assert err.value.pivot == 1
 
 
-def test_tiny_pivot_is_refused_by_check_pivots_only():
-    # 1e-20 <= 1e-14 * max|A| but not zero: SuperLU factorizes it, and
-    # only the tolerance test refuses it
+def test_tiny_pivot_is_left_to_the_checked_solve():
+    # 1e-20 of max|A| but not zero: no pivot is tested against a
+    # tolerance, and the factor of this diagonal matrix solves exactly
     a = sp.csr_matrix(np.diag([1.0, 1e-20, 2.0]))
-    factor = sla.factorize(a, _one_point(3))
-    with pytest.raises(sla.SingularMatrixError) as err:
-        factor.check_pivots()
-    assert err.value.pivot == 1
-
-
-def test_check_pivots_names_the_callers_unknown():
-    # a path of 40 unknowns with coordinates descending along it, so
-    # nested dissection numbers the high indices first; unknown 5 is cut
-    # off the path and has the tiny pivot
-    n, k = 40, 5
-    a = sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1]).tolil()
-    a[k, :] = 0.0
-    a[:, k] = 0.0
-    a[k, k] = 1e-20
-    a = a.tocsr()
-    a.eliminate_zeros()
-    factor = sla.factorize(a, -np.arange(n, dtype=float)[:, None])
-    assert factor._perm[k] != k
-    with pytest.raises(sla.SingularMatrixError) as err:
-        factor.check_pivots()
-    assert err.value.pivot == k
+    x, report = sla.factorize(a, _one_point(3)).solve(np.ones(3))
+    assert np.array_equal(x, [1.0, 1e20, 0.5])
+    assert report.residual == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -238,8 +232,7 @@ def test_corrupted_multi_column_solve_raises(rng):
 
 def test_report_fields_are_measured(space0, params):
     a = solver._operator(space0, params).saddle
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal(a.shape[0])
+    b = _resolvent_rhs(np.random.default_rng(5), a.shape[0])
     x, report = sla.factorize(
         a, solver.saddle_coordinates(space0, space0.solid_interior_dofs)).solve(b)
     direct = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
@@ -288,29 +281,35 @@ def operators(params):
             for level in range(4)}
 
 
+def _assert_pressure_after_velocity(space, perm):
+    """Each pressure unknown of the resolvent saddle of `space` is ordered
+    after a free velocity dof it couples to, in the permutation `perm`."""
+    position = np.empty(perm.size, dtype=np.int64)
+    position[perm] = np.arange(perm.size)
+    # row i of B holds the free velocity dofs pressure dof i couples to
+    b = fem.fluid_operators(space).div[:, space.free_velocity_dofs]
+    b.eliminate_zeros()
+    first_velocity = np.minimum.reduceat(position[b.indices], b.indptr[:-1])
+    pressure = space.num_free_velocity_dofs + space.solid_interior_dofs.size
+    assert np.all(first_velocity < position[pressure:pressure + space.num_pressure_dofs])
+
+
 def test_nested_dissection_orders_pressure_after_velocity(operators):
     for level, op in operators.items():
         # the operator keeps no reference to its space; numbering is
         # deterministic, so a rebuilt space numbers the saddle alike
         space = fem.build_space(meshmod.generate(level))
         n = op.saddle.shape[0]
-        perm = sla.nested_dissection(
-            op.saddle, solver.saddle_coordinates(space, space.solid_interior_dofs))
+        perm = op.factor._perm
         assert np.array_equal(np.sort(perm), np.arange(n)), level
-        position = np.empty(n, dtype=np.int64)
-        position[perm] = np.arange(n)
-        # row i of B holds the free velocity dofs pressure dof i couples to
-        b = fem.fluid_operators(space).div[:, space.free_velocity_dofs]
-        b.eliminate_zeros()
-        first_velocity = np.minimum.reduceat(position[b.indices], b.indptr[:-1])
-        # the pressure unknowns follow the velocity and solid-interior ones
-        pressure = space.num_free_velocity_dofs + space.solid_interior_dofs.size
-        assert np.all(first_velocity < position[pressure:]), level
+        # the multiplier, which has no coordinates, comes last
+        assert perm[-1] == n - 1, level
+        _assert_pressure_after_velocity(space, perm)
 
 
 def test_nested_dissection_agrees_with_colamd(operators, rng):
     for level, op in operators.items():
-        b = rng.standard_normal((op.saddle.shape[0], 2))
+        b = _resolvent_rhs(rng, op.saddle.shape[0], 2)
         x_nd, report = op.factor.solve(b)
         x_colamd = spla.splu(op.saddle.tocsc()).solve(b)   # SuperLU's default: COLAMD
         assert report.residual <= 1e-12, level
@@ -335,16 +334,51 @@ def test_coordinates_select_natural_symmetric_mode(space0, params, monkeypatch):
 
 def test_nested_dissection_validates_coordinates(space0, params):
     saddle = solver._operator(space0, params).saddle
-    with pytest.raises(ValueError, match="coordinate row per unknown"):
-        sla.nested_dissection(saddle, np.zeros((3, 2)))
     n = saddle.shape[0]
-    for bad in (np.zeros(n), np.zeros((n, 0)), np.zeros((n, 2, 1)), None):
+    xy = solver.saddle_coordinates(space0, space0.solid_interior_dofs)
+    # the multiplier of the bordered saddle has no coordinates: only
+    # `Factorization` numbers such trailing unknowns, nested dissection
+    # wants one row for every unknown
+    for bad in (xy, np.zeros((3, 2)), np.zeros(n), np.zeros((n, 0)),
+                np.zeros((n, 2, 1)), None):
         with pytest.raises(ValueError, match="coordinate row per unknown"):
             sla.nested_dissection(saddle, bad)
-    xy = solver.saddle_coordinates(space0, space0.solid_interior_dofs)
+    xy = np.vstack([xy, [[0.5, 0.5]]])
     xy[5, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         sla.nested_dissection(saddle, xy)
+
+
+def test_factorization_numbers_trailing_unknowns_last():
+    # a bordered path: unknowns 0..39 on a line, their coordinates
+    # descending, then two unknowns coupled to all of them
+    n, extra = 40, 2
+    path = sp.diags([np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)], [-1, 0, 1])
+    border = sp.csr_matrix(np.ones((extra, n)))
+    a = sp.bmat([[path, border.T], [border, 8.0 * sp.identity(extra)]], format="csr")
+    xy = -np.arange(n, dtype=float)[:, None]
+    factor = sla.factorize(a, xy)
+    assert np.array_equal(factor._perm[:n], sla.nested_dissection(path, xy))
+    assert np.array_equal(factor._perm[n:], [n, n + 1])
+    b = np.arange(n + extra, dtype=float)
+    x, report = factor.solve(b)
+    assert report.residual <= 1e-14
+    assert np.linalg.norm(x - np.linalg.solve(a.toarray(), b)) <= 1e-13 * np.linalg.norm(x)
+
+
+def test_factorization_rejects_bad_coordinates(space0, params):
+    saddle = solver._operator(space0, params).saddle
+    n = saddle.shape[0]
+    xy = solver.saddle_coordinates(space0, space0.solid_interior_dofs)
+    # more rows than unknowns, and no row at all
+    for bad in (np.vstack([xy, [[0.5, 0.5]], [[0.5, 0.5]]]), np.zeros((0, 2)), None):
+        with pytest.raises(ValueError, match=f"coordinate row for each of 1 to {n}"):
+            sla.factorize(saddle, bad)
+    for value in (np.nan, np.inf):
+        corrupt = xy.copy()
+        corrupt[5, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            sla.factorize(saddle, corrupt)
 
 
 def test_nested_dissection_singular_pivot_in_caller_numbering():
@@ -422,15 +456,9 @@ def test_nested_dissection_on_a_jittered_mesh(jittered_mesh1, params, rng):
     space = fem.build_space(jittered_mesh1)
     op = solver.ResolventOperator(space, params)
     n = op.saddle.shape[0]
-    perm = sla.nested_dissection(
-        op.saddle, solver.saddle_coordinates(space, space.solid_interior_dofs))
+    perm = op.factor._perm
     assert np.array_equal(np.sort(perm), np.arange(n))
-    position = np.empty(n, dtype=np.int64)
-    position[perm] = np.arange(n)
-    b = fem.fluid_operators(space).div[:, space.free_velocity_dofs]
-    b.eliminate_zeros()
-    first_velocity = np.minimum.reduceat(position[b.indices], b.indptr[:-1])
-    pressure = space.num_free_velocity_dofs + space.solid_interior_dofs.size
-    assert np.all(first_velocity < position[pressure:])
-    x, report = op.factor.solve(rng.standard_normal(n))
+    assert perm[-1] == n - 1
+    _assert_pressure_after_velocity(space, perm)
+    x, report = op.factor.solve(_resolvent_rhs(rng, n))
     assert report.residual <= 1e-10
