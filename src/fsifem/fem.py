@@ -29,7 +29,10 @@ velocity columns, `pressure_mass` pressure rows and columns, and every
 other form the interleaved vector dofs of its region.  `fluid_operators`
 and `solid_operators` bundle the forms the solves read and keep them on
 the space (`TaylorHoodSpace.cached`), as the solver keeps its
-factorizations there.
+factorizations there.  The space holds one value per name, keyed by what
+it depends on: the fluid operators and the solid mass and gradient by
+nothing, the solid operators by the Lame moduli, so a request at another
+shift reuses them.
 
 Assembly and the exact fields of the error norms are class-grouped by
 `sparse.bit_classes`, which groups rows of floats by their exact bits.  Every
@@ -275,14 +278,25 @@ class TaylorHoodSpace:
         u[self.free_velocity_dofs] = u_free
         return u
 
-    def cached(self, key, build):
-        """The value kept under `key`, made by `build()` on first use.
+    def cached(self, name, build, *dependencies):
+        """The value kept under `name` for `dependencies`, made by `build()`.
 
         The space owns its assembled matrices, factorizations and
-        operators, so every later request for the same key reuses them."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        operators, one value per name.  A request with the dependencies of
+        the held value returns that object; a request with other
+        dependencies drops the held value, so that it is freed before
+        `build()` runs, and keeps what `build()` returns.  What the space
+        holds thus depends only on the last request for each name: a sweep
+        over parameter sets keeps one set's factors alive, not one per
+        set.  A `build()` that raises leaves nothing under `name`."""
+        held = self._cache.get(name)
+        if held is not None and held[0] == dependencies:
+            return held[1]
+        del held   # no local may keep the old value alive through build()
+        self._cache.pop(name, None)
+        value = build()
+        self._cache[name] = (dependencies, value)
+        return value
 
 
 def _interleave(x, y):
@@ -630,4 +644,4 @@ def solid_operators(space, params: MaterialParams) -> SolidOperators:
         return SolidOperators(mass=mass, stiffness=stiffness, grad=grad,
                               energy=stiffness + mass)
 
-    return space.cached(("solid_ops", params.lame_lambda, params.lame_mu), build)
+    return space.cached("solid_ops", build, params.lame_lambda, params.lame_mu)

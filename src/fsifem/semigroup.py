@@ -122,7 +122,10 @@ def _trace_row(space, params, state, step, time, solve_residual):
 
 
 class Stepper:
-    """Backward-Euler stepper with one shared factorization per dt."""
+    """Backward-Euler stepper with one shared factorization per dt.
+
+    It holds its operator, so the factorization survives requests to the
+    space at other parameter sets."""
 
     def __init__(self, space, params: MaterialParams):
         self.space = space

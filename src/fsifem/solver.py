@@ -25,9 +25,9 @@ matrix is factorized bordered against that mode, by one multiplier row
 and column m = 2^-30 M_p 1 on the pressure rows, which holds the
 pressure to mean zero; the exact scaling keeps SuperLU from pivoting on
 the border row.  `resolvent_saddle` builds it, and the operator keeps
-none of its blocks.  It is factorized once per parameter set, in the
-nested-dissection order computed from the coordinates of its unknowns
-(`saddle_coordinates`), the multiplier last.  c0 then comes from the
+none of its blocks.  It is factorized in the nested-dissection order
+computed from the coordinates of its unknowns (`saddle_coordinates`),
+the multiplier last.  c0 then comes from the
 flux equation g^T u = 0, g = B^T 1, by block elimination (T. F. Chan,
 SIAM J. Sci. Stat. Comput. 5, 1984): one bordered solve for h, with
 right-hand side g, at build time, and per solve one checked bordered
@@ -52,8 +52,12 @@ residual vanishes on every free velocity dof off Gamma_s, so these rows
 are the whole traction functional.  With w the lift w*/lam on Gamma_s
 (`_solid_lift`) the solid residual is also the solid part of the solve's
 right-hand side and of the dense oracle's.  Matrices, factorizations
-and operators are kept on the space per parameter set
-(`TaylorHoodSpace.cached`).  A cached operator holds no reference to its
+and operators are kept on the space, one parameter set's at a time
+(`TaylorHoodSpace.cached`): a request at another parameter set drops the
+held shifted solid matrix, solid factor or operator before building the
+new one, so a sweep over shifts holds one factor, not one per shift.  A
+caller that holds an operator keeps it across requests at other
+parameter sets.  A cached operator holds no reference to its
 space, only the dof arrays and sizes it reads, so no reference cycle runs
 through the cache: dropping the last reference to a space frees its
 operators and their factors at once, without waiting for the cyclic
@@ -173,20 +177,15 @@ class DirichletMap:
     s_matrix: sp.csr_matrix
 
 
-def _param_key(name, params):
-    """Cache key of an object built for one parameter set."""
-    return (name, params.lame_lambda, params.lame_mu, params.shift)
-
-
 def _shifted_solid_matrix(space, params):
-    """S = K_sigma + (lam^2 + 1) M_s over the full solid layout, cached per
-    space and parameters."""
+    """S = K_sigma + (lam^2 + 1) M_s over the full solid layout, cached on
+    the space for the last parameter set asked for."""
     def build():
         ops = fem.solid_operators(space, params)
         lam = params.shift
         return (ops.stiffness + (lam * lam + 1.0) * ops.mass).tocsr()
 
-    return space.cached(_param_key("solid_shifted", params), build)
+    return space.cached("solid_shifted", build, params)
 
 
 def _solid_interior_factor(space, params):
@@ -200,7 +199,7 @@ def _solid_interior_factor(space, params):
         return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii],
                              solid_coordinates(space, ii))
 
-    return space.cached(_param_key("solid_factor", params), build)
+    return space.cached("solid_factor", build, params)
 
 
 def _solid_lift(iface_solid_dofs, lam, w_star):
@@ -365,7 +364,8 @@ class ResolventOperator:
     read 0.84 to 1.38 times the measured residual.  Above 1e-10 it raises
     SolveAccuracyError.  The operator keeps the dofs and sizes it reads of
     its space, not the space: a cached operator dies with the space that
-    caches it.
+    caches it, or when the space is asked for another parameter set's
+    operator, unless its caller still holds it.
 
     The v = lam * w_i scaling keeps the solid blocks on the scale of the
     velocity blocks; the unscaled unknown w_i leaves 2-15 times larger
@@ -449,8 +449,7 @@ def solve_resolvent(space, params: MaterialParams, data: ResolventData):
 
 
 def _operator(space, params) -> ResolventOperator:
-    return space.cached(_param_key("resolvent_op", params),
-                        lambda: ResolventOperator(space, params))
+    return space.cached("resolvent_op", lambda: ResolventOperator(space, params), params)
 
 
 def kernel_projection(space):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,6 +73,51 @@ def test_interface_map_is_total_bijection(space1):
     assert np.all(fl >= 0) and np.all(sl >= 0)
     assert len(np.unique(fl)) == len(fl)
     assert len(np.unique(sl)) == len(sl)
+
+
+# -- the space's cache -------------------------------------------------------
+
+class _Entry:
+    """A toy cached value; unlike a tuple it takes a weak reference."""
+
+
+def test_cache_keeps_one_value_per_name(mesh0):
+    space = fem.build_space(mesh0)
+    builds = []
+
+    def build():
+        builds.append(None)
+        return _Entry()
+
+    first = space.cached("toy", build, 1.0, "a")
+    assert space.cached("toy", build, 1.0, "a") is first
+    assert len(builds) == 1
+
+    # other dependencies: the held value is gone before the new one is
+    # built, so a sweep never holds two values of one name at once
+    old = weakref.ref(first)
+    del first
+    seen = []
+
+    def rebuild():
+        seen.append(old())
+        return _Entry()
+
+    second = space.cached("toy", rebuild, 2.0, "a")
+    assert seen == [None]
+    assert space.cached("toy", build, 2.0, "a") is second
+    assert len(builds) == 1
+
+    # a build that raises leaves nothing under the name: the next request,
+    # with the dependencies of the dropped value, builds again
+    def failing():
+        raise RuntimeError("build failed")
+
+    with pytest.raises(RuntimeError, match="build failed"):
+        space.cached("toy", failing, 3.0, "a")
+    assert "toy" not in space._cache
+    space.cached("toy", build, 2.0, "a")
+    assert len(builds) == 2
 
 
 # -- element matrices --------------------------------------------------------
