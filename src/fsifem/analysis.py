@@ -5,11 +5,11 @@ The exact velocity is built from the stream function psi(x, y) =
 A(x) B(y) with A = B = phi, phi(x) = x^2 (1-x)^2 (x-1/3)^3 (2/3-x)^3, so
 u = (A B', -A' B) is divergence-free, vanishes to second order on both
 boundaries, and solves the fluid resolvent equation with pressure
-identically zero; the solid fields are identically zero.  The derivative
-coefficient lists are hardcoded and cross-checked in exact rational
-arithmetic against the formal derivatives of the expanded phi, so any
-transcription typo is reported at construction rather than silently
-corrected.
+identically zero; the solid fields are identically zero.  phi is expanded
+once from its factored form in exact rationals, and phi', phi'' and
+phi''' are its exact derivatives, each rounded once to floats.  The data
+identity checks u* against a second, two-dimensional derivation of
+lam u - (1/2) Laplace u that shares no code with it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -33,64 +33,18 @@ RATE_FLOOR = 1e-15
 
 
 # ---------------------------------------------------------------------------
-# phi and its printed derivatives, exact arithmetic
+# phi and its derivatives, exact arithmetic
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-def _poly_pow(a, k):
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _poly_mul(out, a)
-    return out
-
-def _poly_diff(a):
-    return [k * a[k] for k in range(1, len(a))]
-
-
-def phi_coefficients():
-    """Exact ascending coefficients of x^2 (1-x)^2 (x-1/3)^3 (2/3-x)^3."""
-    x2 = [Fraction(0), Fraction(0), Fraction(1)]
-    one_minus_x_sq = [Fraction(1), Fraction(-2), Fraction(1)]
-    left = _poly_pow([Fraction(-1, 3), Fraction(1)], 3)
-    right = _poly_pow([Fraction(2, 3), Fraction(-1)], 3)
-    return _poly_mul(_poly_mul(x2, one_minus_x_sq), _poly_mul(left, right))
-
-
-# hardcoded derivative coefficient lists (ascending powers)
-PHI_D1 = [Fraction(0), Fraction(-16, 729), Fraction(124, 243),
-          Fraction(-3272, 729), Fraction(185, 9), Fraction(-494, 9),
-          Fraction(266, 3), Fraction(-256, 3), Fraction(45), Fraction(-10)]
-PHI_D2 = [Fraction(-16, 729), Fraction(248, 243), Fraction(-3272, 243),
-          Fraction(740, 9), Fraction(-2470, 9), Fraction(532),
-          Fraction(-1792, 3), Fraction(360), Fraction(-90)]
-PHI_D3 = [Fraction(248, 243), Fraction(-6544, 243), Fraction(740, 3),
-          Fraction(-9880, 9), Fraction(2660), Fraction(-3584),
-          Fraction(2520), Fraction(-720)]
-
-
-class CoefficientMismatch(Exception):
-    """A hardcoded derivative list disagrees with the formal derivative."""
-
-
-def _check_lists(expanded):
-    d1 = _poly_diff(expanded)
-    d2 = _poly_diff(d1)
-    d3 = _poly_diff(d2)
-    for name, formal, hard in (("phi'", d1, PHI_D1), ("phi''", d2, PHI_D2),
-                               ("phi'''", d3, PHI_D3)):
-        if len(formal) != len(hard):
-            raise CoefficientMismatch(
-                f"{name}: degree {len(hard) - 1} hardcoded vs {len(formal) - 1} formal")
-        for k, (f, h) in enumerate(zip(formal, hard)):
-            if f != h:
-                raise CoefficientMismatch(
-                    f"{name}: coefficient of x^{k} is {h}, formal derivative gives {f}")
+def phi_coefficients(x=(Fraction(0), Fraction(1))):
+    """Exact ascending coefficients of x^2 (1-x)^2 (x-1/3)^3 (2/3-x)^3,
+    where x is itself an exact polynomial: the default gives phi in powers
+    of x, and x = (1/2, 1) gives it in powers of x - 1/2."""
+    x = np.array(x, dtype=object)
+    factors = ((x, 2), (npoly.polysub([Fraction(1)], x), 2),
+               (npoly.polysub(x, [Fraction(1, 3)]), 3),
+               (npoly.polysub([Fraction(2, 3)], x), 3))
+    return reduce(npoly.polymul, (npoly.polypow(f, k) for f, k in factors))
 
 
 def _polyvals(t, coefficient_lists):
@@ -121,6 +75,7 @@ class ManufacturedCase:
 
     Exact fields: u = (A(x) B'(y), -A'(x) B(y)) with A = B = phi,
     w = z = 0, pi = 0.  Data: u* = lam u - (1/2) Laplace(u), w* = z* = 0.
+    `phi`, `dphi`, `d2phi` and `d3phi` hold ascending float coefficients.
     """
 
     shift: float
@@ -128,14 +83,10 @@ class ManufacturedCase:
     dphi: np.ndarray
     d2phi: np.ndarray
     d3phi: np.ndarray
-    # formal derivatives of the expanded phi: independent evaluation route
-    dphi_formal: np.ndarray
-    d2phi_formal: np.ndarray
-    d3phi_formal: np.ndarray
 
     def factors(self, t):
-        """(phi, phi', phi'') at the coordinates t, from the formal lists."""
-        return _polyvals(t, (self.phi, self.dphi_formal, self.d2phi_formal))
+        """(phi, phi', phi'') at the coordinates t."""
+        return _polyvals(t, (self.phi, self.dphi, self.d2phi))
 
     def velocity_and_gradient(self, x, y):
         """(u1, u2, d u1/dx, d u1/dy, d u2/dx, d u2/dy), with each of the
@@ -153,40 +104,28 @@ class ManufacturedCase:
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def data_factors(self, t):
-        """(phi, phi', phi'', phi''') at the coordinates t, from the
-        hardcoded lists."""
+        """(phi, phi', phi'', phi''') at the coordinates t."""
         return _polyvals(t, (self.phi, self.dphi, self.d2phi, self.d3phi))
 
     def data(self, x, y):
-        """u* from the hardcoded derivative lists."""
+        """u* from the separable factors of `data_factors`."""
         return _resolvent_data(self.shift, self.data_factors(x), self.data_factors(y))
 
 
 def manufactured_case(shift: float) -> ManufacturedCase:
-    """Construct and verify the benchmark case (raises on any coefficient
-    mismatch between the hardcoded lists and the formal derivatives)."""
+    """The benchmark case: phi and its first three derivatives, exact in
+    rationals, each rounded once to floats."""
     if not (math.isfinite(shift) and shift > 0):
         raise ValueError(f"shift must be positive and finite, got {shift}")
-    expanded = phi_coefficients()
-    _check_lists(expanded)
-    as_float = lambda fr: np.array([float(c) for c in fr])
-    d1 = _poly_diff(expanded)
-    d2 = _poly_diff(d1)
-    d3 = _poly_diff(d2)
-    return ManufacturedCase(
-        shift=shift,
-        phi=as_float(expanded),
-        dphi=as_float(PHI_D1),
-        d2phi=as_float(PHI_D2),
-        d3phi=as_float(PHI_D3),
-        dphi_formal=as_float(d1),
-        d2phi_formal=as_float(d2),
-        d3phi_formal=as_float(d3),
-    )
+    exact = phi_coefficients()
+    phi, dphi, d2phi, d3phi = (npoly.polyder(exact, k).astype(float)
+                               for k in range(4))
+    return ManufacturedCase(shift=shift, phi=phi, dphi=dphi, d2phi=d2phi,
+                            d3phi=d3phi)
 
 
 def perturbed_case(case: ManufacturedCase, which: str, index: int, delta: float):
-    """Copy of `case` with one hardcoded coefficient nudged (fault injection)."""
+    """Copy of `case` with one coefficient nudged (fault injection)."""
     arr = getattr(case, which).copy()
     arr[index] += delta
     return replace(case, **{which: arr})
@@ -217,21 +156,35 @@ def fluid_sample_points(count=1000):
         n_raw *= 2
 
 
-def verify_data_identity(case: ManufacturedCase, count=1000) -> float:
-    """Max residual of lam u - (1/2) Laplace u - u* at quasi-random points.
+def verify_data_identity(case: ManufacturedCase) -> float:
+    """Largest difference between `case.data` and lam u - (1/2) Laplace u
+    at 1 000 quasi-random fluid points, divided by max(1, lam).
 
-    Both sides use the u* formula of `ManufacturedCase.data`: the left side
-    with the formal derivatives of the expanded phi, the right side with
-    the hardcoded lists, so a transcription typo shows up as a nonzero
-    residual.  For divergence-free u, div(eps(u)) = Laplace(u)/2,
-    which also certifies that the exact pressure is identically zero.
+    The reference shares no code with `case.data`: psi = phi(x) phi(y) is
+    expanded about (1/2, 1/2) in exact rationals, u = (d psi/dy, -d psi/dx)
+    and Laplace u come from `polyder` along each axis of its 2-D
+    coefficient array, and lam u - (1/2) Laplace u is rounded once and
+    evaluated with `polyval2d`.  In plain powers of x that evaluation
+    cancels to 4.9e-12 at lam = 1; about 1/2 it does not.  The rounding
+    of the lam u term grows as 6.1e-19 lam, hence the division.  For
+    divergence-free u, div(eps(u)) = Laplace(u)/2, which also certifies
+    that the exact pressure is identically zero.
     """
-    x, y = fluid_sample_points(count)
-    formal = (case.phi, case.dphi_formal, case.d2phi_formal, case.d3phi_formal)
-    lhs1, lhs2 = _resolvent_data(case.shift, _polyvals(x, formal),
-                                 _polyvals(y, formal))
-    rhs1, rhs2 = case.data(x, y)
-    return float(max(np.abs(lhs1 - rhs1).max(), np.abs(lhs2 - rhs2).max()))
+    p = phi_coefficients((Fraction(1, 2), Fraction(1)))
+    psi = np.multiply.outer(p, p)
+    lam = Fraction(case.shift)
+    x, y = fluid_sample_points()
+    worst = 0.0
+    for u, got in zip((npoly.polyder(psi, axis=1), -npoly.polyder(psi, axis=0)),
+                      case.data(x, y)):
+        laplace = np.full(u.shape, Fraction(0), dtype=object)
+        for axis in (0, 1):
+            d2 = npoly.polyder(u, 2, axis=axis)
+            laplace[:d2.shape[0], :d2.shape[1]] += d2
+        exact = (lam * u - laplace / 2).astype(float)
+        ref = npoly.polyval2d(x - 0.5, y - 0.5, exact)
+        worst = max(worst, float(np.abs(got - ref).max()))
+    return worst / max(1.0, case.shift)
 
 
 def manufactured_data(space, case: ManufacturedCase) -> solver.ResolventData:

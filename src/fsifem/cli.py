@@ -58,6 +58,9 @@ class RunConfig:
             raise ValueError("levels must contain at least one entry")
         if any(l < 0 for l in self.levels):
             raise ValueError(f"levels must be nonnegative, got {self.levels}")
+        if max(self.levels) > meshmod.MAX_LEVEL:
+            raise ValueError(f"--levels: levels above {meshmod.MAX_LEVEL} are not "
+                             f"supported, got {self.levels}")
         if self.levels != sorted(set(self.levels)):
             raise ValueError(f"levels must be ascending and distinct, got {self.levels}")
         if self.mode in _SINGLE_LEVEL_MODES and len(self.levels) > 1:

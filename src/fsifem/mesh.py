@@ -43,7 +43,7 @@ _REGION_FROM_NAME = {v: k for k, v in REGION_NAMES.items()}
 _EDGE_FROM_NAME = {v: k for k, v in EDGE_NAMES.items()}
 
 # 2*n*n triangles must stay well inside the int32 range used by sparse indices
-_MAX_LEVEL = 12
+MAX_LEVEL = 12
 
 
 class MeshError(Exception):
@@ -103,7 +103,7 @@ def generate(level: int) -> TriMesh:
     """Build the level-`level` mesh: 2 * (6 * 2**level)**2 triangles."""
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
-    if level > _MAX_LEVEL:
+    if level > MAX_LEVEL:
         raise ValueError(
             f"level {level} exceeds supported range (triangle count would "
             f"overflow practical index sizes)")
@@ -250,8 +250,8 @@ def import_mesh(path) -> TriMesh:
 
     try:
         ntri, nvert, level = (int(tok) for tok in lines[0].split())
-        if not 0 <= level <= _MAX_LEVEL:
-            raise MeshError(f"{path!s}:1: level {level} outside 0..{_MAX_LEVEL}")
+        if not 0 <= level <= MAX_LEVEL:
+            raise MeshError(f"{path!s}:1: level {level} outside 0..{MAX_LEVEL}")
         # checked before any allocation sized by them
         if not (ntri >= 0 and nvert >= 0 and 1 + nvert + ntri <= len(lines)):
             raise MeshError(f"{path!s}:1: {ntri} triangles and {nvert} vertices "

@@ -639,8 +639,14 @@ def monolithic_solve(space, params: MaterialParams, data: ResolventData) -> FsiS
     # SuperLU's own COLAMD order and partial pivoting, not `sla.factorize`:
     # the oracle shares neither the package's ordering nor its pivot rule,
     # and unlike a dense LAPACK solve its bits do not depend on the number
-    # of BLAS threads
-    x = spla.splu(sp.csc_matrix(mat)).solve(rhs)
+    # of BLAS threads.  One step of fixed-precision iterative refinement
+    # (Skeel, Math. Comp. 35, 1980) makes the pressure agree with the
+    # sparse solve's at small shifts; its residual is a sparse product,
+    # with no BLAS either
+    mat = sp.csc_matrix(mat)
+    lu = spla.splu(mat)
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - mat @ x)
     u = space.expand_velocity(x[:nf])
     pi = x[nf:nf + npr]
     w = t_map @ x[:nf] + w_lift

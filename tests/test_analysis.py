@@ -31,16 +31,23 @@ def test_exact_rational_expansion():
     assert coeffs[10] == Fraction(-1)
     assert coeffs[2] == Fraction(-8, 729)
     assert coeffs[0] == coeffs[1] == 0
-    # hardcoded lists are exactly the formal derivatives
-    analysis._check_lists(coeffs)
+    # about x = 1/2: phi(1 - x) = phi(x), so every odd power vanishes
+    centered = analysis.phi_coefficients((Fraction(1, 2), Fraction(1)))
+    assert centered[0] == Fraction(1, 746496)
+    assert all(c == 0 for c in centered[1::2])
 
 
-def test_construction_detects_coefficient_typo(monkeypatch):
-    broken = list(analysis.PHI_D2)
-    broken[4] += Fraction(1, 1000)
-    monkeypatch.setattr(analysis, "PHI_D2", broken)
-    with pytest.raises(analysis.CoefficientMismatch, match="x\\^4"):
-        analysis.manufactured_case(1.0)
+def _laplacian_sign_flipped(lam, fx, fy):
+    a, da, d2a, d3a = fx
+    b, db, d2b, d3b = fy
+    return (lam * a * db + 0.5 * (d2a * db + a * d3b),
+            -lam * da * b - 0.5 * (d3a * b + da * d2b))
+
+
+def test_data_identity_detects_laplacian_sign_flip(monkeypatch, case):
+    # a formula fault in the separable data, which every coefficient shares
+    monkeypatch.setattr(analysis, "_resolvent_data", _laplacian_sign_flipped)
+    assert analysis.verify_data_identity(case) > 1e-6
 
 
 def test_velocity_vanishes_on_interface_with_normal_derivative(case):
@@ -82,6 +89,15 @@ def test_data_identity_detects_fault(case):
 def test_data_identity_shift_invariant(case):
     doubled = analysis.manufactured_case(2.0 * case.shift)
     assert analysis.verify_data_identity(doubled) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [10.0 ** k for k in range(-8, 13, 2)])
+def test_data_identity_over_shift_range(shift):
+    case = analysis.manufactured_case(shift)
+    assert analysis.verify_data_identity(case) <= 1e-12
+    index = 5
+    broken = analysis.perturbed_case(case, "dphi", index, 1e-3 * abs(case.dphi[index]))
+    assert analysis.verify_data_identity(broken) > 1e-7
 
 
 def _per_point_load(space, case):

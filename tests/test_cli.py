@@ -45,6 +45,14 @@ def test_certify_rejects_levels_it_does_not_run(tmp_path, capsys, levels):
     assert not any(tmp_path.iterdir())
 
 
+def test_rejects_levels_above_the_mesh_range(tmp_path, capsys):
+    # refused before the run starts, not as a mesh error from inside it
+    level = str(meshmod.MAX_LEVEL + 1)
+    assert cli.main(["--mode", "resolvent", "--levels", level, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --levels:")
+    assert not any(tmp_path.iterdir())
+
+
 def test_rejects_bad_lambda(capsys):
     assert cli.main(["--mode", "resolvent", "--lambda", "-2"]) == 2
     assert "lambda" in capsys.readouterr().err

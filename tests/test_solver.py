@@ -385,10 +385,7 @@ def test_operator_solves_after_its_space_is_dropped(params, rng, no_gc):
        seed=st.integers(0, 2**32 - 1))
 def test_solve_on_a_shared_space_is_a_fresh_space_solve(mesh0, space0, shifts, seed):
     # what the shared space holds depends only on the last request for
-    # each name, so its call history never shows in a solve.  Oracle
-    # equivalence is not asserted: at shift 1e-3 the dense oracle's own
-    # divergence residual is 1.8e-11, and its pressure misses the sparse
-    # one by 1.4e-9 relative
+    # each name, so its call history never shows in a solve
     data = _random_data(space0, np.random.default_rng(seed))
     for shift in shifts:
         params = fem.MaterialParams(shift=shift)
@@ -398,6 +395,9 @@ def test_solve_on_a_shared_space_is_a_fresh_space_solve(mesh0, space0, shifts, s
             assert np.array_equal(getattr(state, field), getattr(fresh, field)), field
         report = solver.check_domain_conditions(space0, params, state, state.pi, data)
         assert report.all_passed, report.as_dict()
+        mono = solver.monolithic_solve(space0, params, data)
+        assert max(_rel(state.u, mono.u), _rel(state.pi, mono.pi),
+                   _rel(state.w, mono.w)) <= 1e-10
 
 
 def _residual(factor, b):
