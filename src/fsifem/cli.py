@@ -55,14 +55,15 @@ class RunConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.levels:
-            raise ValueError("levels must contain at least one entry")
+            raise ValueError("--levels: levels must contain at least one entry")
         if any(l < 0 for l in self.levels):
-            raise ValueError(f"levels must be nonnegative, got {self.levels}")
+            raise ValueError(f"--levels: levels must be nonnegative, got {self.levels}")
         if max(self.levels) > meshmod.MAX_LEVEL:
             raise ValueError(f"--levels: levels above {meshmod.MAX_LEVEL} are not "
                              f"supported, got {self.levels}")
         if self.levels != sorted(set(self.levels)):
-            raise ValueError(f"levels must be ascending and distinct, got {self.levels}")
+            raise ValueError("--levels: levels must be ascending and distinct, "
+                             f"got {self.levels}")
         if self.mode in _SINGLE_LEVEL_MODES and len(self.levels) > 1:
             raise ValueError(f"--levels: mode {self.mode} runs one level, "
                              f"got {self.levels}")
@@ -95,7 +96,7 @@ def _parse_levels(text):
     try:
         return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as err:
-        raise ValueError(f"cannot parse levels {text!r}: {err}") from err
+        raise ValueError(f"--levels: cannot parse {text!r}: {err}") from err
 
 
 def _read_config_file(path):

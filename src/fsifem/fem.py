@@ -48,7 +48,9 @@ and in the fluid load, have one evaluation path: `class_factors` groups
 the triangles by their vertex x-triples and, separately, y-triples, and
 evaluates the 1-D factors on one representative per class.  Every
 global matrix then goes through one COO-to-CSR scatter (`_scatter`) whose
-row and column arrays are built as int32, the index type of the result.
+row and column arrays are built as int32, the index type of the result,
+and whose result holds exactly its nnz entries, with no COO-sized buffer
+behind them.
 The space reads no grid layout, only the mesh's edge tags, so a jittered
 or rotated mesh passes through `build_space` too.  There is no separate
 interface-edge quadrature: the normal moments <nu, phi_i> on Gamma_s are
@@ -489,16 +491,19 @@ def _scatter(local, row_dofs, col_dofs, shape):
     row_dofs (nt, nr) and col_dofs (nt, nc) are the global indices of the
     local rows and columns.  The COO indices are built as int32, the index
     type of the result, so no int64 copy of the 2 x nt x nr x nc indices
-    is ever held.
+    is ever held.  The result's `data` and `indices` own exactly nnz
+    entries: the conversion sums duplicates inside the COO-sized buffers,
+    and scipy's `prune` keeps those whole when more than half the entries
+    survive (27.0 MB for the 16.1 MB of the level-4 strain), so the
+    survivors are copied out.
     """
     nt, nr, nc = local.shape
     rows = np.repeat(row_dofs.astype(np.int32), nc, axis=1).ravel()
     cols = np.tile(col_dofs.astype(np.int32), (1, nr)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=shape).tocsr()
-    mat.sum_duplicates()
+    del rows, cols
     mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
+    return sp.csr_matrix((mat.data.copy(), mat.indices.copy(), mat.indptr), shape=shape)
 
 
 def _dofs_of_tris(space, tris, layout):

@@ -305,6 +305,57 @@ def saddle_coordinates(space, solid_dofs=()):
                       pressure_coordinates(space)])
 
 
+def _with_shape(mat, shape):
+    """The CSR matrix `mat` widened to `shape`, sharing its data and
+    indices: empty rows appended to its row pointer, columns added."""
+    indptr = np.concatenate([mat.indptr, np.full(shape[0] - mat.shape[0],
+                                                 mat.indptr[-1], mat.indptr.dtype)])
+    return sp.csr_matrix((mat.data, mat.indices, indptr), shape=shape)
+
+
+def _block_csr(blocks):
+    """`sp.bmat(blocks, format="csr")`, bit for bit, for a grid of CSR
+    blocks with sorted indices, None a zero block, each block row and
+    column holding at least one block.
+
+    Each row of the result takes its blocks' rows left to right, written
+    straight into arrays of exactly the result's nnz; a block row of
+    several blocks routes their entries by an int8 mask of the owning
+    block, two bytes of scratch per entry.  `sp.bmat` instead copies every
+    block to COO, or the blocks of each row into one array, first.
+    """
+    heights = [next(b.shape[0] for b in row if b is not None) for row in blocks]
+    widths = [next(row[j].shape[1] for row in blocks if row[j] is not None)
+              for j in range(len(blocks[0]))]
+    col_start = np.cumsum([0] + widths)
+    row_nnz = [[np.diff(b.indptr) for b in row if b is not None] for row in blocks]
+    counts = np.concatenate([sum(row) for row in row_nnz])
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, col_start[-1]) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(counts.size + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index)
+    top = 0
+    for row, lengths, height in zip(blocks, row_nnz, heights):
+        rows = slice(indptr[top], indptr[top + height])
+        top += height
+        present = [j for j, b in enumerate(row) if b is not None]
+        owner = np.repeat(np.tile(np.arange(len(present), dtype=np.int8), height),
+                          np.column_stack(lengths).ravel())
+        for k, j in enumerate(present):
+            mask = owner == k
+            data[rows][mask] = row[j].data
+            indices[rows][mask] = row[j].indices + index(col_start[j])
+    return sp.csr_matrix((data, indices, indptr), shape=(sum(heights), col_start[-1]))
+
+
+def _free_divergence(space):
+    """B, the divergence on the free velocity dofs, and B^T, both CSR."""
+    b_free = fem.fluid_operators(space).div[:, space.free_velocity_dofs]
+    return b_free, b_free.T.tocsr()
+
+
 def resolvent_saddle(space, params: MaterialParams):
     """The bordered resolvent saddle matrix and the row map its solve needs.
 
@@ -316,8 +367,15 @@ def resolvent_saddle(space, params: MaterialParams):
     (`_BORDER_SCALE`); and the row of the velocity-solid block of each
     solid dof, the Gamma_s dofs on their matching free velocity dofs and
     the interior after the velocity.  Its leading block, without the
-    multiplier, is the resolvent saddle.  The blocks are temporaries of this call, so none
-    is alive while the caller factorizes the saddle.
+    multiplier, is the resolvent saddle.
+
+    The velocity-solid block is one CSR sum: A_lam on the free velocity
+    dofs, its row pointer padded over the solid interior, plus (1/lam) S
+    with its rows gathered into velocity-solid order and its columns
+    renumbered.  `_block_csr` then writes the saddle's arrays once, at
+    their exact size, with no COO copy of any block.  The blocks are
+    temporaries of this call, so none is alive while the caller
+    factorizes the saddle.
     """
     lam = params.shift
     fops = fem.fluid_operators(space)
@@ -325,21 +383,30 @@ def resolvent_saddle(space, params: MaterialParams):
     nf = free.size
     ii = space.solid_interior_dofs
     n_vs = nf + ii.size
+    npr = space.num_pressure_dofs
     solid_rows = np.empty(space.num_solid_dofs, dtype=np.int64)
     solid_rows[space.iface_solid_dofs] = space.iface_free_dofs
     solid_rows[ii] = nf + np.arange(ii.size)
 
     a_free = (lam * fops.mass + fops.strain)[free][:, free]
-    s = _shifted_solid_matrix(space, params).tocoo()
-    solid = sp.coo_matrix((s.data / lam, (solid_rows[s.row], solid_rows[s.col])),
+    s = _shifted_solid_matrix(space, params)
+    # S's row for each velocity-solid row: an empty row appended to S for
+    # the free velocity dofs off Gamma_s
+    source = np.full(n_vs, s.shape[0])
+    source[solid_rows] = np.arange(s.shape[0])
+    solid = _with_shape(s, (s.shape[0] + 1, s.shape[1]))[source]
+    solid.data /= lam
+    solid = sp.csr_matrix((solid.data, solid_rows[solid.indices], solid.indptr),
                           shape=(n_vs, n_vs))
-    velocity_solid = sp.block_diag((a_free, sp.csr_matrix((ii.size, ii.size))))
-    b = sp.hstack([fops.div[:, free].tocsr(),
-                   sp.csr_matrix((space.num_pressure_dofs, ii.size))])
-    border = sp.csr_matrix(_BORDER_SCALE
-                           * (fops.pressure_mass @ np.ones(space.num_pressure_dofs)))
-    saddle = sp.bmat([[velocity_solid + solid, b.T, None], [b, None, border.T],
-                      [None, border, None]], format="csr")
+    solid.sort_indices()
+    velocity_solid = _with_shape(a_free, (n_vs, n_vs)) + solid
+    del a_free, solid
+    b_free, bt_free = _free_divergence(space)
+    border = _BORDER_SCALE * (fops.pressure_mass @ np.ones(npr))
+    saddle = _block_csr([
+        [velocity_solid, _with_shape(bt_free, (n_vs, npr)), None],
+        [_with_shape(b_free, (npr, n_vs)), None, sp.csr_matrix(border[:, None])],
+        [None, sp.csr_matrix(border), None]])
     return saddle, solid_rows
 
 
@@ -458,17 +525,17 @@ def kernel_projection(space):
     Returns `project(v)`, which solves [[M, B^T], [B, 0]] [w; p] = [M v; 0]
     (free-velocity mass M, divergence B) with one checked solve and returns
     w, the divergence-free vector closest to v in the L2 norm.  The saddle
-    matrix is factorized once, in the nested-dissection order of
-    `saddle_coordinates`.  It takes no material parameter, and its
+    matrix is written once at its exact size by `_block_csr`, as the
+    resolvent saddle is, and factorized once, in the nested-dissection
+    order of `saddle_coordinates`.  It takes no material parameter, and its
     smallest pivot, 3.1e-2 of max|A| at level 0 and 1.45e-3 at level 4,
     about halves per level, so even at level 12 it stays near 6e-6 of
     max|A|: unlike the resolvent saddle, it needs no border.
     """
-    fops = fem.fluid_operators(space)
     free = space.free_velocity_dofs
-    m_free = fops.mass[free][:, free].tocsr()
-    b_free = fops.div[:, free].tocsr()
-    factor = sla.factorize(sp.bmat([[m_free, b_free.T], [b_free, None]], format="csr"),
+    m_free = fem.fluid_operators(space).mass[free][:, free]
+    b_free, bt_free = _free_divergence(space)
+    factor = sla.factorize(_block_csr([[m_free, bt_free], [b_free, None]]),
                            saddle_coordinates(space))
     zero_pressure = np.zeros(space.num_pressure_dofs)
 

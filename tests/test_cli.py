@@ -29,6 +29,23 @@ def test_rejects_bad_levels(capsys):
     assert "ascending" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels, message", [
+    (",", "at least one entry"),
+    ("-1", "nonnegative"),
+    ("0,-1", "nonnegative"),
+    ("2,1", "ascending and distinct"),
+    ("1,1", "ascending and distinct"),
+    ("1,x", "cannot parse"),
+])
+def test_bad_levels_name_the_flag(tmp_path, capsys, levels, message):
+    assert cli.main(["--mode", "convergence", f"--levels={levels}",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --levels:")
+    assert message in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("mode", ["resolvent", "evolve"])
 def test_single_level_mode_rejects_extra_levels(tmp_path, capsys, mode):
     # these modes run levels[0]; a second level must not be silently dropped

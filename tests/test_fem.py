@@ -320,6 +320,22 @@ def _assert_same_csr(a, b, label):
     assert a.data.tobytes() == b.data.tobytes(), label
 
 
+def _owner(array):
+    """The array that owns the memory `array` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_assembled_forms_own_exactly_nnz_entries(params):
+    # no COO-sized buffer kept behind the entries
+    space = fem.build_space(meshmod.generate(2))
+    for form in fem.FORMS:
+        mat = fem.assemble(space, form, params)
+        for array in (mat.data, mat.indices):
+            assert _owner(array).size == mat.nnz, form
+
+
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_class_grouped_assembly_is_bitwise_per_triangle(level):
     space = fem.build_space(meshmod.generate(level))

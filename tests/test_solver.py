@@ -1,5 +1,9 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -310,6 +314,38 @@ def test_resolvent_saddle_is_the_bmat_construction():
             assert np.array_equal(solid_rows, ref_rows)
 
 
+def test_kernel_projection_saddle_is_the_bmat_construction(monkeypatch):
+    factorized = []
+    factorize = sla.factorize
+    monkeypatch.setattr(sla, "factorize",
+                        lambda a, xy: factorized.append(a) or factorize(a, xy))
+    for level in range(4):
+        space = fem.build_space(meshmod.generate(level))
+        solver.kernel_projection(space)
+        fops = fem.fluid_operators(space)
+        free = space.free_velocity_dofs
+        m_free = fops.mass[free][:, free].tocsr()
+        b_free = fops.div[:, free].tocsr()
+        ref = sp.bmat([[m_free, b_free.T], [b_free, None]], format="csr")
+        _assert_csr_bitwise(factorized[-1], ref)
+
+
+def _csr_bytes(mat):
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+def test_resolvent_saddle_memory_is_bounded(params, traced_peak):
+    # block_diag, the COO sum of the velocity and solid blocks and sp.bmat
+    # peaked at 32.3 MB, 5.1 times the 6.3 MB saddle; the CSR sum and the
+    # in-place block fill at 15.6 MB
+    space = fem.build_space(meshmod.generate(3))
+    fem.fluid_operators(space)
+    solver._shifted_solid_matrix(space, params)
+    saddle = []
+    peak = traced_peak(lambda: saddle.append(solver.resolvent_saddle(space, params)[0]))
+    assert peak <= 3 * _csr_bytes(saddle[0])
+
+
 def test_operator_factor_holds_the_saddle_itself(space0, params):
     op = solver._operator(space0, params)
     assert op.factor._a is op.saddle
@@ -318,14 +354,51 @@ def test_operator_factor_holds_the_saddle_itself(space0, params):
 def test_operator_build_memory_is_bounded(params, traced_peak):
     # with the saddle's blocks still alive during the factorization the
     # build peaked at 61 MB here; without them at 50 MB, without the
-    # factor's own permuted copy of the saddle at 43 MB, and without the
-    # CSC copies of L and U that a read of SuperLU's U makes at 32 MB
+    # factor's own permuted copy of the saddle at 43 MB, without the
+    # CSC copies of L and U that a read of SuperLU's U makes at 32 MB,
+    # and with the saddle built without COO copies of its blocks at 21 MB
     space = fem.build_space(meshmod.generate(3))
     fem.fluid_operators(space)
     fem.solid_operators(space, params)
     solver._shifted_solid_matrix(space, params)
     peak = traced_peak(lambda: solver.ResolventOperator(space, params))
-    assert peak < 36 * 2**20
+    assert peak < 24 * 2**20
+
+
+_OPERATOR_PEAK_RSS_GROWTH = """
+from fsifem import fem, mesh, solver
+
+def peak_rss_mb():
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024
+
+params = fem.MaterialParams()
+space = fem.build_space(mesh.generate(3))
+fem.fluid_operators(space)
+fem.solid_operators(space, params)
+solver._shifted_solid_matrix(space, params)
+before = peak_rss_mb()
+solver.ResolventOperator(space, params)
+print(peak_rss_mb() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+def test_operator_build_peak_rss_growth_is_bounded():
+    # the resident high-water mark of a fresh process, which also counts
+    # freed heap that the allocator keeps and that tracemalloc does not
+    # see: a level-3 operator build raised it by 60.5 MB with the saddle
+    # built through COO copies of its blocks, and by 46-47 MB without
+    # them.  It reads VmHWM, not ru_maxrss: a child's ru_maxrss starts
+    # from the resident size of the process that spawned it
+    src = str(Path(fem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    growth = float(subprocess.run([sys.executable, "-c", _OPERATOR_PEAK_RSS_GROWTH],
+                                  env=env, capture_output=True, text=True,
+                                  check=True).stdout)
+    assert growth < 54
 
 
 @pytest.fixture()
