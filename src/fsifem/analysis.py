@@ -14,7 +14,11 @@ lam u - (1/2) Laplace u that shares no code with it.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial, reduce
@@ -213,17 +217,18 @@ class ErrorNorms:
     ew_h1_full: float
 
 
-def _fluid_error_squares(space, u, pi, case, rule, tris):
+def _fluid_error_squares(space, u, pi, case, rule, tris, table):
     """Squared L2, full-gradient, eps and pressure errors on `tris`.
 
     The four integrands w det (...) are formed in row blocks of
     `_ERROR_NORM_BLOCK` triangles, whose (triangle x point) temporaries
-    stay in cache, and written to four (nt, nq) tables; each table is
-    summed once, so the block size does not change a bit.  Each integrand
-    is bitwise that of the per-point formula with the exact fields
-    u = (A B', -A' B): negation is exact, so u2 - (-(A' B)) is
-    u2 + A' B, d u2/dx - (-(A'' B)) is d u2/dx + A'' B, and
-    d u2/dy = -(A' B') = -d u1/dx."""
+    stay in cache, and written to the first `tris.size` rows of the
+    caller's (4, >= nt, nq) `table`, which its thread owns; each of the
+    four planes is summed once, so neither the block size nor the table's
+    spare rows change a bit.  Each integrand is bitwise that of the
+    per-point formula with the exact fields u = (A B', -A' B): negation
+    is exact, so u2 - (-(A' B)) is u2 + A' B, d u2/dx - (-(A'' B)) is
+    d u2/dx + A'' B, and d u2/dy = -(A' B') = -d u1/dx."""
     det, inv = fem._tri_geometry(space, tris)
     (x, fx, x_cls), (y, fy, y_cls) = fem.class_factors(space, tris, rule,
                                                         case.factors)
@@ -257,7 +262,7 @@ def _fluid_error_squares(space, u, pi, case, rule, tris):
         r_xi += r_eta
         return d_dx, r_xi
 
-    squares = np.empty((4, tris.size, rule.weights.size))
+    squares = table[:, :tris.size]
     l2, grad, eps, pres = squares
     for start in range(0, tris.size, _ERROR_NORM_BLOCK):
         s = slice(start, min(start + _ERROR_NORM_BLOCK, tris.size))
@@ -299,17 +304,37 @@ def _fluid_error_squares(space, u, pi, case, rule, tris):
         e_p -= case.pressure(x[x_cls[s]], y[y_cls[s]])
         e_p *= e_p
         np.multiply(wdet, e_p, out=pres[s])
-    return np.array([np.sum(table) for table in squares])
+    return np.array([np.sum(plane) for plane in squares])
 
 
-# Fluid triangles per batch of the error-norm quadrature.  The batches fix
+# Fluid triangles per chunk of the error-norm quadrature.  The chunks fix
 # the order of the sums, and the four (triangle x point) integrand tables
-# of the degree-38 rule take about 13 MB, so the batch loop needs a few
-# tens of MB whatever the mesh level.
+# of the degree-38 rule take about 13 MB per thread, so the chunk loop
+# needs a few tens of MB whatever the mesh level.
 ERROR_NORM_CHUNK = 1024
-# Triangles per row block inside a batch: each (triangle x point)
-# temporary then takes about 400 KB, so a block's passes run from cache.
-_ERROR_NORM_BLOCK = 128
+# Triangles per row block inside a chunk: each (triangle x point)
+# temporary then takes about 200 KB, so a block's passes run from cache.
+# With two chunks in flight the level-3 norms trace a 36.6 MB peak, and
+# 44.4 MB with 128-row blocks; the block size changes no bit.
+_ERROR_NORM_BLOCK = 64
+
+
+def _current_cpu():
+    """The CPU the calling thread runs on now, or -1 if unknown."""
+    return ctypes.CDLL(None).sched_getcpu()
+
+
+def _helper_cpus(chunks):
+    """CPUs for the error-norm helper thread: those this thread may run
+    on, less the one it runs on now.  Empty, so no helper, for fewer than
+    two chunks or a thread allowed only one CPU.  Without the pinning the
+    kernel may start the helper on the caller's CPU and leave it there for
+    the whole call: on a 2-vCPU KVM guest both threads shared one CPU in
+    each of four fresh benchmark passes."""
+    if chunks < 2 or not hasattr(os, "sched_getaffinity"):
+        return set()
+    cpus = os.sched_getaffinity(0)
+    return cpus - {_current_cpu()} if len(cpus) >= 2 else set()
 
 
 def error_norms(space, state, pi, case: ManufacturedCase,
@@ -331,13 +356,55 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     Reference derivatives of the discrete velocity come from one matrix
     product per component and reference direction, and each triangle's
     affine inverse Jacobian maps them to physical ones, so no (triangle x
-    point x basis) gradient tensor is built."""
+    point x basis) gradient tensor is built.
+
+    Two chunks are in flight when there are two or more and a second CPU
+    (`_helper_cpus`): the calling thread evaluates the even chunks and
+    one helper thread, pinned off the caller's CPU and living only inside
+    this call, the odd ones; numpy releases the GIL inside the products,
+    ufuncs and gathers of each block.  One helper is a fixed design
+    constant, not a setting: each thread in flight costs one 13 MB
+    integrand table, allocated here, so the call holds 26 MB of tables
+    instead of 13.  Each chunk's four sums are kept and added in chunk
+    order once both threads are done, so every norm is bitwise that of the
+    serial loop.  An exception in either thread stops the other after its
+    current chunk and propagates with its own type."""
     rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
     fluid = space.fluid_tris
+    chunks = [fluid[start:start + ERROR_NORM_CHUNK]
+              for start in range(0, fluid.size, ERROR_NORM_CHUNK)]
+    helper_cpus = _helper_cpus(len(chunks))
+    stride = 2 if helper_cpus else 1
+    tables = [np.empty((4, min(ERROR_NORM_CHUNK, fluid.size), rule.weights.size))
+              for _ in range(stride)]
+    sums = [None] * len(chunks)
+    failed = threading.Event()
+
+    def work(first):
+        try:
+            for k in range(first, len(chunks), stride):
+                if failed.is_set():
+                    return
+                sums[k] = _fluid_error_squares(space, state.u, pi, case, rule,
+                                               chunks[k], tables[first])
+        except BaseException:
+            failed.set()
+            raise
+
+    def helper():
+        os.sched_setaffinity(0, helper_cpus)
+        work(1)
+
+    if stride == 1:
+        work(0)
+    else:
+        with ThreadPoolExecutor(1) as pool:
+            odd = pool.submit(helper)
+            work(0)
+            odd.result()
     squares = np.zeros(4)
-    for start in range(0, fluid.size, ERROR_NORM_CHUNK):
-        squares += _fluid_error_squares(space, state.u, pi, case, rule,
-                                        fluid[start:start + ERROR_NORM_CHUNK])
+    for chunk_squares in sums:
+        squares += chunk_squares
     l2_sq, grad_sq, eps_sq, pi_sq = squares
 
     # exact solid fields are identically zero: the Gram quadratic forms are

@@ -183,7 +183,7 @@ def _shifted_solid_matrix(space, params):
     def build():
         ops = fem.solid_operators(space, params)
         lam = params.shift
-        return (ops.stiffness + (lam * lam + 1.0) * ops.mass).tocsr()
+        return fem.owned_csr(ops.stiffness + (lam * lam + 1.0) * ops.mass)
 
     return space.cached("solid_shifted", build, params)
 

@@ -1,11 +1,21 @@
 import contextlib
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread other than the main one running,
+    as a leaked error-norm helper would."""
+    yield
+    left = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -264,9 +266,10 @@ def test_norms_do_not_depend_on_block_size(solved1, params, case, monkeypatch):
         assert norms[0] == norms[1] == norms[2]
 
 
-def _per_point_fluid_error_squares(space, u, pi, case, rule, tris):
+def _per_point_fluid_error_squares(space, u, pi, case, rule, tris, table):
     """`analysis._fluid_error_squares` with the exact fields evaluated at
-    every quadrature point of every triangle, no coordinate classes."""
+    every quadrature point of every triangle, no coordinate classes and no
+    caller's table."""
     det, inv = fem._tri_geometry(space, tris)
     pts = fem.quadrature_points(space, tris, rule)
     ex_x, ex_y, d11, d12, d21, d22 = case.velocity_and_gradient(
@@ -302,12 +305,17 @@ def _per_point_fluid_error_squares(space, u, pi, case, rule, tris):
     return np.array([l2_sq, grad_sq, eps_sq, pi_sq])
 
 
-def _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch):
+def _noisy_state(space, case, rng):
+    """The interpolant plus 1e-9 noise, random w and a random pressure."""
     u = fem.interpolate(space, case.velocity, "velocity")
     state = solver.FsiState(u=u + 1e-9 * rng.standard_normal(u.size),
                             w=rng.standard_normal(space.num_solid_dofs),
                             z=np.zeros(space.num_solid_dofs))
-    pi = rng.standard_normal(space.num_pressure_dofs)
+    return state, rng.standard_normal(space.num_pressure_dofs)
+
+
+def _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch):
+    state, pi = _noisy_state(space, case, rng)
     grouped = analysis.error_norms(space, state, pi, case, params)
     with monkeypatch.context() as m:
         m.setattr(analysis, "_fluid_error_squares", _per_point_fluid_error_squares)
@@ -332,6 +340,16 @@ def test_jittered_mesh_norms_are_bitwise_per_point(jittered_mesh1, params, case,
     _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch)
 
 
+# `analysis._helper_cpus` stand-ins: no helper thread, or one on any CPU of
+# this process (the caller's own too), whatever the machine
+def no_helper(chunks):
+    return set()
+
+
+def helper_on_any_cpu(chunks):
+    return os.sched_getaffinity(0)
+
+
 def test_exact_field_evaluated_once_per_coordinate_class(params, case, monkeypatch):
     space = fem.build_space(meshmod.generate(3))
     state = solver.zero_state(space)
@@ -343,10 +361,68 @@ def test_exact_field_evaluated_once_per_coordinate_class(params, case, monkeypat
         return polyval(x, c, *args, **kwargs)
 
     monkeypatch.setattr(analysis.npoly, "polyval", counting)
-    analysis.error_norms(space, state, state.pi, case, params)
+    counts = []
+    for helper in (no_helper, helper_on_any_cpu):
+        monkeypatch.setattr(analysis, "_helper_cpus", helper)
+        evaluated.clear()
+        analysis.error_norms(space, state, state.pi, case, params)
+        counts.append(sum(evaluated))
     nq = fem.triangle_rule(fem.ERROR_QUAD_DEGREE).weights.size
     per_point = 6 * space.fluid_tris.size * nq   # six factors at every point
-    assert 0 < sum(evaluated) <= per_point / 8
+    assert 0 < counts[0] <= per_point / 8        # 580 800 of 9 830 400
+    assert counts[1] == counts[0]                # once per chunk, not per thread
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_helper_thread_changes_no_bit(level, params, case, rng, monkeypatch):
+    space = fem.build_space(meshmod.generate(level))
+    state, pi = _noisy_state(space, case, rng)
+    for chunk in (7, 1024):
+        norms = []
+        # a block of at least the chunk is the whole chunk: 64 and 128
+        # split a chunk of 7 as 7 does
+        for block in sorted({min(block, chunk) for block in (1, 7, 64, 128)}):
+            for helper in (no_helper, helper_on_any_cpu):
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "ERROR_NORM_CHUNK", chunk)
+                    m.setattr(analysis, "_ERROR_NORM_BLOCK", block)
+                    m.setattr(analysis, "_helper_cpus", helper)
+                    norms.append(analysis.error_norms(space, state, pi, case, params))
+        assert all(n == norms[0] for n in norms), (chunk, norms)
+
+
+class InjectedFault(Exception):
+    pass
+
+
+def test_fault_in_helper_chunk_propagates(space1, params, case, rng, monkeypatch):
+    state, pi = _noisy_state(space1, case, rng)
+    failed = []
+    real = analysis._fluid_error_squares
+
+    def faulty(space, u, pi, case, rule, tris, table):
+        if threading.current_thread() is not threading.main_thread():
+            failed.append(tris.size)
+            raise InjectedFault("injected in the helper")
+        return real(space, u, pi, case, rule, tris, table)
+
+    monkeypatch.setattr(analysis, "_fluid_error_squares", faulty)
+    monkeypatch.setattr(analysis, "_helper_cpus", helper_on_any_cpu)
+    monkeypatch.setattr(analysis, "ERROR_NORM_CHUNK", 7)
+    with pytest.raises(InjectedFault, match="injected in the helper"):
+        analysis.error_norms(space1, state, pi, case, params)
+    # the helper stopped at its first fault, and no thread outlives the call
+    assert failed == [7]
+    assert threading.enumerate() == [threading.main_thread()]
+
+
+def test_helper_runs_only_with_two_chunks_and_two_cpus(monkeypatch):
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(analysis, "_current_cpu", lambda: 1)
+    assert analysis._helper_cpus(1) == set()
+    assert analysis._helper_cpus(2) == {0}
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {1})
+    assert analysis._helper_cpus(16) == set()
 
 
 def test_solid_error_norm_uses_given_moduli(space0, case, rng):

@@ -1,9 +1,10 @@
 import json
 import os
+import threading
 
 import pytest
 
-from fsifem import cli, fem, mesh as meshmod, sparse as sla
+from fsifem import analysis, cli, fem, mesh as meshmod, sparse as sla
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -110,6 +111,25 @@ def test_convergence_mode_writes_tables(tmp_path, capsys):
     assert conv[0].startswith("elements,hypotenuse,fluid_h1,pressure_l2,solid_h1")
     out = capsys.readouterr().out
     assert "rates" in out
+
+
+def test_fault_in_error_norm_helper_names_the_analysis_layer(tmp_path, capsys,
+                                                            monkeypatch):
+    real = analysis._fluid_error_squares
+
+    def faulty(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise ZeroDivisionError("injected in the helper")
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_fluid_error_squares", faulty)
+    monkeypatch.setattr(analysis, "_helper_cpus", lambda chunks: os.sched_getaffinity(0))
+    monkeypatch.setattr(analysis, "ERROR_NORM_CHUNK", 7)   # 10 chunks at level 0
+    code = cli.main(["--mode", "convergence", "--levels", "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == ("[analysis] ZeroDivisionError: "
+                                       "injected in the helper\n")
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 def test_resolvent_mode_exports_state(tmp_path):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fsifem import fem, mesh as meshmod
+from fsifem import fem, mesh as meshmod, solver
 
 
 # -- quadrature --------------------------------------------------------------
@@ -328,12 +328,14 @@ def _owner(array):
 
 
 def test_assembled_forms_own_exactly_nnz_entries(params):
-    # no COO-sized buffer kept behind the entries
+    # no COO-sized or sum-sized buffer kept behind the entries
     space = fem.build_space(meshmod.generate(2))
-    for form in fem.FORMS:
-        mat = fem.assemble(space, form, params)
+    matrices = {form: fem.assemble(space, form, params) for form in fem.FORMS}
+    matrices["solid energy"] = fem.solid_operators(space, params).energy
+    matrices["shifted solid"] = solver._shifted_solid_matrix(space, params)
+    for name, mat in matrices.items():
         for array in (mat.data, mat.indices):
-            assert _owner(array).size == mat.nnz, form
+            assert _owner(array).size == mat.nnz, name
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])

@@ -365,8 +365,10 @@ def test_operator_build_memory_is_bounded(params, traced_peak):
     assert peak < 24 * 2**20
 
 
-_OPERATOR_PEAK_RSS_GROWTH = """
-from fsifem import fem, mesh, solver
+_PEAK_RSS_GROWTH = """
+from dataclasses import replace
+
+from fsifem import analysis, fem, mesh, solver
 
 def peak_rss_mb():
     with open("/proc/self/status") as status:
@@ -379,9 +381,21 @@ fem.fluid_operators(space)
 fem.solid_operators(space, params)
 solver._shifted_solid_matrix(space, params)
 before = peak_rss_mb()
-solver.ResolventOperator(space, params)
+{run}
 print(peak_rss_mb() - before)
 """
+
+
+def _peak_rss_growth_mb(run):
+    """VmHWM growth of a fresh one-BLAS-thread process over `run`, which
+    follows the level-3 space, operators and shifted solid matrix at
+    the default parameters."""
+    src = str(Path(fem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return float(subprocess.run([sys.executable, "-c", _PEAK_RSS_GROWTH.format(run=run)],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
@@ -392,13 +406,21 @@ def test_operator_build_peak_rss_growth_is_bounded():
     # built through COO copies of its blocks, and by 46-47 MB without
     # them.  It reads VmHWM, not ru_maxrss: a child's ru_maxrss starts
     # from the resident size of the process that spawned it
-    src = str(Path(fem.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    growth = float(subprocess.run([sys.executable, "-c", _OPERATOR_PEAK_RSS_GROWTH],
-                                  env=env, capture_output=True, text=True,
-                                  check=True).stdout)
-    assert growth < 54
+    assert _peak_rss_growth_mb("solver.ResolventOperator(space, params)") < 54
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+def test_shift_sweep_peak_rss_growth_stays_within_one_build():
+    # six shifts on one space keep one factor alive at a time, so the
+    # sweep stays under the single-build bound: 47.4-48.1 MB here, against
+    # 44.5-45.8 MB for one build.  VmHWM, not tracemalloc, because SuperLU's
+    # factor memory is not traced
+    sweep = """
+data = analysis.manufactured_data(space, analysis.manufactured_case(1.0))
+for shift in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2):
+    solver.solve_resolvent(space, replace(params, shift=shift), data)
+"""
+    assert _peak_rss_growth_mb(sweep) < 54
 
 
 @pytest.fixture()
