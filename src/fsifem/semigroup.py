@@ -125,12 +125,14 @@ class Stepper:
     """Backward-Euler stepper with one shared factorization per dt.
 
     It holds its operator, so the factorization survives requests to the
-    space at other parameter sets."""
+    space at other parameter sets.  The factor is double: a stepper makes
+    hundreds of solves per factor, and a refined single-precision solve
+    costs two to three times a double one."""
 
     def __init__(self, space, params: MaterialParams):
         self.space = space
         self.params = params
-        self.op = solver._operator(space, params)
+        self.op = solver._operator(space, params, "double")
 
     def step(self, state: FsiState, step_index=0, time=0.0):
         """One resolvent factor (lam I - A_h)^{-1} (lam Y) with lam = 1/dt:

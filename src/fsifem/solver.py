@@ -40,7 +40,9 @@ v/lam inside, and the solid velocity is z = lam * w - w*.  The
 discrete-kernel projection factorizes its [[M, B^T], [B, 0]] the same way,
 and the Dirichlet map its interior block S_ii, each from the coordinates
 of its own unknowns (`velocity_coordinates`, `solid_coordinates`,
-`pressure_coordinates`).
+`pressure_coordinates`).  Only the resolvent saddle of a one-shot solve
+is factorized in single precision and refined (`ResolventOperator`);
+every other factor here is double.
 
 The interface traction has one path, `interface_traction_moments`: the
 Gamma_s rows of the fluid momentum residual K_eps u + lam M u + B^T pi - l
@@ -53,7 +55,8 @@ are the whole traction functional.  With w the lift w*/lam on Gamma_s
 (`_solid_lift`) the solid residual is also the solid part of the solve's
 right-hand side and of the dense oracle's.  Matrices, factorizations
 and operators are kept on the space, one parameter set's at a time
-(`TaylorHoodSpace.cached`): a request at another parameter set drops the
+(`TaylorHoodSpace.cached`; the operator is keyed by its factor's
+precision too): a request at another parameter set drops the
 held shifted solid matrix, solid factor or operator before building the
 new one, so a sweep over shifts holds one factor, not one per shift.  A
 caller that holds an operator keeps it across requests at other
@@ -71,7 +74,7 @@ default order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -415,7 +418,17 @@ class ResolventOperator:
 
     `saddle` is the bordered matrix of `resolvent_saddle` and `factor` its
     nested-dissection LU, the multiplier numbered last, which holds that
-    same object.  At build time the operator solves it once for h, with
+    same object.  `precision` is that of the factor (`sparse.Factorization`).
+    "single", the default, is for one-shot use (the convergence study,
+    certify, resolvent mode, `solve_resolvent`): its float32 factor takes
+    about half the memory and time to build, and each solve is refined
+    to a double factor's residual, two corrections at the default
+    parameters through level 4.  `semigroup.Stepper` asks for "double",
+    since it makes hundreds of solves per factor.  Where the refinement
+    cannot reach the residual gate, as at Lame lambda 1e6, the factor
+    becomes double at the first solve, the flux solve below, and every
+    state is then the double operator's, bit for bit.  At build time the
+    operator solves it once for h, with
     g = B^T 1 on the free velocity rows.  `solve` builds the right-hand
     side from the data with sparse solid products, no solid solve, makes
     one checked bordered solve x_f and takes c0 = mu_f / mu_h from the two
@@ -428,7 +441,8 @@ class ResolventOperator:
     solve instead of a second product with the saddle.  It leaves out the
     rounding of the combination, of the order of a residual evaluation's
     own; on random data over the 15-case parameter grid at levels 0-3 it
-    read 0.84 to 1.38 times the measured residual.  Above 1e-10 it raises
+    read 0.84 to 1.38 times the measured residual with double factors,
+    and 0.74 to 1.41 times with refined single ones.  Above 1e-10 it raises
     SolveAccuracyError.  The operator keeps the dofs and sizes it reads of
     its space, not the space: a cached operator dies with the space that
     caches it, or when the space is asked for another parameter set's
@@ -439,7 +453,7 @@ class ResolventOperator:
     solve residuals at shift 1e3 (levels 1-3).
     """
 
-    def __init__(self, space, params: MaterialParams):
+    def __init__(self, space, params: MaterialParams, precision="single"):
         self.params = params
         self.mass_f = fem.fluid_operators(space).mass
         self.mass_s = fem.solid_operators(space, params).mass
@@ -453,7 +467,8 @@ class ResolventOperator:
         self.saddle, self._solid_rows = resolvent_saddle(space, params)
         self._pressure = slice(self._free.size + self._num_interior, -1)
         self.factor = sla.factorize(self.saddle,
-                                    saddle_coordinates(space, space.solid_interior_dofs))
+                                    saddle_coordinates(space, space.solid_interior_dofs),
+                                    precision)
         # g = B^T 1 is the saddle applied to the unit constant pressure,
         # its border row m^T 1 cleared
         unit = np.zeros(self.saddle.shape[0])
@@ -499,7 +514,7 @@ class ResolventOperator:
         bound = (bordered.residual + (abs(c0) * self._flux_residual + _UNIT_ROUNDOFF
                                       * self._border_norm * abs(x[-1])) / norm_b
                  if norm_b > 0 else 0.0)
-        report = sla.checked_report(bound, bordered.solve_time, bordered.factor_time)
+        report = sla.checked_report(replace(bordered, residual=float(bound)))
         x -= c0 * h
         x[self._pressure] += c0
         u = np.zeros(self._num_velocity)
@@ -511,12 +526,16 @@ class ResolventOperator:
 
 
 def solve_resolvent(space, params: MaterialParams, data: ResolventData):
-    """One-shot resolvent solve; reuses a cached factorized operator."""
-    return _operator(space, params).solve(data)
+    """One-shot resolvent solve; reuses a cached factorized operator, whose
+    factor is single precision, each solve refined to the double floor."""
+    return _operator(space, params, "single").solve(data)
 
 
-def _operator(space, params) -> ResolventOperator:
-    return space.cached("resolvent_op", lambda: ResolventOperator(space, params), params)
+def _operator(space, params, precision="single") -> ResolventOperator:
+    """The space's cached operator at `params` with a `precision` factor."""
+    return space.cached("resolvent_op",
+                        lambda: ResolventOperator(space, params, precision),
+                        params, precision)
 
 
 def kernel_projection(space):

@@ -34,6 +34,18 @@ pressure is a near-null mode, is factorized bordered against that mode
 (`solver.ResolventOperator`), with the border numbered after the
 coordinate unknowns.  Every other factor has pivots bounded below for
 every valid mesh and material, each for the reason its caller states.
+
+The precision rule: a factor is double unless its caller asks for a
+single one, and the caller's use decides, never a flag or a setting.  A
+single factor stores its LU in float32 and refines every solve in double
+until the residual is as small as a double factor's (`Factorization`),
+so it pays for half the factor's bytes with two or three cheaper solves
+where a double factor makes one.  Only the one-shot resolvent operator
+asks for it; the stepper's operator, which serves hundreds of solves, and
+the SPD and kernel-projection factors are double, and their solves are
+those of the double factor alone.  A single factor that cannot reach
+the residual gate becomes a double one, so no solve fails for its
+precision.
 """
 
 from __future__ import annotations
@@ -49,6 +61,9 @@ import scipy.sparse.linalg as spla
 EIG_TOL = 1e-8
 EIG_MAX_ITER = 500
 _SOLVE_TOL = 1e-10
+PRECISIONS = ("double", "single")
+_REFINE_TARGET = 2.0 ** -50       # a refined solve stops at ||b - Ax|| <= this * || |A||x| + |b| ||
+_REFINE_CONTRACTION = 2.0 ** -3   # or at a step that does not cut the residual by this factor
 _PIVOT_TOL = 1e-14   # `_locate_pivot`'s zero pivot: |u_kk| <= _PIVOT_TOL * max|A|
 _ND_LEAF = 16      # nested dissection numbers blocks of at most this many unknowns whole
 
@@ -87,8 +102,10 @@ class LinearSolveReport:
     """Measured (never assumed) quality of a direct solve."""
 
     residual: float       # ||Ax - b|| / ||b||, 0 for b = 0
-    solve_time: float     # seconds in this solve alone
+    solve_time: float     # seconds in this solve alone, refinement included
     factor_time: float    # seconds of the factorization it reused
+    precision: str = "double"   # of the factor that made the solution
+    refinement_steps: int = 0   # corrections after the first solve
 
 
 def _as_csr(a):
@@ -116,9 +133,38 @@ class Factorization:
     only the benchmark's traced passes read, reads SuperLU's U.  The
     residual check of every solve runs on the caller's matrix: `_a`, the
     one matrix kept, is the caller's own object when it is CSR.
+
+    `precision` is "double" or "single", a constant of the caller's use.
+    A double factor solves once.  A single factor is SuperLU's LU of
+    P A P^T cast to float32, with the same order, pivots and fill: at
+    level 4, ordering included, the resolvent saddle takes 0.84-0.88 s
+    instead of 1.10-1.21 s to factorize and raises the resident peak by
+    121-127 MB instead of 191 (one BLAS thread).  Its solves are refined
+    in double (Buttari et al., ACM TOMS 34, 2008; Carson & Higham, SIAM
+    J. Sci. Comput. 40, 2018): x += LU^-1 r on the residual r = b - Ax
+    that the check computes anyway.  Each column of r is scaled by the power of
+    two just above its largest entry before the cast, so the cast cannot
+    overflow, loses only entries below 2^-149 of the largest, and a data
+    scale of 2^k changes no bit.  The loop stops once
+    ||r|| <= 2^-50 || |A||x| + |b| || (`_REFINE_TARGET`, in every
+    column; |A||x| is taken at the first iterate): a fixed multiple of the
+    rounding error of evaluating Ax in double, where a double factor's
+    solve lands (2^-53 to 2^-52 on the resolvent saddles).  A target
+    relative to ||b|| alone stopped too early where b is dominated by a
+    few large rows, e.g. the solid rows at shift 1e-3.  The loop also
+    stops at a step that does not cut the residual by 8
+    (`_REFINE_CONTRACTION`), keeping the better iterate.  If its residual
+    is then above the 1e-10 gate, or the cast would overflow, or SuperLU
+    refuses the float32 matrix, the single factor is dropped and the
+    matrix is factorized in double, for this solve and every later one:
+    the answer is then bit for bit a double factor's, and the report says
+    `precision="double"`.  That happens where kappa(A) u_32 is near 1,
+    e.g. the resolvent saddle at Lame lambda 1e6.
     """
 
-    def __init__(self, a, xy):
+    def __init__(self, a, xy, precision="double"):
+        if precision not in PRECISIONS:
+            raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
         csr = _as_csr(a)
         n, m = csr.shape
         if n != m:
@@ -135,17 +181,32 @@ class Factorization:
         max_a = np.abs(csr.data).max() if csr.nnz else 0.0
         if not np.isfinite(max_a):
             raise ValueError(f"matrix has a non-finite entry (max|A| = {max_a})")
-        # P A P^T is only SuperLU's input, freed before any solve
-        csc = csr[self._perm][:, self._perm].tocsc()
-        try:
-            self._lu = spla.splu(csc, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
-                                 options=dict(SymmetricMode=True))
-        except RuntimeError as err:
-            pivot = self._caller_index(_locate_pivot(csc, max_a))
-            raise SingularMatrixError(pivot, str(err)) from err
-        del csc
         self._max_a = max_a
+        self.precision = precision
+        self._lu = None
+        if precision == "single" and max_a <= np.finfo(np.float32).max:
+            # cast before the permutation, so no double copy of P A P^T is made
+            csc = csr.astype(np.float32)[self._perm][:, self._perm].tocsc()
+            try:
+                self._lu = _splu(csc)
+            except RuntimeError:
+                pass   # SuperLU refused the float32 matrix: factorized in double below
+            del csc
+        if self._lu is None:
+            self._lu = self._double_factor()
         self.factor_time = time.perf_counter() - t0
+
+    def _double_factor(self):
+        """SuperLU's double LU of P A P^T, which is only its input, with
+        `precision` set to "double"; a zero pivot raises
+        SingularMatrixError."""
+        self.precision = "double"
+        csc = self._a[self._perm][:, self._perm].tocsc()
+        try:
+            return _splu(csc)
+        except RuntimeError as err:
+            pivot = self._caller_index(_locate_pivot(csc, self._max_a))
+            raise SingularMatrixError(pivot, str(err)) from err
 
     @functools.cached_property
     def pivot_growth(self):
@@ -161,11 +222,51 @@ class Factorization:
         """Unknown k of the factorized matrix in the caller's numbering."""
         return int(self._perm[k]) if k >= 0 else k
 
+    def _residual(self, x, b):
+        """r = b - Ax and the 2-norm of each of its columns."""
+        r = b - self._a @ x
+        return r, np.linalg.norm(r, axis=0)
+
+    def _single_solve(self, r):
+        """LU^-1 r in double through the single factor: each column of r
+        scaled by 2^-e, 2^e just above its largest entry, cast to float32,
+        solved, and scaled back; every scaling is exact."""
+        _, e = np.frexp(np.abs(r).max(axis=0, initial=0.0))
+        y = np.empty_like(r)
+        y[self._perm] = self._lu.solve(np.ldexp(r[self._perm], -e).astype(np.float32))
+        return np.ldexp(y, e)
+
+    def _refined_solve(self, b):
+        """(x, the column norms of b - Ax, steps) of the refinement loop on
+        the single factor."""
+        x = self._single_solve(b)
+        a = self._a
+        # || |A||x| + |b| || per column, from the first iterate: refinement
+        # moves |x| by less than its first residual
+        abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+        target = _REFINE_TARGET * np.linalg.norm(abs_a @ np.abs(x) + np.abs(b), axis=0)
+        del abs_a
+        r, norm_r = self._residual(x, b)
+        above = _largest_ratio(norm_r, target)   # at most 1 on the target
+        steps = 0
+        while above > 1.0:
+            x_next = x + self._single_solve(r)
+            r_next, norm_next = self._residual(x_next, b)
+            next_above = _largest_ratio(norm_next, target)
+            steps += 1
+            if not next_above <= _REFINE_CONTRACTION * above:
+                if next_above < above:
+                    x, norm_r = x_next, norm_next
+                break
+            x, r, norm_r, above = x_next, r_next, norm_next, next_above
+        return x, norm_r, steps
+
     def solve(self, b):
         """Solve AX = B for a vector or a matrix of columns; returns
         (X, LinearSolveReport) with the largest per-column relative
         residual ||AX - B|| / ||B||; above 1e-10, or NaN, it raises.  A
-        non-finite entry of B raises ValueError before SuperLU runs."""
+        non-finite entry of B raises ValueError before SuperLU runs.  A
+        single factor refines, or falls back to double (see the class)."""
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2):
             raise ValueError(f"rhs must be a vector or a matrix of columns, "
@@ -175,26 +276,50 @@ class Factorization:
                 f"dimension mismatch: matrix {self._a.shape}, rhs {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("rhs has a non-finite entry")
-        t0 = time.perf_counter()
-        x = np.empty_like(b)
-        x[self._perm] = self._lu.solve(b[self._perm])
-        solve_time = time.perf_counter() - t0
         norm_b = np.linalg.norm(b, axis=0)
-        norm_r = np.linalg.norm(self._a @ x - b, axis=0)
-        residual = np.max(np.divide(norm_r, norm_b, out=np.zeros_like(norm_r),
-                                    where=norm_b > 0), initial=0.0)
-        return x, checked_report(residual, solve_time, self.factor_time)
+        steps = 0
+        t0 = time.perf_counter()
+        if self.precision == "single":
+            x, norm_r, steps = self._refined_solve(b)
+            if not _largest_ratio(norm_r, norm_b) <= _SOLVE_TOL:
+                # the double factor that replaces it solves afresh below
+                t1 = time.perf_counter()
+                self._lu = None   # dropped before the double factor is made
+                self._lu = self._double_factor()
+                refactor = time.perf_counter() - t1
+                self.factor_time += refactor
+                t0 += refactor
+        if self.precision == "double":
+            x = np.empty_like(b)
+            x[self._perm] = self._lu.solve(b[self._perm])
+            _, norm_r = self._residual(x, b)
+            steps = 0
+        return x, checked_report(LinearSolveReport(
+            residual=float(_largest_ratio(norm_r, norm_b)),
+            solve_time=time.perf_counter() - t0, factor_time=self.factor_time,
+            precision=self.precision, refinement_steps=steps))
 
 
-def checked_report(residual, solve_time, factor_time):
-    """The `LinearSolveReport` of a solve with relative residual
-    `residual`; above 1e-10, or NaN, it raises SolveAccuracyError carrying
-    the report.  The one residual gate of the package's solves."""
-    report = LinearSolveReport(residual=float(residual), solve_time=solve_time,
-                               factor_time=factor_time)
-    if not residual <= _SOLVE_TOL:
+def _largest_ratio(num, den):
+    """max_j num_j / den_j over the columns, 0 where den_j = 0."""
+    return np.max(np.divide(num, den, out=np.zeros_like(num), where=den > 0),
+                  initial=0.0)
+
+
+def _splu(csc):
+    """SuperLU with the package's options: the caller's order (NATURAL),
+    symmetric mode, a diagonal pivot unless below 1e-3 of its column."""
+    return spla.splu(csc, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
+                     options=dict(SymmetricMode=True))
+
+
+def checked_report(report):
+    """`report` if its residual passes the package's one residual gate of
+    solves, 1e-10; above it, or NaN, it raises SolveAccuracyError
+    carrying the report."""
+    if not report.residual <= _SOLVE_TOL:
         raise SolveAccuracyError(
-            f"relative residual {residual:.3e} exceeds {_SOLVE_TOL:.0e}", report)
+            f"relative residual {report.residual:.3e} exceeds {_SOLVE_TOL:.0e}", report)
     return report
 
 
@@ -345,8 +470,8 @@ def _locate_pivot(a, max_a):
     return int(bad[0]) if bad.size else int(np.argmin(d))
 
 
-def factorize(a, xy) -> Factorization:
-    return Factorization(a, xy)
+def factorize(a, xy, precision="double") -> Factorization:
+    return Factorization(a, xy, precision)
 
 
 def _m_orthonormalize(x, m_csr):

@@ -95,15 +95,16 @@ def traced_peak():
 def factorize_calls():
     """`with factorize_calls() as calls:` records every `sparse.factorize`
     call made inside the block, in call order, as (shape of the matrix,
-    whether it came with coordinates).  The calls still factorize."""
+    whether it came with coordinates, the precision asked for).  The calls
+    still factorize."""
     @contextlib.contextmanager
     def record():
         calls = []
         real = sla.factorize
 
-        def recording(a, xy):
-            calls.append((a.shape, xy is not None))
-            return real(a, xy)
+        def recording(a, xy, precision="double"):
+            calls.append((a.shape, xy is not None, precision))
+            return real(a, xy, precision)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sla, "factorize", recording)

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fsifem import analysis, fem, mesh as meshmod, semigroup, solver, sparse as sla
+from fsifem import analysis, cli, fem, mesh as meshmod, semigroup, solver, sparse as sla
 
 
 def _random_data(space, rng):
@@ -403,24 +403,26 @@ def test_operator_build_peak_rss_growth_is_bounded():
     # the resident high-water mark of a fresh process, which also counts
     # freed heap that the allocator keeps and that tracemalloc does not
     # see: a level-3 operator build raised it by 60.5 MB with the saddle
-    # built through COO copies of its blocks, and by 46-47 MB without
-    # them.  It reads VmHWM, not ru_maxrss: a child's ru_maxrss starts
-    # from the resident size of the process that spawned it
-    assert _peak_rss_growth_mb("solver.ResolventOperator(space, params)") < 54
+    # built through COO copies of its blocks, by 43-47 MB without them,
+    # and by 30-32 MB with the single-precision factor, the bound being
+    # below every double build.  It reads VmHWM, not ru_maxrss: a child's
+    # ru_maxrss starts from the resident size of the process that spawned it
+    assert _peak_rss_growth_mb("solver.ResolventOperator(space, params)") < 38
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
 def test_shift_sweep_peak_rss_growth_stays_within_one_build():
     # six shifts on one space keep one factor alive at a time, so the
-    # sweep stays under the single-build bound: 47.4-48.1 MB here, against
-    # 44.5-45.8 MB for one build.  VmHWM, not tracemalloc, because SuperLU's
-    # factor memory is not traced
+    # sweep stays near one build: 31.5-35.0 MB here with single factors,
+    # against 30-32 MB for one build (46-48 MB with double factors, above
+    # the bound).  VmHWM, not tracemalloc, because SuperLU's factor memory
+    # is not traced
     sweep = """
 data = analysis.manufactured_data(space, analysis.manufactured_case(1.0))
 for shift in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2):
     solver.solve_resolvent(space, replace(params, shift=shift), data)
 """
-    assert _peak_rss_growth_mb(sweep) < 54
+    assert _peak_rss_growth_mb(sweep) < 40
 
 
 @pytest.fixture()
@@ -575,6 +577,80 @@ def test_small_shift_nearly_incompressible_solid_solves(level, lame_mu, rng):
     assert abs(c0) >= 1e6
     _, c0_volume = solver.decompose_pressure(space, state.pi)
     assert abs(c0_volume - c0) <= 1e-12 * abs(c0)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_stiff_single_factor_falls_back_to_the_double_state(level, rng):
+    # at Lame lambda 1e6 the float32 factor's refinement diverges (kappa
+    # u_32 >= 1), so the operator's first solve, the flux solve at build
+    # time, refactors in double: the state is then the double operator's,
+    # bit for bit, and the report says so
+    space = fem.build_space(meshmod.generate(level))
+    params = fem.MaterialParams(lame_lambda=1e6, lame_mu=1.0, shift=1e-3)
+    data = _random_data(space, rng)
+    single = solver.ResolventOperator(space, params, "single")
+    double = solver.ResolventOperator(space, params, "double")
+    state, report = single.solve(data)
+    reference, reference_report = double.solve(data)
+    assert single.factor.precision == "double"
+    assert (report.precision, report.refinement_steps) == ("double", 0)
+    assert report.residual == reference_report.residual
+    for field in ("u", "w", "z", "pi"):
+        assert np.array_equal(getattr(state, field), getattr(reference, field)), field
+
+
+def test_refined_solves_at_a_small_shift_pass_the_divergence_check():
+    # at shift 1e-3 the solid rows dominate ||b||: a refinement stopped at
+    # 2^-42 ||b|| left divergence residuals up to 2.3e-10 here, against the
+    # 1e-10 check that every double solve passes.  The target relative to
+    # || |A||x| + |b| || refines on to a double factor's residual
+    space = fem.build_space(meshmod.generate(2))
+    params = fem.MaterialParams(shift=1e-3)
+    op = solver.ResolventOperator(space, params)
+    for seed in range(6):
+        data = _random_data(space, np.random.default_rng(seed))
+        state, report = op.solve(data)
+        assert report.precision == "single"
+        conditions = solver.check_domain_conditions(space, params, state, state.pi, data)
+        assert conditions.all_passed, (seed, conditions.as_dict())
+
+
+@pytest.fixture(scope="module")
+def single_op0(space0, params):
+    """A level-0 operator with a single factor, held by no cache."""
+    op = solver.ResolventOperator(space0, params)
+    assert op.factor.precision == "single"
+    return op
+
+
+def _scaled(data, factor):
+    return solver.ResolventData(factor * data.u_load, factor * data.w_star,
+                                factor * data.z_star)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=25)
+@given(k=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1))
+def test_power_of_two_data_scale_changes_no_bit(single_op0, space0, k, seed):
+    # every float32 right-hand side is scaled by a power of two before the
+    # cast, and the stop rule compares ratios, so data times 2^k gives the
+    # state times 2^k exactly, in as many refinement steps
+    data = _random_data(space0, np.random.default_rng(seed))
+    state, report = single_op0.solve(data)
+    scaled, scaled_report = single_op0.solve(_scaled(data, 2.0 ** k))
+    assert single_op0.factor.precision == "single"
+    assert scaled_report.refinement_steps == report.refinement_steps
+    assert scaled_report.residual == report.residual
+    for field in ("u", "w", "z", "pi"):
+        assert np.array_equal(getattr(scaled, field), 2.0 ** k * getattr(state, field)), field
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=25)
+@given(k=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+def test_decimal_data_scale_passes_the_gate(single_op0, space0, k, seed):
+    data = _scaled(_random_data(space0, np.random.default_rng(seed)), 10.0 ** k)
+    _, report = single_op0.solve(data)   # above 1e-10 it would raise
+    assert report.precision == "single"
+    assert report.refinement_steps <= 2
 
 
 def test_non_finite_load_is_refused(space0, params, rng):
@@ -802,11 +878,36 @@ def test_every_package_factorization_gets_coordinates(params, factorize_calls):
     nf, ni = space.num_free_velocity_dofs, space.solid_interior_dofs.size
     npr = space.num_pressure_dofs
     # K, M_p, S_ii (once: the solid resolvent inverse reuses the cached
-    # factor), the kernel projection's saddle and the resolvent saddle,
-    # bordered by one multiplier
-    assert calls == [((nf, nf), True), ((npr, npr), True), ((ni, ni), True),
-                     ((nf + npr, nf + npr), True),
-                     ((nf + ni + npr + 1, nf + ni + npr + 1), True)]
+    # factor) and the kernel projection's saddle in double; the one-shot
+    # resolvent saddle, bordered by one multiplier, in single
+    assert calls == [((nf, nf), True, "double"), ((npr, npr), True, "double"),
+                     ((ni, ni), True, "double"), ((nf + npr, nf + npr), True, "double"),
+                     ((nf + ni + npr + 1, nf + ni + npr + 1), True, "single")]
+
+
+def test_resolvent_factor_precision_follows_its_use(params, factorize_calls):
+    # one-shot solves take the single factor; the stepper, which makes
+    # hundreds of solves per factor, the double one.  The cache keys the
+    # operator by its precision, so neither is handed the other's
+    space = fem.build_space(meshmod.generate(0))
+    data = solver.zero_data(space)
+    n = solver.resolvent_saddle(space, params)[0].shape
+    with factorize_calls() as calls:
+        solver.solve_resolvent(space, params, data)
+        solver.solve_resolvent(space, params, data)
+        stepper = semigroup.Stepper(space, params)
+        semigroup.Stepper(space, params)
+    assert calls == [(n, True, "single"), (n, True, "double")]
+    assert stepper.op.factor.precision == "double"
+    assert solver._operator(space, params, "double") is stepper.op
+
+
+def test_cli_evolve_factorizes_each_parameter_set_once(tmp_path, factorize_calls):
+    with factorize_calls() as calls:
+        assert cli.main(["--mode", "evolve", "--levels", "0", "--steps", "3",
+                         "--out", str(tmp_path)]) == 0
+    # the step operator at shift 1/dt, in double, and nothing else
+    assert [precision for _, _, precision in calls] == ["double"]
 
 
 class _MinimumDegreeFactor:

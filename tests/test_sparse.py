@@ -38,7 +38,9 @@ def _resolvent_rhs(rng, n, *columns):
 
 
 def test_level0_saddle_vs_dense_oracle(space0, params, rng):
-    op = solver._operator(space0, params)
+    # an operator of its own: the failed solve below turns a single factor
+    # into a double one, which the space's cached operator must not become
+    op = solver.ResolventOperator(space0, params)
     a = op.saddle
     b = _resolvent_rhs(rng, a.shape[0])
     x_dense = np.linalg.solve(a.toarray(), b)
@@ -59,6 +61,72 @@ def test_solve_is_bitwise_deterministic(space0, params, rng):
     x1, _ = sla.factorize(a, xy).solve(b)
     x2, _ = sla.factorize(a, xy).solve(b)
     assert np.array_equal(x1, x2)
+
+
+def _stop_target_ratio(a, x, b):
+    """||b - Ax|| / || |A||x| + |b| || per column, the measure a refined
+    solve stops on, in units of its target 2^-50."""
+    num = np.linalg.norm(b - a @ x, axis=0)
+    return num / (2.0 ** -50 * np.linalg.norm(abs(a) @ np.abs(x) + np.abs(b), axis=0))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_single_factor_refines_to_the_stop_target(level, params, rng):
+    # the same order, pivots and fill as the double factor; at the default
+    # parameters two corrections reach the target (measured through level
+    # 4), and repeated solves give the same bits
+    space = fem.build_space(meshmod.generate(level))
+    a, _ = solver.resolvent_saddle(space, params)
+    xy = solver.saddle_coordinates(space, space.solid_interior_dofs)
+    single = sla.factorize(a, xy, "single")
+    double = sla.factorize(a, xy)
+    assert single.precision == "single"
+    assert single._lu.nnz == double._lu.nnz
+    assert np.array_equal(single._lu.perm_r, double._lu.perm_r)
+    b = _resolvent_rhs(rng, a.shape[0], 3)
+    for rhs in (b[:, 0], b):
+        x, report = single.solve(rhs)
+        assert (report.precision, single.precision) == ("single", "single")
+        assert 1 <= report.refinement_steps <= 2
+        # the target is set from the first iterate, which differs from x by
+        # its first correction, under 1e-4 relative
+        assert np.all(_stop_target_ratio(a, x, rhs) <= 1.0 + 1e-4)
+        x_double, _ = double.solve(rhs)
+        assert np.abs(x - x_double).max() <= 1e-12 * np.abs(x_double).max()
+        assert np.array_equal(single.solve(rhs)[0], x)
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-6])
+def test_single_factor_falls_back_to_double_bit_for_bit(gap):
+    # [[1, 1], [1, 1 + gap]]: at 1e-9 the float32 matrix is singular and
+    # SuperLU refuses it; at 1e-6 it factors, kappa u_32 is near 1 and the
+    # refinement fails to contract.  Either way the single factor is
+    # dropped, and the solve is the double factor's, bit for bit
+    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + gap]]))
+    xy = np.array([[0.0], [1.0]])
+    b = np.array([1.0, -1.0])
+    factor = sla.factorize(a, xy, "single")
+    x, report = factor.solve(b)
+    x_double, report_double = sla.factorize(a, xy).solve(b)
+    assert np.array_equal(x, x_double)
+    assert report.residual == report_double.residual
+    assert (report.precision, report.refinement_steps) == ("double", 0)
+    assert factor.precision == "double"
+    assert np.array_equal(factor.solve(b)[0], x_double)
+
+
+def test_single_factor_of_a_matrix_beyond_float32_is_double():
+    a = sp.csr_matrix(np.diag([1e39, 2.0]))
+    factor = sla.factorize(a, np.array([[0.0], [1.0]]), "single")
+    assert factor.precision == "double"
+    x, report = factor.solve(np.array([1e39, 1.0]))
+    assert np.array_equal(x, [1.0, 0.5])
+    assert report.precision == "double"
+
+
+def test_unknown_precision_is_refused():
+    with pytest.raises(ValueError, match="precision"):
+        sla.factorize(sp.identity(2, format="csr"), _one_point(2), "half")
 
 
 def test_symmetric_transpose_agreement(rng):
