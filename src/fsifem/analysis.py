@@ -19,7 +19,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 
@@ -100,10 +100,6 @@ class ManufacturedCase:
     def velocity(self, x, y):
         return self.velocity_and_gradient(x, y)[:2]
 
-    def velocity_gradient(self, x, y):
-        """Components (d u1/dx, d u1/dy, d u2/dx, d u2/dy)."""
-        return self.velocity_and_gradient(x, y)[2:]
-
     def pressure(self, x, y):
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -126,13 +122,6 @@ def manufactured_case(shift: float) -> ManufacturedCase:
                                for k in range(4))
     return ManufacturedCase(shift=shift, phi=phi, dphi=dphi, d2phi=d2phi,
                             d3phi=d3phi)
-
-
-def perturbed_case(case: ManufacturedCase, which: str, index: int, delta: float):
-    """Copy of `case` with one coefficient nudged (fault injection)."""
-    arr = getattr(case, which).copy()
-    arr[index] += delta
-    return replace(case, **{which: arr})
 
 
 def _halton(n, base):

@@ -19,8 +19,7 @@ Jacobian, without forming a physical-gradient tensor.
 `quadrature_coordinate` gives one coordinate of the physical points as a
 (triangle x point) plane, by an explicit barycentric sum, so a point's x
 depends only on the x of the triangle's vertices and its y only on their
-y.  `class_factors` takes the planes it needs; `quadrature_points`
-stacks the two.
+y.  `class_factors` takes the planes it needs.
 
 `assemble(space, form, params)` is the one entry to global assembly.  The
 form's entry in `_FORMS` names its element kernel and its row and column
@@ -466,21 +465,6 @@ def _form_spec(form):
     return kernel, rows, cols, meshmod.SOLID if cols == "solid" else meshmod.FLUID
 
 
-def element_matrices(space, tri, params: MaterialParams, form: str):
-    """Local matrix of one form of `FORMS` on one triangle of its region.
-
-    Vector forms give a 12x12 matrix in the interleaved layout, `divergence`
-    3x12 (pressure rows, velocity columns) and `pressure_mass` 3x3.
-    """
-    kernel, _, _, region = _form_spec(form)
-    tri_region = space.mesh.tri_region[tri]
-    if tri_region != region:
-        raise ValueError(
-            f"form {form!r} incompatible with triangle {tri} in region "
-            f"{meshmod.REGION_NAMES[tri_region]}")
-    return _local_matrices(space, np.array([tri]), params, kernel)[0]
-
-
 # ---------------------------------------------------------------------------
 # global assembly
 # ---------------------------------------------------------------------------
@@ -555,12 +539,6 @@ def quadrature_coordinate(space, tris, rule, axis):
     out += v[:, 1, None] * p[:, 1]
     out += v[:, 2, None] * p[:, 2]
     return out
-
-
-def quadrature_points(space, tris, rule):
-    """Physical quadrature points, (nt, nq, 2)."""
-    return np.stack([quadrature_coordinate(space, tris, rule, axis)
-                     for axis in (0, 1)], axis=-1)
 
 
 def class_factors(space, tris, rule, factors):

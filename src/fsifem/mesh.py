@@ -18,7 +18,6 @@ floating-point comparison against 1/3; it is the only place that knows the
 grid layout.  Everything else comes from connectivity: `edge_topology`
 finds the unique edges and each edge's one or two triangles in one
 vectorized pass, and the edge tags follow from those triangles' regions.
-`validate` reruns the same pass to check a mesh read from a file.
 """
 
 from __future__ import annotations
@@ -31,16 +30,11 @@ import numpy as np
 # region tags
 FLUID = 0
 SOLID = 1
-REGION_NAMES = {FLUID: "Fluid", SOLID: "Solid"}
 
 # edge tags
 GAMMA_F = 0   # outer boundary of the fluid, d(0,1)^2
 GAMMA_S = 1   # fluid/solid interface, perimeter of [1/3,2/3]^2
 INTERIOR = 2
-EDGE_NAMES = {GAMMA_F: "GammaF", GAMMA_S: "GammaS", INTERIOR: "Interior"}
-
-_REGION_FROM_NAME = {v: k for k, v in REGION_NAMES.items()}
-_EDGE_FROM_NAME = {v: k for k, v in EDGE_NAMES.items()}
 
 # 2*n*n triangles must stay well inside the int32 range used by sparse indices
 MAX_LEVEL = 12
@@ -50,7 +44,7 @@ class MeshError(Exception):
     """Raised when a mesh violates a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriMesh:
     """Conforming triangulation with region and boundary tags.
 
@@ -71,14 +65,6 @@ class TriMesh:
     edge_tag: np.ndarray
     edge_triangles: np.ndarray
     level: int
-
-    def __eq__(self, other):
-        if not isinstance(other, TriMesh):
-            return NotImplemented
-        return self.level == other.level and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("vertices", "triangles", "tri_region", "edges",
-                         "edge_tag", "edge_triangles"))
 
     @property
     def n(self):
@@ -192,145 +178,3 @@ def _edge_tags(edge_triangles, tri_region):
     edge_tag[t1 < 0] = GAMMA_F
     edge_tag[(t1 >= 0) & (tri_region[t0] != tri_region[t1])] = GAMMA_S
     return edge_tag
-
-
-def refine(mesh: TriMesh) -> TriMesh:
-    """Refine by a factor of 2: every parent triangle becomes 4 children.
-
-    The four child cells of a cell lie in its quadrant and take the
-    direction of its diagonal, so the level-(k+1) structured mesh is exactly
-    the 4-way subdivision of the level-k mesh, and this regenerates.
-    """
-    return generate(mesh.level + 1)
-
-
-def export_mesh(mesh: TriMesh, path) -> None:
-    """Write the plain-text mesh format (round-trips bit-exactly).
-
-    Layout: header "ntri nvert level", then "index x y" per vertex,
-    "index v0 v1 v2 region" per triangle, "v0 v1 tag" per edge.
-    """
-    try:
-        with open(path, "w") as f:
-            f.write(f"{mesh.num_triangles} {mesh.num_vertices} {mesh.level}\n")
-            for k, (x, y) in enumerate(mesh.vertices):
-                f.write(f"{k} {float(x)!r} {float(y)!r}\n")
-            for k in range(mesh.num_triangles):
-                v0, v1, v2 = mesh.triangles[k]
-                f.write(f"{k} {v0} {v1} {v2} {REGION_NAMES[mesh.tri_region[k]]}\n")
-            for k in range(mesh.edges.shape[0]):
-                v0, v1 = mesh.edges[k]
-                f.write(f"{v0} {v1} {EDGE_NAMES[mesh.edge_tag[k]]}\n")
-    except OSError as err:
-        raise MeshError(f"cannot write mesh to {path!s}: {err}") from err
-
-
-def import_mesh(path) -> TriMesh:
-    """Read a mesh written by :func:`export_mesh` and :func:`validate` it."""
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as err:
-        raise MeshError(f"cannot read mesh from {path!s}: {err}") from err
-
-    def entry(row, k):
-        """Fields of line `row` after its index, which must be k."""
-        idx, *fields = lines[row].split()
-        if int(idx) != k:
-            raise MeshError(f"{path!s}:{row + 1}: index {idx} where {k} belongs")
-        return fields
-
-    def vertex_refs(row, refs):
-        """The vertex references of line `row`, each in 0..nvert-1."""
-        ids = tuple(int(v) for v in refs)
-        for v in ids:
-            if not 0 <= v < nvert:
-                raise MeshError(f"{path!s}:{row + 1}: vertex {v} outside 0..{nvert - 1}")
-        return ids
-
-    try:
-        ntri, nvert, level = (int(tok) for tok in lines[0].split())
-        if not 0 <= level <= MAX_LEVEL:
-            raise MeshError(f"{path!s}:1: level {level} outside 0..{MAX_LEVEL}")
-        # checked before any allocation sized by them
-        if not (ntri >= 0 and nvert >= 0 and 1 + nvert + ntri <= len(lines)):
-            raise MeshError(f"{path!s}:1: {ntri} triangles and {nvert} vertices "
-                            f"do not fit the file's {len(lines)} lines")
-        vertices = np.empty((nvert, 2))
-        for k in range(nvert):
-            x, y = entry(1 + k, k)
-            vertices[k] = (float(x), float(y))
-        triangles = np.empty((ntri, 3), dtype=np.int64)
-        tri_region = np.empty(ntri, dtype=np.int8)
-        for k in range(ntri):
-            row = 1 + nvert + k
-            *refs, name = entry(row, k)
-            triangles[k] = vertex_refs(row, refs)
-            tri_region[k] = _REGION_FROM_NAME[name]
-        edge_lines = lines[1 + nvert + ntri:]
-        edges = np.empty((len(edge_lines), 2), dtype=np.int64)
-        edge_tag = np.empty(len(edge_lines), dtype=np.int8)
-        for k, line in enumerate(edge_lines):
-            *refs, name = line.split()
-            edges[k] = vertex_refs(1 + nvert + ntri + k, refs)
-            edge_tag[k] = _EDGE_FROM_NAME[name]
-    except (ValueError, KeyError, IndexError) as err:
-        raise MeshError(f"malformed mesh file {path!s}: {err}") from err
-
-    mesh = TriMesh(
-        vertices=vertices,
-        triangles=triangles,
-        tri_region=tri_region,
-        edges=edges,
-        edge_tag=edge_tag,
-        edge_triangles=edge_topology(triangles, nvert)[1],
-        level=level,
-    )
-    validate(mesh)
-    return mesh
-
-
-def signed_areas(mesh: TriMesh) -> np.ndarray:
-    p = mesh.vertices[mesh.triangles]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-
-
-def validate(mesh: TriMesh) -> None:
-    """Check every structural invariant; raise MeshError on violation."""
-    n = mesh.n
-    if mesh.num_triangles != 2 * n * n:
-        raise MeshError(f"expected {2 * n * n} triangles, found {mesh.num_triangles}")
-
-    areas = signed_areas(mesh)
-    if np.any(areas <= 0):
-        raise MeshError("non-positively-oriented triangle")
-
-    fluid_area = areas[mesh.tri_region == FLUID].sum()
-    solid_area = areas[mesh.tri_region == SOLID].sum()
-    if abs(fluid_area - 8.0 / 9.0) > 1e-14 or abs(solid_area - 1.0 / 9.0) > 1e-14:
-        raise MeshError(f"region areas {fluid_area}, {solid_area} do not tile 8/9 + 1/9")
-
-    edges, edge_triangles = edge_topology(mesh.triangles, mesh.num_vertices)
-    if not (np.array_equal(mesh.edges, edges)
-            and np.array_equal(mesh.edge_triangles, edge_triangles)):
-        raise MeshError("edge list does not match triangle connectivity")
-    expected = _edge_tags(edge_triangles, mesh.tri_region)
-    wrong = np.flatnonzero(mesh.edge_tag != expected)
-    if wrong.size:
-        e = wrong[0]
-        raise MeshError(
-            f"edge {edges[e].tolist()} tagged {EDGE_NAMES[mesh.edge_tag[e]]}, but its "
-            f"triangles {edge_triangles[e].tolist()} make it {EDGE_NAMES[expected[e]]}")
-    if np.any(mesh.tri_region[edge_triangles[expected == GAMMA_F, 0]] != FLUID):
-        raise MeshError("an outer-boundary edge belongs to a solid triangle")
-
-    n_iface = int(np.sum(mesh.edge_tag == GAMMA_S))
-    if n_iface != 8 * 2**mesh.level:
-        raise MeshError(f"expected {8 * 2**mesh.level} interface edges, found {n_iface}")
-
-    # inf-sup vertex condition: every fluid triangle has a vertex off Gamma_f
-    on_outer = np.zeros(mesh.num_vertices, dtype=bool)
-    on_outer[mesh.edges[mesh.edge_tag == GAMMA_F]] = True
-    if np.any(np.all(on_outer[mesh.triangles[mesh.tri_region == FLUID]], axis=1)):
-        raise MeshError("a fluid triangle has all vertices on Gamma_f")

@@ -4,9 +4,9 @@ The paper eliminates the solid through a discrete Dirichlet map: every
 interface velocity trace is extended into the solid by the shifted
 elastostatic operator S = K_sigma + (lam^2 + 1) M_s, and the Schur block
 (1/lam) E^T S E folded into the velocity form gives the condensed form
-a_lam = A_lam + (1/lam) E^T S E of the generator.  `dirichlet_map`,
-`solid_resolvent_inverse` and `schur_form` build that construction; the
-certificates read a_lam from `schur_form`.
+a_lam = A_lam + (1/lam) E^T S E of the generator.  `dirichlet_map` and
+`schur_form` build that construction; the certificates read a_lam from
+`schur_form`.
 
 The solve keeps the solid interior instead of condensing it.  With the
 scaled interior unknown v = lam * w_i, the resolvent is one sparse
@@ -119,13 +119,6 @@ class FsiState:
                         None if self.pi is None else self.pi.copy())
 
 
-def zero_state(space) -> FsiState:
-    return FsiState(np.zeros(space.num_velocity_dofs),
-                    np.zeros(space.num_solid_dofs),
-                    np.zeros(space.num_solid_dofs),
-                    np.zeros(space.num_pressure_dofs))
-
-
 def random_state(space, rng) -> FsiState:
     """Random coefficients with the Gamma_f rows of u zeroed."""
     u = rng.standard_normal(space.num_velocity_dofs)
@@ -150,12 +143,6 @@ class ResolventData:
     z_star: np.ndarray
 
 
-def zero_data(space) -> ResolventData:
-    return ResolventData(np.zeros(space.num_velocity_dofs),
-                         np.zeros(space.num_solid_dofs),
-                         np.zeros(space.num_solid_dofs))
-
-
 def data_from_vectors(space, u_star, w_star, z_star) -> ResolventData:
     mass = fem.fluid_operators(space).mass
     return ResolventData(mass @ np.asarray(u_star, dtype=float),
@@ -164,21 +151,8 @@ def data_from_vectors(space, u_star, w_star, z_star) -> ResolventData:
 
 
 # ---------------------------------------------------------------------------
-# discrete Dirichlet map and solid resolvent
+# discrete Dirichlet map
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DirichletMap:
-    """Shifted-elastostatic extensions of the interface velocity traces.
-
-    columns[:, j] is the solid field equal to the j-th interface basis
-    trace on Gamma_s (exactly, at nodes) and discrete-harmonic inside:
-    interior test functions see a zero residual of (lam^2+1) M + K_sigma.
-    """
-
-    columns: np.ndarray
-    s_matrix: sp.csr_matrix
-
 
 def _shifted_solid_matrix(space, params):
     """S = K_sigma + (lam^2 + 1) M_s over the full solid layout, cached on
@@ -193,10 +167,10 @@ def _shifted_solid_matrix(space, params):
 
 def _solid_interior_factor(space, params):
     """Factorization of the interior block S_ii, in the nested-dissection
-    order of its nodes, shared by the Dirichlet map and the solid resolvent
-    inverse.  S_ii is SPD for every valid mesh and material: K_sigma is
-    positive semidefinite and (lam^2 + 1) M_s is SPD, so its pivots are
-    bounded below and are not tested."""
+    order of its nodes, for the Dirichlet map.  S_ii is SPD for every
+    valid mesh and material: K_sigma is positive semidefinite and
+    (lam^2 + 1) M_s is SPD, so its pivots are bounded below and are not
+    tested."""
     def build():
         ii = space.solid_interior_dofs
         return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii],
@@ -224,7 +198,13 @@ def _solid_residual(mass_s, s_matrix, lam, data, w):
     return mass_s @ (lam * data.w_star + data.z_star) - s_matrix @ w
 
 
-def dirichlet_map(space, params: MaterialParams) -> DirichletMap:
+def dirichlet_map(space, params: MaterialParams) -> np.ndarray:
+    """Shifted-elastostatic extensions of the interface velocity traces.
+
+    Column j is the solid field equal to the j-th interface basis trace on
+    Gamma_s (exactly, at nodes) and discrete-harmonic inside: interior
+    test functions see a zero residual of S = (lam^2+1) M + K_sigma.
+    """
     s_mat = _shifted_solid_matrix(space, params)
     factor = _solid_interior_factor(space, params)
     ii = space.solid_interior_dofs
@@ -234,24 +214,7 @@ def dirichlet_map(space, params: MaterialParams) -> DirichletMap:
     columns = np.zeros((space.num_solid_dofs, bb.size))
     columns[bb, np.arange(bb.size)] = 1.0
     columns[ii] = interior
-    return DirichletMap(columns=columns, s_matrix=s_mat)
-
-
-def solid_resolvent_inverse(space, params: MaterialParams, load):
-    """Solve the zero-trace solid problem ((lam^2+1) M + K_sigma) w = load.
-
-    `load` is a functional vector over the full solid layout (e.g. M_s
-    times a coefficient vector); rows on Gamma_s are ignored and the
-    solution has an exactly zero trace.
-    """
-    load = np.asarray(load, dtype=float)
-    if load.shape != (space.num_solid_dofs,):
-        raise ValueError(f"load shape {load.shape} does not match solid space "
-                         f"({space.num_solid_dofs},)")
-    factor = _solid_interior_factor(space, params)
-    w = np.zeros(space.num_solid_dofs)
-    w[space.solid_interior_dofs], _ = factor.solve(load[space.solid_interior_dofs])
-    return w
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +229,11 @@ def schur_form(space, params: MaterialParams):
     read it from here.  The solve never builds it (see ResolventOperator).
     """
     lam = params.shift
-    dmap = dirichlet_map(space, params)
+    e = dirichlet_map(space, params)
     fops = fem.fluid_operators(space)
     free = space.free_velocity_dofs
     a_free = (lam * fops.mass + fops.strain)[free][:, free].tocsr()
-    e = dmap.columns
-    schur = (e.T @ (dmap.s_matrix @ e)) / lam
+    schur = (e.T @ (_shifted_solid_matrix(space, params) @ e)) / lam
     schur = 0.5 * (schur + schur.T)
     ifree = space.iface_free_dofs
     ni = ifree.size

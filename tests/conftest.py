@@ -9,6 +9,43 @@ import pytest
 from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
 
 
+def signed_areas(mesh):
+    """Signed area of each triangle of `mesh`, positive when oriented
+    counterclockwise."""
+    p = mesh.vertices[mesh.triangles]
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+
+def quadrature_points(space, tris, rule):
+    """Physical quadrature points of `rule` on `tris`, (nt, nq, 2)."""
+    return np.stack([fem.quadrature_coordinate(space, tris, rule, axis)
+                     for axis in (0, 1)], axis=-1)
+
+
+def perturbed_case(case, which, index, delta):
+    """Copy of the manufactured `case` with coefficient `index` of its
+    array `which` moved by `delta` (fault injection)."""
+    arr = getattr(case, which).copy()
+    arr[index] += delta
+    return dataclasses.replace(case, **{which: arr})
+
+
+def zero_state(space):
+    """The zero coupled state, pressure included."""
+    return solver.FsiState(np.zeros(space.num_velocity_dofs),
+                           np.zeros(space.num_solid_dofs),
+                           np.zeros(space.num_solid_dofs),
+                           np.zeros(space.num_pressure_dofs))
+
+
+def zero_data(space):
+    """The zero resolvent data."""
+    return solver.ResolventData(np.zeros(space.num_velocity_dofs),
+                                np.zeros(space.num_solid_dofs),
+                                np.zeros(space.num_solid_dofs))
+
+
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
     """Fail a test that leaves a thread other than the main one running,
@@ -39,7 +76,7 @@ def jittered_mesh1(mesh1):
     # at most 0.14 h per vertex, below the inradius 0.29 h: orientation kept
     vertices[~fixed] += rng.uniform(-0.1, 0.1, ((~fixed).sum(), 2)) / mesh1.n
     jittered = dataclasses.replace(mesh1, vertices=vertices)
-    assert np.all(meshmod.signed_areas(jittered) > 0)
+    assert np.all(signed_areas(jittered) > 0)
     return jittered
 
 

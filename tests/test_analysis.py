@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from numpy.polynomial import polynomial as npoly
 
+from conftest import perturbed_case, quadrature_points, zero_state
 from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
 
 
@@ -57,15 +58,13 @@ def test_velocity_vanishes_on_interface_with_normal_derivative(case):
     y = np.linspace(0.35, 0.65, 13)
     for x_edge in (1.0 / 3.0, 2.0 / 3.0):
         x = np.full_like(y, x_edge)
-        u1, u2 = case.velocity(x, y)
-        d11, d12, d21, d22 = case.velocity_gradient(x, y)
-        for field in (u1, u2, d11, d12, d21, d22):
+        for field in case.velocity_and_gradient(x, y):
             assert np.abs(field).max() <= 1e-17
 
 
 def test_velocity_is_divergence_free(case):
     x, y = analysis.fluid_sample_points(200)
-    d11, _, _, d22 = case.velocity_gradient(x, y)
+    d11, _, _, d22 = case.velocity_and_gradient(x, y)[2:]
     assert np.abs(d11 + d22).max() == 0.0   # stream-function construction
 
 
@@ -85,7 +84,7 @@ def test_data_identity_detects_fault(case):
     # 1e-3 relative perturbation of the x^5 coefficient of phi'''
     index = 5
     delta = 1e-3 * abs(case.d3phi[index])
-    broken = analysis.perturbed_case(case, "d3phi", index, delta)
+    broken = perturbed_case(case, "d3phi", index, delta)
     assert analysis.verify_data_identity(broken) > 1e-6
 
 
@@ -99,7 +98,7 @@ def test_data_identity_over_shift_range(shift):
     case = analysis.manufactured_case(shift)
     assert analysis.verify_data_identity(case) <= 1e-12
     index = 5
-    broken = analysis.perturbed_case(case, "dphi", index, 1e-3 * abs(case.dphi[index]))
+    broken = perturbed_case(case, "dphi", index, 1e-3 * abs(case.dphi[index]))
     assert analysis.verify_data_identity(broken) > 1e-7
 
 
@@ -179,14 +178,13 @@ def _direct_h1_norm_oracle(case, msh, degree=40):
     e1 = verts[:, 1] - verts[:, 0]
     e2 = verts[:, 2] - verts[:, 0]
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    u1, u2 = case.velocity(pts[..., 0], pts[..., 1])
-    d11, d12, d21, d22 = case.velocity_gradient(pts[..., 0], pts[..., 1])
+    u1, u2, d11, d12, d21, d22 = case.velocity_and_gradient(pts[..., 0], pts[..., 1])
     dens = u1**2 + u2**2 + d11**2 + d12**2 + d21**2 + d22**2
     return math.sqrt(float(np.einsum("q,tq,t->", rule.weights, dens, det)))
 
 
 def test_zero_state_error_is_exact_norm(space0, params, case):
-    state = solver.zero_state(space0)
+    state = zero_state(space0)
     err = analysis.error_norms(space0, state, state.pi, case, params)
     oracle = _direct_h1_norm_oracle(case, space0.mesh)
     assert err.eu_h1 == pytest.approx(oracle, rel=1e-10)
@@ -206,7 +204,7 @@ def _single_batch_fluid_norms(space, state, pi, case):
     tris = space.fluid_tris
     det, inv = fem._tri_geometry(space, tris)
     g = fem._ref_to_phys(inv, rule)
-    pts = fem.quadrature_points(space, tris, rule)
+    pts = quadrature_points(space, tris, rule)
     n = fem.p2_values(rule.points)
     dofs = space.velocity_dofs_of_tris(tris)
     cx = state.u[dofs[:, 0::2]]
@@ -217,8 +215,7 @@ def _single_batch_fluid_norms(space, state, pi, case):
     gh_xy = np.einsum("ti,tqi->tq", cx, g[..., 1])
     gh_yx = np.einsum("ti,tqi->tq", cy, g[..., 0])
     gh_yy = np.einsum("ti,tqi->tq", cy, g[..., 1])
-    ex_x, ex_y = case.velocity(pts[..., 0], pts[..., 1])
-    d11, d12, d21, d22 = case.velocity_gradient(pts[..., 0], pts[..., 1])
+    ex_x, ex_y, d11, d12, d21, d22 = case.velocity_and_gradient(pts[..., 0], pts[..., 1])
     e_x, e_y = uh_x - ex_x, uh_y - ex_y
     e11, e12 = gh_xx - d11, gh_xy - d12
     e21, e22 = gh_yx - d21, gh_yy - d22
@@ -272,7 +269,7 @@ def _per_point_fluid_error_squares(space, u, pi, case, rule, tris, table):
     every quadrature point of every triangle, no coordinate classes and no
     caller's table."""
     det, inv = fem._tri_geometry(space, tris)
-    pts = fem.quadrature_points(space, tris, rule)
+    pts = quadrature_points(space, tris, rule)
     ex_x, ex_y, d11, d12, d21, d22 = case.velocity_and_gradient(
         pts[..., 0], pts[..., 1])
     wdet = rule.weights[None, :] * det[:, None]
@@ -353,7 +350,7 @@ def helper_on_any_cpu(chunks):
 
 def test_exact_field_evaluated_once_per_coordinate_class(params, case, monkeypatch):
     space = fem.build_space(meshmod.generate(3))
-    state = solver.zero_state(space)
+    state = zero_state(space)
     evaluated = []
     polyval = npoly.polyval
 

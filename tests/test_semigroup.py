@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import zero_data, zero_state
 from fsifem import fem, semigroup, solver
 
 
@@ -66,7 +67,7 @@ def test_energy_products_do_not_depend_on_blas_threads():
     assert out[0] == out[1]
 
 def test_h_norm_zero(space0, params):
-    assert semigroup.h_norm(space0, solver.zero_state(space0), params) == 0.0
+    assert semigroup.h_norm(space0, zero_state(space0), params) == 0.0
 
 
 def test_h_norm_homogeneity(space0, params, rng):
@@ -129,7 +130,7 @@ def test_h_inner_matches_separate_sum_formula_bitwise(space1, params, rng):
 
 def test_step_zero_state_is_equilibrium(space0):
     params = fem.MaterialParams(shift=100.0)
-    state, row = semigroup.Stepper(space0, params).step(solver.zero_state(space0))
+    state, row = semigroup.Stepper(space0, params).step(zero_state(space0))
     assert np.all(state.u == 0.0) and np.all(state.w == 0.0) and np.all(state.z == 0.0)
     assert np.all(state.pi == 0.0)
     assert row.e_total == 0.0
@@ -165,7 +166,7 @@ def test_repeated_step_monotone_many_states(space0, rng):
 
 def test_evolve_zero_initial_flat_trace(space0, params):
     config = semigroup.EvolutionConfig(t_final=0.1, n_steps=5)
-    result = semigroup.evolve(space0, params, solver.zero_state(space0), config)
+    result = semigroup.evolve(space0, params, zero_state(space0), config)
     assert all(row.e_total == 0.0 for row in result.trace.rows)
     assert result.dissipation_physical == 0.0
 
@@ -252,7 +253,7 @@ def test_config_validation():
 
 def test_energy_identity_zero_data(space0, params):
     qform, dissipation = semigroup.generator_quadratic_form(space0, params,
-                                                            solver.zero_data(space0))
+                                                            zero_data(space0))
     assert qform == 0.0 and dissipation == 0.0
 
 

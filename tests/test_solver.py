@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import zero_data, zero_state
 from fsifem import analysis, cli, fem, mesh as meshmod, semigroup, solver, sparse as sla
 
 
@@ -29,19 +30,18 @@ def _rel(a, b):
 # -- Dirichlet map -----------------------------------------------------------
 
 def test_dirichlet_map_zero_data(space0, params):
-    dmap = solver.dirichlet_map(space0, params)
-    assert np.all(dmap.columns @ np.zeros(space0.num_iface_dofs) == 0.0)
+    columns = solver.dirichlet_map(space0, params)
+    assert np.all(columns @ np.zeros(space0.num_iface_dofs) == 0.0)
 
 
 def test_dirichlet_map_traces_are_nodal(space0, params):
-    dmap = solver.dirichlet_map(space0, params)
-    trace = dmap.columns[space0.iface_solid_dofs]
+    trace = solver.dirichlet_map(space0, params)[space0.iface_solid_dofs]
     assert np.array_equal(trace, np.eye(space0.num_iface_dofs))
 
 
 def test_dirichlet_map_matches_dense_oracle(space0, params):
-    dmap = solver.dirichlet_map(space0, params)
-    s_dense = dmap.s_matrix.toarray()
+    columns = solver.dirichlet_map(space0, params)
+    s_dense = solver._shifted_solid_matrix(space0, params).toarray()
     ii = space0.solid_interior_dofs
     bb = space0.iface_solid_dofs
     j = 3  # single interface basis trace
@@ -49,20 +49,18 @@ def test_dirichlet_map_matches_dense_oracle(space0, params):
     oracle = np.zeros(space0.num_solid_dofs)
     oracle[bb[j]] = 1.0
     oracle[ii] = interior
-    assert _rel(dmap.columns[:, j], oracle) <= 1e-10
+    assert _rel(columns[:, j], oracle) <= 1e-10
 
 
 def test_dirichlet_map_interior_residual(space1, params):
-    dmap = solver.dirichlet_map(space1, params)
-    residual = (dmap.s_matrix @ dmap.columns)[space1.solid_interior_dofs]
-    scale = np.abs(dmap.s_matrix.data).max()
-    assert np.abs(residual).max() <= 1e-10 * scale
+    s = solver._shifted_solid_matrix(space1, params)
+    residual = (s @ solver.dirichlet_map(space1, params))[space1.solid_interior_dofs]
+    assert np.abs(residual).max() <= 1e-10 * np.abs(s.data).max()
 
 
 def test_dirichlet_map_energy_optimality(space0, params, rng):
-    dmap = solver.dirichlet_map(space0, params)
-    s = dmap.s_matrix
-    col = dmap.columns[:, 11]
+    s = solver._shifted_solid_matrix(space0, params)
+    col = solver.dirichlet_map(space0, params)[:, 11]
     base = col @ (s @ col)
     for _ in range(10):
         perturbation = np.zeros(space0.num_solid_dofs)
@@ -72,25 +70,17 @@ def test_dirichlet_map_energy_optimality(space0, params, rng):
         assert other @ (s @ other) >= base - 1e-12 * base
 
 
-# -- solid resolvent inverse -------------------------------------------------
-
-def test_solid_inverse_zero(space0, params):
-    w = solver.solid_resolvent_inverse(space0, params, np.zeros(space0.num_solid_dofs))
-    assert np.all(w == 0.0)
-
+# -- solid interior factor ---------------------------------------------------
 
 def test_solid_inverse_matches_dense_oracle(space0, params, rng):
+    # the factor of S_ii that the Dirichlet map solves with
     coeffs = rng.standard_normal(space0.num_solid_dofs)
-    mass = fem.solid_operators(space0, params).mass
-    load = mass @ coeffs
-    w = solver.solid_resolvent_inverse(space0, params, load)
-    dmap = solver.dirichlet_map(space0, params)
+    load = fem.solid_operators(space0, params).mass @ coeffs
     ii = space0.solid_interior_dofs
-    s_dense = dmap.s_matrix.toarray()
-    oracle = np.zeros(space0.num_solid_dofs)
-    oracle[ii] = np.linalg.solve(s_dense[np.ix_(ii, ii)], load[ii])
+    w, _ = solver._solid_interior_factor(space0, params).solve(load[ii])
+    s_dense = solver._shifted_solid_matrix(space0, params).toarray()
+    oracle = np.linalg.solve(s_dense[np.ix_(ii, ii)], load[ii])
     assert _rel(w, oracle) <= 1e-10
-    assert np.all(w[space0.iface_solid_dofs] == 0.0)
 
 
 def test_solid_operator_lower_bound(space0, params, rng):
@@ -111,7 +101,7 @@ def test_zero_data_zero_rhs(space0, params):
     # zero data must give a zero right-hand side, whose residual the solve
     # reports as exactly 0, and a zero pressure
     op = solver._operator(space0, params)
-    state, report = op.solve(solver.zero_data(space0))
+    state, report = op.solve(zero_data(space0))
     assert report.residual == 0.0
     assert np.all(state.pi == 0.0)
 
@@ -169,7 +159,7 @@ def test_b_has_full_row_rank(space0):
 # -- resolvent solve ---------------------------------------------------------
 
 def test_zero_data_zero_state(space0, params):
-    state, _ = solver.solve_resolvent(space0, params, solver.zero_data(space0))
+    state, _ = solver.solve_resolvent(space0, params, zero_data(space0))
     for field in (state.u, state.w, state.z, state.pi):
         assert np.all(field == 0.0)
 
@@ -197,14 +187,15 @@ def _schur_solve(space, params, data):
     lam = params.shift
     fops = fem.fluid_operators(space)
     free = space.free_velocity_dofs
-    dmap = solver.dirichlet_map(space, params)
-    e, s_e = dmap.columns, dmap.s_matrix @ dmap.columns
+    e = solver.dirichlet_map(space, params)
+    s_e = solver._shifted_solid_matrix(space, params) @ e
     b_free = fops.div[:, free]
     saddle = sp.bmat([[solver.schur_form(space, params), b_free.T], [b_free, None]],
                      format="csr")
     mq = fem.solid_operators(space, params).mass @ (lam * data.w_star + data.z_star)
     w0 = e @ data.w_star[space.iface_solid_dofs] / lam
-    w0 += solver.solid_resolvent_inverse(space, params, mq)
+    ii = space.solid_interior_dofs
+    w0[ii] += solver._solid_interior_factor(space, params).solve(mq[ii])[0]
     rhs_v = data.u_load[free].copy()
     rhs_v[space.iface_free_dofs] += e.T @ mq - s_e.T @ w0
     x, _ = sla.factorize(saddle, solver.saddle_coordinates(space)).solve(
@@ -716,9 +707,9 @@ def test_manufactured_c0_small_and_shrinking(params, case):
 # -- interface traction ------------------------------------------------------
 
 def test_flux_zero_state(space0, params):
-    state = solver.zero_state(space0)
+    state = zero_state(space0)
     fluid, solid = solver.interface_traction_moments(space0, params, state, state.pi,
-                                                     solver.zero_data(space0))
+                                                     zero_data(space0))
     assert fluid.shape == solid.shape == (space0.num_iface_dofs,)
     assert np.all(fluid == 0.0) and np.all(solid == 0.0)
 
@@ -779,10 +770,10 @@ def test_a5b_and_c0_read_one_traction_path(space0, params, rng, monkeypatch):
 # -- constant-pressure recovery ----------------------------------------------
 
 def test_recover_c0_zero_state(space0, params):
-    state = solver.zero_state(space0)
+    state = zero_state(space0)
     value = solver.recover_c0(space0, params, state,
                               np.zeros(space0.num_pressure_dofs),
-                              solver.zero_data(space0))
+                              zero_data(space0))
     assert value == 0.0
 
 
@@ -855,14 +846,14 @@ def test_domain_conditions_factorize_nothing(params, rng, factorize_calls):
     state = solver.random_state(space, rng)
     pi = rng.standard_normal(space.num_pressure_dofs)
     with factorize_calls() as calls:
-        solver.check_domain_conditions(space, params, state, pi, solver.zero_data(space))
+        solver.check_domain_conditions(space, params, state, pi, zero_data(space))
     assert calls == []
 
 
 def test_domain_conditions_zero_state(space0, params):
-    state = solver.zero_state(space0)
+    state = zero_state(space0)
     report = solver.check_domain_conditions(space0, params, state, state.pi,
-                                            solver.zero_data(space0))
+                                            zero_data(space0))
     assert report.all_passed
     assert all(c.residual == 0.0 for c in report.checks)
 
@@ -872,13 +863,11 @@ def test_every_package_factorization_gets_coordinates(params, factorize_calls):
     with factorize_calls() as calls:
         analysis.infsup_beta(space)
         solver.dirichlet_map(space, params)
-        solver.solid_resolvent_inverse(space, params, np.ones(space.num_solid_dofs))
         solver.kernel_projection(space)
         solver.ResolventOperator(space, params)
     nf, ni = space.num_free_velocity_dofs, space.solid_interior_dofs.size
     npr = space.num_pressure_dofs
-    # K, M_p, S_ii (once: the solid resolvent inverse reuses the cached
-    # factor) and the kernel projection's saddle in double; the one-shot
+    # K, M_p, S_ii and the kernel projection's saddle in double; the one-shot
     # resolvent saddle, bordered by one multiplier, in single
     assert calls == [((nf, nf), True, "double"), ((npr, npr), True, "double"),
                      ((ni, ni), True, "double"), ((nf + npr, nf + npr), True, "double"),
@@ -890,7 +879,7 @@ def test_resolvent_factor_precision_follows_its_use(params, factorize_calls):
     # hundreds of solves per factor, the double one.  The cache keys the
     # operator by its precision, so neither is handed the other's
     space = fem.build_space(meshmod.generate(0))
-    data = solver.zero_data(space)
+    data = zero_data(space)
     n = solver.resolvent_saddle(space, params)[0].shape
     with factorize_calls() as calls:
         solver.solve_resolvent(space, params, data)
@@ -926,12 +915,12 @@ class _MinimumDegreeFactor:
 def test_nested_dissection_solid_factor_matches_minimum_degree(level, params, monkeypatch):
     msh = meshmod.generate(level)
     space = fem.build_space(msh)
-    columns = solver.dirichlet_map(space, params).columns
+    columns = solver.dirichlet_map(space, params)
     schur = solver.schur_form(space, params).toarray()
     # a fresh space, so no cached factor of the package's order is reused
     monkeypatch.setattr(sla, "factorize", _MinimumDegreeFactor)
     reference = fem.build_space(msh)
-    ref_columns = solver.dirichlet_map(reference, params).columns
+    ref_columns = solver.dirichlet_map(reference, params)
     ref_schur = solver.schur_form(reference, params).toarray()
     assert np.abs(columns - ref_columns).max() <= 1e-12 * np.abs(ref_columns).max()
     assert np.abs(schur - ref_schur).max() <= 1e-12 * np.abs(ref_schur).max()
