@@ -136,17 +136,12 @@ def _halton(n, base):
     return out
 
 
-def fluid_sample_points(count=1000):
-    """Quasi-random (Halton) points of the fluid region."""
-    n_raw = int(count * 1.6) + 32
-    while True:   # the rejection rate is only 1/9: this rarely doubles
-        x = _halton(n_raw, 2)
-        y = _halton(n_raw, 3)
-        inside_solid = (x >= 1/3) & (x <= 2/3) & (y >= 1/3) & (y <= 2/3)
-        x, y = x[~inside_solid], y[~inside_solid]
-        if x.size >= count:
-            return x[:count], y[:count]
-        n_raw *= 2
+def fluid_sample_points():
+    """The first 1 000 points of the Halton sequence in bases 2 and 3 that
+    lie in the fluid region; 1 451 of its first 1 632 points do."""
+    x, y = _halton(1632, 2), _halton(1632, 3)
+    fluid = ~((x >= 1/3) & (x <= 2/3) & (y >= 1/3) & (y <= 2/3))
+    return x[fluid][:1000], y[fluid][:1000]
 
 
 def verify_data_identity(case: ManufacturedCase) -> float:
@@ -543,19 +538,12 @@ class InfSupReport:
         return "\n".join(lines) + "\n"
 
 
-def _infsup_blocks(space):
-    fops = fem.fluid_operators(space)
-    free = space.free_velocity_dofs
-    k = fops.strain[free][:, free].tocsr()
-    b = fops.div[:, free].tocsr()
-    return k, b, fops.pressure_mass
-
-
 def pressure_schur_complement(space):
     """Explicit dense S = B K^{-1} B^T in the eps-seminorm convention
     (oracle-sized helper; K is inverted column by column, from a factor
     whose pivots are not tested, as in `infsup_beta`)."""
-    k, b, _ = _infsup_blocks(space)
+    k = solver.free_velocity_block(space, fem.fluid_operators(space).strain)
+    b = solver.free_divergence(space)
     k_xy = solver.velocity_coordinates(space, space.free_velocity_dofs)
     x, _ = sla.factorize(k, k_xy).solve(b.T.toarray())
     s = b @ x
@@ -573,7 +561,10 @@ def infsup_beta(space) -> float:
     areas (`smallest_gen_eig`).  Because beta_h does not
     depend on the mesh, S is spectrally equivalent to M_p uniformly in h
     and the number of applies does not grow with the level."""
-    k, b, mp = _infsup_blocks(space)
+    fops = fem.fluid_operators(space)
+    k = solver.free_velocity_block(space, fops.strain)
+    b = solver.free_divergence(space)
+    mp = fops.pressure_mass
     k_xy = solver.velocity_coordinates(space, space.free_velocity_dofs)
     k_factor = sla.factorize(k, k_xy)
     schur = spla.LinearOperator(

@@ -257,7 +257,7 @@ def run_infsup(cfg: RunConfig) -> bool:
 
 
 def _evolve_initial_state(space, case, params):
-    u = fem.interpolate(space, case.velocity, "velocity")
+    u = fem.interpolate(space, case.velocity)
     u[space.constrained_mask] = 0.0
     state = solver.FsiState(u, np.zeros(space.num_solid_dofs),
                             np.zeros(space.num_solid_dofs))
@@ -313,15 +313,15 @@ def _certify_lines(cfg: RunConfig):
 
     # kernel coercivity, level 1, 100 random divergence-free vectors
     fops = fem.fluid_operators(space1)
-    free = space1.free_velocity_dofs
-    k_free = fops.strain[free][:, free].tocsr()
-    h1_free = (fops.mass[free][:, free].tocsr()
-               + fem.assemble(space1, "fluid_gradient")[free][:, free].tocsr())
+    gradient = fem.assemble(space1, "fluid_gradient")
+    k_free = solver.free_velocity_block(space1, fops.strain)
+    h1_free = (solver.free_velocity_block(space1, fops.mass)
+               + solver.free_velocity_block(space1, gradient))
     project = solver.kernel_projection(space1)
     a_free = solver.schur_form(space1, params)
     worst_gap, alpha = -math.inf, math.inf
     for _ in range(100):
-        v_ker = project(rng.standard_normal(free.size))
+        v_ker = project(rng.standard_normal(space1.free_velocity_dofs.size))
         a_vv = sla.dot(v_ker, a_free @ v_ker)
         eps_vv = sla.dot(v_ker, k_free @ v_ker)
         h1_vv = sla.dot(v_ker, h1_free @ v_ker)

@@ -238,7 +238,6 @@ class TaylorHoodSpace:
         self.constrained_mask = constrained
         self.free_velocity_dofs = np.flatnonzero(~constrained)
         self.free_loc = _inverse_map(self.free_velocity_dofs, self.num_velocity_dofs)
-        self.num_free_velocity_dofs = self.free_velocity_dofs.size
 
         # interface dofs in each field's numbering (interleaved x,y)
         fl = self.fluid_loc[self.iface_nodes]
@@ -583,18 +582,11 @@ def assemble_fluid_load(space, factors, field):
                        minlength=space.num_velocity_dofs)
 
 
-def interpolate(space, field, target: str):
-    """Nodal interpolant: point evaluation at the P2/P1 nodes of `target`.
-
-    Vector fields return (f_x, f_y) component arrays; scalar fields return
-    one array.  target is 'velocity', 'pressure' or 'displacement'.
-    """
-    if target == "pressure":
-        xy = space.node_xy[space.pressure_nodes]
-        return np.asarray(field(xy[:, 0], xy[:, 1]), dtype=float)
-    if target not in ("velocity", "displacement"):
-        raise ValueError(f"unknown interpolation target {target!r}")
-    xy = space.node_xy[space.fluid_nodes if target == "velocity" else space.solid_nodes]
+def interpolate(space, field):
+    """Nodal interpolant of the vector field `field`, which returns its
+    (f_x, f_y) component arrays: point evaluation at the P2 velocity nodes,
+    in the full interleaved velocity layout."""
+    xy = space.node_xy[space.fluid_nodes]
     fx, fy = field(xy[:, 0], xy[:, 1])
     return _interleave(np.asarray(fx, dtype=float), np.asarray(fy, dtype=float))
 

@@ -114,10 +114,6 @@ class FsiState:
     z: np.ndarray
     pi: np.ndarray | None = None
 
-    def copy(self):
-        return FsiState(self.u.copy(), self.w.copy(), self.z.copy(),
-                        None if self.pi is None else self.pi.copy())
-
 
 def random_state(space, rng) -> FsiState:
     """Random coefficients with the Gamma_f rows of u zeroed."""
@@ -221,6 +217,24 @@ def dirichlet_map(space, params: MaterialParams) -> np.ndarray:
 # the resolvent operator and the discrete-kernel projection
 # ---------------------------------------------------------------------------
 
+def free_velocity_block(space, form):
+    """`form`, a CSR matrix over the full velocity layout, on the free
+    velocity dofs: a CSR matrix in free-dof numbering."""
+    free = space.free_velocity_dofs
+    return form[free][:, free]
+
+
+def shifted_velocity_block(space, lam):
+    """A_lam = lam M + K_eps on the free velocity dofs, CSR."""
+    fops = fem.fluid_operators(space)
+    return free_velocity_block(space, lam * fops.mass + fops.strain)
+
+
+def free_divergence(space):
+    """B, the divergence on the free velocity dofs, CSR."""
+    return fem.fluid_operators(space).div[:, space.free_velocity_dofs]
+
+
 def schur_form(space, params: MaterialParams):
     """Condensed velocity form a_lam = A_lam + (1/lam) E^T S E on the free
     velocity dofs, with A_lam = lam M + K_eps and E the Dirichlet map.
@@ -230,9 +244,7 @@ def schur_form(space, params: MaterialParams):
     """
     lam = params.shift
     e = dirichlet_map(space, params)
-    fops = fem.fluid_operators(space)
-    free = space.free_velocity_dofs
-    a_free = (lam * fops.mass + fops.strain)[free][:, free].tocsr()
+    a_free = shifted_velocity_block(space, lam)
     schur = (e.T @ (_shifted_solid_matrix(space, params) @ e)) / lam
     schur = 0.5 * (schur + schur.T)
     ifree = space.iface_free_dofs
@@ -315,12 +327,6 @@ def _block_csr(blocks):
     return sp.csr_matrix((data, indices, indptr), shape=(sum(heights), col_start[-1]))
 
 
-def _free_divergence(space):
-    """B, the divergence on the free velocity dofs, and B^T, both CSR."""
-    b_free = fem.fluid_operators(space).div[:, space.free_velocity_dofs]
-    return b_free, b_free.T.tocsr()
-
-
 def resolvent_saddle(space, params: MaterialParams):
     """The bordered resolvent saddle matrix and the row map its solve needs.
 
@@ -343,9 +349,7 @@ def resolvent_saddle(space, params: MaterialParams):
     factorizes the saddle.
     """
     lam = params.shift
-    fops = fem.fluid_operators(space)
-    free = space.free_velocity_dofs
-    nf = free.size
+    nf = space.free_velocity_dofs.size
     ii = space.solid_interior_dofs
     n_vs = nf + ii.size
     npr = space.num_pressure_dofs
@@ -353,7 +357,7 @@ def resolvent_saddle(space, params: MaterialParams):
     solid_rows[space.iface_solid_dofs] = space.iface_free_dofs
     solid_rows[ii] = nf + np.arange(ii.size)
 
-    a_free = (lam * fops.mass + fops.strain)[free][:, free]
+    a_free = shifted_velocity_block(space, lam)
     s = _shifted_solid_matrix(space, params)
     # S's row for each velocity-solid row: an empty row appended to S for
     # the free velocity dofs off Gamma_s
@@ -366,10 +370,10 @@ def resolvent_saddle(space, params: MaterialParams):
     solid.sort_indices()
     velocity_solid = _with_shape(a_free, (n_vs, n_vs)) + solid
     del a_free, solid
-    b_free, bt_free = _free_divergence(space)
-    border = _BORDER_SCALE * (fops.pressure_mass @ np.ones(npr))
+    b_free = free_divergence(space)
+    border = _BORDER_SCALE * (fem.fluid_operators(space).pressure_mass @ np.ones(npr))
     saddle = _block_csr([
-        [velocity_solid, _with_shape(bt_free, (n_vs, npr)), None],
+        [velocity_solid, _with_shape(b_free.T.tocsr(), (n_vs, npr)), None],
         [_with_shape(b_free, (npr, n_vs)), None, sp.csr_matrix(border[:, None])],
         [None, sp.csr_matrix(border), None]])
     return saddle, solid_rows
@@ -513,16 +517,16 @@ def kernel_projection(space):
     about halves per level, so even at level 12 it stays near 6e-6 of
     max|A|: unlike the resolvent saddle, it needs no border.
     """
-    free = space.free_velocity_dofs
-    m_free = fem.fluid_operators(space).mass[free][:, free]
-    b_free, bt_free = _free_divergence(space)
-    factor = sla.factorize(_block_csr([[m_free, bt_free], [b_free, None]]),
+    m_free = free_velocity_block(space, fem.fluid_operators(space).mass)
+    b_free = free_divergence(space)
+    factor = sla.factorize(_block_csr([[m_free, b_free.T.tocsr()], [b_free, None]]),
                            saddle_coordinates(space))
+    nf = m_free.shape[0]
     zero_pressure = np.zeros(space.num_pressure_dofs)
 
     def project(v):
         x, _ = factor.solve(np.concatenate([m_free @ v, zero_pressure]))
-        return x[:free.size]
+        return x[:nf]
 
     return project
 
@@ -648,7 +652,6 @@ def monolithic_solve(space, params: MaterialParams, data: ResolventData) -> FsiS
     w|Gamma_s = (1/lam)(u + w*)|Gamma_s imposed directly; oracle for the
     sparse resolvent solve on coarse meshes."""
     lam = params.shift
-    fops = fem.fluid_operators(space)
     s_mat = _shifted_solid_matrix(space, params)
     mass_s = fem.solid_operators(space, params).mass
 
@@ -664,8 +667,8 @@ def monolithic_solve(space, params: MaterialParams, data: ResolventData) -> FsiS
     t_map[bb, ifree] = 1.0 / lam
 
     s_dense = s_mat.toarray()
-    a_ff = (lam * fops.mass + fops.strain)[free][:, free].toarray()
-    b_f = fops.div[:, free].toarray()
+    a_ff = shifted_velocity_block(space, lam).toarray()
+    b_f = free_divergence(space).toarray()
 
     n_total = nf + npr + ni
     mat = np.zeros((n_total, n_total))

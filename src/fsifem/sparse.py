@@ -18,22 +18,22 @@ of its two boundary layers as the separator, so on a P2 mesh the
 separator is one line of nodes.  The wrapper enforces the contracts this
 package relies on: there is no unchecked solve, and each measures its
 relative residual with the caller's own matrix and right-hand side;
-singular factors raise with the offending pivot index in the caller's
-numbering; and repeated solves of identical inputs are bitwise
-reproducible.
+singular factors raise a typed error; and repeated solves of identical
+inputs are bitwise reproducible.
 
 The pivot rule: every factorization refuses an exactly singular matrix.
-SuperLU's zero pivot raises SingularMatrixError, with the pivot located
-by a dense LU on matrices of up to 4 000 unknowns.  There is no tolerance
-test on the pivots, and no path outside the traced `pivot_growth` reads
-SuperLU's U factor: that read makes scipy keep CSC copies of L and U for
-as long as the factor lives, 0.88 GB at level 5.  A nearly singular
-matrix is the caller's to remove.  The one the package meets, the
-resolvent saddle at (shift 1e-3, Lame lambda 1e6), whose constant
-pressure is a near-null mode, is factorized bordered against that mode
-(`solver.ResolventOperator`), with the border numbered after the
-coordinate unknowns.  Every other factor has pivots bounded below for
-every valid mesh and material, each for the reason its caller states.
+SuperLU's zero pivot raises SingularMatrixError with SuperLU's own
+message, and nothing is factorized again to locate the pivot.  There
+is no tolerance test on the pivots, and no path outside the traced
+`pivot_growth` reads SuperLU's U factor: that read makes scipy keep CSC
+copies of L and U for as long as the factor lives, 0.88 GB at level 5.
+A nearly singular matrix is the caller's to remove.  The one the
+package meets, the resolvent saddle at (shift 1e-3, Lame lambda 1e6),
+whose constant pressure is a near-null mode, is factorized bordered
+against that mode (`solver.ResolventOperator`), with the border
+numbered after the coordinate unknowns.  Every other factor has pivots
+bounded below for every valid mesh and material, each for the reason
+its caller states.
 
 The precision rule: a factor is double unless its caller asks for a
 single one, and the caller's use decides, never a flag or a setting.  A
@@ -64,19 +64,13 @@ _SOLVE_TOL = 1e-10
 PRECISIONS = ("double", "single")
 _REFINE_TARGET = 2.0 ** -50       # a refined solve stops at ||b - Ax|| <= this * || |A||x| + |b| ||
 _REFINE_CONTRACTION = 2.0 ** -3   # or at a step that does not cut the residual by this factor
-_PIVOT_TOL = 1e-14   # `_locate_pivot`'s zero pivot: |u_kk| <= _PIVOT_TOL * max|A|
 _ND_LEAF = 16      # nested dissection numbers blocks of at most this many unknowns whole
 
 
 class SingularMatrixError(Exception):
-    """A factorization hit a zero pivot; `pivot` is its unknown in the
-    caller's numbering, -1 where it could not be located.  A tiny but
-    nonzero pivot does not raise it: the checked residual of each solve
-    is the gate there."""
-
-    def __init__(self, pivot: int, message: str | None = None):
-        self.pivot = pivot
-        super().__init__(message or f"singular factorization (pivot {pivot})")
+    """A factorization hit a zero pivot; the message is SuperLU's.  A tiny
+    but nonzero pivot does not raise it: the checked residual of each
+    solve is the gate there."""
 
 
 class SolveAccuracyError(Exception):
@@ -201,12 +195,10 @@ class Factorization:
         `precision` set to "double"; a zero pivot raises
         SingularMatrixError."""
         self.precision = "double"
-        csc = self._a[self._perm][:, self._perm].tocsc()
         try:
-            return _splu(csc)
+            return _splu(self._a[self._perm][:, self._perm].tocsc())
         except RuntimeError as err:
-            pivot = self._caller_index(_locate_pivot(csc, self._max_a))
-            raise SingularMatrixError(pivot, str(err)) from err
+            raise SingularMatrixError(str(err)) from err
 
     @functools.cached_property
     def pivot_growth(self):
@@ -217,10 +209,6 @@ class Factorization:
         # max|U| without an |U| temporary on top of scipy's CSC copies of L and U
         max_u = max(u.data.max(), -u.data.min())
         return max_u / self._max_a if self._max_a > 0 else 0.0
-
-    def _caller_index(self, k):
-        """Unknown k of the factorized matrix in the caller's numbering."""
-        return int(self._perm[k]) if k >= 0 else k
 
     def _residual(self, x, b):
         """r = b - Ax and the 2-norm of each of its columns."""
@@ -457,19 +445,6 @@ def nested_dissection(a, xy):
     return np.argsort(where[node], kind="stable")
 
 
-def _locate_pivot(a, max_a):
-    """Best-effort pivot index for a singular sparse matrix (dense LU on
-    small systems); max_a is max|A|."""
-    n = a.shape[0]
-    if n > 4000:
-        return -1
-    import scipy.linalg as dla
-    _, _, u = dla.lu(a.toarray())
-    d = np.abs(np.diag(u))
-    bad = np.flatnonzero(d <= _PIVOT_TOL * max_a)
-    return int(bad[0]) if bad.size else int(np.argmin(d))
-
-
 def factorize(a, xy, precision="double") -> Factorization:
     return Factorization(a, xy, precision)
 
@@ -518,48 +493,45 @@ def inverse_iteration(apply_s_inverse, m, n, k=4, tol=EIG_TOL, max_iter=EIG_MAX_
         f"(last value {theta})", theta, q)
 
 
-def smallest_gen_eig(s, m, xy, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
-    """Smallest eigenpair (theta, q) of S q = theta M q, M SPD.
+def smallest_gen_eig(s, m, xy):
+    """Smallest eigenpair (theta, q) of S q = theta M q, M SPD, with at
+    least two unknowns.
 
     S is a symmetric sparse matrix or a `LinearOperator`; it is only
     applied.  ARPACK's Lanczos runs on M^{-1} S in the M inner product
-    until its Ritz value is accurate to 1e-2 * tol.  M^{-1} comes from one
-    factorization of M, ordered by `xy`, the coordinates of M's unknowns,
-    as in `Factorization`, whose pivots are not tested: M is SPD, so they
-    are bounded below (for the pressure mass, by the positive triangle
-    areas that every valid mesh has).  The start vector is fixed, so
+    until its Ritz value is accurate to 1e-2 * `EIG_TOL`.  M^{-1} comes
+    from one factorization of M, ordered by `xy`, the coordinates of M's
+    unknowns, as in `Factorization`, whose pivots are not tested: M is
+    SPD, so they are bounded below (for the pressure mass, by the
+    positive triangle areas that every valid mesh has).  The start vector is fixed, so
     repeated calls give the same bits.  The returned pair is checked with
     one more apply:
-    ||S q - theta M q|| <= tol * theta * ||M q||.  Failing the check raises
-    EigenIterationError carrying the pair; hitting `max_iter` restarts
-    raises it with no pair.
+    ||S q - theta M q|| <= EIG_TOL * theta * ||M q||.  Failing the check
+    raises EigenIterationError carrying the pair; hitting `EIG_MAX_ITER`
+    restarts raises it with no pair.
     """
     m_csr = _as_csr(m)
     s_op = s if isinstance(s, spla.LinearOperator) else _as_csr(s)
     if s_op.shape != m_csr.shape:
         raise ValueError(f"dimension mismatch: S {s_op.shape}, M {m_csr.shape}")
     n = m_csr.shape[0]
-    if n == 1:   # ARPACK needs more unknowns than wanted eigenvalues
-        q = np.ones(1)
-        theta = float((s_op @ q)[0] / (m_csr @ q)[0])
-    else:
-        m_factor = factorize(m_csr, xy)
-        m_inverse = spla.LinearOperator((n, n), dtype=float,
-                                        matvec=lambda b: m_factor.solve(b)[0])
-        start = np.random.default_rng(20240601).standard_normal(n)
-        try:
-            values, vectors = spla.eigsh(s_op, k=1, M=m_csr, Minv=m_inverse,
-                                         which="SA", v0=start, maxiter=max_iter,
-                                         tol=1e-2 * tol)
-        except spla.ArpackNoConvergence as err:
-            # with k = 1 no pair has converged when ARPACK gives up
-            raise EigenIterationError(
-                f"Lanczos did not converge in {max_iter} restarts", None, None) from err
-        theta, q = float(values[0]), vectors[:, 0]
+    m_factor = factorize(m_csr, xy)
+    m_inverse = spla.LinearOperator((n, n), dtype=float,
+                                    matvec=lambda b: m_factor.solve(b)[0])
+    start = np.random.default_rng(20240601).standard_normal(n)
+    try:
+        values, vectors = spla.eigsh(s_op, k=1, M=m_csr, Minv=m_inverse,
+                                     which="SA", v0=start, maxiter=EIG_MAX_ITER,
+                                     tol=1e-2 * EIG_TOL)
+    except spla.ArpackNoConvergence as err:
+        # with k = 1 no pair has converged when ARPACK gives up
+        raise EigenIterationError(
+            f"Lanczos did not converge in {EIG_MAX_ITER} restarts", None, None) from err
+    theta, q = float(values[0]), vectors[:, 0]
     mq = m_csr @ q
     res = np.linalg.norm(s_op @ q - theta * mq)
-    if not res <= tol * abs(theta) * np.linalg.norm(mq):
+    if not res <= EIG_TOL * abs(theta) * np.linalg.norm(mq):
         raise EigenIterationError(
-            f"eigenresidual {res:.3e} exceeds {tol:.0e} * theta * ||M q|| "
+            f"eigenresidual {res:.3e} exceeds {EIG_TOL:.0e} * theta * ||M q|| "
             f"(value {theta})", theta, q)
     return theta, q / np.linalg.norm(q)

@@ -1,5 +1,9 @@
 import contextlib
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -44,6 +48,32 @@ def zero_data(space):
     return solver.ResolventData(np.zeros(space.num_velocity_dofs),
                                 np.zeros(space.num_solid_dofs),
                                 np.zeros(space.num_solid_dofs))
+
+
+_PEAK_RSS_GROWTH = """
+def peak_rss_mb():
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024
+
+{setup}
+before = peak_rss_mb()
+{run}
+print(peak_rss_mb() - before)
+"""
+
+
+def peak_rss_growth_mb(setup, run):
+    """VmHWM growth, in MB, of a fresh one-BLAS-thread process over the
+    code `run`, which follows the code `setup`.  It reads VmHWM, not
+    ru_maxrss: a child's ru_maxrss starts from the resident size of the
+    process that spawned it.  A `run` that raises fails the caller."""
+    src = str(pathlib.Path(fem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    script = _PEAK_RSS_GROWTH.format(setup=setup, run=run)
+    return float(subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True).stdout)
 
 
 @pytest.fixture(autouse=True)

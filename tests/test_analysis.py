@@ -63,7 +63,7 @@ def test_velocity_vanishes_on_interface_with_normal_derivative(case):
 
 
 def test_velocity_is_divergence_free(case):
-    x, y = analysis.fluid_sample_points(200)
+    x, y = analysis.fluid_sample_points()
     d11, _, _, d22 = case.velocity_and_gradient(x, y)[2:]
     assert np.abs(d11 + d22).max() == 0.0   # stream-function construction
 
@@ -148,7 +148,7 @@ def test_load_factors_evaluated_once_per_coordinate_class(case, monkeypatch):
 
 
 def test_sample_points_avoid_solid(case):
-    x, y = analysis.fluid_sample_points(1000)
+    x, y = analysis.fluid_sample_points()
     assert x.size == 1000
     inside = (x >= 1/3) & (x <= 2/3) & (y >= 1/3) & (y <= 2/3)
     assert not np.any(inside)
@@ -158,7 +158,7 @@ def test_sample_points_avoid_solid(case):
 
 def test_interpolant_errors_vanish_for_zero_fields(space0, params, case):
     state = solver.FsiState(
-        u=fem.interpolate(space0, case.velocity, "velocity"),
+        u=fem.interpolate(space0, case.velocity),
         w=np.zeros(space0.num_solid_dofs),
         z=np.zeros(space0.num_solid_dofs))
     err = analysis.error_norms(space0, state, np.zeros(space0.num_pressure_dofs),
@@ -305,7 +305,7 @@ def _per_point_fluid_error_squares(space, u, pi, case, rule, tris, table):
 
 def _noisy_state(space, case, rng):
     """The interpolant plus 1e-9 noise, random w and a random pressure."""
-    u = fem.interpolate(space, case.velocity, "velocity")
+    u = fem.interpolate(space, case.velocity)
     state = solver.FsiState(u=u + 1e-9 * rng.standard_normal(u.size),
                             w=rng.standard_normal(space.num_solid_dofs),
                             z=np.zeros(space.num_solid_dofs))
@@ -446,7 +446,7 @@ def test_error_norm_memory_is_bounded(params, case, traced_peak):
     # one batch of all 4096 fluid triangles allocates about 460 MB here
     space = fem.build_space(meshmod.generate(3))
     state = solver.FsiState(
-        u=fem.interpolate(space, case.velocity, "velocity"),
+        u=fem.interpolate(space, case.velocity),
         w=np.zeros(space.num_solid_dofs),
         z=np.zeros(space.num_solid_dofs))
     peak = traced_peak(lambda: analysis.error_norms(
@@ -475,7 +475,7 @@ def test_interpolant_shortcut_gives_zero_solid_error(params, case):
     for level in (0, 1):
         space = fem.build_space(meshmod.generate(level))
         state = solver.FsiState(
-            u=fem.interpolate(space, case.velocity, "velocity"),
+            u=fem.interpolate(space, case.velocity),
             w=np.zeros(space.num_solid_dofs),
             z=np.zeros(space.num_solid_dofs))
         err = analysis.error_norms(space, state, np.zeros(space.num_pressure_dofs),
@@ -638,7 +638,7 @@ def test_infsup_applies_do_not_grow_with_level(infsup_runs):
 
 def test_infsup_factorizes_no_saddle_matrix(infsup_runs):
     for space, _, _, calls in infsup_runs.values():
-        nf, npr = space.num_free_velocity_dofs, space.num_pressure_dofs
+        nf, npr = space.free_velocity_dofs.size, space.num_pressure_dofs
         assert calls
         assert set(calls) <= {((nf, nf), True, "double"), ((npr, npr), True, "double")}
 
@@ -647,7 +647,7 @@ def test_infsup_velocity_factor_fill_is_nested_dissection(infsup_runs):
     # level 3: node nested dissection fills 1.78 M, SuperLU's minimum
     # degree on K + K^T 2.17 M
     space = infsup_runs[3][0]
-    k, _, _ = analysis._infsup_blocks(space)
+    k = solver.free_velocity_block(space, fem.fluid_operators(space).strain)
     factor = sla.factorize(k, solver.velocity_coordinates(space, space.free_velocity_dofs))
     assert factor._lu.nnz <= 1_900_000
 

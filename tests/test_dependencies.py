@@ -1,9 +1,11 @@
 """The package's runtime imports: the standard library, numpy and scipy,
-nothing else (the test tools, sympy among them, stay in the tests); and
-no public name that only the tests call."""
+nothing else (the test tools, sympy among them, stay in the tests); no
+public name that only the tests call; and no attribute that only the
+tests read."""
 
 import ast
 import collections
+import importlib
 import pathlib
 import sys
 
@@ -70,3 +72,37 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 if node.name not in TEST_ORACLES
                 and uses[node.name] == collections.Counter(_used_names(node))[node.name]]
     assert not uncalled, uncalled
+
+
+def _self_attributes(cls):
+    """Each attribute a method of class `cls` sets on `self`."""
+    for sub in ast.walk(cls):
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+            yield sub.attr
+
+
+def _read_attributes(tree):
+    """Every attribute read under `tree`."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+def test_every_attribute_set_on_self_is_read():
+    # an exception's payload (`report`, `value`, `vector`) is the fault's
+    # data, for whoever catches it
+    modules = sorted(PACKAGE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in modules + sorted(BENCHMARK.glob("*.py"))}
+    read = {name for tree in trees.values() for name in _read_attributes(tree)}
+    unread = []
+    for path in modules:
+        module = importlib.import_module(f"fsifem.{path.stem}")
+        for node in trees[path].body:
+            if (isinstance(node, ast.ClassDef)
+                    and not issubclass(getattr(module, node.name), BaseException)):
+                unread += [f"{path.stem}.{node.name}.{attr}"
+                           for attr in sorted(set(_self_attributes(node)))
+                           if attr not in read]
+    assert not unread, unread

@@ -446,12 +446,12 @@ def test_rotated_mesh_rotates_interface_geometry(mesh1, space1):
 
 def test_interpolate_zero_field(space0):
     zero = lambda x, y: (np.zeros_like(x), np.zeros_like(y))
-    assert np.all(fem.interpolate(space0, zero, "velocity") == 0.0)
+    assert np.all(fem.interpolate(space0, zero) == 0.0)
 
 
 def test_interpolate_linear_exact_at_quadrature(space0):
     field = lambda x, y: (2.0 * x - 0.5 * y + 1.0, x + 3.0 * y)
-    coeffs = fem.interpolate(space0, field, "velocity")
+    coeffs = fem.interpolate(space0, field)
     rule = fem.triangle_rule(4)
     tris = space0.fluid_tris
     pts = quadrature_points(space0, tris, rule)
@@ -464,13 +464,8 @@ def test_interpolate_linear_exact_at_quadrature(space0):
     assert np.abs(uy - ey).max() <= 1e-14
 
 
-def test_interpolate_pressure_constant(space0):
-    vals = fem.interpolate(space0, lambda x, y: np.full_like(x, 7.5), "pressure")
-    assert np.all(vals == 7.5)
-
-
 def test_manufactured_velocity_vanishes_on_interface(space1, case):
-    coeffs = fem.interpolate(space1, case.velocity, "velocity")
+    coeffs = fem.interpolate(space1, case.velocity)
     assert np.abs(coeffs[space1.iface_velocity_dofs]).max() <= 1e-18
 
 

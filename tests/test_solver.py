@@ -1,8 +1,6 @@
 import gc
-import os
-import subprocess
-import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -11,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import zero_data, zero_state
+from conftest import peak_rss_growth_mb, zero_data, zero_state
 from fsifem import analysis, cli, fem, mesh as meshmod, semigroup, solver, sparse as sla
 
 
@@ -128,7 +126,7 @@ def test_a_lambda_spd_on_divergence_free_kernel(space0, params, rng):
     b_free = fem.fluid_operators(space0).div[:, space0.free_velocity_dofs]
     project = solver.kernel_projection(space0)
     for _ in range(20):
-        v_ker = project(rng.standard_normal(space0.num_free_velocity_dofs))
+        v_ker = project(rng.standard_normal(space0.free_velocity_dofs.size))
         assert np.abs(b_free @ v_ker).max() <= 1e-10
         assert v_ker @ (a_free @ v_ker) > 0.0
 
@@ -356,37 +354,24 @@ def test_operator_build_memory_is_bounded(params, traced_peak):
     assert peak < 24 * 2**20
 
 
-_PEAK_RSS_GROWTH = """
+_LEVEL3_OPERATORS = """
 from dataclasses import replace
 
 from fsifem import analysis, fem, mesh, solver
-
-def peak_rss_mb():
-    with open("/proc/self/status") as status:
-        line = next(line for line in status if line.startswith("VmHWM:"))
-    return int(line.split()[1]) / 1024
 
 params = fem.MaterialParams()
 space = fem.build_space(mesh.generate(3))
 fem.fluid_operators(space)
 fem.solid_operators(space, params)
 solver._shifted_solid_matrix(space, params)
-before = peak_rss_mb()
-{run}
-print(peak_rss_mb() - before)
 """
 
 
 def _peak_rss_growth_mb(run):
-    """VmHWM growth of a fresh one-BLAS-thread process over `run`, which
-    follows the level-3 space, operators and shifted solid matrix at
-    the default parameters."""
-    src = str(Path(fem.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return float(subprocess.run([sys.executable, "-c", _PEAK_RSS_GROWTH.format(run=run)],
-                                env=env, capture_output=True, text=True,
-                                check=True).stdout)
+    """VmHWM growth of a fresh process over `run`, which follows the
+    level-3 space, operators and shifted solid matrix at the default
+    parameters."""
+    return peak_rss_growth_mb(_LEVEL3_OPERATORS, run)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
@@ -396,8 +381,7 @@ def test_operator_build_peak_rss_growth_is_bounded():
     # see: a level-3 operator build raised it by 60.5 MB with the saddle
     # built through COO copies of its blocks, by 43-47 MB without them,
     # and by 30-32 MB with the single-precision factor, the bound being
-    # below every double build.  It reads VmHWM, not ru_maxrss: a child's
-    # ru_maxrss starts from the resident size of the process that spawned it
+    # below every double build
     assert _peak_rss_growth_mb("solver.ResolventOperator(space, params)") < 38
 
 
@@ -831,7 +815,7 @@ def test_domain_conditions_pass_after_solve(space1, params, rng):
 def test_domain_conditions_detect_corruption(space0, params, rng):
     data = _random_data(space0, rng)
     state, _ = solver.solve_resolvent(space0, params, data)
-    corrupted = state.copy()
+    corrupted = replace(state, u=state.u.copy())
     bad_dof = np.flatnonzero(space0.constrained_mask)[4]
     corrupted.u[bad_dof] = 0.125
     report = solver.check_domain_conditions(space0, params, corrupted, corrupted.pi, data)
@@ -865,7 +849,7 @@ def test_every_package_factorization_gets_coordinates(params, factorize_calls):
         solver.dirichlet_map(space, params)
         solver.kernel_projection(space)
         solver.ResolventOperator(space, params)
-    nf, ni = space.num_free_velocity_dofs, space.solid_interior_dofs.size
+    nf, ni = space.free_velocity_dofs.size, space.solid_interior_dofs.size
     npr = space.num_pressure_dofs
     # K, M_p, S_ii and the kernel projection's saddle in double; the one-shot
     # resolvent saddle, bordered by one multiplier, in single
