@@ -559,8 +559,11 @@ def infsup_beta(space) -> float:
     tested: K is SPD by Korn's inequality, since the velocity vanishes on
     Gamma_f, which every valid mesh has, and M_p by its positive triangle
     areas (`smallest_gen_eig`).  Because beta_h does not
-    depend on the mesh, S is spectrally equivalent to M_p uniformly in h
-    and the number of applies does not grow with the level."""
+    depend on the mesh, S is spectrally equivalent to M_p uniformly in h,
+    and Lanczos from the constant pressure, to which the smallest mode
+    has M_p-cosine 0.96-0.97 (the weak c0 mode), stops at its first
+    certified pair after a number of applies that levels off: 23, 29,
+    31, 32 and 32 at levels 0-4, the check included."""
     fops = fem.fluid_operators(space)
     k = solver.free_velocity_block(space, fops.strain)
     b = solver.free_divergence(space)

@@ -1,6 +1,7 @@
 """Sparse linear algebra: direct LU solves with residual verification, a
-coordinate nested-dissection ordering, Lanczos for smallest generalized
-eigenvalues, and `dot`, the one inner product of two vectors (no BLAS).
+coordinate nested-dissection ordering, Lanczos for the smallest
+generalized eigenpair, stopped at the first step whose pair meets the
+residual check, and `dot`, the one inner product of two vectors (no BLAS).
 
 Factorization is delegated to SuperLU (scipy).  Given one coordinate row
 per unknown, the matrix is factorized in the nested-dissection order of
@@ -57,13 +58,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 EIG_TOL = 1e-8
-EIG_MAX_ITER = 500
+EIG_MAX_ITER = 500        # Lanczos steps of `smallest_gen_eig`
 _SOLVE_TOL = 1e-10
 PRECISIONS = ("double", "single")
 _REFINE_TARGET = 2.0 ** -50       # a refined solve stops at ||b - Ax|| <= this * || |A||x| + |b| ||
 _REFINE_CONTRACTION = 2.0 ** -3   # or at a step that does not cut the residual by this factor
+_START_WEIGHT = 2.0 ** -2   # of the random part of the Lanczos start vector
 _ND_LEAF = 16      # nested dissection numbers blocks of at most this many unknowns whole
 
 
@@ -494,21 +497,42 @@ def inverse_iteration(apply_s_inverse, m, n, k=4, tol=EIG_TOL, max_iter=EIG_MAX_
 
 
 def smallest_gen_eig(s, m, xy):
-    """Smallest eigenpair (theta, q) of S q = theta M q, M SPD, with at
-    least two unknowns.
+    """Smallest eigenpair (theta, q) of S q = theta M q, M SPD.
 
     S is a symmetric sparse matrix or a `LinearOperator`; it is only
-    applied.  ARPACK's Lanczos runs on M^{-1} S in the M inner product
-    until its Ritz value is accurate to 1e-2 * `EIG_TOL`.  M^{-1} comes
-    from one factorization of M, ordered by `xy`, the coordinates of M's
-    unknowns, as in `Factorization`, whose pivots are not tested: M is
-    SPD, so they are bounded below (for the pressure mass, by the
-    positive triangle areas that every valid mesh has).  The start vector is fixed, so
-    repeated calls give the same bits.  The returned pair is checked with
-    one more apply:
+    applied, once per Lanczos step.  Lanczos runs on M^{-1} S in the M
+    inner product (Paige, J. Inst. Math. Appl. 10, 1972), with every new
+    vector orthogonalized against the whole basis, and each step's Ritz
+    pair is the smallest of the tridiagonal matrix (LAPACK's bisection
+    and inverse iteration).  M^{-1} comes from one factorization of M,
+    ordered by `xy`, the coordinates of M's unknowns, as in
+    `Factorization`, whose pivots are not tested: M is SPD, so they are
+    bounded below (for the pressure mass, by the positive triangle areas
+    that every valid mesh has).  Every inner product and norm that the
+    loop or the returned pair depends on is `dot`, and the tridiagonal
+    matrix is too small for BLAS to split, so no returned bit depends on
+    the number of BLAS threads.
+
+    The start vector is the M-normalized constant plus 2^-2 times the
+    M-normalized random vector of a fixed seed, so repeated calls give the
+    same bits.  The constant leads because the smallest mode of the
+    inf-sup pencil (`analysis.infsup_beta`) is close to it; the random
+    part keeps every mode in the Krylov space, also one M-orthogonal to
+    the constant.
+
+    After step j the Ritz pair's eigenresidual is known without an apply:
+    ||S q - theta M q|| = |b_j y_j| ||M v_{j+1}||, with b_j the next
+    off-diagonal entry, y_j the last entry of the Ritz vector in the
+    Lanczos basis and v_{j+1} the next Lanczos vector.  The loop stops at
+    the first step where that is at most 1/2 * `EIG_TOL` * theta * ||M q||,
+    which includes breakdown (b_j = 0, e.g. S = M), where the pair is
+    exact, or once the basis spans all n unknowns.  Only the Lanczos
+    vectors are kept, and each M product is recomputed, so the basis
+    holds at most `EIG_MAX_ITER` * n * 8 bytes.  The returned pair is
+    checked with one more apply:
     ||S q - theta M q|| <= EIG_TOL * theta * ||M q||.  Failing the check
-    raises EigenIterationError carrying the pair; hitting `EIG_MAX_ITER`
-    restarts raises it with no pair.
+    raises EigenIterationError carrying the pair; `EIG_MAX_ITER` Lanczos
+    steps without stopping raise it with no pair.
     """
     m_csr = _as_csr(m)
     s_op = s if isinstance(s, spla.LinearOperator) else _as_csr(s)
@@ -516,22 +540,45 @@ def smallest_gen_eig(s, m, xy):
         raise ValueError(f"dimension mismatch: S {s_op.shape}, M {m_csr.shape}")
     n = m_csr.shape[0]
     m_factor = factorize(m_csr, xy)
-    m_inverse = spla.LinearOperator((n, n), dtype=float,
-                                    matvec=lambda b: m_factor.solve(b)[0])
-    start = np.random.default_rng(20240601).standard_normal(n)
-    try:
-        values, vectors = spla.eigsh(s_op, k=1, M=m_csr, Minv=m_inverse,
-                                     which="SA", v0=start, maxiter=EIG_MAX_ITER,
-                                     tol=1e-2 * EIG_TOL)
-    except spla.ArpackNoConvergence as err:
-        # with k = 1 no pair has converged when ARPACK gives up
+    start = _m_normalized(np.ones(n), m_csr) + _START_WEIGHT * _m_normalized(
+        np.random.default_rng(20240601).standard_normal(n), m_csr)
+    v = _m_normalized(start, m_csr)
+    basis, alpha, beta = [], [], []
+    for step in range(1, EIG_MAX_ITER + 1):
+        basis.append(v)
+        sv = s_op @ v
+        alpha.append(dot(v, sv))
+        w = m_factor.solve(sv)[0] - alpha[-1] * v
+        if beta:
+            w -= beta[-1] * basis[-2]
+        # classical Gram-Schmidt against the whole basis, in the M inner product
+        mw = m_csr @ w
+        for coef, u in zip([dot(u, mw) for u in basis], basis):
+            w -= coef * u
+        mw = m_csr @ w
+        values, vectors = eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
+        theta, y = values[0], vectors[:, 0]
+        q = y[0] * basis[0]
+        for coef, u in zip(y[1:], basis[1:]):
+            q += coef * u
+        mq = m_csr @ q
+        # b_j ||M v_{j+1}|| = ||M w||
+        estimate = abs(y[-1]) * np.sqrt(dot(mw, mw))
+        if estimate <= 0.5 * EIG_TOL * abs(theta) * np.sqrt(dot(mq, mq)) or step == n:
+            break
+        beta.append(np.sqrt(dot(w, mw)))
+        v = w / beta[-1]
+    else:
         raise EigenIterationError(
-            f"Lanczos did not converge in {EIG_MAX_ITER} restarts", None, None) from err
-    theta, q = float(values[0]), vectors[:, 0]
-    mq = m_csr @ q
+            f"Lanczos did not converge in {EIG_MAX_ITER} Lanczos steps", None, None)
     res = np.linalg.norm(s_op @ q - theta * mq)
     if not res <= EIG_TOL * abs(theta) * np.linalg.norm(mq):
         raise EigenIterationError(
             f"eigenresidual {res:.3e} exceeds {EIG_TOL:.0e} * theta * ||M q|| "
             f"(value {theta})", theta, q)
-    return theta, q / np.linalg.norm(q)
+    return float(theta), q / np.sqrt(dot(q, q))
+
+
+def _m_normalized(x, m_csr):
+    """x / ||x||_M."""
+    return x / np.sqrt(dot(x, m_csr @ x))

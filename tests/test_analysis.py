@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 import threading
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,7 +600,8 @@ def test_infsup_constants_only_subspace(space0):
 
 
 # beta_h of the block inverse iteration on the saddle factorization that
-# the Lanczos eigensolve replaced
+# the Lanczos eigensolves replaced; ARPACK's Lanczos and the plain
+# Lanczos loop of `smallest_gen_eig` each met them to 1.3e-14 relative
 PREVIOUS_BETA = {0: 0.4495509962707977, 1: 0.45732875888393204,
                  2: 0.4609207370265064, 3: 0.46255872333160747}
 
@@ -634,6 +638,44 @@ def test_infsup_matches_previous_eigensolve(infsup_runs):
 def test_infsup_applies_do_not_grow_with_level(infsup_runs):
     counts = [infsup_runs[level][2] for level in (1, 2, 3)]
     assert max(counts) <= 1.5 * min(counts)
+
+
+def test_infsup_lanczos_stops_at_the_first_certified_pair(infsup_runs):
+    # measured 29, 31 and 32 applies at levels 1-3, check included;
+    # ARPACK, which tests only at its restarts, made 42, 52 and 52
+    for level in (1, 2, 3):
+        assert infsup_runs[level][2] <= 36
+
+
+_INFSUP_HEX = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from fsifem import analysis, fem, mesh, sparse
+for level in (0, 1):
+    print(analysis.infsup_beta(fem.build_space(mesh.generate(level))).hex())
+n = 20_000
+s = sp.diags([-0.5, 3.0, -0.5], [-1, 0, 1], shape=(n, n), format="lil")
+s[0, 0] = 0.5
+value, vec = sparse.smallest_gen_eig(s.tocsr(), sp.diags(np.linspace(1.0, 2.0, n)).tocsr(),
+                                     np.zeros((n, 1)))
+print(value.hex(), hashlib.sha256(vec.tobytes()).hexdigest())
+"""
+
+
+def test_infsup_does_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot of more than 10 000 entries among its threads:
+    # the 20 000-unknown pencil is there so that a BLAS product in the
+    # Lanczos loop changes a bit, which the level 0-1 pressures are too
+    # short to show
+    src = str(Path(fem.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out.append(subprocess.run([sys.executable, "-c", _INFSUP_HEX], env=env,
+                                  capture_output=True, text=True, check=True).stdout)
+    assert out[0] == out[1]
 
 
 def test_infsup_factorizes_no_saddle_matrix(infsup_runs):

@@ -222,6 +222,50 @@ def test_smallest_gen_eig_diagonal_case():
     assert abs(vec[0]) == pytest.approx(1.0, rel=1e-6)
 
 
+def _pencil_with_smallest_mode_off_the_constant(n=200):
+    """(S, M, q1) with M diagonal SPD and S = M^{1/2} A M^{1/2}, A having
+    eigenvalues 1, 2 and 3..5: the smallest mode q1 = M^{-1/2} w is
+    M-orthogonal to the constant, since w is orthogonal to M^{1/2} 1."""
+    rng = np.random.default_rng(3)
+    root = np.sqrt(np.linspace(1.0, 2.0, n))
+    w = rng.standard_normal(n)
+    w -= (root @ w) / (root @ root) * root
+    basis, _ = np.linalg.qr(np.column_stack([w, rng.standard_normal((n, n - 1))]))
+    a = (basis * np.r_[1.0, 2.0, np.linspace(3.0, 5.0, n - 2)]) @ basis.T
+    s = root[:, None] * (0.5 * (a + a.T)) * root
+    return sp.csr_matrix(s), sp.diags(root ** 2).tocsr(), basis[:, 0] / root
+
+
+def test_smallest_gen_eig_finds_a_mode_orthogonal_to_the_constant(monkeypatch):
+    s, m, q1 = _pencil_with_smallest_mode_off_the_constant()
+    mq1 = m @ q1
+    assert abs(np.ones(200) @ mq1) <= 1e-13 * np.sqrt(200 * (q1 @ mq1))
+    value, vec = sla.smallest_gen_eig(s, m, _one_point(200))
+    assert value == pytest.approx(1.0, rel=1e-8)
+    assert abs(vec @ mq1) == pytest.approx(np.sqrt((vec @ (m @ vec)) * (q1 @ mq1)), rel=1e-8)
+    # the Krylov space of the constant alone misses q1: from it, Lanczos
+    # certifies the second eigenvalue
+    monkeypatch.setattr(sla, "_START_WEIGHT", 0.0)
+    value, _ = sla.smallest_gen_eig(s, m, _one_point(200))
+    assert value == pytest.approx(2.0, rel=1e-8)
+
+
+def test_smallest_gen_eig_stops_at_breakdown():
+    # S = M: M^{-1} S v = v, so the first Lanczos vector spans an
+    # invariant space and its pair is exact after one step
+    m = sp.diags(np.linspace(1.0, 3.0, 200)).tocsr()
+    applies = []
+
+    def apply(q):
+        applies.append(1)
+        return m @ q
+
+    value, _ = sla.smallest_gen_eig(spla.LinearOperator(m.shape, matvec=apply, dtype=float),
+                                    m, _one_point(200))
+    assert value == pytest.approx(1.0, rel=1e-14)
+    assert len(applies) == 2   # one Lanczos step and the check
+
+
 def test_pressure_schur_vs_dense_oracle(space0):
     s = analysis.pressure_schur_complement(space0)
     mp = fem.fluid_operators(space0).pressure_mass
@@ -231,7 +275,7 @@ def test_pressure_schur_vs_dense_oracle(space0):
 
 
 def test_eigen_iteration_cap_raises(monkeypatch):
-    # a 1e-9 gap under the smallest eigenvalue: one Lanczos restart of a
+    # a 1e-9 gap under the smallest eigenvalue: one Lanczos step on a
     # 200 x 200 problem cannot separate the pair
     diag = np.linspace(1.0, 5.0, 200)
     diag[1] = 1.0 + 1e-9
