@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import partial, reduce
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from numpy.polynomial import polynomial as npoly
 
 from . import fem
@@ -538,18 +537,6 @@ class InfSupReport:
         return "\n".join(lines) + "\n"
 
 
-def pressure_schur_complement(space):
-    """Explicit dense S = B K^{-1} B^T in the eps-seminorm convention
-    (oracle-sized helper; K is inverted column by column, from a factor
-    whose pivots are not tested, as in `infsup_beta`)."""
-    k = solver.free_velocity_block(space, fem.fluid_operators(space).strain)
-    b = solver.free_divergence(space)
-    k_xy = solver.velocity_coordinates(space, space.free_velocity_dofs)
-    x, _ = sla.factorize(k, k_xy).solve(b.T.toarray())
-    s = b @ x
-    return 0.5 * (s + s.T)
-
-
 def infsup_beta(space) -> float:
     """Discrete inf-sup constant: sqrt of the smallest eigenvalue of
     B K^{-1} B^T q = beta^2 M_p q, by Lanczos against M_p.  Only the SPD
@@ -570,10 +557,8 @@ def infsup_beta(space) -> float:
     mp = fops.pressure_mass
     k_xy = solver.velocity_coordinates(space, space.free_velocity_dofs)
     k_factor = sla.factorize(k, k_xy)
-    schur = spla.LinearOperator(
-        mp.shape, dtype=float,
-        matvec=lambda q: b @ k_factor.solve(b.T @ q)[0])
-    value, _ = sla.smallest_gen_eig(schur, mp, solver.pressure_coordinates(space))
+    value, _ = sla.smallest_gen_eig(lambda q: b @ k_factor.solve(b.T @ q)[0], mp,
+                                    solver.pressure_coordinates(space))
     return math.sqrt(value)
 
 
@@ -587,7 +572,9 @@ def infsup_study(levels) -> InfSupReport:
         try:
             beta = infsup_beta(space)
         except sla.EigenIterationError as err:
-            raise RuntimeError(f"inf-sup eigensolve failed at level {level}: {err}") from err
+            raise sla.EigenIterationError(
+                f"inf-sup eigensolve failed at level {level}: {err}",
+                err.value, err.vector) from err
         if beta <= 0:
             raise RuntimeError(f"nonpositive inf-sup constant at level {level}")
         rows.append(InfSupRow(level=level, hypotenuse=msh.hypotenuse, beta=beta))

@@ -1,7 +1,8 @@
 """Sparse linear algebra: direct LU solves with residual verification, a
-coordinate nested-dissection ordering, Lanczos for the smallest
-generalized eigenpair, stopped at the first step whose pair meets the
-residual check, and `dot`, the one inner product of two vectors (no BLAS).
+coordinate nested-dissection ordering, the one eigensolver, Lanczos for
+the smallest eigenpair of S q = theta M q with S given as a function
+that applies it, stopped at the first step whose pair meets the residual
+check, and `dot`, the one inner product of two vectors (no BLAS).
 
 Factorization is delegated to SuperLU (scipy).  Given one coordinate row
 per unknown, the matrix is factorized in the nested-dissection order of
@@ -452,66 +453,28 @@ def factorize(a, xy, precision="double") -> Factorization:
     return Factorization(a, xy, precision)
 
 
-def _m_orthonormalize(x, m_csr):
-    """Return X with X^T M X = I (Cholesky of the small Gram matrix)."""
-    gram = x.T @ (m_csr @ x)
-    gram = 0.5 * (gram + gram.T)
-    chol = np.linalg.cholesky(gram)
-    return np.linalg.solve(chol, x.T).T
+def inverse_iteration(*args, **kwargs):
+    """Retired; the name stays while perfbench/shims.py wraps it."""
+    raise NotImplementedError("inverse_iteration is retired: use smallest_gen_eig")
 
 
-def inverse_iteration(apply_s_inverse, m, n, k=4, tol=EIG_TOL, max_iter=EIG_MAX_ITER):
-    """Smallest generalized eigenpair of S q = theta M q.
-
-    Shift-free block inverse iteration on M-orthonormalized vectors:
-    repeatedly applies S^{-1} M, then extracts the Ritz pair with smallest
-    Rayleigh quotient.  `apply_s_inverse` maps a matrix of column vectors
-    to S^{-1} times those columns; the eigenresidual is measured relative
-    to theta * ||M q||.
-
-    The package no longer calls this (see `smallest_gen_eig`); it stays
-    only because the benchmark's trace layer, `perfbench/shims.py`, wraps
-    it by name, and goes with the next change to the benchmark.
-    """
-    m_csr = _as_csr(m)
-    k = min(k, n)
-    rng = np.random.default_rng(20240601)
-    x = _m_orthonormalize(rng.standard_normal((n, k)), m_csr)
-    theta, q = None, x[:, 0]
-    for _ in range(max_iter):
-        z = apply_s_inverse(m_csr @ x)          # S^{-1} M X
-        t = x.T @ (m_csr @ z)                   # Ritz projection of S^{-1}
-        t = 0.5 * (t + t.T)
-        mu, vecs = np.linalg.eigh(t)            # largest mu <-> smallest theta
-        theta = 1.0 / mu[-1]
-        q = x @ vecs[:, -1]                     # M-normalized Ritz vector
-        zq = z @ vecs[:, -1]                    # S^{-1} M q
-        res = np.linalg.norm(m_csr @ (q - theta * zq))
-        scale = np.linalg.norm(m_csr @ q)
-        if scale > 0 and res <= tol * scale:
-            return float(theta), q / np.linalg.norm(q)
-        x = _m_orthonormalize(z, m_csr)
-    raise EigenIterationError(
-        f"inverse iteration did not converge in {max_iter} iterations "
-        f"(last value {theta})", theta, q)
-
-
-def smallest_gen_eig(s, m, xy):
+def smallest_gen_eig(apply_s, m, xy):
     """Smallest eigenpair (theta, q) of S q = theta M q, M SPD.
 
-    S is a symmetric sparse matrix or a `LinearOperator`; it is only
-    applied, once per Lanczos step.  Lanczos runs on M^{-1} S in the M
-    inner product (Paige, J. Inst. Math. Appl. 10, 1972), with every new
-    vector orthogonalized against the whole basis, and each step's Ritz
-    pair is the smallest of the tridiagonal matrix (LAPACK's bisection
-    and inverse iteration).  M^{-1} comes from one factorization of M,
-    ordered by `xy`, the coordinates of M's unknowns, as in
-    `Factorization`, whose pivots are not tested: M is SPD, so they are
-    bounded below (for the pressure mass, by the positive triangle areas
-    that every valid mesh has).  Every inner product and norm that the
-    loop or the returned pair depends on is `dot`, and the tridiagonal
-    matrix is too small for BLAS to split, so no returned bit depends on
-    the number of BLAS threads.
+    S is symmetric and reaches the loop only as `apply_s`, a function of
+    one vector that returns S times it: it is called once per Lanczos step
+    and once for the check, and a sparse S is passed as `s.__matmul__`.
+    Lanczos runs on M^{-1} S in the M inner product (Paige, J. Inst. Math.
+    Appl. 10, 1972), with every new vector orthogonalized against the
+    whole basis, and each step's Ritz pair is the smallest of the
+    tridiagonal matrix (LAPACK's bisection and inverse iteration).
+    M^{-1} comes from one factorization of M, ordered by `xy`, the
+    coordinates of M's unknowns, as in `Factorization`, whose pivots are
+    not tested: M is SPD, so they are bounded below (for the pressure
+    mass, by the positive triangle areas that every valid mesh has).
+    Every inner product and norm that the loop or the returned pair
+    depends on is `dot`, and the tridiagonal matrix is too small for BLAS
+    to split, so no returned bit depends on the number of BLAS threads.
 
     The start vector is the M-normalized constant plus 2^-2 times the
     M-normalized random vector of a fixed seed, so repeated calls give the
@@ -535,9 +498,6 @@ def smallest_gen_eig(s, m, xy):
     steps without stopping raise it with no pair.
     """
     m_csr = _as_csr(m)
-    s_op = s if isinstance(s, spla.LinearOperator) else _as_csr(s)
-    if s_op.shape != m_csr.shape:
-        raise ValueError(f"dimension mismatch: S {s_op.shape}, M {m_csr.shape}")
     n = m_csr.shape[0]
     m_factor = factorize(m_csr, xy)
     start = _m_normalized(np.ones(n), m_csr) + _START_WEIGHT * _m_normalized(
@@ -546,7 +506,7 @@ def smallest_gen_eig(s, m, xy):
     basis, alpha, beta = [], [], []
     for step in range(1, EIG_MAX_ITER + 1):
         basis.append(v)
-        sv = s_op @ v
+        sv = apply_s(v)
         alpha.append(dot(v, sv))
         w = m_factor.solve(sv)[0] - alpha[-1] * v
         if beta:
@@ -571,7 +531,7 @@ def smallest_gen_eig(s, m, xy):
     else:
         raise EigenIterationError(
             f"Lanczos did not converge in {EIG_MAX_ITER} Lanczos steps", None, None)
-    res = np.linalg.norm(s_op @ q - theta * mq)
+    res = np.linalg.norm(apply_s(q) - theta * mq)
     if not res <= EIG_TOL * abs(theta) * np.linalg.norm(mq):
         raise EigenIterationError(
             f"eigenresidual {res:.3e} exceeds {EIG_TOL:.0e} * theta * ||M q|| "

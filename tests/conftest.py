@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as dla
 
 from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
 
@@ -48,6 +49,17 @@ def zero_data(space):
     return solver.ResolventData(np.zeros(space.num_velocity_dofs),
                                 np.zeros(space.num_solid_dofs),
                                 np.zeros(space.num_solid_dofs))
+
+
+def pressure_schur_complement(space):
+    """Dense S = B K^{-1} B^T in the eps-seminorm convention, the oracle of
+    `analysis.infsup_beta`: K^{-1} B^T comes from LAPACK's dense Cholesky
+    solve, so it shares no ordering, factor or residual gate with the
+    sparse path it checks."""
+    k = solver.free_velocity_block(space, fem.fluid_operators(space).strain)
+    b = solver.free_divergence(space).toarray()
+    s = b @ dla.solve(k.toarray(), b.T, assume_a="pos")
+    return 0.5 * (s + s.T)
 
 
 _PEAK_RSS_GROWTH = """

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as dla
 
+from conftest import pressure_schur_complement
 from fsifem import analysis, fem, mesh as meshmod, semigroup, solver
 
 PARAMS = fem.MaterialParams(lame_lambda=1.0, lame_mu=1.0, shift=1.0)
@@ -91,7 +92,7 @@ def test_criterion_5_infsup_uniformity(infsup_report):
     ok_positive = all(b > 0 for b in betas)
     ok_spread = infsup_report.spread <= 0.20
     space0 = fem.build_space(meshmod.generate(0))
-    s = analysis.pressure_schur_complement(space0)
+    s = pressure_schur_complement(space0)
     mp = fem.fluid_operators(space0).pressure_mass.toarray()
     dense_beta = math.sqrt(dla.eigh(s, mp, eigvals_only=True)[0])
     ok_oracle = abs(betas[0] - dense_beta) <= 1e-6

@@ -167,6 +167,19 @@ def test_infsup_mode(tmp_path, capsys):
     assert len(betas) == 2 and all(b > 0 for b in betas)
 
 
+def test_failed_infsup_eigensolve_keeps_its_type(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sla, "EIG_MAX_ITER", 1)
+    with pytest.raises(sla.EigenIterationError, match="failed at level 0: ") as err:
+        analysis.infsup_study([0])
+    cause = err.value.__cause__
+    assert isinstance(cause, sla.EigenIterationError)
+    assert err.value.value is cause.value and err.value.vector is cause.vector
+    code = cli.main(["--mode", "infsup", "--levels", "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "[analysis] EigenIterationError: inf-sup eigensolve failed at level 0: ")
+
+
 def test_evolve_mode_trace(tmp_path):
     code = cli.main(["--mode", "evolve", "--levels", "0", "--t-final", "0.2",
                      "--steps", "10", "--out", str(tmp_path)])

@@ -1,7 +1,8 @@
 """The package's runtime imports: the standard library, numpy and scipy,
 nothing else (the test tools, sympy among them, stay in the tests); no
-public name that only the tests call; and no attribute that only the
-tests read."""
+public name that only the tests call; no public name but the known ones
+that only the benchmark's trace layer keeps; and no attribute that only
+the tests read."""
 
 import ast
 import collections
@@ -15,9 +16,10 @@ RUNTIME_PACKAGES = {"numpy", "scipy"}
 PACKAGE = pathlib.Path(fsifem.__file__).parent
 # the benchmark wraps package names by attribute, so its calls count
 BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-# the dense oracle of the inf-sup constant, which the acceptance tests
-# compare the package's Lanczos estimate against
-TEST_ORACLES = {"pressure_schur_complement"}
+# the names that nothing but the trace layer, perfbench/shims.py, names:
+# a retired function it wraps and a factor property it reads; a trace
+# inside the package would let both go (ROADMAP 1(d))
+BENCHMARK_ONLY = {"inverse_iteration", "pivot_growth"}
 
 
 def _absolute_imports(path):
@@ -61,17 +63,38 @@ def _used_names(node):
             yield sub.attr
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def _package_and_benchmark_trees():
+    """(the package's modules, {path: parsed tree} of those modules and of
+    the benchmark's)."""
     modules = sorted(PACKAGE.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in modules + sorted(BENCHMARK.glob("*.py"))}
+    return modules, {path: ast.parse(path.read_text(), filename=str(path))
+                     for path in modules + sorted(BENCHMARK.glob("*.py"))}
+
+
+def _unused_outside(modules, trees):
+    """Each public definition of `modules`, as (module.qualified name,
+    node), that nothing in `trees` names outside the definition itself."""
     uses = collections.Counter(name for tree in trees.values()
                                for name in _used_names(tree))
-    uncalled = [f"{path.stem}.{qualified}" for path in modules
-                for qualified, node in _public_definitions(trees[path])
-                if node.name not in TEST_ORACLES
-                and uses[node.name] == collections.Counter(_used_names(node))[node.name]]
+    return [(f"{path.stem}.{qualified}", node) for path in modules
+            for qualified, node in _public_definitions(trees[path])
+            if uses[node.name] == collections.Counter(_used_names(node))[node.name]]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules, trees = _package_and_benchmark_trees()
+    uncalled = [name for name, _ in _unused_outside(modules, trees)]
     assert not uncalled, uncalled
+
+
+def test_only_the_known_names_live_by_the_trace_layer_alone():
+    # a name that the package stops using while the trace layer still
+    # wraps or reads it would stay alive through the trace layer alone
+    modules, trees = _package_and_benchmark_trees()
+    in_shims = set(_used_names(trees.pop(BENCHMARK / "shims.py")))
+    only_shims = {node.name for _, node in _unused_outside(modules, trees)
+                  if node.name in in_shims}
+    assert only_shims == BENCHMARK_ONLY
 
 
 def _self_attributes(cls):
@@ -92,9 +115,7 @@ def _read_attributes(tree):
 def test_every_attribute_set_on_self_is_read():
     # an exception's payload (`report`, `value`, `vector`) is the fault's
     # data, for whoever catches it
-    modules = sorted(PACKAGE.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in modules + sorted(BENCHMARK.glob("*.py"))}
+    modules, trees = _package_and_benchmark_trees()
     read = {name for tree in trees.values() for name in _read_attributes(tree)}
     unread = []
     for path in modules:

@@ -8,8 +8,8 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import peak_rss_growth_mb
-from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
+from conftest import peak_rss_growth_mb, pressure_schur_complement
+from fsifem import fem, mesh as meshmod, solver, sparse as sla
 
 
 def _one_point(n):
@@ -211,13 +211,13 @@ def test_coo_duplicates_are_summed():
 
 def test_smallest_gen_eig_identity_case():
     s = sp.csr_matrix(np.diag([3.0, 5.0, 9.0]))
-    value, vec = sla.smallest_gen_eig(s, s, _one_point(3))
+    value, vec = sla.smallest_gen_eig(s.__matmul__, s, _one_point(3))
     assert value == pytest.approx(1.0, rel=1e-8)
 
 
 def test_smallest_gen_eig_diagonal_case():
     s = sp.csr_matrix(np.diag([4.0, 9.0]))
-    value, vec = sla.smallest_gen_eig(s, sp.identity(2, format="csr"), _one_point(2))
+    value, vec = sla.smallest_gen_eig(s.__matmul__, sp.identity(2, format="csr"), _one_point(2))
     assert value == pytest.approx(4.0, rel=1e-8)
     assert abs(vec[0]) == pytest.approx(1.0, rel=1e-6)
 
@@ -240,13 +240,13 @@ def test_smallest_gen_eig_finds_a_mode_orthogonal_to_the_constant(monkeypatch):
     s, m, q1 = _pencil_with_smallest_mode_off_the_constant()
     mq1 = m @ q1
     assert abs(np.ones(200) @ mq1) <= 1e-13 * np.sqrt(200 * (q1 @ mq1))
-    value, vec = sla.smallest_gen_eig(s, m, _one_point(200))
+    value, vec = sla.smallest_gen_eig(s.__matmul__, m, _one_point(200))
     assert value == pytest.approx(1.0, rel=1e-8)
     assert abs(vec @ mq1) == pytest.approx(np.sqrt((vec @ (m @ vec)) * (q1 @ mq1)), rel=1e-8)
     # the Krylov space of the constant alone misses q1: from it, Lanczos
     # certifies the second eigenvalue
     monkeypatch.setattr(sla, "_START_WEIGHT", 0.0)
-    value, _ = sla.smallest_gen_eig(s, m, _one_point(200))
+    value, _ = sla.smallest_gen_eig(s.__matmul__, m, _one_point(200))
     assert value == pytest.approx(2.0, rel=1e-8)
 
 
@@ -260,16 +260,16 @@ def test_smallest_gen_eig_stops_at_breakdown():
         applies.append(1)
         return m @ q
 
-    value, _ = sla.smallest_gen_eig(spla.LinearOperator(m.shape, matvec=apply, dtype=float),
-                                    m, _one_point(200))
+    value, _ = sla.smallest_gen_eig(apply, m, _one_point(200))
     assert value == pytest.approx(1.0, rel=1e-14)
     assert len(applies) == 2   # one Lanczos step and the check
 
 
 def test_pressure_schur_vs_dense_oracle(space0):
-    s = analysis.pressure_schur_complement(space0)
+    s = pressure_schur_complement(space0)
     mp = fem.fluid_operators(space0).pressure_mass
-    value, _ = sla.smallest_gen_eig(sp.csr_matrix(s), mp, solver.pressure_coordinates(space0))
+    value, _ = sla.smallest_gen_eig(sp.csr_matrix(s).__matmul__, mp,
+                                    solver.pressure_coordinates(space0))
     dense_vals = dla.eigh(s, mp.toarray(), eigvals_only=True)
     assert value == pytest.approx(dense_vals[0], abs=1e-6)
 
@@ -281,7 +281,7 @@ def test_eigen_iteration_cap_raises(monkeypatch):
     diag[1] = 1.0 + 1e-9
     monkeypatch.setattr(sla, "EIG_MAX_ITER", 1)
     with pytest.raises(sla.EigenIterationError, match="did not converge in 1 ") as err:
-        sla.smallest_gen_eig(sp.diags(diag).tocsr(), sp.identity(200, format="csr"),
+        sla.smallest_gen_eig(sp.diags(diag).tocsr().__matmul__, sp.identity(200, format="csr"),
                              _one_point(200))
     assert err.value.value is None and err.value.vector is None
 
@@ -291,7 +291,7 @@ def test_eigen_residual_failure_carries_pair(monkeypatch):
     s = sp.diags([4.0, 9.0, 16.0]).tocsr()
     monkeypatch.setattr(sla, "EIG_TOL", 1e-30)
     with pytest.raises(sla.EigenIterationError, match="eigenresidual") as err:
-        sla.smallest_gen_eig(s, sp.identity(3, format="csr"), _one_point(3))
+        sla.smallest_gen_eig(s.__matmul__, sp.identity(3, format="csr"), _one_point(3))
     assert err.value.value == pytest.approx(4.0, rel=1e-12)
     assert abs(err.value.vector[0]) == pytest.approx(1.0, rel=1e-12)
 
@@ -379,7 +379,7 @@ def test_repeated_solve_time_excludes_factor_time(rng):
 
 def test_level0_schur_spd(space0):
     # positive definiteness of the pressure Schur complement (B full row rank)
-    s = analysis.pressure_schur_complement(space0)
+    s = pressure_schur_complement(space0)
     evals = dla.eigvalsh(s)
     assert evals[0] > 0.0
 
