@@ -434,9 +434,6 @@ def _rate(e_coarse, e_fine):
 @dataclass
 class ConvergenceReport:
     rows: list
-    note: str = ("hypotenuse lengths follow exact halving of sqrt(2)/6; "
-                 "published tables list one non-halved value in row 5, "
-                 "which this study does not reproduce")
 
     def rates(self, column):
         vals = [getattr(r, column) for r in self.rows]
@@ -456,23 +453,6 @@ class ConvergenceReport:
     @property
     def solid_rates(self):
         return self.rates("ew_h1")
-
-    def convergence_csv(self):
-        lines = ["elements,hypotenuse,fluid_h1,pressure_l2,solid_h1,"
-                 "fluid_eps_seminorm,solid_h1_full,status"]
-        for r in self.rows:
-            status = r.failed or "ok"
-            lines.append(f"{r.elements},{r.hypotenuse!r},{r.eu_h1!r},{r.epi_l2!r},"
-                         f"{r.ew_h1!r},{r.eu_seminorm!r},{r.ew_h1_full!r},{status}")
-        return "\n".join(lines) + "\n"
-
-    def rates_csv(self):
-        fmt = lambda v: "—" if v is None else repr(v)
-        lines = ["pair,fluid_h1,pressure_l2,solid_h1"]
-        for k, (f, p, s) in enumerate(zip(self.fluid_rates, self.pressure_rates,
-                                          self.solid_rates)):
-            lines.append(f"mesh{k + 1}/mesh{k + 2},{fmt(f)},{fmt(p)},{fmt(s)}")
-        return "\n".join(lines) + "\n"
 
 
 def convergence_study(levels, params: MaterialParams) -> ConvergenceReport:
@@ -523,18 +503,11 @@ class InfSupRow:
 @dataclass
 class InfSupReport:
     rows: list
-    convention: str = "velocity Gram |phi|_1 = ||eps(phi)||_0, pressure mass M_p"
 
     @property
     def spread(self):
         betas = [r.beta for r in self.rows]
         return (max(betas) - min(betas)) / max(betas)
-
-    def csv(self):
-        lines = ["level,hypotenuse,beta_h"]
-        for r in self.rows:
-            lines.append(f"{r.level},{r.hypotenuse!r},{r.beta!r}")
-        return "\n".join(lines) + "\n"
 
 
 def infsup_beta(space) -> float:

@@ -10,8 +10,13 @@ error exits 2, and an error raised during the run exits 1 tagged with the
 innermost package module of its traceback.
 
 Configuration comes from flags, optionally seeded by a plain-text
-``key = value`` file (flags win); the output directory falls back to the
-FSI_OUT_DIR environment variable.
+``key = value`` file (flags win).  The argparse parser is the one table of
+settings, with each flag's type, choices and default.  A config key is
+its flag's name, ``-`` or ``_`` alike, and its value is parsed by that
+flag's type and checked against its choices, so a bad value is a usage
+error naming the file, line and key.  The output directory falls back to
+the FSI_OUT_DIR environment variable.  Every CSV artifact is written by
+`_csv`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,71 +36,38 @@ MODES = ("resolvent", "convergence", "infsup", "evolve", "certify")
 _SINGLE_LEVEL_MODES = ("resolvent", "evolve")
 _DEFAULT_LEVELS = {"resolvent": [1], "convergence": [0, 1, 2, 3],
                    "infsup": [0, 1, 2, 3], "evolve": [1], "certify": [0, 1]}
+_CONVERGENCE_NOTE = ("hypotenuse lengths follow exact halving of sqrt(2)/6; "
+                     "published tables list one non-halved value in row 5, "
+                     "which this study does not reproduce")
+_INFSUP_CONVENTION = "velocity Gram |phi|_1 = ||eps(phi)||_0, pressure mass M_p"
 
 
-# RunConfig field -> the flag that sets it
-_FLAGS = {"shift": "--lambda", "lame_lambda": "--lame-lambda", "lame_mu": "--mu",
-          "t_final": "--t-final", "n_steps": "--steps"}
-
-
-@dataclass
-class RunConfig:
-    mode: str
-    levels: list = field(default_factory=list)
-    shift: float = 1.0
-    lame_lambda: float = 1.0
-    lame_mu: float = 1.0
-    t_final: float = 1.0
-    n_steps: int = 100
-    out_dir: str = "."
-    seed: int = 0
-
-    def validate(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.levels:
-            raise ValueError("--levels: levels must contain at least one entry")
-        if any(l < 0 for l in self.levels):
-            raise ValueError(f"--levels: levels must be nonnegative, got {self.levels}")
-        if max(self.levels) > meshmod.MAX_LEVEL:
-            raise ValueError(f"--levels: levels above {meshmod.MAX_LEVEL} are not "
-                             f"supported, got {self.levels}")
-        if self.levels != sorted(set(self.levels)):
-            raise ValueError("--levels: levels must be ascending and distinct, "
-                             f"got {self.levels}")
-        if self.mode in _SINGLE_LEVEL_MODES and len(self.levels) > 1:
-            raise ValueError(f"--levels: mode {self.mode} runs one level, "
-                             f"got {self.levels}")
-        if self.mode == "certify" and self.levels != _DEFAULT_LEVELS["certify"]:
-            raise ValueError("--levels: mode certify runs levels 0 and 1, "
-                             f"got {self.levels}")
-        if self.seed < 0:
-            raise ValueError(f"--seed: must be a non-negative integer, got {self.seed}")
-        # the parameter objects check their own fields and name the bad
-        # one first in the message; the usage error adds its flag
-        try:
-            self.params
-            if self.mode == "evolve":
-                self.evolution
-        except ValueError as err:
-            name = str(err).split(" ", 1)[0]
-            raise ValueError(f"{_FLAGS.get(name, name)}: {err}") from err
-
-    @property
-    def params(self):
-        return fem.MaterialParams(lame_lambda=self.lame_lambda,
-                                  lame_mu=self.lame_mu, shift=self.shift)
-
-    @property
-    def evolution(self):
-        return semigroup.EvolutionConfig(t_final=self.t_final, n_steps=self.n_steps)
+def _validate(cfg):
+    """Raise ValueError on a bad setting, the message starting with the
+    field at fault, as the parameter objects' messages do."""
+    if not cfg.levels:
+        raise ValueError("levels must contain at least one entry")
+    if any(l < 0 for l in cfg.levels):
+        raise ValueError(f"levels must be nonnegative, got {cfg.levels}")
+    if max(cfg.levels) > meshmod.MAX_LEVEL:
+        raise ValueError(f"levels above {meshmod.MAX_LEVEL} are not "
+                         f"supported, got {cfg.levels}")
+    if cfg.levels != sorted(set(cfg.levels)):
+        raise ValueError(f"levels must be ascending and distinct, got {cfg.levels}")
+    if cfg.mode in _SINGLE_LEVEL_MODES and len(cfg.levels) > 1:
+        raise ValueError(f"levels must be one level in mode {cfg.mode}, got {cfg.levels}")
+    if cfg.mode == "certify" and cfg.levels != _DEFAULT_LEVELS["certify"]:
+        raise ValueError(f"levels must be 0,1 in mode certify, got {cfg.levels}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
 
 
 def _parse_levels(text):
     try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as err:
-        raise ValueError(f"--levels: cannot parse {text!r}: {err}") from err
+        raise ValueError(f"levels must be comma-separated integers, "
+                         f"cannot parse {text!r}: {err}") from err
 
 
 def _read_config_file(path):
@@ -118,55 +89,79 @@ def _read_config_file(path):
 
 
 def _build_parser():
+    """The parser, and the action of each setting's flag keyed by its
+    config key: the flag's name with '-' read as '_'.  --levels defaults
+    by mode."""
     p = argparse.ArgumentParser(
         prog="fsifem",
         description="Coupled Stokes/elasticity resolvent studies on the "
                     "square-annulus benchmark.")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--levels", help="comma-separated refinement levels, e.g. 0,1,2,3")
-    p.add_argument("--lambda", dest="shift", type=float, help="resolvent shift (> 0)")
-    p.add_argument("--lame-lambda", dest="lame_lambda", type=float,
-                   help="first Lame modulus (>= 0)")
-    p.add_argument("--mu", dest="lame_mu", type=float, help="shear modulus (> 0)")
-    p.add_argument("--t-final", dest="t_final", type=float, help="evolution end time")
-    p.add_argument("--steps", dest="n_steps", type=int, help="number of Euler steps")
-    p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--seed", type=int, help="seed for randomized property runs")
+    settings = [
+        p.add_argument("--mode", choices=MODES),
+        p.add_argument("--levels", help="comma-separated refinement levels, e.g. 0,1,2,3"),
+        p.add_argument("--lambda", dest="shift", type=float, default=1.0,
+                       help="resolvent shift (> 0)"),
+        p.add_argument("--lame-lambda", type=float, default=1.0,
+                       help="first Lame modulus (>= 0)"),
+        p.add_argument("--mu", dest="lame_mu", type=float, default=1.0,
+                       help="shear modulus (> 0)"),
+        p.add_argument("--t-final", type=float, default=1.0, help="evolution end time"),
+        p.add_argument("--steps", dest="n_steps", type=int, default=100,
+                       help="number of Euler steps"),
+        p.add_argument("--out", dest="out_dir",
+                       default=os.environ.get("FSI_OUT_DIR") or ".",
+                       help="output directory"),
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized property runs"),
+    ]
     p.add_argument("--config", help="plain-text key = value configuration file")
-    return p
+    return p, {a.option_strings[0][2:].replace("-", "_"): a for a in settings}
 
 
-def build_config(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    file_vals = _read_config_file(args.config) if args.config else {}
+def _config_value(action, text, where):
+    """`text` parsed as the flag of `action` parses its argument."""
+    convert = action.type or str
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ValueError(f"{where}: invalid {convert.__name__} value {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{where}: invalid choice {value!r} "
+                         f"(choose from {', '.join(action.choices)})")
+    return value
 
-    def pick(flag_val, key, convert, fallback):
-        line = file_vals.pop(key, None)
-        if flag_val is not None:
-            return flag_val
-        return fallback if line is None else convert(line[1])
 
-    mode = pick(args.mode, "mode", str, None)
-    if mode is None:
+def build_config(argv) -> argparse.Namespace:
+    """The run's settings, one attribute per dest of the parser, with the
+    material `params` they make and, in evolve mode, the `evolution`."""
+    parser, settings = _build_parser()
+    cfg = parser.parse_args(argv)
+    if cfg.config:
+        # the file's values stand in for the defaults, so a flag wins
+        seeded = argparse.Namespace()
+        for key, (lineno, text) in _read_config_file(cfg.config).items():
+            if key not in settings:
+                raise ValueError(f"{cfg.config}:{lineno}: unknown key {key!r}")
+            action = settings[key]
+            setattr(seeded, action.dest,
+                    _config_value(action, text, f"{cfg.config}:{lineno}: key {key!r}"))
+        cfg = parser.parse_args(argv, seeded)
+    if cfg.mode is None:
         raise ValueError("mode is required (flag --mode or config key 'mode')")
-    levels = pick(args.levels, "levels", str, None)
-    levels = _parse_levels(levels) if levels is not None else list(_DEFAULT_LEVELS[mode])
-    out_env = os.environ.get("FSI_OUT_DIR")
-    cfg = RunConfig(
-        mode=mode,
-        levels=levels,
-        shift=pick(args.shift, "lambda", float, 1.0),
-        lame_lambda=pick(args.lame_lambda, "lame_lambda", float, 1.0),
-        lame_mu=pick(args.lame_mu, "mu", float, 1.0),
-        t_final=pick(args.t_final, "t_final", float, 1.0),
-        n_steps=pick(args.n_steps, "steps", int, 100),
-        out_dir=pick(args.out_dir, "out", str, out_env if out_env else "."),
-        seed=pick(args.seed, "seed", int, 0),
-    )
-    # the keys read above are the flag names; any other key is a mistake
-    for key, (lineno, _) in file_vals.items():
-        raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
-    cfg.validate()
+    try:
+        cfg.levels = (list(_DEFAULT_LEVELS[cfg.mode]) if cfg.levels is None
+                      else _parse_levels(cfg.levels))
+        _validate(cfg)
+        cfg.params = fem.MaterialParams(lame_lambda=cfg.lame_lambda,
+                                        lame_mu=cfg.lame_mu, shift=cfg.shift)
+        if cfg.mode == "evolve":
+            cfg.evolution = semigroup.EvolutionConfig(t_final=cfg.t_final,
+                                                      n_steps=cfg.n_steps)
+    except ValueError as err:
+        # the message names the field first; the usage error adds its flag
+        field = str(err).split(" ", 1)[0]
+        flag = {a.dest: a.option_strings[0] for a in settings.values()}
+        raise ValueError(f"{flag.get(field, field)}: {err}") from err
     return cfg
 
 
@@ -178,17 +173,26 @@ def _write(cfg, name, text):
     return path
 
 
-def _vector_csv(values):
-    lines = ["dof_id,value"]
-    lines += [f"{k},{float(v)!r}" for k, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
+def _csv(header, rows):
+    """The one format of every CSV artifact: the `header` line, then one
+    line per row, an integer as is, a float in its shortest round-trip
+    form (repr) and a missing value as an em dash."""
+    def cell(value):
+        if value is None:
+            return "—"
+        if isinstance(value, (str, int, np.integer)):
+            return str(value)
+        return repr(float(value))
+
+    return "".join(f"{line}\n" for line in
+                   [header, *(",".join(map(cell, row)) for row in rows)])
 
 
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------
 
-def run_resolvent(cfg: RunConfig) -> bool:
+def run_resolvent(cfg) -> bool:
     level = cfg.levels[0]
     case = analysis.manufactured_case(cfg.shift)
     identity = analysis.verify_data_identity(case)
@@ -200,10 +204,9 @@ def run_resolvent(cfg: RunConfig) -> bool:
     c0_flux = solver.recover_c0(space, cfg.params, state, q0, data)
     report = solver.check_domain_conditions(space, cfg.params, state, state.pi, data)
 
-    _write(cfg, "state_u.csv", _vector_csv(state.u))
-    _write(cfg, "state_w.csv", _vector_csv(state.w))
-    _write(cfg, "state_z.csv", _vector_csv(state.z))
-    _write(cfg, "pressure.csv", _vector_csv(state.pi))
+    for name, values in (("state_u", state.u), ("state_w", state.w),
+                         ("state_z", state.z), ("pressure", state.pi)):
+        _write(cfg, f"{name}.csv", _csv("dof_id,value", enumerate(values)))
     payload = {
         "level": level,
         "solve_residual": solve_rep.residual,
@@ -227,10 +230,16 @@ def run_resolvent(cfg: RunConfig) -> bool:
     return ok
 
 
-def run_convergence(cfg: RunConfig) -> bool:
+def run_convergence(cfg) -> bool:
     report = analysis.convergence_study(cfg.levels, cfg.params)
-    _write(cfg, "convergence.csv", report.convergence_csv())
-    _write(cfg, "rates.csv", report.rates_csv())
+    _write(cfg, "convergence.csv", _csv(
+        "elements,hypotenuse,fluid_h1,pressure_l2,solid_h1,fluid_eps_seminorm,"
+        "solid_h1_full,status",
+        [(r.elements, r.hypotenuse, r.eu_h1, r.epi_l2, r.ew_h1, r.eu_seminorm,
+          r.ew_h1_full, r.failed or "ok") for r in report.rows]))
+    rates = list(zip([f"mesh{k + 1}/mesh{k + 2}" for k in range(len(report.rows) - 1)],
+                     report.fluid_rates, report.pressure_rates, report.solid_rates))
+    _write(cfg, "rates.csv", _csv("pair,fluid_h1,pressure_l2,solid_h1", rates))
     print("elements  hypotenuse    fluid_h1      pressure_l2   solid_h1")
     for r in report.rows:
         if r.failed:
@@ -240,19 +249,19 @@ def run_convergence(cfg: RunConfig) -> bool:
                   f"{r.epi_l2:<12.6e}  {r.ew_h1:<12.6e}")
     fmt = lambda v: " -- " if v is None else f"{v:.3f}"
     print("rates (fluid / pressure / solid):")
-    for k, (f, p, s) in enumerate(zip(report.fluid_rates, report.pressure_rates,
-                                      report.solid_rates)):
-        print(f"  mesh{k+1}/mesh{k+2}: {fmt(f)} / {fmt(p)} / {fmt(s)}")
-    print(f"note: {report.note}")
+    for pair, f, p, s in rates:
+        print(f"  {pair}: {fmt(f)} / {fmt(p)} / {fmt(s)}")
+    print(f"note: {_CONVERGENCE_NOTE}")
     return all(r.failed is None for r in report.rows)
 
 
-def run_infsup(cfg: RunConfig) -> bool:
+def run_infsup(cfg) -> bool:
     report = analysis.infsup_study(cfg.levels)
-    _write(cfg, "infsup.csv", report.csv())
+    _write(cfg, "infsup.csv", _csv("level,hypotenuse,beta_h",
+                                   [(r.level, r.hypotenuse, r.beta) for r in report.rows]))
     for r in report.rows:
         print(f"level {r.level}: h = {r.hypotenuse:.6g}, beta_h = {r.beta:.8f}")
-    print(f"relative spread: {report.spread:.3%} ({report.convention})")
+    print(f"relative spread: {report.spread:.3%} ({_INFSUP_CONVENTION})")
     return True
 
 
@@ -266,18 +275,20 @@ def _evolve_initial_state(space, case, params):
     return state
 
 
-def run_evolve(cfg: RunConfig) -> bool:
+def run_evolve(cfg) -> bool:
     level = cfg.levels[0]
     space = fem.build_space(meshmod.generate(level))
     case = analysis.manufactured_case(cfg.shift)
     initial = _evolve_initial_state(space, case, cfg.params)
-    config = cfg.evolution
-    result = semigroup.evolve(space, cfg.params, initial, config)
-    path = _write(cfg, "energy_trace.csv", result.trace.csv())
+    result = semigroup.evolve(space, cfg.params, initial, cfg.evolution)
+    path = _write(cfg, "energy_trace.csv", _csv(
+        "step,time,E_total,E_fluid,E_solid_potential,E_solid_kinetic,dissipation",
+        [(r.step, r.time, r.e_total, r.e_fluid, r.e_solid_potential, r.e_solid_kinetic,
+          r.dissipation) for r in result.trace.rows]))
     totals = [row.e_total for row in result.trace.rows]
     monotone = all(totals[k + 1] <= totals[k] * (1 + 1e-12) for k in range(len(totals) - 1))
     balanced = result.balance_residual <= 1e-6
-    print(f"evolve: level {level}, dt = {config.dt:g}, {cfg.n_steps} steps")
+    print(f"evolve: level {level}, dt = {cfg.evolution.dt:g}, {cfg.n_steps} steps")
     print(f"  energy {totals[0]:.6e} -> {totals[-1]:.6e}, "
           f"monotone: {'PASS' if monotone else 'FAIL'}")
     print(f"  balance residual {result.balance_residual:.3e} <= 1e-06: "
@@ -286,7 +297,7 @@ def run_evolve(cfg: RunConfig) -> bool:
     return monotone and balanced
 
 
-def _certify_lines(cfg: RunConfig):
+def _certify_lines(cfg):
     rng = np.random.default_rng(cfg.seed)
     params = cfg.params
     lines = []
@@ -337,17 +348,17 @@ def _certify_lines(cfg: RunConfig):
         rng.standard_normal(space0.num_velocity_dofs),
         rng.standard_normal(space0.num_solid_dofs),
         rng.standard_normal(space0.num_solid_dofs))
-    schur_state, _ = solver.solve_resolvent(space0, params, data0)
+    state, _ = solver.solve_resolvent(space0, params, data0)
     mono_state = solver.monolithic_solve(space0, params, data0)
     rel = lambda a, b: float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
-    diff = max(rel(schur_state.u, mono_state.u), rel(schur_state.pi, mono_state.pi),
-               rel(schur_state.w, mono_state.w))
+    diff = max(rel(state.u, mono_state.u), rel(state.pi, mono_state.pi),
+               rel(state.w, mono_state.w))
     ok &= record("oracle_equivalence", diff, 1e-10, diff <= 1e-10)
 
     return lines, ok
 
 
-def run_certify(cfg: RunConfig) -> bool:
+def run_certify(cfg) -> bool:
     lines, ok = _certify_lines(cfg)
     text = "\n".join(lines + [f"overall {'PASS' if ok else 'FAIL'}"]) + "\n"
     path = _write(cfg, "certify.txt", text)
@@ -360,7 +371,7 @@ _RUNNERS = {"resolvent": run_resolvent, "convergence": run_convergence,
             "infsup": run_infsup, "evolve": run_evolve, "certify": run_certify}
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg) -> int:
     return 0 if _RUNNERS[cfg.mode](cfg) else 1
 
 

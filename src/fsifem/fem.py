@@ -27,11 +27,12 @@ dofs, and the columns fix the region: `divergence` has pressure rows and
 velocity columns, `pressure_mass` pressure rows and columns, and every
 other form the interleaved vector dofs of its region.  `fluid_operators`
 and `solid_operators` bundle the forms the solves read and keep them on
-the space (`TaylorHoodSpace.cached`), as the solver keeps its
-factorizations there.  The space holds one value per name, keyed by what
-it depends on: the fluid operators and the solid mass and gradient by
-nothing, the solid operators by the Lame moduli, so a request at another
-shift reuses them.
+the space (`TaylorHoodSpace.cached`), as the solver keeps its shifted
+solid matrix and resolvent operator there.  The space holds one value per
+name, keyed by what it depends on: the fluid operators by nothing, the
+solid operators by the Lame moduli, so a request at another shift reuses
+them.  The solid operators are one build, the mass, gradient and
+stiffness in that order, so a request at other moduli assembles all three.
 
 Assembly and the exact fields of the error norms are class-grouped by
 `sparse.bit_classes`, which groups rows of floats by their exact bits.  Every
@@ -192,20 +193,12 @@ class TaylorHoodSpace:
         self._cache = {}
         nv = mesh.num_vertices
 
-        # global scalar P2 nodes: vertices then edge midpoints; the mesh
-        # sorts its edges by this key
-        self._edge_key = mesh.edges[:, 0] * nv + mesh.edges[:, 1]
+        # global scalar P2 nodes: vertices then edge midpoints
         mid_xy = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         self.node_xy = np.vstack([mesh.vertices, mid_xy])
         self.num_nodes = nv + mesh.edges.shape[0]
 
-        tri = mesh.triangles
-        self.tri_nodes = np.column_stack([
-            tri,
-            nv + self._edge_index(tri[:, 0], tri[:, 1]),
-            nv + self._edge_index(tri[:, 1], tri[:, 2]),
-            nv + self._edge_index(tri[:, 2], tri[:, 0]),
-        ])
+        self.tri_nodes = np.column_stack([mesh.triangles, nv + mesh.tri_edges])
 
         self.fluid_tris = np.flatnonzero(mesh.tri_region == meshmod.FLUID)
         self.solid_tris = np.flatnonzero(mesh.tri_region == meshmod.SOLID)
@@ -255,10 +248,6 @@ class TaylorHoodSpace:
         solid_iface_mask = np.zeros(self.num_solid_dofs, dtype=bool)
         solid_iface_mask[self.iface_solid_dofs] = True
         self.solid_interior_dofs = np.flatnonzero(~solid_iface_mask)
-
-    def _edge_index(self, a, b):
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return np.searchsorted(self._edge_key, lo * self.mesh.num_vertices + hi)
 
     # -- convenience views -------------------------------------------------
 
@@ -622,8 +611,8 @@ def fluid_operators(space) -> FluidOperators:
 
 def solid_operators(space, params: MaterialParams) -> SolidOperators:
     def build():
-        mass = space.cached("solid_mass", lambda: assemble(space, "solid_mass"))
-        grad = space.cached("solid_grad", lambda: assemble(space, "solid_gradient"))
+        mass = assemble(space, "solid_mass")
+        grad = assemble(space, "solid_gradient")
         stiffness = assemble(space, "solid_stiffness", params)
         return SolidOperators(mass=mass, stiffness=stiffness, grad=grad,
                               energy=owned_csr(stiffness + mass))

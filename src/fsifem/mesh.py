@@ -16,8 +16,10 @@ Vertex coordinates are the rationals i/n evaluated in double precision.
 `generate` decides region membership by integer index arithmetic, never by
 floating-point comparison against 1/3; it is the only place that knows the
 grid layout.  Everything else comes from connectivity: `edge_topology`
-finds the unique edges and each edge's one or two triangles in one
-vectorized pass, and the edge tags follow from those triangles' regions.
+finds the unique edges, each edge's one or two triangles and the edge of
+each triangle side in one vectorized pass.  The edge tags follow from
+those triangles' regions, and `tri_edges` gives the space its P2 edge
+nodes without a second search.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ class TriMesh:
     tri_region   (nt,)  FLUID or SOLID
     edges        (ne, 2) int64 vertex pairs, v0 < v1, sorted by v0 * nv + v1
     edge_tag     (ne,)  GAMMA_F, GAMMA_S or INTERIOR
-    edge_triangles (ne, 2) int64 the one or two triangles of each edge,
-                 -1 for the missing one
+    tri_edges    (nt, 3) int64 the edge of each triangle side (v0, v1),
+                 (v1, v2), (v2, v0)
     level        refinement level, grid size n = 6 * 2**level
     """
 
@@ -63,7 +65,7 @@ class TriMesh:
     tri_region: np.ndarray
     edges: np.ndarray
     edge_tag: np.ndarray
-    edge_triangles: np.ndarray
+    tri_edges: np.ndarray
     level: int
 
     @property
@@ -127,25 +129,27 @@ def generate(level: int) -> TriMesh:
     tri_region[0::2] = np.where(solid_cell, SOLID, FLUID)
     tri_region[1::2] = tri_region[0::2]
 
-    edges, edge_triangles = edge_topology(triangles, vertices.shape[0])
+    edges, edge_triangles, tri_edges = edge_topology(triangles, vertices.shape[0])
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
         tri_region=tri_region,
         edges=edges,
         edge_tag=_edge_tags(edge_triangles, tri_region),
-        edge_triangles=edge_triangles,
+        tri_edges=tri_edges,
         level=level,
     )
 
 
 def edge_topology(triangles, num_vertices):
-    """Unique edges and the triangles on their sides, in one vectorized pass.
+    """Unique edges, the triangles on their sides and the edge of each
+    triangle side, in one vectorized pass.
 
-    Returns `edges` (ne, 2) with v0 < v1, sorted by the key v0 * nv + v1,
-    and `edge_triangles` (ne, 2), the one or two triangles of each edge
-    with -1 for the missing one.  An edge of three or more triangles is a
-    MeshError.
+    Returns `edges` (ne, 2) with v0 < v1, sorted by the key v0 * nv + v1;
+    `edge_triangles` (ne, 2), the one or two triangles of each edge with
+    -1 for the missing one; and `tri_edges` (nt, 3), the edge of the sides
+    (v0, v1), (v1, v2) and (v2, v0) of each triangle.  An edge of three or
+    more triangles is a MeshError.
     """
     pairs = np.concatenate([
         triangles[:, [0, 1]],
@@ -156,7 +160,8 @@ def edge_topology(triangles, num_vertices):
     key = pairs[:, 0] * num_vertices + pairs[:, 1]
     order = np.argsort(key, kind="stable")
     key = key[order]
-    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    first = np.r_[True, key[1:] != key[:-1]]
+    start = np.flatnonzero(first)
     count = np.diff(np.r_[start, key.size])
     if np.any(count > 2):
         k = np.argmax(count)
@@ -167,7 +172,10 @@ def edge_topology(triangles, num_vertices):
     edge_triangles[:, 0] = tri[start]
     two = count == 2
     edge_triangles[two, 1] = tri[start[two] + 1]
-    return pairs[order[start]], edge_triangles
+    # pair p is side p // nt of triangle p mod nt
+    side_edge = np.empty(key.size, dtype=np.int64)
+    side_edge[order] = np.cumsum(first) - 1
+    return pairs[order[start]], edge_triangles, side_edge.reshape(3, -1).T
 
 
 def _edge_tags(edge_triangles, tri_region):

@@ -68,13 +68,6 @@ class EnergyTraceRow:
 class EnergyTrace:
     rows: list
 
-    def csv(self):
-        lines = ["step,time,E_total,E_fluid,E_solid_potential,E_solid_kinetic,dissipation"]
-        for r in self.rows:
-            lines.append(f"{r.step},{r.time!r},{r.e_total!r},{r.e_fluid!r},"
-                         f"{r.e_solid_potential!r},{r.e_solid_kinetic!r},{r.dissipation!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _h_terms(space, params: MaterialParams, a, b: FsiState):
     """The fluid, solid-potential and solid-kinetic terms of (a, b)_H.

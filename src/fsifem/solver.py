@@ -53,18 +53,18 @@ taken from the assembled divergence.  A resolvent solution's momentum
 residual vanishes on every free velocity dof off Gamma_s, so these rows
 are the whole traction functional.  With w the lift w*/lam on Gamma_s
 (`_solid_lift`) the solid residual is also the solid part of the solve's
-right-hand side and of the dense oracle's.  Matrices, factorizations
-and operators are kept on the space, one parameter set's at a time
-(`TaylorHoodSpace.cached`; the operator is keyed by its factor's
-precision too): a request at another parameter set drops the
-held shifted solid matrix, solid factor or operator before building the
-new one, so a sweep over shifts holds one factor, not one per shift.  A
-caller that holds an operator keeps it across requests at other
-parameter sets.  A cached operator holds no reference to its
-space, only the dof arrays and sizes it reads, so no reference cycle runs
-through the cache: dropping the last reference to a space frees its
-operators and their factors at once, without waiting for the cyclic
-garbage collector.
+right-hand side and of the dense oracle's.  The shifted solid matrix and
+the resolvent operator are kept on the space, one parameter set's at a
+time (`TaylorHoodSpace.cached`; the operator is keyed by its factor's
+precision too): a request at another parameter set drops the held
+value before building the new one, so a sweep over shifts holds one
+factor, not one per shift.  The Dirichlet map keeps no factor of S_ii:
+certify reads the map once, through `schur_form`.  A caller that holds
+an operator keeps it across requests at other parameter sets.  A cached
+operator holds no reference to its space, only the dof arrays and sizes
+it reads, so no reference cycle runs through the cache: dropping the
+last reference to a space frees its operators and their factors at
+once, without waiting for the cyclic garbage collector.
 
 A dense monolithic assembly of the same coupled problem (interface trial
 constraint w = (1/lam)(u + w*) on Gamma_s, solid tests paired with fluid
@@ -161,20 +161,6 @@ def _shifted_solid_matrix(space, params):
     return space.cached("solid_shifted", build, params)
 
 
-def _solid_interior_factor(space, params):
-    """Factorization of the interior block S_ii, in the nested-dissection
-    order of its nodes, for the Dirichlet map.  S_ii is SPD for every
-    valid mesh and material: K_sigma is positive semidefinite and
-    (lam^2 + 1) M_s is SPD, so its pivots are bounded below and are not
-    tested."""
-    def build():
-        ii = space.solid_interior_dofs
-        return sla.factorize(_shifted_solid_matrix(space, params)[ii][:, ii],
-                             solid_coordinates(space, ii))
-
-    return space.cached("solid_factor", build, params)
-
-
 def _solid_lift(iface_solid_dofs, lam, w_star):
     """The solid displacement's trace part w*/lam on Gamma_s (the solid
     dofs `iface_solid_dofs`), zero inside: a resolvent solution has
@@ -200,13 +186,16 @@ def dirichlet_map(space, params: MaterialParams) -> np.ndarray:
     Column j is the solid field equal to the j-th interface basis trace on
     Gamma_s (exactly, at nodes) and discrete-harmonic inside: interior
     test functions see a zero residual of S = (lam^2+1) M + K_sigma.
+    The interior block S_ii is factorized in the nested-dissection order
+    of its nodes.  It is SPD for every valid mesh and material: K_sigma
+    is positive semidefinite and (lam^2 + 1) M_s is SPD, so its pivots
+    are bounded below and are not tested.
     """
     s_mat = _shifted_solid_matrix(space, params)
-    factor = _solid_interior_factor(space, params)
     ii = space.solid_interior_dofs
     bb = space.iface_solid_dofs
-    rhs = -s_mat[ii][:, bb].toarray()
-    interior, _ = factor.solve(rhs)
+    factor = sla.factorize(s_mat[ii][:, ii], solid_coordinates(space, ii))
+    interior, _ = factor.solve(-s_mat[ii][:, bb].toarray())
     columns = np.zeros((space.num_solid_dofs, bb.size))
     columns[bb, np.arange(bb.size)] = 1.0
     columns[ii] = interior

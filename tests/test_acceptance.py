@@ -146,13 +146,13 @@ def test_criterion_8_oracle_equivalence():
         rng.standard_normal(space.num_velocity_dofs),
         rng.standard_normal(space.num_solid_dofs),
         rng.standard_normal(space.num_solid_dofs))
-    schur_state, _ = solver.solve_resolvent(space, PARAMS, data)
+    state, _ = solver.solve_resolvent(space, PARAMS, data)
     mono = solver.monolithic_solve(space, PARAMS, data)
     rel = lambda a, b: float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
-    diffs = (rel(schur_state.u, mono.u), rel(schur_state.pi, mono.pi),
-             rel(schur_state.w, mono.w))
+    diffs = (rel(state.u, mono.u), rel(state.pi, mono.pi), rel(state.w, mono.w))
     ok = max(diffs) <= 1e-10
-    _report(8, "Schur solve equals dense monolithic solve to 1e-10 (level 0)",
+    _report(8, "bordered sparse resolvent solve equals dense monolithic solve "
+            "to 1e-10 (level 0)",
             ok, f"(u, pi, w) rel diffs={tuple(f'{d:.1e}' for d in diffs)}")
 
 

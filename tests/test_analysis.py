@@ -13,7 +13,7 @@ from numpy.polynomial import polynomial as npoly
 
 from conftest import (perturbed_case, pressure_schur_complement, quadrature_points,
                       zero_state)
-from fsifem import analysis, fem, mesh as meshmod, solver, sparse as sla
+from fsifem import analysis, cli, fem, mesh as meshmod, solver, sparse as sla
 
 
 # -- manufactured case -------------------------------------------------------
@@ -486,14 +486,21 @@ def test_interpolant_shortcut_gives_zero_solid_error(params, case):
         assert err.ew_h1 == 0.0
 
 
-def test_rates_recomputed_from_csv(params):
-    report = analysis.convergence_study([0, 1], params)
-    lines = report.convergence_csv().splitlines()
-    header = lines[0].split(",")
-    i_fluid = header.index("fluid_h1")
-    errors = [float(line.split(",")[i_fluid]) for line in lines[1:]]
+def _convergence_tables(out, code=0):
+    """convergence.csv and rates.csv of `fsifem --mode convergence --levels
+    0,1`, which exits `code`, each as a list of rows of cells."""
+    assert cli.main(["--mode", "convergence", "--levels", "0,1", "--out", str(out)]) == code
+    return [[line.split(",") for line in (out / name).read_text().splitlines()]
+            for name in ("convergence.csv", "rates.csv")]
+
+
+def test_rates_recomputed_from_csv(tmp_path):
+    conv, rates = _convergence_tables(tmp_path)
+    i_fluid = conv[0].index("fluid_h1")
+    errors = [float(row[i_fluid]) for row in conv[1:]]
     recomputed = math.log(errors[0] / errors[1]) / math.log(2.0)
-    assert recomputed == pytest.approx(report.fluid_rates[0], rel=1e-12)
+    assert recomputed == pytest.approx(float(rates[1][rates[0].index("fluid_h1")]),
+                                       rel=1e-12)
 
 
 def _fail_second_solve(monkeypatch, error):
@@ -533,15 +540,20 @@ def test_study_frees_each_factor_before_the_error_norms(params, monkeypatch):
     assert len(built) == 2
 
 
-def test_partial_report_marks_failed_level(params, monkeypatch):
+def test_partial_report_marks_failed_level(params, monkeypatch, tmp_path):
     measured = sla.LinearSolveReport(residual=1.0, solve_time=0.0, factor_time=0.0)
-    _fail_second_solve(monkeypatch, sla.SolveAccuracyError("injected failure", measured))
+    error = sla.SolveAccuracyError("injected failure", measured)
+    _fail_second_solve(monkeypatch, error)
     report = analysis.convergence_study([0, 1], params)
     assert report.rows[0].failed is None
     assert report.rows[1].failed == "SolveAccuracyError: injected failure"
     assert math.isnan(report.rows[1].solve_residual)
     assert report.fluid_rates == [None]
-    assert report.convergence_csv().splitlines()[2].endswith("injected failure")
+    monkeypatch.undo()
+    _fail_second_solve(monkeypatch, error)
+    conv, rates = _convergence_tables(tmp_path, code=1)
+    assert [row[-1] for row in conv[1:]] == ["ok", "SolveAccuracyError: injected failure"]
+    assert rates[1][1:] == ["—"] * 3
 
 
 def test_programming_error_propagates_from_study(params, monkeypatch):
@@ -550,7 +562,7 @@ def test_programming_error_propagates_from_study(params, monkeypatch):
         analysis.convergence_study([0, 1], params)
 
 
-def test_rate_floor_reports_dash():
+def test_rate_floor_reports_dash(monkeypatch, tmp_path):
     rows = [analysis.ConvergenceRow(level=0, elements=72, hypotenuse=0.2,
                                     eu_h1=1e-20, epi_l2=1.0, ew_h1=1.0),
             analysis.ConvergenceRow(level=1, elements=288, hypotenuse=0.1,
@@ -558,8 +570,9 @@ def test_rate_floor_reports_dash():
     report = analysis.ConvergenceReport(rows=rows)
     assert report.fluid_rates == [None]
     assert report.pressure_rates == [pytest.approx(1.0)]
-    line = report.rates_csv().splitlines()[1]
-    assert line.split(",")[1] == "—"
+    monkeypatch.setattr(analysis, "convergence_study", lambda levels, params: report)
+    _, rates = _convergence_tables(tmp_path)
+    assert rates[1] == ["mesh1/mesh2", "—", "1.0", "2.0"]
 
 
 # -- inf-sup study -----------------------------------------------------------
@@ -704,13 +717,6 @@ def test_infsup_memory_is_bounded(infsup_runs, traced_peak):
 
 def test_infsup_is_bitwise_repeatable(space1):
     assert analysis.infsup_beta(space1) == analysis.infsup_beta(space1)
-
-
-def test_infsup_csv_layout():
-    report = analysis.infsup_study([0, 1])
-    lines = report.csv().splitlines()
-    assert lines[0] == "level,hypotenuse,beta_h"
-    assert len(lines) == 3
 
 
 def test_schur_complement_symmetry(space0):

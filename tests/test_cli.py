@@ -1,6 +1,10 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +270,24 @@ def test_config_file_rejects_duplicate_key(tmp_path, capsys):
     assert not (tmp_path / "domain_conditions.json").exists()
 
 
+@pytest.mark.parametrize("text, lineno, key, message", [
+    ("mode = foo\n", 1, "mode", "invalid choice 'foo'"),
+    ("mode = evolve\nlambda = abc\n", 2, "lambda", "invalid float value 'abc'"),
+    ("mode = evolve\nlevels = 0\nsteps = 2.5\n", 3, "steps", "invalid int value '2.5'"),
+], ids=["mode", "lambda", "steps"])
+def test_config_file_values_are_parsed_as_flags(tmp_path, capsys, text, lineno, key,
+                                                message):
+    # a value goes through its flag's type and choices, and a bad one is a
+    # usage error naming the file, line and key, not a traceback
+    config = tmp_path / "study.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"usage error: {config}:{lineno}: key '{key}': {message}")
+    assert not out.exists()
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("FSI_OUT_DIR", str(target))
@@ -284,3 +306,44 @@ def test_build_config_defaults():
     assert cfg.levels == [0, 1, 2, 3]
     assert cfg.shift == 1.0
     assert cfg.seed == 0
+
+
+# The runs whose artifacts tests/artifacts.sha256 pins, each written to the
+# directory named after its mode.  A change that moves an artifact's bytes
+# updates that file.
+_ARTIFACT_RUNS = [
+    ["--mode", "convergence", "--levels", "0,1,2"],
+    ["--mode", "resolvent", "--levels", "1"],
+    ["--mode", "infsup", "--levels", "0,1,2"],
+    ["--mode", "evolve", "--steps", "20", "--t-final", "0.2"],
+    ["--mode", "certify", "--seed", "7"],
+]
+
+_WRITE_ARTIFACTS = """
+import contextlib, io, sys
+from fsifem import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in {runs!r}:
+        assert cli.main(args + ["--out", sys.argv[1] + "/" + args[1]]) == 0, args
+"""
+
+
+def _digests(root):
+    """`sha256sum` lines of every file under `root`, sorted by path."""
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root).as_posix()}"
+            for p in files]
+
+
+def test_artifacts_match_committed_digests_under_one_and_two_blas_threads(tmp_path):
+    committed = (Path(__file__).parent / "artifacts.sha256").read_text().splitlines()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = _WRITE_ARTIFACTS.format(runs=_ARTIFACT_RUNS)
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        done = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert _digests(out) == committed, f"{threads} BLAS thread(s)"

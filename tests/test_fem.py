@@ -378,12 +378,13 @@ def _loop_normal_moments(space):
     """r_i = integral over Gamma_s of nu . phi_i ds, edge by edge with a
     4-point Gauss rule, nu the unit normal pointing out of the fluid."""
     m = space.mesh
+    _, edge_triangles, _ = meshmod.edge_topology(m.triangles, m.num_vertices)
     t, w = fem.gauss_legendre_01(4)
     shape_ref = w @ _edge_shape(t)
     r = np.zeros(2 * space.iface_nodes.size)
     for e in np.flatnonzero(m.edge_tag == meshmod.GAMMA_S):
         v0, v1 = m.edges[e]
-        tris = m.edge_triangles[e]
+        tris = edge_triangles[e]
         fluid = tris[0] if m.tri_region[tris[0]] == meshmod.FLUID else tris[1]
         apex = m.triangles[fluid].sum() - v0 - v1
         tangent = m.vertices[v1] - m.vertices[v0]

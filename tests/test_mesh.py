@@ -76,9 +76,9 @@ def test_tags_from_connectivity_match_grid_layout(level):
 
 def test_edge_topology_lists_each_edges_triangles(mesh1):
     nv, nt = mesh1.num_vertices, mesh1.num_triangles
-    edges, edge_tris = meshmod.edge_topology(mesh1.triangles, nv)
+    edges, edge_tris, tri_edges = meshmod.edge_topology(mesh1.triangles, nv)
     assert np.array_equal(edges, mesh1.edges)
-    assert np.array_equal(edge_tris, mesh1.edge_triangles)
+    assert np.array_equal(tri_edges, mesh1.tri_edges)
     assert np.all(np.diff(edges[:, 0] * nv + edges[:, 1]) > 0)
     for side in (0, 1):
         has = edge_tris[:, side] >= 0
@@ -89,6 +89,16 @@ def test_edge_topology_lists_each_edges_triangles(mesh1):
     assert np.array_equal(np.bincount(edge_tris[edge_tris >= 0], minlength=nt),
                           np.full(nt, 3))
     assert np.array_equal(edge_tris[:, 1] < 0, mesh1.edge_tag == meshmod.GAMMA_F)
+
+
+@pytest.mark.parametrize("level", range(3))
+def test_tri_edges_hold_each_sides_vertex_pair(level):
+    # the triangle's own vertices are the oracle: side k runs from vertex
+    # k to vertex k + 1 mod 3
+    m = meshmod.generate(level)
+    for k in range(3):
+        side = np.sort(m.triangles[:, [k, (k + 1) % 3]], axis=1)
+        assert np.array_equal(m.edges[m.tri_edges[:, k]], side)
 
 
 def test_edge_topology_rejects_edge_of_three_triangles():
@@ -109,9 +119,9 @@ def test_vertex_condition_exhaustive(level):
 @pytest.mark.parametrize("level", range(3))
 def test_structural_invariants(level):
     m = meshmod.generate(level)
-    edges, edge_tris = meshmod.edge_topology(m.triangles, m.num_vertices)
+    edges, edge_tris, tri_edges = meshmod.edge_topology(m.triangles, m.num_vertices)
     assert np.array_equal(m.edges, edges)
-    assert np.array_equal(m.edge_triangles, edge_tris)
+    assert np.array_equal(m.tri_edges, tri_edges)
     # the one triangle of every outer-boundary edge is fluid
     outer = m.edge_tag == meshmod.GAMMA_F
     assert np.all(m.tri_region[edge_tris[outer, 0]] == meshmod.FLUID)

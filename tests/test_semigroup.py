@@ -272,15 +272,6 @@ def test_generator_sign_many_random(space1, params, rng):
         assert abs(qform + dissipation) <= 1e-8 * max(1.0, dissipation)
 
 
-def test_trace_csv_columns(space0, params, rng):
-    config = semigroup.EvolutionConfig(t_final=0.1, n_steps=2)
-    result = semigroup.evolve(space0, params, solver.random_state(space0, rng), config)
-    lines = result.trace.csv().splitlines()
-    assert lines[0] == ("step,time,E_total,E_fluid,E_solid_potential,"
-                        "E_solid_kinetic,dissipation")
-    assert len(lines) == 1 + len(result.trace.rows)
-
-
 # -- kernel of the generator -------------------------------------------------
 
 def test_generator_kernel_is_the_pressurized_solid_state(space0, params):

@@ -70,12 +70,18 @@ def test_dirichlet_map_energy_optimality(space0, params, rng):
 
 # -- solid interior factor ---------------------------------------------------
 
+def _solid_interior_factor(space, params):
+    """The factor of S_ii that the Dirichlet map solves with."""
+    ii = space.solid_interior_dofs
+    return sla.factorize(solver._shifted_solid_matrix(space, params)[ii][:, ii],
+                         solver.solid_coordinates(space, ii))
+
+
 def test_solid_inverse_matches_dense_oracle(space0, params, rng):
-    # the factor of S_ii that the Dirichlet map solves with
     coeffs = rng.standard_normal(space0.num_solid_dofs)
     load = fem.solid_operators(space0, params).mass @ coeffs
     ii = space0.solid_interior_dofs
-    w, _ = solver._solid_interior_factor(space0, params).solve(load[ii])
+    w, _ = _solid_interior_factor(space0, params).solve(load[ii])
     s_dense = solver._shifted_solid_matrix(space0, params).toarray()
     oracle = np.linalg.solve(s_dense[np.ix_(ii, ii)], load[ii])
     assert _rel(w, oracle) <= 1e-10
@@ -193,7 +199,7 @@ def _schur_solve(space, params, data):
     mq = fem.solid_operators(space, params).mass @ (lam * data.w_star + data.z_star)
     w0 = e @ data.w_star[space.iface_solid_dofs] / lam
     ii = space.solid_interior_dofs
-    w0[ii] += solver._solid_interior_factor(space, params).solve(mq[ii])[0]
+    w0[ii] += _solid_interior_factor(space, params).solve(mq[ii])[0]
     rhs_v = data.u_load[free].copy()
     rhs_v[space.iface_free_dofs] += e.T @ mq - s_e.T @ w0
     x, _ = sla.factorize(saddle, solver.saddle_coordinates(space)).solve(
