@@ -14,11 +14,8 @@ lam u - (1/2) Laplace u that shares no code with it.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -26,7 +23,7 @@ from functools import partial, reduce
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import fem
+from . import fem, helper
 from . import mesh as meshmod
 from . import solver
 from . import sparse as sla
@@ -302,24 +299,6 @@ ERROR_NORM_CHUNK = 1024
 _ERROR_NORM_BLOCK = 64
 
 
-def _current_cpu():
-    """The CPU the calling thread runs on now, or -1 if unknown."""
-    return ctypes.CDLL(None).sched_getcpu()
-
-
-def _helper_cpus(chunks):
-    """CPUs for the error-norm helper thread: those this thread may run
-    on, less the one it runs on now.  Empty, so no helper, for fewer than
-    two chunks or a thread allowed only one CPU.  Without the pinning the
-    kernel may start the helper on the caller's CPU and leave it there for
-    the whole call: on a 2-vCPU KVM guest both threads shared one CPU in
-    each of four fresh benchmark passes."""
-    if chunks < 2 or not hasattr(os, "sched_getaffinity"):
-        return set()
-    cpus = os.sched_getaffinity(0)
-    return cpus - {_current_cpu()} if len(cpus) >= 2 else set()
-
-
 def error_norms(space, state, pi, case: ManufacturedCase,
                 params: MaterialParams) -> ErrorNorms:
     """Errors of (state, pi) against the exact fields of `case`; the
@@ -342,8 +321,8 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     point x basis) gradient tensor is built.
 
     Two chunks are in flight when there are two or more and a second CPU
-    (`_helper_cpus`): the calling thread evaluates the even chunks and
-    one helper thread, pinned off the caller's CPU and living only inside
+    (`helper.thread`): the calling thread evaluates the even chunks and
+    the helper thread, pinned off the caller's CPU and living only inside
     this call, the odd ones; numpy releases the GIL inside the products,
     ufuncs and gathers of each block.  One helper is a fixed design
     constant, not a setting: each thread in flight costs one 13 MB
@@ -351,40 +330,40 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     instead of 13.  Each chunk's four sums are kept and added in chunk
     order once both threads are done, so every norm is bitwise that of the
     serial loop.  An exception in either thread stops the other after its
-    current chunk and propagates with its own type."""
+    current chunk and propagates with its own type.  A helper that has not started the
+    odd chunks when the caller is done with the even ones never runs
+    them: the caller takes them back."""
     rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
     fluid = space.fluid_tris
     chunks = [fluid[start:start + ERROR_NORM_CHUNK]
               for start in range(0, fluid.size, ERROR_NORM_CHUNK)]
-    helper_cpus = _helper_cpus(len(chunks))
-    stride = 2 if helper_cpus else 1
-    tables = [np.empty((4, min(ERROR_NORM_CHUNK, fluid.size), rule.weights.size))
-              for _ in range(stride)]
     sums = [None] * len(chunks)
     failed = threading.Event()
 
-    def work(first):
+    def work(first, stride, table):
         try:
             for k in range(first, len(chunks), stride):
                 if failed.is_set():
                     return
                 sums[k] = _fluid_error_squares(space, state.u, pi, case, rule,
-                                               chunks[k], tables[first])
+                                               chunks[k], table)
         except BaseException:
             failed.set()
             raise
 
-    def helper():
-        os.sched_setaffinity(0, helper_cpus)
-        work(1)
+    def table():
+        return np.empty((4, min(ERROR_NORM_CHUNK, fluid.size), rule.weights.size))
 
-    if stride == 1:
-        work(0)
-    else:
-        with ThreadPoolExecutor(1) as pool:
-            odd = pool.submit(helper)
-            work(0)
-            odd.result()
+    # both tables are allocated on this thread: a table that the helper
+    # allocated in its own malloc arena raised the peak RSS of the
+    # levels 0-4 study by 12 MB (2-core VM)
+    with helper.thread(len(chunks)) as submit:
+        if submit is None:
+            work(0, 1, table())
+        else:
+            odd = submit(partial(work, 1, 2, table()))
+            work(0, 2, table())
+            odd()
     squares = np.zeros(4)
     for chunk_squares in sums:
         squares += chunk_squares

@@ -60,6 +60,8 @@ def _validate(cfg):
         raise ValueError(f"levels must be 0,1 in mode certify, got {cfg.levels}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed}")
+    if not cfg.out_dir:
+        raise ValueError("out_dir must name a directory, got an empty path")
 
 
 def _parse_levels(text):
@@ -119,12 +121,19 @@ def _build_parser():
 
 
 def _config_value(action, text, where):
-    """`text` parsed as the flag of `action` parses its argument."""
+    """`text` parsed as the flag of `action` parses its argument.  The
+    levels text is parsed after the flags are merged in, and checked here
+    so that a bad file value names its line."""
     convert = action.type or str
     try:
         value = convert(text)
     except ValueError:
         raise ValueError(f"{where}: invalid {convert.__name__} value {text!r}") from None
+    if action.dest == "levels":
+        try:
+            _parse_levels(value)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"{where}: invalid choice {value!r} "
                          f"(choose from {', '.join(action.choices)})")
@@ -378,10 +387,13 @@ def run(cfg) -> int:
 def _error_module(err):
     """The innermost fsifem module in the traceback of `err`: the layer
     that raised it, or that called out of the package when it was raised.
-    Falls back to the module of the exception's type."""
+    A module run as a script (`python -m fsifem.cli`) is named by its
+    spec, not `__main__`.  Falls back to the module of the exception's
+    type."""
     module = type(err).__module__
     for frame, _ in traceback.walk_tb(err.__traceback__):
-        name = frame.f_globals.get("__name__", "")
+        spec = frame.f_globals.get("__spec__")
+        name = spec.name if spec is not None else frame.f_globals.get("__name__", "")
         if name.startswith("fsifem."):
             module = name
     return module.rsplit(".", 1)[-1]

@@ -439,10 +439,12 @@ class ResolventOperator:
 
     # -- data handling ------------------------------------------------------
 
-    def data_from_state(self, state, scale=1.0):
-        """Data vector scale * (u, w, z), e.g. lam * Y for one Euler step."""
-        return ResolventData(scale * (self.mass_f @ state.u),
-                             scale * state.w, scale * state.z)
+    def data_from_state(self, state, scale=1.0, mass_u=None):
+        """Data vector scale * (u, w, z), e.g. lam * Y for one Euler step;
+        `mass_u` is the product M_f u where the caller already holds it."""
+        if mass_u is None:
+            mass_u = self.mass_f @ state.u
+        return ResolventData(scale * mass_u, scale * state.w, scale * state.z)
 
     def _rhs(self, data, w_lift):
         """The bordered saddle's right-hand side for the data, given the
@@ -454,30 +456,48 @@ class ResolventOperator:
         return rhs
 
     def solve(self, data: ResolventData):
+        """The state of the data and its checked report: `deferred_solve`
+        followed at once by its check."""
+        state, check = self.deferred_solve(data)
+        return state, check()
+
+    def deferred_solve(self, data: ResolventData):
+        """The solve of `solve` without its check: (state, check), where
+        `check()` runs the bordered solve's residual gate and then the
+        unbordered bound's, and returns the report or raises
+        SolveAccuracyError.  The state is unchecked until then; the check
+        may run on another thread.  The callers are `solve`,
+        `semigroup.Stepper.step` and `semigroup.evolve`."""
         lam = self.params.shift
         nf = self._free.size
         w_lift = _solid_lift(self._iface_solid, lam, data.w_star)
         rhs = self._rhs(data, w_lift)
-        x, bordered = self.factor.solve(rhs)
+        x_f, bordered_check = self.factor.deferred_solve(rhs)
         h = self._flux_solution
-        c0 = x[-1] / h[-1]
-        # The unbordered residual of x_f - c0 h + c0 (0, 1) is
-        # r_f - c0 r_h - (mu_f - c0 mu_h) m, and |mu_f - c0 mu_h| <= u |mu_f|
-        # for the rounded quotient c0; the rounding of the combination
-        # below is of the order of a residual evaluation's own.
-        norm_b = np.sqrt(sla.dot(rhs, rhs))
-        bound = (bordered.residual + (abs(c0) * self._flux_residual + _UNIT_ROUNDOFF
-                                      * self._border_norm * abs(x[-1])) / norm_b
-                 if norm_b > 0 else 0.0)
-        report = sla.checked_report(replace(bordered, residual=float(bound)))
-        x -= c0 * h
+        mu_f = x_f[-1]
+        c0 = mu_f / h[-1]
+
+        def check():
+            bordered = bordered_check()
+            # The unbordered residual of x_f - c0 h + c0 (0, 1) is
+            # r_f - c0 r_h - (mu_f - c0 mu_h) m, and |mu_f - c0 mu_h| <= u |mu_f|
+            # for the rounded quotient c0; the rounding of the combination
+            # below is of the order of a residual evaluation's own.
+            norm_b = np.sqrt(sla.dot(rhs, rhs))
+            bound = (bordered.residual + (abs(c0) * self._flux_residual + _UNIT_ROUNDOFF
+                                          * self._border_norm * abs(mu_f)) / norm_b
+                     if norm_b > 0 else 0.0)
+            return sla.checked_report(replace(bordered, residual=float(bound)))
+
+        # a new array: the check still reads x_f
+        x = x_f - c0 * h
         x[self._pressure] += c0
         u = np.zeros(self._num_velocity)
         u[self._free] = x[:nf]
         pi = x[self._pressure]
         w = x[self._solid_rows] / lam + w_lift
         z = lam * w - data.w_star
-        return FsiState(u=u, w=w, z=z, pi=pi), report
+        return FsiState(u=u, w=w, z=z, pi=pi), check
 
 
 def solve_resolvent(space, params: MaterialParams, data: ResolventData):

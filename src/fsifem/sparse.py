@@ -18,10 +18,14 @@ more.  The ordering works on nodes, the unknowns at one coordinate, and
 splits every block of a depth at once: each median cut keeps the smaller
 of its two boundary layers as the separator, so on a P2 mesh the
 separator is one line of nodes.  The wrapper enforces the contracts this
-package relies on: there is no unchecked solve, and each measures its
-relative residual with the caller's own matrix and right-hand side;
-singular factors raise a typed error; and repeated solves of identical
-inputs are bitwise reproducible.
+package relies on: there is no unchecked solve, since each solve is
+checked before any result leaves the call that made it, and each check
+measures the relative residual with the caller's own matrix and
+right-hand side; singular factors raise a typed error; and repeated
+solves of identical inputs are bitwise reproducible.  A solve may hand
+its check to the call that made it (`Factorization.deferred_solve`):
+`solve` runs it at once, and `semigroup.evolve` runs it on its helper
+thread and joins it before the state leaves `evolve`.
 
 The pivot rule: every factorization refuses an exactly singular matrix.
 SuperLU's zero pivot raises SingularMatrixError with SuperLU's own
@@ -258,7 +262,21 @@ class Factorization:
         (X, LinearSolveReport) with the largest per-column relative
         residual ||AX - B|| / ||B||; above 1e-10, or NaN, it raises.  A
         non-finite entry of B raises ValueError before SuperLU runs.  A
-        single factor refines, or falls back to double (see the class)."""
+        single factor refines, or falls back to double (see the class).
+        It is `deferred_solve` followed at once by its check."""
+        x, check = self.deferred_solve(b)
+        return x, check()
+
+    def deferred_solve(self, b):
+        """The solve of `solve` without its check: (X, check), where
+        `check()` measures the residual and returns the checked report or
+        raises, as `solve` would.  X is unchecked until then, and neither
+        X nor B may change before it; the check may run on another thread.  A double
+        factor defers the residual product and norms; a single factor
+        needs the residual inside its refinement, so its check only
+        reports.  The callers are a `solve`, `ResolventOperator`'s own
+        `deferred_solve`, `semigroup.Stepper.step` and `semigroup.evolve`
+        (kept so by tests/test_dependencies.py)."""
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2):
             raise ValueError(f"rhs must be a vector or a matrix of columns, "
@@ -268,28 +286,39 @@ class Factorization:
                 f"dimension mismatch: matrix {self._a.shape}, rhs {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("rhs has a non-finite entry")
-        norm_b = np.linalg.norm(b, axis=0)
-        steps = 0
         t0 = time.perf_counter()
         if self.precision == "single":
             x, norm_r, steps = self._refined_solve(b)
-            if not _largest_ratio(norm_r, norm_b) <= _SOLVE_TOL:
-                # the double factor that replaces it solves afresh below
-                t1 = time.perf_counter()
-                self._lu = None   # dropped before the double factor is made
-                self._lu = self._double_factor()
-                refactor = time.perf_counter() - t1
-                self.factor_time += refactor
-                t0 += refactor
-        if self.precision == "double":
-            x = np.empty_like(b)
-            x[self._perm] = self._lu.solve(b[self._perm])
-            _, norm_r = self._residual(x, b)
-            steps = 0
-        return x, checked_report(LinearSolveReport(
-            residual=float(_largest_ratio(norm_r, norm_b)),
-            solve_time=time.perf_counter() - t0, factor_time=self.factor_time,
-            precision=self.precision, refinement_steps=steps))
+            if _largest_ratio(norm_r, np.linalg.norm(b, axis=0)) <= _SOLVE_TOL:
+                return x, self._check(x, b, t0, norm_r, steps)
+            # the double factor that replaces it solves afresh below
+            t1 = time.perf_counter()
+            self._lu = None   # dropped before the double factor is made
+            self._lu = self._double_factor()
+            refactor = time.perf_counter() - t1
+            self.factor_time += refactor
+            t0 += refactor
+        x = np.empty_like(b)
+        x[self._perm] = self._lu.solve(b[self._perm])
+        return x, self._check(x, b, t0)
+
+    def _check(self, x, b, t0, norm_r=None, steps=0):
+        """The check of the solve of AX = B begun at `t0`: it takes the
+        residual's column norms `norm_r`, or measures them, and its time
+        counts in the report's `solve_time`."""
+        solve_time = time.perf_counter() - t0
+        precision, factor_time = self.precision, self.factor_time
+
+        def check():
+            t1 = time.perf_counter()
+            r_norms = self._residual(x, b)[1] if norm_r is None else norm_r
+            return checked_report(LinearSolveReport(
+                residual=float(_largest_ratio(r_norms, np.linalg.norm(b, axis=0))),
+                solve_time=solve_time + time.perf_counter() - t1,
+                factor_time=factor_time, precision=precision,
+                refinement_steps=steps))
+
+        return check
 
 
 def _largest_ratio(num, den):

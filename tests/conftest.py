@@ -189,3 +189,33 @@ def factorize_calls():
             mp.setattr(sla, "factorize", recording)
             yield calls
     return record
+
+
+class PerturbedLU:
+    """A SuperLU factor whose `call`-th solve is off by 1e-6 relative."""
+
+    def __init__(self, lu, call):
+        self._lu, self._call, self.calls = lu, call, 0
+
+    def solve(self, b):
+        self.calls += 1
+        x = self._lu.solve(b)
+        return x * (1.0 + 1e-6) if self.calls == self._call else x
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def plant_step_fault(monkeypatch, step):
+    """Make every factor built from now on solve step `step` of a stepper
+    wrongly: its first solve is the operator's flux solve at build time.
+    Returns the list of the planted factors."""
+    planted = []
+    real = sla._splu
+
+    def splu(csc):
+        planted.append(PerturbedLU(real(csc), step + 1))
+        return planted[-1]
+
+    monkeypatch.setattr(sla, "_splu", splu)
+    return planted

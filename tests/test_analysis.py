@@ -13,7 +13,7 @@ from numpy.polynomial import polynomial as npoly
 
 from conftest import (perturbed_case, pressure_schur_complement, quadrature_points,
                       zero_state)
-from fsifem import analysis, cli, fem, mesh as meshmod, solver, sparse as sla
+from fsifem import analysis, cli, fem, helper, mesh as meshmod, solver, sparse as sla
 
 
 # -- manufactured case -------------------------------------------------------
@@ -341,13 +341,13 @@ def test_jittered_mesh_norms_are_bitwise_per_point(jittered_mesh1, params, case,
     _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch)
 
 
-# `analysis._helper_cpus` stand-ins: no helper thread, or one on any CPU of
+# `helper._helper_cpus` stand-ins: no helper thread, or one on any CPU of
 # this process (the caller's own too), whatever the machine
-def no_helper(chunks):
+def no_helper(jobs):
     return set()
 
 
-def helper_on_any_cpu(chunks):
+def helper_on_any_cpu(jobs):
     return os.sched_getaffinity(0)
 
 
@@ -363,8 +363,8 @@ def test_exact_field_evaluated_once_per_coordinate_class(params, case, monkeypat
 
     monkeypatch.setattr(analysis.npoly, "polyval", counting)
     counts = []
-    for helper in (no_helper, helper_on_any_cpu):
-        monkeypatch.setattr(analysis, "_helper_cpus", helper)
+    for cpus in (no_helper, helper_on_any_cpu):
+        monkeypatch.setattr(helper, "_helper_cpus", cpus)
         evaluated.clear()
         analysis.error_norms(space, state, state.pi, case, params)
         counts.append(sum(evaluated))
@@ -383,11 +383,11 @@ def test_helper_thread_changes_no_bit(level, params, case, rng, monkeypatch):
         # a block of at least the chunk is the whole chunk: 64 and 128
         # split a chunk of 7 as 7 does
         for block in sorted({min(block, chunk) for block in (1, 7, 64, 128)}):
-            for helper in (no_helper, helper_on_any_cpu):
+            for cpus in (no_helper, helper_on_any_cpu):
                 with monkeypatch.context() as m:
                     m.setattr(analysis, "ERROR_NORM_CHUNK", chunk)
                     m.setattr(analysis, "_ERROR_NORM_BLOCK", block)
-                    m.setattr(analysis, "_helper_cpus", helper)
+                    m.setattr(helper, "_helper_cpus", cpus)
                     norms.append(analysis.error_norms(space, state, pi, case, params))
         assert all(n == norms[0] for n in norms), (chunk, norms)
 
@@ -408,7 +408,7 @@ def test_fault_in_helper_chunk_propagates(space1, params, case, rng, monkeypatch
         return real(space, u, pi, case, rule, tris, table)
 
     monkeypatch.setattr(analysis, "_fluid_error_squares", faulty)
-    monkeypatch.setattr(analysis, "_helper_cpus", helper_on_any_cpu)
+    monkeypatch.setattr(helper, "_helper_cpus", helper_on_any_cpu)
     monkeypatch.setattr(analysis, "ERROR_NORM_CHUNK", 7)
     with pytest.raises(InjectedFault, match="injected in the helper"):
         analysis.error_norms(space1, state, pi, case, params)
@@ -418,12 +418,12 @@ def test_fault_in_helper_chunk_propagates(space1, params, case, rng, monkeypatch
 
 
 def test_helper_runs_only_with_two_chunks_and_two_cpus(monkeypatch):
-    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(analysis, "_current_cpu", lambda: 1)
-    assert analysis._helper_cpus(1) == set()
-    assert analysis._helper_cpus(2) == {0}
-    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {1})
-    assert analysis._helper_cpus(16) == set()
+    monkeypatch.setattr(helper.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(helper, "_current_cpu", lambda: 1)
+    assert helper._helper_cpus(1) == set()
+    assert helper._helper_cpus(2) == {0}
+    monkeypatch.setattr(helper.os, "sched_getaffinity", lambda pid: {1})
+    assert helper._helper_cpus(16) == set()
 
 
 def test_solid_error_norm_uses_given_moduli(space0, case, rng):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from fsifem import analysis, cli, fem, mesh as meshmod, sparse as sla
+from conftest import plant_step_fault
+from fsifem import analysis, cli, fem, helper, mesh as meshmod, sparse as sla
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -127,7 +128,7 @@ def test_fault_in_error_norm_helper_names_the_analysis_layer(tmp_path, capsys,
         return real(*args)
 
     monkeypatch.setattr(analysis, "_fluid_error_squares", faulty)
-    monkeypatch.setattr(analysis, "_helper_cpus", lambda chunks: os.sched_getaffinity(0))
+    monkeypatch.setattr(helper, "_helper_cpus", lambda jobs: os.sched_getaffinity(0))
     monkeypatch.setattr(analysis, "ERROR_NORM_CHUNK", 7)   # 10 chunks at level 0
     code = cli.main(["--mode", "convergence", "--levels", "0", "--out", str(tmp_path)])
     assert code == 1
@@ -274,7 +275,9 @@ def test_config_file_rejects_duplicate_key(tmp_path, capsys):
     ("mode = foo\n", 1, "mode", "invalid choice 'foo'"),
     ("mode = evolve\nlambda = abc\n", 2, "lambda", "invalid float value 'abc'"),
     ("mode = evolve\nlevels = 0\nsteps = 2.5\n", 3, "steps", "invalid int value '2.5'"),
-], ids=["mode", "lambda", "steps"])
+    ("mode = evolve\nlevels = 0,x\n", 2, "levels",
+     "levels must be comma-separated integers, cannot parse '0,x'"),
+], ids=["mode", "lambda", "steps", "levels"])
 def test_config_file_values_are_parsed_as_flags(tmp_path, capsys, text, lineno, key,
                                                 message):
     # a value goes through its flag's type and choices, and a bad one is a
@@ -286,6 +289,44 @@ def test_config_file_values_are_parsed_as_flags(tmp_path, capsys, text, lineno, 
     assert capsys.readouterr().err.startswith(
         f"usage error: {config}:{lineno}: key '{key}': {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_output_directory_is_a_usage_error(tmp_path, capsys, source):
+    # it would otherwise fail only at the first write, after the whole study
+    if source == "flag":
+        args = ["--mode", "infsup", "--levels", "0", "--out", ""]
+    else:
+        config = tmp_path / "study.cfg"
+        config.write_text("mode = infsup\nlevels = 0\nout =\n")
+        args = ["--config", str(config)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("usage error: --out: ")
+
+
+def test_errors_under_python_m_name_the_cli_layer(tmp_path):
+    # run as `python -m fsifem.cli`, the CLI's frames are named __main__
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "fsifem.cli", "--mode", "infsup",
+                           "--levels", "0", "--out", str(taken)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("[cli] FileExistsError: ")
+
+
+def test_planted_step_fault_names_the_sparse_layer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(helper, "_helper_cpus", lambda jobs: os.sched_getaffinity(0))
+    plant_step_fault(monkeypatch, 3)
+    code = cli.main(["--mode", "evolve", "--levels", "0", "--t-final", "0.1",
+                     "--steps", "10", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "[sparse] SolveAccuracyError: relative residual ")
+    assert not (tmp_path / "energy_trace.csv").exists()
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
 """The package's runtime imports: the standard library, numpy and scipy,
 nothing else (the test tools, sympy among them, stay in the tests); no
 public name that only the tests call; no public name but the known ones
-that only the benchmark's trace layer keeps; and no attribute that only
-the tests read."""
+that only the benchmark's trace layer keeps; no attribute that only the
+tests read; and no caller of a solve's unchecked half but the few that
+run its check before any result leaves them."""
 
 import ast
 import collections
@@ -127,3 +128,48 @@ def test_every_attribute_set_on_self_is_read():
                            for attr in sorted(set(_self_attributes(node)))
                            if attr not in read]
     assert not unread, unread
+
+
+# The halves of a solve that hand the residual check to their caller
+# (`sparse.Factorization.deferred_solve`, `solver.ResolventOperator.
+# deferred_solve`), and the functions that may call them: each runs the
+# check before any result leaves it, `evolve` on its helper thread.  The
+# operator's half composes the factor's.
+DEFERRED = "deferred_solve"
+DEFERRED_CALLERS = {"Factorization.solve", "ResolventOperator.solve",
+                    "ResolventOperator.deferred_solve", "Stepper.step", "evolve"}
+
+
+def _deferred_callers(tree):
+    """The qualified name of each top-level function or method of `tree`
+    that names `DEFERRED`, and "<module>" or "<Class>" for a use outside
+    any function."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            members = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            members = [(f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                        else f"<{node.name}>", item) for item in node.body]
+        else:
+            members = [("<module>", node)]
+        for name, member in members:
+            if DEFERRED in _used_names(member):
+                yield name
+
+
+def test_deferred_solve_halves_have_only_checking_callers():
+    # the tests wrap the halves to count solves and checks, so only the
+    # package and the benchmark are scanned
+    _, trees = _package_and_benchmark_trees()
+    callers = collections.Counter(name for tree in trees.values()
+                                  for name in _deferred_callers(tree))
+    assert set(callers) <= DEFERRED_CALLERS, set(callers) - DEFERRED_CALLERS
+    assert {"Factorization.solve", "ResolventOperator.solve", "Stepper.step",
+            "evolve"} <= set(callers)
+
+
+def test_deferred_solve_guard_flags_a_new_caller():
+    tree = ast.parse("def report(op, data):\n    return op.deferred_solve(data)[0]\n"
+                     "class Study:\n    def run(self):\n        self.op.deferred_solve(0)\n"
+                     "half = Factorization.deferred_solve\n")
+    assert list(_deferred_callers(tree)) == ["report", "Study.run", "<module>"]

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import zero_data, zero_state
-from fsifem import fem, semigroup, solver
+from conftest import plant_step_fault, zero_data, zero_state
+from fsifem import fem, helper, mesh, semigroup, solver, sparse as sla
 
 
 def _random_data(space, rng):
@@ -237,6 +238,105 @@ def test_evolve_keeps_largest_step_residual(space0, params, rng):
     assert rows[0].solve_residual == 0.0          # the initial state: no solve
     assert 0.0 < result.solve_residual_max <= 1e-10
     assert result.solve_residual_max == max(r.solve_residual for r in rows[1:])
+
+
+# `helper._helper_cpus` stand-ins: no helper thread, or one on any CPU of
+# this process (the caller's own too), whatever the machine
+def _no_helper(jobs):
+    return set()
+
+
+def _helper_on_any_cpu(jobs):
+    return os.sched_getaffinity(0)
+
+
+def _serial_evolution(space, params, initial, config):
+    """The rows, final state and sums of `evolve` from a plain loop of
+    `Stepper.step`, each sum added in step order."""
+    dt = config.dt
+    stepper = semigroup.Stepper(space, fem.MaterialParams(
+        params.lame_lambda, params.lame_mu, 1.0 / dt))
+    state = initial
+    rows = [semigroup.EnergyTraceRow(0, 0.0, *semigroup.energy_components(
+        space, params, initial))]
+    phys = num = worst = 0.0
+    for k in range(1, config.n_steps + 1):
+        prev = state
+        state, row = stepper.step(state, step_index=k, time=k * dt)
+        phys += 2.0 * dt * row.dissipation
+        worst = max(worst, row.solve_residual)
+        diff = solver.FsiState(state.u - prev.u, state.w - prev.w, state.z - prev.z)
+        num += semigroup.h_inner(space, params, diff, diff)
+        rows.append(row)
+    return rows, state, phys, num, worst
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_evolve_pipeline_changes_no_bit(level, params, monkeypatch):
+    space = fem.build_space(mesh.generate(level))
+    initial = solver.random_state(space, np.random.default_rng(level))
+    config = semigroup.EvolutionConfig(t_final=0.12, n_steps=12)
+    results = []
+    monkeypatch.setattr(helper, "_helper_cpus", _no_helper)
+    results.append(semigroup.evolve(space, params, initial, config))
+    monkeypatch.setattr(helper, "_helper_cpus", _helper_on_any_cpu)
+    # the threads trade the interpreter lock a thousand times more often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(5e-6)
+    try:
+        results.append(semigroup.evolve(space, params, initial, config))
+    finally:
+        sys.setswitchinterval(interval)
+    rows, state, phys, num, worst = _serial_evolution(space, params, initial, config)
+    for result in results:
+        assert result.trace.rows == rows
+        for name in ("u", "w", "z", "pi"):
+            assert np.array_equal(getattr(result.final_state, name), getattr(state, name))
+        assert (result.dissipation_physical, result.dissipation_numerical,
+                result.solve_residual_max) == (phys, num, worst)
+    assert results[0].balance_residual == results[1].balance_residual
+    assert threading.enumerate() == [threading.main_thread()]
+
+
+def test_evolve_on_one_cpu_starts_no_thread(space0, params, rng, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a helper thread was started on one CPU")
+
+    monkeypatch.setattr(helper.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(helper, "ThreadPoolExecutor", no_pool)
+    config = semigroup.EvolutionConfig(t_final=0.05, n_steps=5)
+    result = semigroup.evolve(space0, params, solver.random_state(space0, rng), config)
+    assert len(result.trace.rows) == 6
+
+
+@pytest.mark.parametrize("cpus, solves", [(_no_helper, 3), (_helper_on_any_cpu, 4)],
+                         ids=["inline", "helper"])
+def test_planted_fault_at_step_3_raises_there(cpus, solves, params, rng, monkeypatch):
+    monkeypatch.setattr(helper, "_helper_cpus", cpus)
+    planted = plant_step_fault(monkeypatch, 3)
+    space = fem.build_space(mesh.generate(0))
+    config = semigroup.EvolutionConfig(t_final=0.1, n_steps=10)
+    with pytest.raises(sla.SolveAccuracyError) as err:
+        semigroup.evolve(space, params, solver.random_state(space, rng), config)
+    # step 3's own residual, about 1e-6, not step 4's, whose solve is exact;
+    # with a helper, step 4 was solved while step 3 was checked, and step 5
+    # never was
+    assert 1e-8 < err.value.report.residual < 1e-4
+    assert [lu.calls for lu in planted] == [1 + solves]
+    assert threading.enumerate() == [threading.main_thread()]
+
+
+def test_planted_fault_at_step_3_raises_in_stepper_step(params, rng, monkeypatch):
+    planted = plant_step_fault(monkeypatch, 3)
+    space = fem.build_space(mesh.generate(0))
+    stepper = semigroup.Stepper(space, fem.MaterialParams(shift=100.0))
+    state = solver.random_state(space, rng)
+    for _ in range(2):
+        state, _ = stepper.step(state)
+    with pytest.raises(sla.SolveAccuracyError) as err:
+        stepper.step(state)
+    assert 1e-8 < err.value.report.residual < 1e-4
+    assert [lu.calls for lu in planted] == [1 + 3]
 
 
 def test_config_validation():

@@ -223,17 +223,25 @@ def test_sparse_resolvent_matches_schur_form(params, rng):
 
 def test_euler_step_makes_one_checked_solve(space1, params, rng, monkeypatch):
     stepper = semigroup.Stepper(space1, params)
-    calls = []
-    real_solve = sla.Factorization.solve
+    solves, checks = [], []
+    real_solve = sla.Factorization.deferred_solve
 
     def counting(self, b):
-        calls.append(b.shape)
-        return real_solve(self, b)
+        solves.append(b.shape)
+        x, check = real_solve(self, b)
 
-    # every Factorization.solve is checked, so one call is one checked solve
-    monkeypatch.setattr(sla.Factorization, "solve", counting)
+        def counted_check():
+            checks.append(b.shape)
+            return check()
+
+        return x, counted_check
+
+    # every solve of a factor, `solve` too, is its `deferred_solve`, and a
+    # checked solve runs the check that comes with it
+    monkeypatch.setattr(sla.Factorization, "deferred_solve", counting)
     stepper.step(solver.random_state(space1, rng))
-    assert len(calls) == 1
+    assert len(solves) == 1
+    assert checks == solves
 
 
 def test_solve_deterministic_bitwise(space0, params, rng):
