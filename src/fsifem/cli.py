@@ -332,10 +332,9 @@ def _certify_lines(cfg):
     ok &= record("dissipativity_sign_margin", worst_sign, 1e-10, worst_sign <= 1e-10)
 
     # kernel coercivity, level 1, 100 random divergence-free vectors
-    fops = fem.fluid_operators(space1)
     gradient = fem.assemble(space1, "fluid_gradient")
-    k_free = solver.free_velocity_block(space1, fops.strain)
-    h1_free = (solver.free_velocity_block(space1, fops.mass)
+    k_free = solver.free_velocity_block(space1, fem.fluid_operators(space1).strain)
+    h1_free = (solver.free_velocity_block(space1, fem.fluid_mass(space1))
                + solver.free_velocity_block(space1, gradient))
     project = solver.kernel_projection(space1)
     a_free = solver.schur_form(space1, params)

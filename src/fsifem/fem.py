@@ -25,14 +25,18 @@ y.  `class_factors` takes the planes it needs.
 form's entry in `_FORMS` names its element kernel and its row and column
 dofs, and the columns fix the region: `divergence` has pressure rows and
 velocity columns, `pressure_mass` pressure rows and columns, and every
-other form the interleaved vector dofs of its region.  `fluid_operators`
-and `solid_operators` bundle the forms the solves read and keep them on
-the space (`TaylorHoodSpace.cached`), as the solver keeps its shifted
-solid matrix and resolvent operator there.  The space holds one value per
-name, keyed by what it depends on: the fluid operators by nothing, the
-solid operators by the Lame moduli, so a request at another shift reuses
-them.  The solid operators are one build, the mass, gradient and
-stiffness in that order, so a request at other moduli assembles all three.
+other form the interleaved vector dofs of its region.  The space keeps
+what the solves read under five names (`TaylorHoodSpace.cached`): three
+here, `fluid_ops` (`fluid_operators`: strain, divergence and pressure
+mass, the Stokes forms that every fluid reader uses), `fluid_mass` (the
+velocity mass, its own entry because the inf-sup eigensolve never reads
+it, so an inf-sup study never assembles it) and `solid_ops`
+(`solid_operators`), and two in the solver, `solid_shifted` and
+`resolvent_op`.  The space holds one value per name, keyed by what it
+depends on: the fluid entries by nothing, the solid operators by the
+Lame moduli, so a request at another shift reuses them.  The solid
+operators are one build, the mass, gradient and stiffness in that
+order, so a request at other moduli assembles all three.
 
 Assembly and the exact fields of the error norms are class-grouped by
 `sparse.bit_classes`, which groups rows of floats by their exact bits.  Every
@@ -586,7 +590,10 @@ def interpolate(space, field):
 
 @dataclass(frozen=True)
 class FluidOperators:
-    mass: sp.csr_matrix
+    """The Stokes forms that every fluid reader uses.  The velocity mass
+    is not among them: the inf-sup eigensolve never reads it, so it is
+    its own entry (`fluid_mass`), assembled on its first read."""
+
     strain: sp.csr_matrix
     div: sp.csr_matrix
     pressure_mass: sp.csr_matrix
@@ -602,11 +609,16 @@ class SolidOperators:
 
 def fluid_operators(space) -> FluidOperators:
     return space.cached("fluid_ops", lambda: FluidOperators(
-        mass=assemble(space, "fluid_mass"),
         strain=assemble(space, "fluid_strain"),
         div=assemble(space, "divergence"),
         pressure_mass=assemble(space, "pressure_mass"),
     ))
+
+
+def fluid_mass(space) -> sp.csr_matrix:
+    """The velocity mass M_f over the full velocity layout: the fluid part
+    of the H inner product and of the resolvent's data and shift."""
+    return space.cached("fluid_mass", lambda: assemble(space, "fluid_mass"))
 
 
 def solid_operators(space, params: MaterialParams) -> SolidOperators:

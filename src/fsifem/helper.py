@@ -47,7 +47,13 @@ def thread(jobs):
     of no arguments that gives the job's result or raises its exception.
     That function waits only for a job the helper has started; one still
     queued is cancelled and run by the caller.  The thread is joined when
-    the `with` block ends, also when it ends by an exception."""
+    the `with` block ends, also when it ends by an exception.
+
+    A job overlaps the caller's SuperLU solve only inside the numpy and
+    scipy calls it has entered that release the interpreter lock; its
+    Python code between them holds the lock that the solve takes back
+    several times, and the solve waits up to a switch interval each time
+    (measured in `sparse`)."""
     cpus = _helper_cpus(jobs)
     if not cpus:
         yield None

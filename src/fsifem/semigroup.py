@@ -85,12 +85,13 @@ def _h_terms(space, params: MaterialParams, a, b: FsiState, mass_u=None):
     `a` is a state or resolvent data Y* = (u*, w*, z*), whose fluid part
     enters through its load vector (u*, phi_i).  `mass_u` is the product
     M_f b.u where the caller already holds it."""
-    fops = fem.fluid_operators(space)
     sops = fem.solid_operators(space, params)
     if isinstance(a, solver.ResolventData):
         fluid, w, z = sla.dot(a.u_load, b.u), a.w_star, a.z_star
     else:
-        fluid, w, z = sla.dot(a.u, fops.mass @ b.u if mass_u is None else mass_u), a.w, a.z
+        if mass_u is None:
+            mass_u = fem.fluid_mass(space) @ b.u
+        fluid, w, z = sla.dot(a.u, mass_u), a.w, a.z
     return fluid, sla.dot(w, sops.energy @ b.w), sla.dot(z, sops.mass @ b.z)
 
 
@@ -182,11 +183,14 @@ def evolve(space, params: MaterialParams, initial: FsiState,
     thread (`helper.thread`) while the calling thread solves step k + 1,
     which needs only the state.  The caller joins step k's half before it
     hands over step k + 1's, and adds the rows and sums in step order, so
-    every bit is that of the serial loop.  Without a second CPU both
-    halves of a step run inline, one after the other.  No state leaves
-    unchecked: a failed gate raises SolveAccuracyError, on the helper at
-    the join after the next solve, also when that solve fails, and
-    nothing is returned."""
+    every bit is that of the serial loop.  The second half overlaps the
+    solve only inside its numpy and scipy calls: its Python code holds
+    the interpreter lock that the solve takes back several times, so a
+    pipelined solve is slower than a serial one (`sparse`).  Without a
+    second CPU both halves of a step run inline, one after the other.  No
+    state leaves unchecked: a failed gate raises SolveAccuracyError, on
+    the helper at the join after the next solve, also when that solve
+    fails, and nothing is returned."""
     dt = config.dt
     stepper = Stepper(space, replace(params, shift=1.0 / dt))
     op = stepper.op

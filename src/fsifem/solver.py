@@ -140,8 +140,7 @@ class ResolventData:
 
 
 def data_from_vectors(space, u_star, w_star, z_star) -> ResolventData:
-    mass = fem.fluid_operators(space).mass
-    return ResolventData(mass @ np.asarray(u_star, dtype=float),
+    return ResolventData(fem.fluid_mass(space) @ np.asarray(u_star, dtype=float),
                          np.asarray(w_star, dtype=float).copy(),
                          np.asarray(z_star, dtype=float).copy())
 
@@ -215,8 +214,8 @@ def free_velocity_block(space, form):
 
 def shifted_velocity_block(space, lam):
     """A_lam = lam M + K_eps on the free velocity dofs, CSR."""
-    fops = fem.fluid_operators(space)
-    return free_velocity_block(space, lam * fops.mass + fops.strain)
+    return free_velocity_block(space, lam * fem.fluid_mass(space)
+                               + fem.fluid_operators(space).strain)
 
 
 def free_divergence(space):
@@ -410,7 +409,7 @@ class ResolventOperator:
 
     def __init__(self, space, params: MaterialParams, precision="single"):
         self.params = params
-        self.mass_f = fem.fluid_operators(space).mass
+        self.mass_f = fem.fluid_mass(space)
         self.mass_s = fem.solid_operators(space, params).mass
         self.s_matrix = _shifted_solid_matrix(space, params)
         # the dofs and sizes `solve` reads, so that the operator holds no
@@ -526,7 +525,7 @@ def kernel_projection(space):
     about halves per level, so even at level 12 it stays near 6e-6 of
     max|A|: unlike the resolvent saddle, it needs no border.
     """
-    m_free = free_velocity_block(space, fem.fluid_operators(space).mass)
+    m_free = free_velocity_block(space, fem.fluid_mass(space))
     b_free = free_divergence(space)
     factor = sla.factorize(_block_csr([[m_free, b_free.T.tocsr()], [b_free, None]]),
                            saddle_coordinates(space))
@@ -560,7 +559,7 @@ def _momentum_residual(space, params, u, pi, u_load):
     Gamma_s for a resolvent solution, so its Gamma_s entries are the fluid
     traction moments."""
     fops = fem.fluid_operators(space)
-    return (fops.strain @ u + params.shift * (fops.mass @ u)
+    return (fops.strain @ u + params.shift * (fem.fluid_mass(space) @ u)
             + fops.div.T @ pi - u_load)
 
 

@@ -27,6 +27,18 @@ its check to the call that made it (`Factorization.deferred_solve`):
 `solve` runs it at once, and `semigroup.evolve` runs it on its helper
 thread and joins it before the state leaves `evolve`.
 
+The interpreter lock: SuperLU's triangular solve releases it for its
+arithmetic and takes it back about three times per solve (with a 0.2 s
+switch interval, ten level-4 velocity solves beside a thread spinning
+in Python took 6.0 s instead of 0.2 s).  So during a solve another
+thread overlaps it for free only inside a numpy or scipy call that
+releases the lock and that it has already entered.  Its Python code
+between such calls makes the solve wait up to one switch interval (5
+ms) at each retake: 40 level-4 velocity solves took 1.70 s beside a
+thread running Python, against 1.04 s alone and 0.91 s beside a thread
+making CSR products, whose memory traffic cost nothing measurable
+(medians of 5, 2-vCPU VM, one BLAS thread, scipy 1.17.1).
+
 The pivot rule: every factorization refuses an exactly singular matrix.
 SuperLU's zero pivot raises SingularMatrixError with SuperLU's own
 message, and nothing is factorized again to locate the pivot.  There
@@ -180,7 +192,8 @@ class Factorization:
         leading = nested_dissection(csr if lead == n else csr[:lead, :lead], xy)
         self._perm = np.concatenate([leading, np.arange(lead, n)])
         self._a = csr
-        max_a = np.abs(csr.data).max() if csr.nnz else 0.0
+        # max|A| without an |A| temporary (17.8 MB for the level-4 saddle)
+        max_a = max(csr.data.max(), -csr.data.min()) if csr.nnz else 0.0
         if not np.isfinite(max_a):
             raise ValueError(f"matrix has a non-finite entry (max|A| = {max_a})")
         self._max_a = max_a

@@ -191,6 +191,26 @@ def factorize_calls():
     return record
 
 
+@pytest.fixture(scope="session")
+def assembled_forms():
+    """`with assembled_forms() as forms:` records the form name of every
+    `fem.assemble` call made inside the block, in call order.  The calls
+    still assemble."""
+    @contextlib.contextmanager
+    def record():
+        forms = []
+        real = fem.assemble
+
+        def recording(space, form, params=None):
+            forms.append(form)
+            return real(space, form, params)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "assemble", recording)
+            yield forms
+    return record
+
+
 class PerturbedLU:
     """A SuperLU factor whose `call`-th solve is off by 1e-6 relative."""
 

@@ -459,8 +459,11 @@ def test_error_norm_memory_is_bounded(params, case, traced_peak):
 
 # -- convergence study -------------------------------------------------------
 
-def test_convergence_rows_and_rates_structure(params):
-    report = analysis.convergence_study([0, 1], params)
+def test_convergence_rows_and_rates_structure(params, assembled_forms):
+    with assembled_forms() as forms:
+        report = analysis.convergence_study([0, 1], params)
+    # each level's operator reads the velocity mass, assembled once per space
+    assert forms.count("fluid_mass") == 2
     assert [r.elements for r in report.rows] == [72, 288]
     assert len(report.fluid_rates) == 1
     assert all(r.failed is None for r in report.rows)
@@ -582,6 +585,13 @@ def test_infsup_levels_positive_and_uniform():
     betas = [r.beta for r in report.rows]
     assert all(b > 0 for b in betas)
     assert report.spread <= 0.20
+
+
+def test_infsup_study_never_assembles_the_velocity_mass(assembled_forms):
+    with assembled_forms() as forms:
+        analysis.infsup_study([0, 1])
+    assert forms.count("fluid_mass") == 0
+    assert forms.count("fluid_strain") == forms.count("divergence") == 2
 
 
 def test_infsup_level0_matches_dense_oracle(space0):

@@ -163,9 +163,11 @@ def test_resolvent_mode_solves_small_shift_nearly_incompressible_solid(tmp_path,
     assert all(c["passed"] for c in report["conditions"].values())
 
 
-def test_infsup_mode(tmp_path, capsys):
-    code = cli.main(["--mode", "infsup", "--levels", "0,1", "--out", str(tmp_path)])
+def test_infsup_mode(tmp_path, capsys, assembled_forms):
+    with assembled_forms() as forms:
+        code = cli.main(["--mode", "infsup", "--levels", "0,1", "--out", str(tmp_path)])
     assert code == 0
+    assert "fluid_mass" not in forms and forms.count("fluid_strain") == 2
     lines = (tmp_path / "infsup.csv").read_text().splitlines()
     assert lines[0] == "level,hypotenuse,beta_h"
     betas = [float(line.split(",")[2]) for line in lines[1:]]

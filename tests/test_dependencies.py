@@ -2,8 +2,9 @@
 nothing else (the test tools, sympy among them, stay in the tests); no
 public name that only the tests call; no public name but the known ones
 that only the benchmark's trace layer keeps; no attribute that only the
-tests read; and no caller of a solve's unchecked half but the few that
-run its check before any result leaves them."""
+tests read; no caller of a solve's unchecked half but the few that run
+its check before any result leaves them; and one assembly site of the
+velocity mass."""
 
 import ast
 import collections
@@ -140,21 +141,27 @@ DEFERRED_CALLERS = {"Factorization.solve", "ResolventOperator.solve",
                     "ResolventOperator.deferred_solve", "Stepper.step", "evolve"}
 
 
-def _deferred_callers(tree):
-    """The qualified name of each top-level function or method of `tree`
-    that names `DEFERRED`, and "<module>" or "<Class>" for a use outside
-    any function."""
+def _members(tree):
+    """(qualified name, node) of each top-level function or method of
+    `tree`, with "<module>" or "<Class>" for a statement outside any
+    function."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            members = [(node.name, node)]
+            yield node.name, node
         elif isinstance(node, ast.ClassDef):
-            members = [(f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
-                        else f"<{node.name}>", item) for item in node.body]
+            for item in node.body:
+                yield (f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                       else f"<{node.name}>"), item
         else:
-            members = [("<module>", node)]
-        for name, member in members:
-            if DEFERRED in _used_names(member):
-                yield name
+            yield "<module>", node
+
+
+def _deferred_callers(tree):
+    """The qualified name of each member of `tree` (`_members`) that names
+    `DEFERRED`."""
+    for name, member in _members(tree):
+        if DEFERRED in _used_names(member):
+            yield name
 
 
 def test_deferred_solve_halves_have_only_checking_callers():
@@ -173,3 +180,45 @@ def test_deferred_solve_guard_flags_a_new_caller():
                      "class Study:\n    def run(self):\n        self.op.deferred_solve(0)\n"
                      "half = Factorization.deferred_solve\n")
     assert list(_deferred_callers(tree)) == ["report", "Study.run", "<module>"]
+
+
+# The velocity mass has one assembly site, its own cache entry
+# `fem.fluid_mass`.  It is kept out of the `fluid_ops` bundle because the
+# inf-sup eigensolve never reads it; a second site would assemble it
+# again beside the cached one, or put it back where every fluid reader
+# pays for it.
+MASS_FORM = "fluid_mass"
+
+
+def _assembles_mass(call):
+    """Whether the call `call` is `assemble(space, "fluid_mass", ...)`, as a
+    bare name or an attribute, with the form positional or by keyword."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    forms = call.args[1:2] + [k.value for k in call.keywords if k.arg == "form"]
+    return name == "assemble" and any(
+        isinstance(form, ast.Constant) and form.value == MASS_FORM for form in forms)
+
+
+def _mass_assemblers(tree):
+    """The qualified name of each member of `tree` (`_members`) that
+    assembles the velocity mass."""
+    for name, member in _members(tree):
+        if any(isinstance(sub, ast.Call) and _assembles_mass(sub)
+               for sub in ast.walk(member)):
+            yield name
+
+
+def test_velocity_mass_is_assembled_only_by_its_cache_entry():
+    sites = [f"{path.stem}.{name}" for path in sorted(PACKAGE.rglob("*.py"))
+             for name in _mass_assemblers(ast.parse(path.read_text(), filename=str(path)))]
+    assert sites == ["fem.fluid_mass"], sites
+
+
+def test_mass_assembly_guard_flags_a_new_caller():
+    tree = ast.parse('def gram(space):\n    return fem.assemble(space, "fluid_mass")\n'
+                     'class Norms:\n    def build(self, space):\n'
+                     '        assemble(space, form="fluid_mass")\n'
+                     'MASS = (lambda space: assemble(space, "fluid_mass"))(SPACE)\n'
+                     'def strain(space):\n    return fem.assemble(space, "fluid_strain")\n')
+    assert list(_mass_assemblers(tree)) == ["gram", "Norms.build", "<module>"]

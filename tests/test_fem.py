@@ -121,6 +121,17 @@ def test_cache_keeps_one_value_per_name(mesh0):
     assert len(builds) == 2
 
 
+def test_solid_request_at_other_moduli_keeps_the_fluid_entries(mesh0):
+    space = fem.build_space(mesh0)
+    mass, fops = fem.fluid_mass(space), fem.fluid_operators(space)
+    _assert_same_csr(mass, fem.assemble(space, "fluid_mass"), "fluid_mass")
+    first = fem.solid_operators(space, fem.MaterialParams())
+    other = fem.MaterialParams(lame_lambda=3.0, lame_mu=0.7, shift=2.0)
+    assert fem.solid_operators(space, other) is not first
+    assert fem.fluid_mass(space) is mass and fem.fluid_operators(space) is fops
+    assert solver.ResolventOperator(space, other).mass_f is mass
+
+
 # -- element matrices --------------------------------------------------------
 
 def test_fluid_mass_row_sums_give_area(space0, params):
@@ -354,6 +365,7 @@ def kernel_calls(monkeypatch):
 def test_jittered_mesh_gives_one_class_per_triangle(jittered_mesh1, kernel_calls):
     space = fem.build_space(jittered_mesh1)
 
+    fem.fluid_mass(space)
     fem.fluid_operators(space)
     fem.solid_operators(space, fem.MaterialParams())
     seen = [n for _, n in kernel_calls]
@@ -365,6 +377,7 @@ def test_jittered_mesh_gives_one_class_per_triangle(jittered_mesh1, kernel_calls
 def test_kernel_runs_once_per_jacobian_class(kernel_calls):
     space = fem.build_space(meshmod.generate(3))
     assert (space.fluid_tris.size, space.solid_tris.size) == (4096, 512)
+    fem.fluid_mass(space)
     fem.fluid_operators(space)
     fem.solid_operators(space, fem.MaterialParams())
     fluid = ("fluid_mass", "fluid_strain", "divergence", "pressure_mass")

@@ -80,9 +80,8 @@ def test_h_norm_homogeneity(space0, params, rng):
 
 def test_h_norm_against_dense_gram(space0, params, rng):
     state = solver.random_state(space0, rng)
-    fops = fem.fluid_operators(space0)
     sops = fem.solid_operators(space0, params)
-    gram_fluid = fops.mass.toarray()
+    gram_fluid = fem.fluid_mass(space0).toarray()
     gram_solid = (sops.stiffness + sops.mass).toarray()
     gram_kin = sops.mass.toarray()
     expected = np.sqrt(state.u @ gram_fluid @ state.u
@@ -105,19 +104,20 @@ def test_h_inner_matches_separate_sum_formula_bitwise(space1, params, rng):
         return np.add.reduce(x * y)
 
     fops = fem.fluid_operators(space1)
+    mass = fem.fluid_mass(space1)
     sops = fem.solid_operators(space1, params)
     a, b = solver.random_state(space1, rng), solver.random_state(space1, rng)
     data = _random_data(space1, rng)
     assert semigroup.h_inner(space1, params, a, b) == float(
-        dot(a.u, fops.mass @ b.u) + dot(a.w, (sops.stiffness + sops.mass) @ b.w)
+        dot(a.u, mass @ b.u) + dot(a.w, (sops.stiffness + sops.mass) @ b.w)
         + dot(a.z, sops.mass @ b.z))
     assert semigroup.energy_components(space1, params, a) == (
-        float(dot(a.u, fops.mass @ a.u)),
+        float(dot(a.u, mass @ a.u)),
         float(dot(a.w, (sops.stiffness + sops.mass) @ a.w)),
         float(dot(a.z, sops.mass @ a.z)),
         float(dot(a.u, fops.strain @ a.u)))
     state, _ = solver.solve_resolvent(space1, params, data)
-    yy = (dot(state.u, fops.mass @ state.u)
+    yy = (dot(state.u, mass @ state.u)
           + dot(state.w, (sops.stiffness + sops.mass) @ state.w)
           + dot(state.z, sops.mass @ state.z))
     ys_y = (dot(data.u_load, state.u)
@@ -170,6 +170,14 @@ def test_evolve_zero_initial_flat_trace(space0, params):
     result = semigroup.evolve(space0, params, zero_state(space0), config)
     assert all(row.e_total == 0.0 for row in result.trace.rows)
     assert result.dissipation_physical == 0.0
+
+
+def test_evolve_assembles_the_velocity_mass_once(mesh0, params, rng, assembled_forms):
+    space = fem.build_space(mesh0)
+    config = semigroup.EvolutionConfig(t_final=0.1, n_steps=5)
+    with assembled_forms() as forms:
+        semigroup.evolve(space, params, solver.random_state(space, rng), config)
+    assert forms.count("fluid_mass") == 1
 
 
 def test_evolve_contracts_energy(space1, params, rng):

@@ -138,10 +138,9 @@ def test_a_lambda_spd_on_divergence_free_kernel(space0, params, rng):
 
 
 def test_kernel_projection_is_m_orthogonal(space0, rng):
-    fops = fem.fluid_operators(space0)
     free = space0.free_velocity_dofs
-    m_free = fops.mass[free][:, free]
-    b_free = fops.div[:, free].toarray()
+    m_free = fem.fluid_mass(space0)[free][:, free]
+    b_free = fem.fluid_operators(space0).div[:, free].toarray()
     project = solver.kernel_projection(space0)
     v = rng.standard_normal(free.size)
     v_ker = project(v)
@@ -275,7 +274,7 @@ def _bmat_saddle(space, params):
     solid_rows = np.empty(space.num_solid_dofs, dtype=np.int64)
     solid_rows[space.iface_solid_dofs] = space.iface_free_dofs
     solid_rows[ii] = nf + np.arange(ii.size)
-    a_free = (lam * fops.mass + fops.strain)[free][:, free]
+    a_free = (lam * fem.fluid_mass(space) + fops.strain)[free][:, free]
     solid_ops = fem.solid_operators(space, params)
     s = (solid_ops.stiffness + (lam * lam + 1.0) * solid_ops.mass).tocsr().tocoo()
     solid = sp.coo_matrix((s.data / lam, (solid_rows[s.row], solid_rows[s.col])),
@@ -325,10 +324,9 @@ def test_kernel_projection_saddle_is_the_bmat_construction(monkeypatch):
     for level in range(4):
         space = fem.build_space(meshmod.generate(level))
         solver.kernel_projection(space)
-        fops = fem.fluid_operators(space)
         free = space.free_velocity_dofs
-        m_free = fops.mass[free][:, free].tocsr()
-        b_free = fops.div[:, free].tocsr()
+        m_free = fem.fluid_mass(space)[free][:, free].tocsr()
+        b_free = fem.fluid_operators(space).div[:, free].tocsr()
         ref = sp.bmat([[m_free, b_free.T], [b_free, None]], format="csr")
         _assert_csr_bitwise(factorized[-1], ref)
 
