@@ -15,7 +15,6 @@ lam u - (1/2) Laplace u that shares no code with it.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -203,9 +202,9 @@ def _fluid_error_squares(space, u, pi, case, rule, tris, table):
     The four integrands w det (...) are formed in row blocks of
     `_ERROR_NORM_BLOCK` triangles, whose (triangle x point) temporaries
     stay in cache, and written to the first `tris.size` rows of the
-    caller's (4, >= nt, nq) `table`, which its thread owns; each of the
-    four planes is summed once, so neither the block size nor the table's
-    spare rows change a bit.  Each integrand is bitwise that of the
+    caller's (4, >= nt, nq) `table`, which no other chunk in flight uses;
+    each of the four planes is summed once, so neither the block size nor
+    the table's spare rows change a bit.  Each integrand is bitwise that of the
     per-point formula with the exact fields u = (A B', -A' B): negation
     is exact, so u2 - (-(A' B)) is u2 + A' B, d u2/dx - (-(A'' B)) is
     d u2/dx + A'' B, and d u2/dy = -(A' B') = -d u1/dx."""
@@ -289,8 +288,8 @@ def _fluid_error_squares(space, u, pi, case, rule, tris, table):
 
 # Fluid triangles per chunk of the error-norm quadrature.  The chunks fix
 # the order of the sums, and the four (triangle x point) integrand tables
-# of the degree-38 rule take about 13 MB per thread, so the chunk loop
-# needs a few tens of MB whatever the mesh level.
+# of the degree-38 rule take about 13 MB per chunk in flight, so the chunk
+# loop needs a few tens of MB whatever the mesh level.
 ERROR_NORM_CHUNK = 1024
 # Triangles per row block inside a chunk: each (triangle x point)
 # temporary then takes about 200 KB, so a block's passes run from cache.
@@ -320,54 +319,41 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     affine inverse Jacobian maps them to physical ones, so no (triangle x
     point x basis) gradient tensor is built.
 
-    Two chunks are in flight when there are two or more and a second CPU
-    (`helper.thread`): the calling thread evaluates the even chunks and
-    the helper thread, pinned off the caller's CPU and living only inside
-    this call, the odd ones; numpy releases the GIL inside the products,
-    ufuncs and gathers of each block.  One helper is a fixed design
-    constant, not a setting: each thread in flight costs one 13 MB
-    integrand table, allocated here, so the call holds 26 MB of tables
-    instead of 13.  Each chunk's four sums are kept and added in chunk
-    order once both threads are done, so every norm is bitwise that of the
-    serial loop.  An exception in either thread stops the other after its
-    current chunk and propagates with its own type.  A helper that has not started the
-    odd chunks when the caller is done with the even ones never runs
-    them: the caller takes them back."""
+    The chunks go in pairs.  For each pair the call submits the odd
+    chunk 2j + 1 to the helper thread (`helper.thread`), pinned off the
+    caller's CPU and living only inside this call, evaluates the even
+    chunk 2j itself, then joins the odd one, so two chunks at most are in
+    flight; numpy releases the GIL inside the products, ufuncs and gathers
+    of each block.  An odd chunk the helper has not started by the join is
+    taken back and evaluated by the caller; without a second CPU every
+    odd chunk runs inline at its submission.  One helper is a fixed design
+    constant, not a setting: each of the two chunks of a pair has its own
+    13 MB integrand table, allocated here, so a call of two or more chunks
+    holds 26 MB of tables, with or without the helper.  Each chunk's four
+    sums are kept and added in chunk order once all pairs are done, so
+    every norm is bitwise that of the serial loop.  An exception in either
+    chunk of a pair propagates with its own type, at the latest at that
+    pair's join, and no later chunk starts."""
     rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
     fluid = space.fluid_tris
     chunks = [fluid[start:start + ERROR_NORM_CHUNK]
               for start in range(0, fluid.size, ERROR_NORM_CHUNK)]
     sums = [None] * len(chunks)
-    failed = threading.Event()
 
-    def work(first, stride, table):
-        try:
-            for k in range(first, len(chunks), stride):
-                if failed.is_set():
-                    return
-                sums[k] = _fluid_error_squares(space, state.u, pi, case, rule,
-                                               chunks[k], table)
-        except BaseException:
-            failed.set()
-            raise
-
-    def table():
-        return np.empty((4, min(ERROR_NORM_CHUNK, fluid.size), rule.weights.size))
+    def evaluate(k, table):
+        sums[k] = _fluid_error_squares(space, state.u, pi, case, rule, chunks[k], table)
 
     # both tables are allocated on this thread: a table that the helper
     # allocated in its own malloc arena raised the peak RSS of the
     # levels 0-4 study by 12 MB (2-core VM)
     with helper.thread(len(chunks)) as submit:
-        if submit is None:
-            work(0, 1, table())
-        else:
-            odd = submit(partial(work, 1, 2, table()))
-            work(0, 2, table())
-            odd()
-    squares = np.zeros(4)
-    for chunk_squares in sums:
-        squares += chunk_squares
-    l2_sq, grad_sq, eps_sq, pi_sq = squares
+        tables = [np.empty((4, chunk.size, rule.weights.size)) for chunk in chunks[:2]]
+        for k in range(0, len(chunks), 2):
+            join = (submit(partial(evaluate, k + 1, tables[1]))
+                    if k + 1 < len(chunks) else lambda: None)
+            evaluate(k, tables[0])
+            join()
+    l2_sq, grad_sq, eps_sq, pi_sq = reduce(np.add, sums, np.zeros(4))
 
     # exact solid fields are identically zero: the Gram quadratic forms are
     # exact (polynomial integrands within the degree-6 rule)
@@ -434,10 +420,17 @@ class ConvergenceReport:
         return self.rates("ew_h1")
 
 
+def _check_levels(levels):
+    """Refuse levels that are none, or not ascending and distinct, as the CLI does."""
+    if not levels:
+        raise ValueError("levels must contain at least one entry")
+    if list(levels) != sorted(set(levels)):
+        raise ValueError(f"levels must be ascending and distinct, got {levels}")
+
+
 def convergence_study(levels, params: MaterialParams) -> ConvergenceReport:
     """Solve the manufactured case on each level and tabulate errors/rates."""
-    if list(levels) != sorted(set(levels)):
-        raise ValueError("levels must be ascending and distinct")
+    _check_levels(levels)
     case = manufactured_case(params.shift)
     residual = verify_data_identity(case)
     if residual > 1e-12:
@@ -515,8 +508,7 @@ def infsup_beta(space) -> float:
 
 
 def infsup_study(levels) -> InfSupReport:
-    if list(levels) != sorted(set(levels)):
-        raise ValueError("levels must be ascending and distinct")
+    _check_levels(levels)
     rows = []
     for level in levels:
         msh = meshmod.generate(level)

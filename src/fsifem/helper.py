@@ -2,15 +2,16 @@
 handed to it and taken back.
 
 `analysis.error_norms` and `semigroup.evolve` each overlap two streams of
-work on one helper thread that lives only inside the call.  The helper
-is pinned off the caller's CPU: without the pinning the kernel may start
-it on the caller's CPU and leave it there for the whole call (on a 2-vCPU
-KVM guest both threads shared one CPU in each of four fresh benchmark
-passes of the error norms).  A thread allowed only one CPU gets no
-helper, and its work runs inline in the same order.  The caller never
-waits on a job that the helper has not started: it takes the job back
-and runs it itself, so a helper that the kernel does not schedule costs
-the caller nothing but the job's own time.
+work on one helper thread that lives only inside the call; each submits
+a job, does its own share, then joins the job, so one job at most is in
+flight.  The helper is pinned off the caller's CPU: without the pinning
+the kernel may start it on the caller's CPU and leave it there for the
+whole call (on a 2-vCPU KVM guest both threads shared one CPU in each of
+four fresh benchmark passes of the error norms).  A thread allowed only
+one CPU gets no helper, and each job runs inline when it is submitted.
+The caller never waits on a job that the helper has not started: it
+takes the job back and runs it itself, so a helper that the kernel does
+not schedule costs the caller nothing but the job's own time.
 """
 
 from __future__ import annotations
@@ -38,16 +39,24 @@ def _helper_cpus(jobs):
     return cpus - {_current_cpu()} if len(cpus) >= 2 else set()
 
 
+def _inline(job):
+    """`submit` without a helper: run `job` now, on the calling thread."""
+    result = job()
+    return lambda: result
+
+
 @contextlib.contextmanager
 def thread(jobs):
     """A helper thread for `jobs` jobs, or none (`_helper_cpus`).
 
-    Yields `submit`, or None where there is no helper.  `submit(job)`
-    hands a function of no arguments to the helper and returns a function
-    of no arguments that gives the job's result or raises its exception.
-    That function waits only for a job the helper has started; one still
-    queued is cancelled and run by the caller.  The thread is joined when
-    the `with` block ends, also when it ends by an exception.
+    Yields `submit`.  `submit(job)` hands a function of no arguments to
+    the helper and returns a join, a function of no arguments that gives
+    the job's result or raises its exception.  The join waits only for a
+    job the helper has started; one still queued is cancelled and run by
+    the caller.  Without a helper `submit` runs the job at once, so its
+    exception is raised by `submit`.  Both callers join each job before
+    they submit the next, so one job at most is in flight.  The thread is
+    joined when the `with` block ends, also when it ends by an exception.
 
     A job overlaps the caller's SuperLU solve only inside the numpy and
     scipy calls it has entered that release the interpreter lock; its
@@ -56,7 +65,7 @@ def thread(jobs):
     (measured in `sparse`)."""
     cpus = _helper_cpus(jobs)
     if not cpus:
-        yield None
+        yield _inline
         return
     with ThreadPoolExecutor(1, initializer=os.sched_setaffinity,
                             initargs=(0, cpus)) as pool:

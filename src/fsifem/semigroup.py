@@ -11,13 +11,14 @@ balance: E_k^2 - E_{k+1}^2 = 2 dt ||eps(u_{k+1})||^2 + ||Y_{k+1} - Y_k||_H^2.
 Every product of (., .)_H is `sparse.dot`, so no energy depends on the
 number of BLAS threads.
 
-`evolve` pipelines its steps.  A step is a solve, which needs only the
-state before it, and a second half that certifies it: the solve's
-residual gate, the energy row and ||Y_k - Y_{k-1}||_H^2.  The calling
-thread solves step k + 1 while the package's helper thread
-(`helper.thread`) finishes step k, and the rows and sums are added in
-step order, so the trace is bitwise that of `Stepper.step` in a loop.  At
-level 3 the triangular solves are most of a step, and the second half
+A step has two halves, both `Stepper`'s: `Stepper.deferred_step`, the
+solve, which needs only the state before it, and `Stepper.certify`, the
+solve's residual gate and then the energy row.  `Stepper.step` runs them
+one after the other.  `evolve` pipelines them: the calling thread solves
+step k + 1 while the package's helper thread (`helper.thread`) certifies
+step k and adds ||Y_k - Y_{k-1}||_H^2, and the rows and sums are added
+in step order, so the trace is bitwise that of `Stepper.step` in a loop.
+At level 3 the triangular solves are most of a step, and the second half
 hides behind them.
 
 A_h has a one-dimensional kernel: a displaced solid at rest (u = z = 0)
@@ -31,6 +32,7 @@ kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -47,8 +49,9 @@ class EvolutionConfig:
     def __post_init__(self):
         if not (math.isfinite(self.t_final) and self.t_final > 0):
             raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be positive, got {self.n_steps}")
+        n = self.n_steps   # a bool is an Integral, but no step count
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
 
     @property
     def dt(self):
@@ -134,24 +137,32 @@ class Stepper:
     space at other parameter sets.  The factor is double: a stepper makes
     hundreds of solves per factor, and a refined single-precision solve
     costs two to three times a double one.  `step` runs a step's two
-    halves (`evolve`) one after the other on the calling thread."""
+    halves, `deferred_step` and `certify`, one after the other."""
 
     def __init__(self, space, params: MaterialParams):
         self.space = space
         self.params = params
         self.op = solver._operator(space, params, "double")
 
+    def deferred_step(self, state: FsiState, mass_u=None):
+        """A step's unchecked solve (lam I - A_h)^{-1} (lam Y), lam = 1/dt:
+        (new state, its M_f u, the solve's check).  `mass_u` is M_f u of
+        `state` where the caller already holds it."""
+        data = self.op.data_from_state(state, self.params.shift, mass_u)
+        new, check = self.op.deferred_solve(data)
+        return new, self.op.mass_f @ new.u, check
+
+    def certify(self, new: FsiState, mass_u, check, step_index, time):
+        """The solve's residual gate (SolveAccuracyError if it fails), then
+        the new state's energy-trace row."""
+        return _trace_row(self.space, self.params, new, mass_u, step_index, time,
+                          check().residual)
+
     def step(self, state: FsiState, step_index=0, time=0.0):
-        """One resolvent factor (lam I - A_h)^{-1} (lam Y) with lam = 1/dt:
-        the new state (its pressure in `.pi`) and its energy-trace row.
-        The solve's residual gate runs before the row is made, and a
-        failed gate raises SolveAccuracyError."""
-        mass_f = self.op.mass_f
-        data = self.op.data_from_state(state, self.params.shift, mass_f @ state.u)
-        new_state, check = self.op.deferred_solve(data)
-        residual = check().residual
-        return new_state, _trace_row(self.space, self.params, new_state,
-                                     mass_f @ new_state.u, step_index, time, residual)
+        """One backward-Euler step, both halves: the new state (its
+        pressure in `.pi`) and its checked energy-trace row."""
+        new, mass_u, check = self.deferred_step(state)
+        return new, self.certify(new, mass_u, check, step_index, time)
 
 
 @dataclass
@@ -177,66 +188,52 @@ def evolve(space, params: MaterialParams, initial: FsiState,
     """March n_steps of backward Euler, recording the energy trace and the
     cumulative dissipation budget.
 
-    Each step is `Stepper.step` cut in two.  The solve half runs on the
-    calling thread; the other half, the residual gate of the solve, the
-    energy row and the term ||Y_k - Y_{k-1}||_H^2, runs on the helper
-    thread (`helper.thread`) while the calling thread solves step k + 1,
-    which needs only the state.  The caller joins step k's half before it
-    hands over step k + 1's, and adds the rows and sums in step order, so
-    every bit is that of the serial loop.  The second half overlaps the
-    solve only inside its numpy and scipy calls: its Python code holds
-    the interpreter lock that the solve takes back several times, so a
+    The steps are `Stepper.step` in a loop, pipelined: step k's
+    `Stepper.certify` and ||Y_k - Y_{k-1}||_H^2 are submitted to the helper
+    thread (`helper.thread`) while the calling thread runs step k + 1's
+    `Stepper.deferred_step`, which needs only the state.  Each step's half
+    is joined before the next one's is submitted, and the rows and sums are
+    added in step order, so every bit is that of the serial loop.  The
+    second half overlaps the solve only inside its numpy and scipy calls;
+    its Python code between them holds the interpreter lock, so a
     pipelined solve is slower than a serial one (`sparse`).  Without a
-    second CPU both halves of a step run inline, one after the other.  No
-    state leaves unchecked: a failed gate raises SolveAccuracyError, on
-    the helper at the join after the next solve, also when that solve
-    fails, and nothing is returned."""
+    second CPU each second half runs inline when it is submitted.  No state
+    leaves unchecked: a failed gate raises SolveAccuracyError, at the latest
+    at the join after the next solve, also when that solve fails."""
     dt = config.dt
     stepper = Stepper(space, replace(params, shift=1.0 / dt))
-    op = stepper.op
-    lam = stepper.params.shift
-    state, mass_u = initial, op.mass_f @ initial.u
-    row = _trace_row(space, params, initial, mass_u, 0, 0.0, 0.0)
-    rows = [row]
-    e0_sq = row.e_total
-    phys = 0.0
-    num = 0.0
-    worst = 0.0
+    state, mass_u = initial, stepper.op.mass_f @ initial.u
+    rows = [_trace_row(space, params, initial, mass_u, 0, 0.0, 0.0)]
+    phys = num = worst = 0.0
 
-    def finish(k, check, new, new_mass_u, prev):
+    def certify(k, new, new_mass_u, check, prev):
         """Step k's checked energy row and ||Y_k - Y_{k-1}||_H^2."""
-        row = _trace_row(space, params, new, new_mass_u, k, k * dt, check().residual)
+        row = stepper.certify(new, new_mass_u, check, k, k * dt)
         diff = FsiState(new.u - prev.u, new.w - prev.w, new.z - prev.z)
         return row, h_inner(space, params, diff, diff)
 
     halves = []   # (row, ||Y_k - Y_{k-1}||_H^2) of each step, in step order
     with helper.thread(config.n_steps) as submit:
-        pending = None   # the second half of the step before, on the helper
+        pending = None   # the join of the step before's second half
         for k in range(1, config.n_steps + 1):
             try:
-                new, check = op.deferred_solve(op.data_from_state(state, lam, mass_u))
+                new, new_mass_u, check = stepper.deferred_step(state, mass_u)
             except BaseException:
                 if pending is not None:
                     pending()   # the step before failed first
                 raise
-            new_mass_u = op.mass_f @ new.u
-            job = partial(finish, k, check, new, new_mass_u, state)
             if pending is not None:
                 halves.append(pending())
-            if submit is None:
-                halves.append(job())
-            else:
-                pending = submit(job)
+            pending = submit(partial(certify, k, new, new_mass_u, check, state))
             state, mass_u = new, new_mass_u
-        if pending is not None:
-            halves.append(pending())
+        halves.append(pending())
     for row, diff_sq in halves:
         phys += 2.0 * dt * row.dissipation
         worst = max(worst, row.solve_residual)
         num += diff_sq
         rows.append(row)
     return EvolutionResult(trace=EnergyTrace(rows), final_state=state,
-                           energy_initial_sq=e0_sq, energy_final_sq=row.e_total,
+                           energy_initial_sq=rows[0].e_total, energy_final_sq=row.e_total,
                            dissipation_physical=phys, dissipation_numerical=num,
                            solve_residual_max=worst)
 

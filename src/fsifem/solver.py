@@ -465,8 +465,8 @@ class ResolventOperator:
         `check()` runs the bordered solve's residual gate and then the
         unbordered bound's, and returns the report or raises
         SolveAccuracyError.  The state is unchecked until then; the check
-        may run on another thread.  The callers are `solve`,
-        `semigroup.Stepper.step` and `semigroup.evolve`."""
+        may run on another thread.  The callers are `solve` and
+        `semigroup.Stepper.deferred_step`."""
         lam = self.params.shift
         nf = self._free.size
         w_lift = _solid_lift(self._iface_solid, lam, data.w_star)

@@ -24,8 +24,8 @@ measures the relative residual with the caller's own matrix and
 right-hand side; singular factors raise a typed error; and repeated
 solves of identical inputs are bitwise reproducible.  A solve may hand
 its check to the call that made it (`Factorization.deferred_solve`):
-`solve` runs it at once, and `semigroup.evolve` runs it on its helper
-thread and joins it before the state leaves `evolve`.
+`solve` runs it at once, and `semigroup.Stepper.certify` runs it,
+in `evolve` on the helper thread, before the state leaves `evolve`.
 
 The interpreter lock: SuperLU's triangular solve releases it for its
 arithmetic and takes it back about three times per solve (with a 0.2 s
@@ -288,8 +288,8 @@ class Factorization:
         factor defers the residual product and norms; a single factor
         needs the residual inside its refinement, so its check only
         reports.  The callers are a `solve`, `ResolventOperator`'s own
-        `deferred_solve`, `semigroup.Stepper.step` and `semigroup.evolve`
-        (kept so by tests/test_dependencies.py)."""
+        `deferred_solve` and `semigroup.Stepper.deferred_step` (kept so by
+        tests/test_dependencies.py)."""
         b = np.asarray(b, dtype=float)
         if b.ndim not in (1, 2):
             raise ValueError(f"rhs must be a vector or a matrix of columns, "

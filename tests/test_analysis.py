@@ -417,6 +417,52 @@ def test_fault_in_helper_chunk_propagates(space1, params, case, rng, monkeypatch
     assert threading.enumerate() == [threading.main_thread()]
 
 
+def test_fault_in_caller_chunk_propagates(space1, params, case, rng, monkeypatch):
+    state, pi = _noisy_state(space1, case, rng)
+    started = []   # (chunk, on the calling thread) of each chunk begun
+    real = analysis._fluid_error_squares
+
+    def faulty(space, u, pi, case, rule, tris, table):
+        chunk = int(np.flatnonzero(space.fluid_tris == tris[0])[0]) // 7
+        started.append((chunk, threading.current_thread() is threading.main_thread()))
+        if chunk == 0:
+            raise InjectedFault("injected in the caller")
+        return real(space, u, pi, case, rule, tris, table)
+
+    monkeypatch.setattr(analysis, "_fluid_error_squares", faulty)
+    monkeypatch.setattr(helper, "_helper_cpus", helper_on_any_cpu)
+    monkeypatch.setattr(analysis, "ERROR_NORM_CHUNK", 7)
+    with pytest.raises(InjectedFault, match="injected in the caller"):
+        analysis.error_norms(space1, state, pi, case, params)
+    # the caller's chunk 0 failed with chunk 1 of its pair at most on the
+    # helper, no later chunk began, and no thread outlives the call
+    assert (0, True) in started
+    assert {chunk for chunk, _ in started} <= {0, 1}
+    assert [chunk for chunk, caller in started if not caller] in ([], [1])
+    assert threading.enumerate() == [threading.main_thread()]
+
+
+def test_submit_without_a_helper_runs_the_job_before_it_returns(monkeypatch):
+    monkeypatch.setattr(helper, "_helper_cpus", no_helper)
+    ran = []
+
+    def job():
+        ran.append(threading.current_thread())
+        return 7
+
+    def failing():
+        raise InjectedFault("inline")
+
+    with helper.thread(4) as submit:
+        join = submit(job)
+        assert ran == [threading.main_thread()]
+        assert join() == 7 and len(ran) == 1
+        # the job's exception comes from `submit` itself, not its join
+        with pytest.raises(InjectedFault, match="inline"):
+            submit(failing)
+    assert threading.enumerate() == [threading.main_thread()]
+
+
 def test_helper_runs_only_with_two_chunks_and_two_cpus(monkeypatch):
     monkeypatch.setattr(helper.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(helper, "_current_cpu", lambda: 1)
@@ -474,6 +520,16 @@ def test_convergence_rows_and_rates_structure(params, assembled_forms):
 def test_convergence_rejects_unsorted_levels(params):
     with pytest.raises(ValueError):
         analysis.convergence_study([2, 1], params)
+
+
+@pytest.mark.parametrize("levels, message", [([], "at least one entry"),
+                                             ([1, 0], "ascending and distinct")])
+def test_studies_refuse_empty_or_unsorted_levels(levels, message, params):
+    # an empty inf-sup study would give a report whose `spread` raises
+    with pytest.raises(ValueError, match=f"^levels must .*{message}"):
+        analysis.convergence_study(levels, params)
+    with pytest.raises(ValueError, match=f"^levels must .*{message}"):
+        analysis.infsup_study(levels)
 
 
 def test_interpolant_shortcut_gives_zero_solid_error(params, case):

@@ -3,8 +3,8 @@ nothing else (the test tools, sympy among them, stay in the tests); no
 public name that only the tests call; no public name but the known ones
 that only the benchmark's trace layer keeps; no attribute that only the
 tests read; no caller of a solve's unchecked half but the few that run
-its check before any result leaves them; and one assembly site of the
-velocity mass."""
+its check before any result leaves them; one assembly site of the
+velocity mass; and one module that starts threads."""
 
 import ast
 import collections
@@ -24,9 +24,13 @@ BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 BENCHMARK_ONLY = {"inverse_iteration", "pivot_growth"}
 
 
-def _absolute_imports(path):
-    """(line, top-level package) of each absolute import in `path`."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _absolute_imports(tree):
+    """(line, top-level package) of each absolute import in `tree`."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name.split(".")[0]
@@ -39,7 +43,7 @@ def test_runtime_imports_are_stdlib_numpy_or_scipy():
     assert len(modules) > 1
     allowed = sys.stdlib_module_names | RUNTIME_PACKAGES
     foreign = [f"{path.name}:{line}: {name}" for path in modules
-               for line, name in _absolute_imports(path) if name not in allowed]
+               for line, name in _absolute_imports(_parse(path)) if name not in allowed]
     assert not foreign, foreign
 
 
@@ -133,12 +137,13 @@ def test_every_attribute_set_on_self_is_read():
 
 # The halves of a solve that hand the residual check to their caller
 # (`sparse.Factorization.deferred_solve`, `solver.ResolventOperator.
-# deferred_solve`), and the functions that may call them: each runs the
-# check before any result leaves it, `evolve` on its helper thread.  The
-# operator's half composes the factor's.
+# deferred_solve`), and the functions that may call them.  The operator's
+# half composes the factor's; each `solve` runs the check before its result
+# leaves it, and a step's solve half hands the check to `Stepper.certify`,
+# which runs it before the row, and so before `evolve` returns the state.
 DEFERRED = "deferred_solve"
 DEFERRED_CALLERS = {"Factorization.solve", "ResolventOperator.solve",
-                    "ResolventOperator.deferred_solve", "Stepper.step", "evolve"}
+                    "ResolventOperator.deferred_solve", "Stepper.deferred_step"}
 
 
 def _members(tree):
@@ -170,9 +175,7 @@ def test_deferred_solve_halves_have_only_checking_callers():
     _, trees = _package_and_benchmark_trees()
     callers = collections.Counter(name for tree in trees.values()
                                   for name in _deferred_callers(tree))
-    assert set(callers) <= DEFERRED_CALLERS, set(callers) - DEFERRED_CALLERS
-    assert {"Factorization.solve", "ResolventOperator.solve", "Stepper.step",
-            "evolve"} <= set(callers)
+    assert set(callers) == DEFERRED_CALLERS, set(callers) ^ DEFERRED_CALLERS
 
 
 def test_deferred_solve_guard_flags_a_new_caller():
@@ -211,7 +214,7 @@ def _mass_assemblers(tree):
 
 def test_velocity_mass_is_assembled_only_by_its_cache_entry():
     sites = [f"{path.stem}.{name}" for path in sorted(PACKAGE.rglob("*.py"))
-             for name in _mass_assemblers(ast.parse(path.read_text(), filename=str(path)))]
+             for name in _mass_assemblers(_parse(path))]
     assert sites == ["fem.fluid_mass"], sites
 
 
@@ -222,3 +225,29 @@ def test_mass_assembly_guard_flags_a_new_caller():
                      'MASS = (lambda space: assemble(space, "fluid_mass"))(SPACE)\n'
                      'def strain(space):\n    return fem.assemble(space, "fluid_strain")\n')
     assert list(_mass_assemblers(tree)) == ["gram", "Norms.build", "<module>"]
+
+
+# The package's one way onto a second thread is `helper.thread`: no other
+# module imports a threading module, so every job in the package is
+# submitted, joined and taken back the same way.
+THREADING = {"threading", "_thread", "concurrent"}
+
+
+def _thread_imports(tree):
+    """The line of each import of a threading module in `tree`."""
+    return sorted(line for line, name in _absolute_imports(tree) if name in THREADING)
+
+
+def test_only_the_helper_module_imports_threading():
+    importers = {path.name for path in PACKAGE.rglob("*.py")
+                 if _thread_imports(_parse(path))}
+    assert importers == {"helper.py"}, importers
+
+
+def test_thread_import_guard_flags_a_new_importer():
+    tree = ast.parse("import threading\n"
+                     "from concurrent.futures import ThreadPoolExecutor\n"
+                     "import numpy, concurrent.futures as cf\n"
+                     "def start():\n    import _thread\n"
+                     "from . import helper\nimport queue\n")
+    assert _thread_imports(tree) == [1, 2, 3, 5]

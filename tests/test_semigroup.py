@@ -357,6 +357,14 @@ def test_config_validation():
             semigroup.EvolutionConfig(t_final=t_final, n_steps=5)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, 2.0, True, "3", np.float64(3.0)])
+def test_config_refuses_a_step_count_that_is_no_integer(n_steps):
+    # 2.5 would pass here and fail inside `evolve`, after the factorization
+    with pytest.raises(ValueError, match="^n_steps must be a positive integer"):
+        semigroup.EvolutionConfig(t_final=1.0, n_steps=n_steps)
+    assert semigroup.EvolutionConfig(t_final=1.0, n_steps=np.int64(4)).dt == 0.25
+
+
 # -- dissipativity identity --------------------------------------------------
 
 def test_energy_identity_zero_data(space0, params):
