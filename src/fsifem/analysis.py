@@ -201,10 +201,9 @@ def _fluid_error_squares(space, u, pi, case, rule, tris, table):
 
     The four integrands w det (...) are formed in row blocks of
     `_ERROR_NORM_BLOCK` triangles, whose (triangle x point) temporaries
-    stay in cache, and written to the first `tris.size` rows of the
-    caller's (4, >= nt, nq) `table`, which no other chunk in flight uses;
-    each of the four planes is summed once, so neither the block size nor
-    the table's spare rows change a bit.  Each integrand is bitwise that of the
+    stay in cache, and written to the caller's (4, nt, nq) `table`, which
+    no other chunk in flight uses; each of the four planes is summed once,
+    so the block size changes no bit.  Each integrand is bitwise that of the
     per-point formula with the exact fields u = (A B', -A' B): negation
     is exact, so u2 - (-(A' B)) is u2 + A' B, d u2/dx - (-(A'' B)) is
     d u2/dx + A'' B, and d u2/dy = -(A' B') = -d u1/dx."""
@@ -241,8 +240,7 @@ def _fluid_error_squares(space, u, pi, case, rule, tris, table):
         r_xi += r_eta
         return d_dx, r_xi
 
-    squares = table[:, :tris.size]
-    l2, grad, eps, pres = squares
+    l2, grad, eps, pres = table
     for start in range(0, tris.size, _ERROR_NORM_BLOCK):
         s = slice(start, min(start + _ERROR_NORM_BLOCK, tris.size))
         a, da, d2a = (f[x_cls[s]] for f in fx)
@@ -283,19 +281,44 @@ def _fluid_error_squares(space, u, pi, case, rule, tris, table):
         e_p -= case.pressure(x[x_cls[s]], y[y_cls[s]])
         e_p *= e_p
         np.multiply(wdet, e_p, out=pres[s])
-    return np.array([np.sum(plane) for plane in squares])
+    return np.array([np.sum(plane) for plane in table])
 
 
 # Fluid triangles per chunk of the error-norm quadrature.  The chunks fix
 # the order of the sums, and the four (triangle x point) integrand tables
-# of the degree-38 rule take about 13 MB per chunk in flight, so the chunk
-# loop needs a few tens of MB whatever the mesh level.
+# of a chunk take about 7 MB under the 220-point rules of the generated
+# meshes (13 MB under the 400-point rule), so the chunk loop needs a few
+# tens of MB whatever the mesh level.
 ERROR_NORM_CHUNK = 1024
 # Triangles per row block inside a chunk: each (triangle x point)
-# temporary then takes about 200 KB, so a block's passes run from cache.
-# With two chunks in flight the level-3 norms trace a 36.6 MB peak, and
-# 44.4 MB with 128-row blocks; the block size changes no bit.
+# temporary then takes about 110 KB (200 KB under the 400-point rule), so
+# a block's passes run from cache.  With two chunks in flight the level-3
+# norms trace a 20.8 MB peak, and 25.1 MB with 128-row blocks; the block
+# size changes no bit.
 _ERROR_NORM_BLOCK = 64
+
+
+def _error_rule_groups(space, tris):
+    """(rule, triangles) pairs that cover `tris`, in a fixed order: first
+    the triangles whose apex is vertex 0, 1 and 2, each with the
+    220-point rule collapsed onto that apex, then those with no
+    axis-parallel side, with the 400-point rule.
+
+    A triangle's apex is its first vertex whose opposite side is
+    axis-parallel, tested bitwise: the two ends of the side have equal x
+    or equal y.  The squared errors have degree `fem.ERROR_QUAD_DEGREE` in
+    total but only `fem.ERROR_AXIS_DEGREE` in x and in y, so along such a
+    side they have degree `fem.ERROR_AXIS_DEGREE`, which the collapsed
+    rule integrates exactly with 11 points instead of 20.  Groups with no
+    triangle are left out."""
+    v = space.mesh.vertices[space.mesh.triangles[tris]]          # (nt, 3, 2)
+    parallel = np.stack([np.any(v[:, (k + 1) % 3] == v[:, (k + 2) % 3], axis=1)
+                         for k in range(3)], axis=1)             # (nt, 3)
+    apex = np.where(parallel.any(axis=1), parallel.argmax(axis=1), 3)
+    rules = [fem.triangle_rule(fem.ERROR_QUAD_DEGREE, fem.ERROR_AXIS_DEGREE, k)
+             for k in range(3)] + [fem.triangle_rule(fem.ERROR_QUAD_DEGREE)]
+    return [(rule, tris[apex == k]) for k, rule in enumerate(rules)
+            if np.any(apex == k)]
 
 
 def error_norms(space, state, pi, case: ManufacturedCase,
@@ -303,13 +326,16 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     """Errors of (state, pi) against the exact fields of `case`; the
     solid energy norm uses the Lame moduli of `params`.
 
-    The fluid integrals are summed chunk by chunk over at most
-    `ERROR_NORM_CHUNK` fluid triangles; the chunks fix the order of the
-    sums.  In each chunk the exact fields come from 1-D factors evaluated
-    once per class of equal vertex x-triples and once per class of equal
-    vertex y-triples (`fem.class_factors`), bitwise the per-point values.  A
-    level-4 mesh has 2 816 x-classes and 208 y-classes, summed over
-    chunks, against 16 384 fluid triangles.  Building the classes per
+    The fluid integrals are exact: each group of `_error_rule_groups`
+    takes its own rule, 220 points per triangle on a triangle with an
+    axis-parallel side, which every triangle of the generated meshes has,
+    and 400 on any other.  Each group is summed chunk by chunk over at most
+    `ERROR_NORM_CHUNK` fluid triangles; the groups and chunks fix the order
+    of the sums.  In each chunk the exact fields come from 1-D factors
+    evaluated once per class of equal vertex x-triples and once per class
+    of equal vertex y-triples (`fem.class_factors`), bitwise the per-point
+    values.  A level-4 mesh has 1 824 x-classes and 310 y-classes, summed
+    over chunks, against 16 384 fluid triangles.  Building the classes per
     chunk keeps memory bounded on any mesh.  Inside a chunk the four
     integrands are formed in row blocks of `_ERROR_NORM_BLOCK` triangles,
     whose temporaries stay in cache, and each chunk's integrand table is
@@ -328,26 +354,29 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     taken back and evaluated by the caller; without a second CPU every
     odd chunk runs inline at its submission.  One helper is a fixed design
     constant, not a setting: each of the two chunks of a pair has its own
-    13 MB integrand table, allocated here, so a call of two or more chunks
-    holds 26 MB of tables, with or without the helper.  Each chunk's four
-    sums are kept and added in chunk order once all pairs are done, so
-    every norm is bitwise that of the serial loop.  An exception in either
-    chunk of a pair propagates with its own type, at the latest at that
-    pair's join, and no later chunk starts."""
-    rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
-    fluid = space.fluid_tris
-    chunks = [fluid[start:start + ERROR_NORM_CHUNK]
-              for start in range(0, fluid.size, ERROR_NORM_CHUNK)]
+    integrand table, allocated here for the largest chunk (7 MB on the
+    generated meshes), so a call of two or more chunks holds two tables,
+    with or without the helper.  Each chunk's four sums are kept and added
+    in chunk order once all pairs are done, so every norm is bitwise that
+    of the serial loop.  An exception in either chunk of a pair propagates
+    with its own type, at the latest at that pair's join, and no later
+    chunk starts."""
+    chunks = [(rule, tris[start:start + ERROR_NORM_CHUNK])
+              for rule, tris in _error_rule_groups(space, space.fluid_tris)
+              for start in range(0, tris.size, ERROR_NORM_CHUNK)]
     sums = [None] * len(chunks)
 
     def evaluate(k, table):
-        sums[k] = _fluid_error_squares(space, state.u, pi, case, rule, chunks[k], table)
+        rule, tris = chunks[k]
+        squares = table[:4 * tris.size * rule.weights.size].reshape(4, tris.size, -1)
+        sums[k] = _fluid_error_squares(space, state.u, pi, case, rule, tris, squares)
 
     # both tables are allocated on this thread: a table that the helper
     # allocated in its own malloc arena raised the peak RSS of the
     # levels 0-4 study by 12 MB (2-core VM)
     with helper.thread(len(chunks)) as submit:
-        tables = [np.empty((4, chunk.size, rule.weights.size)) for chunk in chunks[:2]]
+        size = max(4 * tris.size * rule.weights.size for rule, tris in chunks)
+        tables = [np.empty(size) for _ in chunks[:2]]
         for k in range(0, len(chunks), 2):
             join = (submit(partial(evaluate, k + 1, tables[1]))
                     if k + 1 < len(chunks) else lambda: None)

@@ -11,11 +11,14 @@ Bundled rules: degree 6 for system matrices (integrands are at most
 degree 4 under affine maps), degree 12 for manufactured-data load vectors
 (cross-checked against a higher-order rule; the residual effect sits at
 the direct-solver tolerance), and degree 38 for error norms (exact for
-squared manufactured-solution errors).  The degree-38 rule has 400 points
-per triangle, so `analysis.error_norms` evaluates it chunk by chunk over
-the fluid triangles, and inside a chunk in row blocks whose temporaries
-stay in cache, from reference derivatives and each triangle's inverse
-Jacobian, without forming a physical-gradient tensor.
+squared manufactured-solution errors).  The squared errors have degree
+only 20 in each of x and y, so on a triangle with an axis-parallel side
+the degree-38 rule collapsed onto the opposite vertex needs 11 points
+along that side instead of 20: 220 points per triangle instead of 400.
+`analysis.error_norms` evaluates the rules chunk by chunk over the fluid
+triangles, and inside a chunk in row blocks whose temporaries stay in
+cache, from reference derivatives and each triangle's inverse Jacobian,
+without forming a physical-gradient tensor.
 `quadrature_coordinate` gives one coordinate of the physical points as a
 (triangle x point) plane, by an explicit barycentric sum, so a point's x
 depends only on the x of the triangle's vertices and its y only on their
@@ -26,8 +29,9 @@ form's entry in `_FORMS` names its element kernel and its row and column
 dofs, and the columns fix the region: `divergence` has pressure rows and
 velocity columns, `pressure_mass` pressure rows and columns, and every
 other form the interleaved vector dofs of its region.  The space keeps
-what the solves read under five names (`TaylorHoodSpace.cached`): three
-here, `fluid_ops` (`fluid_operators`: strain, divergence and pressure
+what the solves read under seven names (`TaylorHoodSpace.cached`): five
+here, the Jacobian classes `fluid_jacobians` and `solid_jacobians`,
+`fluid_ops` (`fluid_operators`: strain, divergence and pressure
 mass, the Stokes forms that every fluid reader uses), `fluid_mass` (the
 velocity mass, its own entry because the inf-sup eigensolve never reads
 it, so an inf-sup study never assembles it) and `solid_ops`
@@ -41,8 +45,9 @@ order, so a request at other moduli assembles all three.
 Assembly and the exact fields of the error norms are class-grouped by
 `sparse.bit_classes`, which groups rows of floats by their exact bits.  Every
 local matrix depends on its triangle only through the affine Jacobian
-(v1 - v0, v2 - v0), so `_local_matrices` groups the triangles by the bits
-of that Jacobian, runs the form's kernel (`_element_kernel`) on one
+(v1 - v0, v2 - v0), so the triangles of each region are grouped once by
+the bits of that Jacobian (`_jacobian_classes`, kept by the space), and
+`_local_matrices` runs the form's kernel (`_element_kernel`) on one
 representative per class and gathers the result back.  Equal bits give
 equal matrices, so this needs no tolerance and the assembled matrices are
 bitwise those of a per-triangle kernel; a structured level-3 mesh has 124
@@ -76,9 +81,11 @@ from . import sparse as sla
 
 SYSTEM_QUAD_DEGREE = 6
 DATA_QUAD_DEGREE = 12
-# squared manufactured-solution errors are polynomials of degree 38; the
-# error-norm rule is exact for them
+# squared manufactured-solution errors are polynomials of degree 38 in
+# total and 20 in each of x and y (2 deg phi, deg phi = 10); the
+# error-norm rules are exact for them
 ERROR_QUAD_DEGREE = 38
+ERROR_AXIS_DEGREE = 20
 
 # assembled form -> (element kernel, row dofs, column dofs).  The dofs are
 # the interleaved "velocity" or "solid" P2 layouts or the P1 "pressure"
@@ -131,16 +138,28 @@ def gauss_legendre_01(npts):
 
 
 @lru_cache(maxsize=None)
-def triangle_rule(degree: int) -> QuadratureRule:
+def triangle_rule(degree: int, side_degree: int | None = None,
+                  apex: int = 2) -> QuadratureRule:
     """Quadrature exact for total degree `degree`, via the collapsed
-    (Duffy) tensor product of Gauss-Legendre rules.
+    (Duffy, or conical-product) tensor product of Gauss-Legendre rules.
 
     With xi = s*(1-t), eta = t the Jacobian is (1-t), so exactness needs
-    ceil((degree+1)/2) points in s and ceil((degree+2)/2) in t.
+    ceil((degree+2)/2) points in t.  The lines of constant t run parallel
+    to the side opposite the apex, vertex 2, and s moves along them, so
+    ceil((side_degree+1)/2) points in s suffice for polynomials of degree
+    at most `side_degree` along that side (Stroud 1971); the default
+    `side_degree` is `degree`, exact for every polynomial of that total
+    degree.  `apex` rolls the barycentric columns so that the apex is
+    vertex 0, 1 or 2.
     """
-    if degree < 0:
-        raise ValueError("quadrature degree must be nonnegative")
-    ns = (degree + 2) // 2
+    if side_degree is None:
+        side_degree = degree
+    if not 0 <= side_degree <= degree:
+        raise ValueError("quadrature degrees must be nonnegative, side_degree "
+                         "at most degree")
+    if apex not in (0, 1, 2):
+        raise ValueError(f"apex must be vertex 0, 1 or 2, got {apex!r}")
+    ns = (side_degree + 2) // 2
     nt = (degree + 3) // 2
     s, ws = gauss_legendre_01(ns)
     t, wt = gauss_legendre_01(nt)
@@ -149,7 +168,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
     xi = (S * (1.0 - T)).ravel()
     eta = T.ravel()
     w = (WS * WT * (1.0 - T)).ravel()
-    bary = np.column_stack([1.0 - xi - eta, xi, eta])
+    bary = np.roll(np.column_stack([1.0 - xi - eta, xi, eta]), apex - 2, axis=1)
     return QuadratureRule(degree=degree, points=bary, weights=w)
 
 
@@ -436,17 +455,32 @@ def _element_kernel(jac, params, form):
     raise ValueError(f"unknown form {form!r}")
 
 
-def _local_matrices(space, tris, params, form):
-    """Local matrices of `form` on `tris`, one kernel call per Jacobian class.
+def _jacobian_classes(space, region):
+    """The Jacobians of one representative triangle per bit class of the
+    Jacobians of `region` ("fluid" or "solid"), and the class of each of
+    its triangles.
+
+    The space keeps them under their own name per region, so every form
+    assembled over the region reads one set of classes."""
+    def build():
+        jac = _jacobians(space, getattr(space, f"{region}_tris"))
+        first, cls = sla.bit_classes(jac.reshape(len(jac), 4))
+        return jac[first], cls
+
+    return space.cached(f"{region}_jacobians", build)
+
+
+def _local_matrices(space, region, params, form):
+    """Local matrices of `form` on the triangles of `region`, one kernel call
+    per Jacobian class.
 
     Triangles whose Jacobians have the same bit pattern get bitwise the
     same local matrix, so the kernel runs on one representative of each
     class and the result is gathered back.  No tolerance is involved: on a
     mesh without repeated shapes every triangle is its own class.
     """
-    jac = _jacobians(space, tris)
-    first, cls = sla.bit_classes(jac.reshape(len(tris), 4))
-    return _element_kernel(jac[first], params, form)[cls]
+    jac, cls = _jacobian_classes(space, region)
+    return _element_kernel(jac, params, form)[cls]
 
 
 def _form_spec(form):
@@ -454,7 +488,7 @@ def _form_spec(form):
     if form not in _FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
     kernel, rows, cols = _FORMS[form]
-    return kernel, rows, cols, meshmod.SOLID if cols == "solid" else meshmod.FLUID
+    return kernel, rows, cols, "solid" if cols == "solid" else "fluid"
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +545,11 @@ def assemble(space, form: str, params: MaterialParams | None = None):
     kernel, row_layout, col_layout, region = _form_spec(form)
     if form == "solid_stiffness" and params is None:
         raise ValueError("solid_stiffness needs the Lame moduli: pass params")
-    tris = space.solid_tris if region == meshmod.SOLID else space.fluid_tris
+    tris = getattr(space, f"{region}_tris")
     rows, n_rows = _dofs_of_tris(space, tris, row_layout)
     cols, n_cols = ((rows, n_rows) if col_layout == row_layout
                     else _dofs_of_tris(space, tris, col_layout))
-    return _scatter(_local_matrices(space, tris, params, kernel), rows, cols,
+    return _scatter(_local_matrices(space, region, params, kernel), rows, cols,
                     (n_rows, n_cols))
 
 

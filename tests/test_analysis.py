@@ -200,11 +200,10 @@ def test_error_norm_includes_seminorm_column(solved1, params, case):
     assert err.ew_h1 <= err.ew_h1_full * 3.0 + 1e-30
 
 
-def _single_batch_fluid_norms(space, state, pi, case):
-    """(eu_h1, epi_l2, eu_seminorm) with every fluid triangle in one batch
-    and the physical gradients of all basis functions formed explicitly."""
-    rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
-    tris = space.fluid_tris
+def _single_batch_squares(space, state, pi, case, rule, tris):
+    """Squared (L2, full-gradient, eps, pressure) errors with every
+    triangle of `tris` in one batch and the physical gradients of all basis
+    functions formed explicitly."""
     det, inv = fem._tri_geometry(space, tris)
     g = fem._ref_to_phys(inv, rule)
     pts = quadrature_points(space, tris, rule)
@@ -231,6 +230,15 @@ def _single_batch_fluid_norms(space, state, pi, case):
     pih = np.einsum("ti,qi->tq", cp, fem.p1_values(rule.points))
     e_p = pih - case.pressure(pts[..., 0], pts[..., 1])
     pi_sq = np.sum(wdet * e_p**2)
+    return np.array([l2_sq, grad_sq, eps_sq, pi_sq])
+
+
+def _single_batch_fluid_norms(space, state, pi, case):
+    """(eu_h1, epi_l2, eu_seminorm) with each rule group of the error
+    norms in one batch (`_single_batch_squares`)."""
+    l2_sq, grad_sq, eps_sq, pi_sq = sum(
+        _single_batch_squares(space, state, pi, case, rule, tris)
+        for rule, tris in analysis._error_rule_groups(space, space.fluid_tris))
     return math.sqrt(l2_sq + grad_sq), math.sqrt(pi_sq), math.sqrt(eps_sq)
 
 
@@ -242,6 +250,44 @@ def test_chunked_norms_match_single_batch_formula(params, case):
     expected = _single_batch_fluid_norms(space, state, state.pi, case)
     assert (err.eu_h1, err.epi_l2, err.eu_seminorm) == pytest.approx(expected,
                                                                      rel=1e-13)
+
+
+def _full_rule_groups(space, tris):
+    """Every triangle under the 400-point rule, exact for total degree 38
+    whatever the triangle's sides."""
+    return [(fem.triangle_rule(fem.ERROR_QUAD_DEGREE), tris)]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_reduced_rules_match_full_rule_norms(level, params, case, monkeypatch):
+    # both rules are exact for the integrands, so they differ only by the
+    # rounding of e = u_h - u at other points, which grows as e shrinks:
+    # at most 2.9e-12 over levels 0-3, and 2.0e-11 at level 4
+    space = fem.build_space(meshmod.generate(level))
+    state, _ = solver.solve_resolvent(space, params,
+                                      analysis.manufactured_data(space, case))
+    reduced = analysis.error_norms(space, state, state.pi, case, params)
+    monkeypatch.setattr(analysis, "_error_rule_groups", _full_rule_groups)
+    full = analysis.error_norms(space, state, state.pi, case, params)
+    assert reduced.eu_h1 != full.eu_h1   # other points, other rounding
+    for field in ("eu_h1", "epi_l2", "eu_seminorm"):
+        assert getattr(reduced, field) == pytest.approx(getattr(full, field), rel=1e-10)
+    assert (reduced.ew_h1, reduced.ew_h1_full) == (full.ew_h1, full.ew_h1_full)
+
+
+def test_error_rule_degrees_follow_the_manufactured_case():
+    # u = (d psi/dy, -d psi/dx) with psi = phi(x) phi(y), and u_h is P2,
+    # of lower degree: the squared errors have twice the largest degree of
+    # a velocity component in x or in y, and twice its largest total degree
+    p = analysis.phi_coefficients()
+    psi = np.multiply.outer(p, p)
+    degrees = [np.argwhere(u != 0)
+               for u in (npoly.polyder(psi, axis=1), npoly.polyder(psi, axis=0))]
+    assert fem.ERROR_AXIS_DEGREE == 2 * max(int(d.max()) for d in degrees)
+    assert fem.ERROR_QUAD_DEGREE == 2 * max(int(d.sum(axis=1).max()) for d in degrees)
+    deg_phi = len(p) - 1
+    assert fem.ERROR_AXIS_DEGREE == 2 * deg_phi
+    assert fem.ERROR_QUAD_DEGREE == 2 * (2 * deg_phi - 1)
 
 
 def test_norms_do_not_depend_on_chunk_size(solved1, params, case, monkeypatch):
@@ -368,9 +414,10 @@ def test_exact_field_evaluated_once_per_coordinate_class(params, case, monkeypat
         evaluated.clear()
         analysis.error_norms(space, state, state.pi, case, params)
         counts.append(sum(evaluated))
-    nq = fem.triangle_rule(fem.ERROR_QUAD_DEGREE).weights.size
-    per_point = 6 * space.fluid_tris.size * nq   # six factors at every point
-    assert 0 < counts[0] <= per_point / 8        # 580 800 of 9 830 400
+    # six factors at every point of every group's rule
+    per_point = 6 * sum(tris.size * rule.weights.size for rule, tris
+                        in analysis._error_rule_groups(space, space.fluid_tris))
+    assert 0 < counts[0] <= per_point / 8        # 319 440 of 5 406 720
     assert counts[1] == counts[0]                # once per chunk, not per thread
 
 
@@ -421,9 +468,13 @@ def test_fault_in_caller_chunk_propagates(space1, params, case, rng, monkeypatch
     state, pi = _noisy_state(space1, case, rng)
     started = []   # (chunk, on the calling thread) of each chunk begun
     real = analysis._fluid_error_squares
+    # each chunk of 7 by its first triangle, in the order of the sums
+    firsts = [int(tris[start]) for _, tris
+              in analysis._error_rule_groups(space1, space1.fluid_tris)
+              for start in range(0, tris.size, 7)]
 
     def faulty(space, u, pi, case, rule, tris, table):
-        chunk = int(np.flatnonzero(space.fluid_tris == tris[0])[0]) // 7
+        chunk = firsts.index(int(tris[0]))
         started.append((chunk, threading.current_thread() is threading.main_thread()))
         if chunk == 0:
             raise InjectedFault("injected in the caller")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import quadrature_points, signed_areas
-from fsifem import fem, mesh as meshmod, solver
+from fsifem import analysis, fem, mesh as meshmod, solver
 
 
 # -- quadrature --------------------------------------------------------------
@@ -41,6 +41,114 @@ def test_quadrature_points_match_einsum_bitwise(degree, rng):
         pts = quadrature_points(SimpleNamespace(mesh=msh), tris, rule)
         reference = np.einsum("qk,tkd->tqd", rule.points, msh.vertices[msh.triangles])
         assert np.array_equal(pts, reference)
+
+
+def _local_monomial_integrals(rule, verts, power):
+    """Integrals of ((x - x_c)/h)^a ((y - y_c)/h)^b, and of their absolute
+    values, for a, b <= power over triangles with vertices `verts`
+    (nt, 3, 2), x_c the centroid and h the largest coordinate extent, each
+    divided by twice the triangle's area.  The local coordinates of the
+    points are barycentric sums of those of the vertices, so they carry no
+    cancellation from the global ones."""
+    local = (verts - verts.mean(axis=1, keepdims=True)) / np.ptp(
+        verts, axis=1).max(axis=1)[:, None, None]
+    pts = np.einsum("qk,tkd->tqd", rule.points, local)
+    x, y = (np.vander(pts[..., d].ravel(), power + 1, increasing=True)
+            .reshape(*pts.shape[:2], power + 1) for d in (0, 1))
+    wx = np.swapaxes(rule.weights[:, None] * x, 1, 2)
+    return wx @ y, np.abs(wx) @ np.abs(y)
+
+
+def _reduced_groups(space):
+    """(apex, triangles) of each 220-point group of the error norms, whose
+    rule is the one collapsed onto that apex."""
+    reduced = [fem.triangle_rule(fem.ERROR_QUAD_DEGREE, fem.ERROR_AXIS_DEGREE, apex)
+               for apex in range(3)]
+    full = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
+    groups = []
+    for rule, tris in analysis._error_rule_groups(space, space.fluid_tris):
+        apexes = [apex for apex, r in enumerate(reduced) if r is rule]
+        assert apexes or rule is full
+        groups += [(apex, tris) for apex in apexes]
+    return groups
+
+
+@pytest.mark.parametrize("degree, side_degree, apex, message", [
+    (-1, None, 2, "nonnegative"), (6, -1, 2, "nonnegative"),
+    (6, 8, 2, "side_degree at most degree"), (6, 6, 3, "apex must be vertex")])
+def test_triangle_rule_refuses_bad_degrees_and_apex(degree, side_degree, apex, message):
+    with pytest.raises(ValueError, match=message):
+        fem.triangle_rule(degree, side_degree, apex)
+
+
+@pytest.mark.parametrize("apex", [0, 1, 2])
+def test_collapsed_rule_rolls_onto_its_apex(apex):
+    base = fem.triangle_rule(fem.ERROR_QUAD_DEGREE, fem.ERROR_AXIS_DEGREE)
+    rule = fem.triangle_rule(fem.ERROR_QUAD_DEGREE, fem.ERROR_AXIS_DEGREE, apex)
+    assert rule.points.shape == (220, 3)
+    assert np.array_equal(rule.points, np.roll(base.points, apex - 2, axis=1))
+    assert np.array_equal(rule.weights, base.weights)
+    # the Duffy coordinate t = eta of the base rule is the apex's column
+    assert np.array_equal(np.unique(rule.points[:, apex]),
+                          fem.gauss_legendre_01(20)[0])
+    # exact for every polynomial of total degree ERROR_AXIS_DEGREE
+    xi, eta, w = rule.points[:, 1], rule.points[:, 2], rule.weights
+    for a in range(fem.ERROR_AXIS_DEGREE + 1):
+        for b in range(fem.ERROR_AXIS_DEGREE + 1 - a):
+            exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+            assert abs(float(np.sum(w * xi**a * eta**b)) - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, "jittered"])
+def test_reduced_error_rules_are_exact_along_an_axis_parallel_side(level, jittered_mesh1):
+    msh = jittered_mesh1 if level == "jittered" else meshmod.generate(level)
+    space = fem.build_space(msh)
+    full = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
+    degree, axis_degree = fem.ERROR_QUAD_DEGREE, fem.ERROR_AXIS_DEGREE
+    a, b = np.meshgrid(np.arange(23), np.arange(23), indexing="ij")
+    exact = (a <= axis_degree) & (b <= axis_degree) & (a + b <= degree)
+    groups = _reduced_groups(space)
+    assert groups
+    for apex, tris in groups:
+        rule = fem.triangle_rule(degree, axis_degree, apex)
+        for block in np.array_split(tris, -(-tris.size // 128)):
+            verts = msh.vertices[msh.triangles[block]]
+            got, _ = _local_monomial_integrals(rule, verts, 22)
+            want, scale = _local_monomial_integrals(full, verts, 22)
+            error = np.abs(got - want) / scale
+            assert error[:, exact].max() <= 1e-13, (level, apex)
+            # 11 points along the side opposite the apex integrate degree
+            # 21 there, not 22: the per-axis degree is what the rule needs
+            ends = verts[:, [(apex + 1) % 3, (apex + 2) % 3]]
+            horizontal = ends[:, 0, 1] == ends[:, 1, 1]
+            assert np.all(horizontal | (ends[:, 0, 0] == ends[:, 1, 0]))
+            along = np.where(horizontal, error[:, 22, 0], error[:, 0, 22])
+            assert along.min() > 1e-9, (level, apex)
+
+
+def test_every_generated_fluid_triangle_takes_a_reduced_error_rule():
+    for level in range(5):
+        space = fem.build_space(meshmod.generate(level))
+        covered = np.concatenate([tris for _, tris in _reduced_groups(space)])
+        assert np.array_equal(np.sort(covered), space.fluid_tris), level
+
+
+def test_only_triangles_without_axis_parallel_side_take_the_full_error_rule(
+        jittered_mesh1):
+    space = fem.build_space(jittered_mesh1)
+    full = fem.triangle_rule(fem.ERROR_QUAD_DEGREE)
+    groups = analysis._error_rule_groups(space, space.fluid_tris)
+    on_full = [tris for rule, tris in groups if rule is full]
+    # written out per side, independently of the grouping
+    oblique = []
+    for tri in space.fluid_tris:
+        v = jittered_mesh1.vertices[jittered_mesh1.triangles[tri]]
+        sides = [(v[i], v[(i + 1) % 3]) for i in range(3)]
+        if not any(p[0] == q[0] or p[1] == q[1] for p, q in sides):
+            oblique.append(tri)
+    assert len(oblique) > 0 and len(on_full) == 1
+    assert np.array_equal(on_full[0], oblique)
+    assert sum(tris.size for _, tris in groups) == space.fluid_tris.size
 
 
 # -- space construction ------------------------------------------------------
@@ -136,7 +244,7 @@ def test_solid_request_at_other_moduli_keeps_the_fluid_entries(mesh0):
 
 def test_fluid_mass_row_sums_give_area(space0, params):
     tri = space0.fluid_tris[5]
-    m = fem._local_matrices(space0, np.array([tri]), params, "fluid_mass")[0]
+    m = fem._local_matrices(space0, "fluid", params, "fluid_mass")[5]
     area = signed_areas(space0.mesh)[tri]
     ones_x = np.zeros(12)
     ones_x[0::2] = 1.0
@@ -145,7 +253,7 @@ def test_fluid_mass_row_sums_give_area(space0, params):
 
 def test_strain_annihilates_rigid_rotation(space0, params):
     tri = space0.fluid_tris[7]
-    k = fem._local_matrices(space0, np.array([tri]), params, "fluid_strain")[0]
+    k = fem._local_matrices(space0, "fluid", params, "fluid_strain")[7]
     xy = space0.node_xy[space0.tri_nodes[tri]]
     v = np.empty(12)
     v[0::2] = -xy[:, 1]
@@ -168,7 +276,7 @@ def test_patch_test_rigid_motions(space1):
 def test_solid_stiffness_matches_symbolic_oracle(space0, params):
     sympy = pytest.importorskip("sympy")
     tri = int(space0.solid_tris[0])
-    computed = fem._local_matrices(space0, np.array([tri]), params, "solid_stiffness")[0]
+    computed = fem._local_matrices(space0, "solid", params, "solid_stiffness")[0]
 
     x, y = sympy.symbols("x y")
     v = space0.mesh.vertices[space0.mesh.triangles[tri]]
@@ -252,8 +360,8 @@ def _edge_flux(space, tri, coeffs):
 
 def test_divergence_form_is_divergence_theorem(space0, params, rng):
     # b-local row for mu = 1 equals minus the boundary flux of v
-    for tri in space0.fluid_tris[:10]:
-        b_local = fem._local_matrices(space0, np.array([tri]), params, "divergence")[0]
+    divergence = fem._local_matrices(space0, "fluid", params, "divergence")
+    for tri, b_local in zip(space0.fluid_tris[:10], divergence):
         coeffs = rng.standard_normal(12)
         b_const = float(b_local.sum(axis=0) @ coeffs)   # mu = sum of P1 hats = 1
         assert b_const == pytest.approx(-_edge_flux(space0, int(tri), coeffs), abs=1e-12)
@@ -262,18 +370,17 @@ def test_divergence_form_is_divergence_theorem(space0, params, rng):
 # -- class-grouped assembly --------------------------------------------------
 
 _REGION_FORMS = (
-    ("fluid_tris", ("fluid_mass", "fluid_strain", "gradient", "divergence",
+    ("fluid", ("fluid_mass", "fluid_strain", "gradient", "divergence",
                     "pressure_mass")),
-    ("solid_tris", ("solid_mass", "solid_stiffness", "gradient")),
+    ("solid", ("solid_mass", "solid_stiffness", "gradient")),
 )
 
 
 def _assert_grouped_matches_per_triangle(space, params):
     for region, forms in _REGION_FORMS:
-        tris = getattr(space, region)
-        jac = fem._jacobians(space, tris)
+        jac = fem._jacobians(space, getattr(space, f"{region}_tris"))
         for form in forms:
-            grouped = fem._local_matrices(space, tris, params, form)
+            grouped = fem._local_matrices(space, region, params, form)
             per_triangle = fem._element_kernel(jac, params, form)
             assert grouped.shape == per_triangle.shape
             assert grouped.tobytes() == per_triangle.tobytes(), (region, form)
@@ -383,6 +490,24 @@ def test_kernel_runs_once_per_jacobian_class(kernel_calls):
     fluid = ("fluid_mass", "fluid_strain", "divergence", "pressure_mass")
     solid = ("solid_mass", "gradient", "solid_stiffness")
     assert kernel_calls == [(f, 124) for f in fluid] + [(f, 28) for f in solid]
+
+
+def test_jacobian_classes_built_once_per_region(monkeypatch):
+    space = fem.build_space(meshmod.generate(1))
+    built = []
+    jacobians = fem._jacobians
+
+    def counting(space, tris):
+        built.append(tris.size)
+        return jacobians(space, tris)
+
+    monkeypatch.setattr(fem, "_jacobians", counting)
+    fem.fluid_mass(space)
+    fem.fluid_operators(space)
+    fem.assemble(space, "fluid_gradient")
+    fem.solid_operators(space, fem.MaterialParams())
+    fem.solid_operators(space, fem.MaterialParams(lame_lambda=3.0, lame_mu=0.7))
+    assert built == [space.fluid_tris.size, space.solid_tris.size]
 
 
 # -- interface normal moments -----------------------------------------------

@@ -374,6 +374,7 @@ from fsifem import analysis, fem, mesh, solver
 params = fem.MaterialParams()
 space = fem.build_space(mesh.generate(3))
 fem.fluid_operators(space)
+fem.fluid_mass(space)
 fem.solid_operators(space, params)
 solver._shifted_solid_matrix(space, params)
 """
@@ -381,8 +382,9 @@ solver._shifted_solid_matrix(space, params)
 
 def _peak_rss_growth_mb(run):
     """VmHWM growth of a fresh process over `run`, which follows the
-    level-3 space, operators and shifted solid matrix at the default
-    parameters."""
+    level-3 space, the Stokes forms, the velocity mass (a cache entry of
+    its own, which every resolvent operator reads), the solid operators
+    and the shifted solid matrix at the default parameters."""
     return peak_rss_growth_mb(_LEVEL3_OPERATORS, run)
 
 
@@ -392,18 +394,19 @@ def test_operator_build_peak_rss_growth_is_bounded():
     # freed heap that the allocator keeps and that tracemalloc does not
     # see: a level-3 operator build raised it by 60.5 MB with the saddle
     # built through COO copies of its blocks, by 43-47 MB without them,
-    # and by 30-32 MB with the single-precision factor, the bound being
-    # below every double build
+    # and by 26.7-29.5 MB (10 fresh processes) with the single-precision
+    # factor, the bound being below every double build
     assert _peak_rss_growth_mb("solver.ResolventOperator(space, params)") < 38
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
 def test_shift_sweep_peak_rss_growth_stays_within_one_build():
     # six shifts on one space keep one factor alive at a time, so the
-    # sweep stays near one build: 31.5-35.0 MB here with single factors,
-    # against 30-32 MB for one build (46-48 MB with double factors, above
-    # the bound).  VmHWM, not tracemalloc, because SuperLU's factor memory
-    # is not traced
+    # sweep, manufactured load included, stays near one build: 30.5-35.1
+    # MB over 10 fresh processes with single factors, against 26.7-29.5
+    # MB for one build (46-48 MB with double factors, above the bound).
+    # VmHWM, not tracemalloc, because SuperLU's factor memory is not
+    # traced
     sweep = """
 data = analysis.manufactured_data(space, analysis.manufactured_case(1.0))
 for shift in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2):
