@@ -291,11 +291,14 @@ def _fluid_error_squares(space, u, pi, case, rule, tris, table):
 # tens of MB whatever the mesh level.
 ERROR_NORM_CHUNK = 1024
 # Triangles per row block inside a chunk: each (triangle x point)
-# temporary then takes about 110 KB (200 KB under the 400-point rule), so
-# a block's passes run from cache.  With two chunks in flight the level-3
-# norms trace a 20.8 MB peak, and 25.1 MB with 128-row blocks; the block
-# size changes no bit.
-_ERROR_NORM_BLOCK = 64
+# temporary then takes about 225 KB (410 KB under the 400-point rule), so
+# a block's passes run from cache.  A block makes dozens of numpy calls,
+# and the lock hand-offs between them bound what the helper thread gains:
+# at level 4 the norms take 0.13-0.15 s with 128-row blocks and 0.16-0.19
+# s with 64-row ones (medians of 9 calls, 2-core VM).  With two chunks in
+# flight the level-3 norms trace a 25.1 MB peak (20.8 MB with 64-row
+# blocks); the block size changes no bit.
+_ERROR_NORM_BLOCK = 128
 
 
 def _error_rule_groups(space, tris):

@@ -52,14 +52,25 @@ representative per class and gathers the result back.  Equal bits give
 equal matrices, so this needs no tolerance and the assembled matrices are
 bitwise those of a per-triangle kernel; a structured level-3 mesh has 124
 fluid and 28 solid classes among 4 096 and 512 triangles, a jittered mesh
-one class per triangle.  The separable exact fields, in the error norms
-and in the fluid load, have one evaluation path: `class_factors` groups
-the triangles by their vertex x-triples and, separately, y-triples, and
-evaluates the 1-D factors on one representative per class.  Every
-global matrix then goes through one COO-to-CSR scatter (`_scatter`) whose
-row and column arrays are built as int32, the index type of the result,
-and whose result holds exactly its nnz entries, with no COO-sized buffer
-behind them (`owned_csr`, which the kept sparse sums also go through).
+one class per triangle.  A local entry within the rounding-error bound of
+its quadrature sum is exactly zero (`_element_kernel`): a sum that small
+is the round-off of a zero integral, such as the P2 mass of a vertex and
+an adjacent midpoint, the gradient of a vertex and its opposite midpoint,
+or a cancellation that a right triangle adds.  Kept, those sums were 23 %
+of the level-3 resolvent saddle's entries.  The rule is local, so a sum
+of genuine local entries that cancels across a vertex patch stays stored,
+such as a pressure row's coupling to the velocity at its own vertex: at
+level 3, 4 201 divergence, 530 strain and 448 solid-stiffness entries lie
+below 1e-12 of their row's largest.  Their bound needs the terms of the
+global sum, which the scatter does not keep.  The separable exact
+fields, in the error norms and in the fluid load, have one evaluation
+path: `class_factors` groups the triangles by their vertex x-triples
+and, separately, y-triples, and evaluates the 1-D factors on one
+representative per class.  Every global matrix then goes through one
+COO-to-CSR scatter (`_scatter`) whose row and column arrays are built as
+int32, the index type of the result, and whose result holds exactly
+its nnz entries, with no COO-sized buffer behind them (`owned_csr`, which
+the kept sparse sums also go through).
 The space reads no grid layout, only the mesh's edge tags, so a jittered
 or rotated mesh passes through `build_space` too.  There is no separate
 interface-edge quadrature: the normal moments <nu, phi_i> on Gamma_s are
@@ -427,6 +438,27 @@ def _p1_mass_ref():
     return np.einsum("q,qi,qj->ij", rule.weights, n, n)
 
 
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit round-off of float64."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
+
+
+# Every local entry is a quadrature sum over the nq points of the system
+# rule.  Written out with each physical derivative as the two products of
+# a reference derivative and an inverse-Jacobian entry that make it, the
+# longest, the solid stiffness's, has 16 nq terms (lambda div-div one pair
+# of derivatives per point, the strain three, four products per pair), and
+# each term takes at most 16 roundings from the reference values.  So its
+# rounding error is at most gamma_(16 nq + 16) times the sum of the terms'
+# magnitudes (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+# section 3.1), and Cauchy-Schwarz bounds that sum by sqrt(r_i c_j)
+# for the scales of `_quadrature_kernel`: the square kernels are Gram
+# matrices with positive weights (the stiffness for lambda, mu >= 0 too),
+# and the divergence pairs P1 values with derivatives.
+_ROUNDOFF = _gamma(16 * len(triangle_rule(SYSTEM_QUAD_DEGREE).weights) + 16)
+
+
 def _element_kernel(jac, params, form):
     """Local matrices of `form` on triangles given by their Jacobians.
 
@@ -434,25 +466,58 @@ def _element_kernel(jac, params, form):
     depends on the triangle only through these four numbers.  `form` names
     a kernel of `_FORMS`: each form's own name, except `gradient`, the
     full-gradient Gram kernel of both `*_gradient` forms.
+
+    An entry within the rounding-error bound of the quadrature sum that
+    made it, `_ROUNDOFF` sqrt(r_i c_j) for the row and column scales r and
+    c of `_quadrature_kernel`, is set to exactly zero, so the scatter does
+    not store it: a sum that small is the rounding error of a zero
+    integral.  Every other entry keeps the bits of its sum.
     """
+    local, rows, cols = _quadrature_kernel(jac, params, form)
+    bound = _ROUNDOFF * np.sqrt(rows[:, :, None] * cols[:, None, :])
+    local[np.abs(local) <= bound] = 0.0
+    return local
+
+
+def _quadrature_kernel(jac, params, form):
+    """The quadrature sums of `_element_kernel`, before round-off is
+    dropped, and the scales of their rows and columns.
+
+    A mass kernel's scales are its diagonal magnitudes.  The others take
+    the integrals of the squared derivatives with each physical derivative
+    replaced by the magnitudes of the two products that make it,
+    |reference derivative| |inverse Jacobian|, which bound its rounding
+    error where the products cancel: the square kernels the diagonals
+    they give, and the divergence these integrals for its columns and the
+    P1-mass diagonal for its rows."""
     det, inv = _jacobian_inverse(jac[:, 0], jac[:, 1])
-    if form in ("fluid_mass", "solid_mass"):
-        return _local_vector_mass(det, _p2_mass_ref())
-    if form == "pressure_mass":
-        return det[:, None, None] * _p1_mass_ref()[None, :, :]
+    if form in ("fluid_mass", "solid_mass", "pressure_mass"):
+        local = (det[:, None, None] * _p1_mass_ref()[None, :, :] if form == "pressure_mass"
+                 else _local_vector_mass(det, _p2_mass_ref()))
+        diag = np.abs(np.diagonal(local, axis1=1, axis2=2))
+        return local, diag, diag
     rule = triangle_rule(SYSTEM_QUAD_DEGREE)
+    w = rule.weights
     g = _ref_to_phys(inv, rule)
-    if form == "fluid_strain":
-        return _local_strain(det, g, rule.weights)
-    if form == "gradient":
-        return _local_gradient(det, g, rule.weights)
+    bound = np.abs(p2_grads(rule.points)) @ np.abs(inv)[:, None]     # (nt, nq, 6, 2)
+    part = np.abs(det)[:, None, None] * np.einsum("q,tqia->tia", w, bound * bound)
+    whole = part.sum(axis=2, keepdims=True)          # both components
     if form == "divergence":
-        return _local_divergence(det, g, rule)
-    if form == "solid_stiffness":
+        return (_local_divergence(det, g, rule), np.abs(det)[:, None] * np.diag(_p1_mass_ref()),
+                part.reshape(det.size, 12))
+    if form == "fluid_strain":
+        local, diag = _local_strain(det, g, w), (whole + part) / 2
+    elif form == "gradient":
+        local, diag = _local_gradient(det, g, w), np.broadcast_to(whole, part.shape)
+    elif form == "solid_stiffness":
         # (sigma(u), eps(v)) = lambda (div u, div v) + 2 mu (eps u, eps v)
-        return (params.lame_lambda * _local_div_div(det, g, rule.weights)
-                + _local_strain(det, g, rule.weights, mu_factor=2.0 * params.lame_mu))
-    raise ValueError(f"unknown form {form!r}")
+        local = (params.lame_lambda * _local_div_div(det, g, w)
+                 + _local_strain(det, g, w, mu_factor=2.0 * params.lame_mu))
+        diag = params.lame_lambda * part + params.lame_mu * (whole + part)
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    diag = diag.reshape(det.size, 12)
+    return local, diag, diag
 
 
 def _jacobian_classes(space, region):
@@ -502,7 +567,7 @@ def _scatter(local, row_dofs, col_dofs, shape):
     local rows and columns.  The COO indices are built as int32, the index
     type of the result, so no int64 copy of the 2 x nt x nr x nc indices
     is ever held.  The conversion sums duplicates inside the COO-sized
-    buffers (27.0 MB for the 16.1 MB of the level-4 strain), so the result
+    buffers (27.0 MB for the 10.9 MB of the level-4 strain), so the result
     goes through `owned_csr`.
     """
     nt, nr, nc = local.shape

@@ -10,10 +10,10 @@ per unknown, the matrix is factorized in the nested-dissection order of
 without a coordinate row are numbered after the others.  Every factorization
 in the package takes this path: the resolvent and kernel-projection
 saddle matrices, whose zero pressure block leaves SuperLU's COLAMD with
-partial pivoting at 2.7 times the fill at level 3, and the SPD velocity,
+partial pivoting at 3.1 times the fill at level 3, and the SPD velocity,
 pressure mass and solid interior blocks.  At level 4 the velocity block
-fills 9.00 M entries against 10.69 M under SuperLU's minimum degree on
-A + A^T, the solid interior block 5 % less and the pressure mass 3 %
+fills 8.52 M entries against 10.95 M under SuperLU's minimum degree on
+A + A^T, the solid interior block 7 % less and the pressure mass 3 %
 more.  The ordering works on nodes, the unknowns at one coordinate, and
 splits every block of a depth at once: each median cut keeps the smaller
 of its two boundary layers as the separator, so on a P2 mesh the

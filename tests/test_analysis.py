@@ -816,8 +816,8 @@ def test_infsup_factorizes_no_saddle_matrix(infsup_runs):
 
 
 def test_infsup_velocity_factor_fill_is_nested_dissection(infsup_runs):
-    # level 3: node nested dissection fills 1.78 M, SuperLU's minimum
-    # degree on K + K^T 2.17 M
+    # level 3: node nested dissection fills 1.67 M, SuperLU's minimum
+    # degree on K + K^T 2.00 M
     space = infsup_runs[3][0]
     k = solver.free_velocity_block(space, fem.fluid_operators(space).strain)
     factor = sla.factorize(k, solver.velocity_coordinates(space, space.free_velocity_dofs))

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import weakref
+from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -365,6 +367,172 @@ def test_divergence_form_is_divergence_theorem(space0, params, rng):
         coeffs = rng.standard_normal(12)
         b_const = float(b_local.sum(axis=0) @ coeffs)   # mu = sum of P1 hats = 1
         assert b_const == pytest.approx(-_edge_flux(space0, int(tri), coeffs), abs=1e-12)
+
+
+# -- quadrature round-off ----------------------------------------------------
+#
+# Exact local matrices in rationals: the floats of a Jacobian are rationals,
+# and the P2/P1 reference integrals are too.  Polynomials in (xi, eta) are
+# {(a, b): coefficient} dicts.
+
+def _poly_mul(p, q):
+    out = {}
+    for (a, b), c in p.items():
+        for (d, e), f in q.items():
+            out[a + d, b + e] = out.get((a + d, b + e), 0) + c * f
+    return out
+
+
+def _poly_add(*terms):
+    """Sum of (coefficient, polynomial) pairs."""
+    out = {}
+    for c, p in terms:
+        for k, v in p.items():
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def _poly_diff(p, axis):
+    out = {}
+    for (a, b), c in p.items():
+        power = (a, b)[axis]
+        if power:
+            k = (a - 1, b) if axis == 0 else (a, b - 1)
+            out[k] = c * power
+    return out
+
+
+def _reference_integral(p):
+    """Integral over the reference triangle: xi^a eta^b gives a! b! / (a+b+2)!."""
+    return sum(c * Fraction(math.factorial(a) * math.factorial(b),
+                            math.factorial(a + b + 2)) for (a, b), c in p.items())
+
+
+@lru_cache(maxsize=None)
+def _exact_reference_tables():
+    """int N_i N_j, int L_p L_q, int dN_i/db dN_j/dc and int L_p dN_i/db on
+    the reference triangle, N the P2 and L the P1 basis in fem's order."""
+    one = Fraction(1)
+    bary = [{(0, 0): one, (1, 0): -one, (0, 1): -one}, {(1, 0): one}, {(0, 1): one}]
+    p2 = [_poly_mul(l, _poly_add((2, l), (-1, {(0, 0): one}))) for l in bary]
+    p2 += [_poly_add((4, _poly_mul(bary[a], bary[b]))) for a, b in ((0, 1), (1, 2), (2, 0))]
+    grad = [[_poly_diff(n, b) for b in (0, 1)] for n in p2]
+    integral = lambda p, q: _reference_integral(_poly_mul(p, q))
+    mass2 = [[integral(n, m) for m in p2] for n in p2]
+    mass1 = [[integral(l, k) for k in bary] for l in bary]
+    stiff = [[[[integral(gi[b], gj[c]) for c in (0, 1)] for b in (0, 1)]
+              for gj in grad] for gi in grad]
+    div = [[[integral(l, gi[b]) for b in (0, 1)] for gi in grad] for l in bary]
+    return mass2, mass1, stiff, div
+
+
+@lru_cache(maxsize=None)
+def _exact_geometry(jac):
+    """det, the inverse Jacobian and h[i][j][c][d], the reference integral
+    of the physical derivatives d_c N_i d_d N_j, in exact arithmetic for
+    the Jacobian rows ((e1x, e1y), (e2x, e2y)) taken as the rationals their
+    floats are."""
+    stiff = _exact_reference_tables()[2]
+    (e1x, e1y), (e2x, e2y) = [[Fraction(v) for v in row] for row in jac]
+    det = e1x * e2y - e1y * e2x
+    inv = [[e2y / det, -e2x / det], [-e1y / det, e1x / det]]
+    h = [[[[sum(inv[e][c] * inv[f][d] * stiff[i][j][e][f]
+                for e in (0, 1) for f in (0, 1)) for d in (0, 1)] for c in (0, 1)]
+          for j in range(6)] for i in range(6)]
+    return det, inv, h
+
+
+def _exact_local_matrix(jac, params, form):
+    """The local matrix of kernel `form` in exact arithmetic, for the
+    Jacobian rows jac (2, 2) taken as the rationals their floats are."""
+    mass2, mass1, _, div = _exact_reference_tables()
+    det, inv, h = _exact_geometry(tuple(tuple(map(float, row)) for row in jac))
+    lam, mu = Fraction(params.lame_lambda), Fraction(params.lame_mu)
+
+    def vector(entry):
+        return [[det * entry(i, a, j, b) for j in range(6) for b in (0, 1)]
+                for i in range(6) for a in (0, 1)]
+
+    def trace(i, j):
+        return h[i][j][0][0] + h[i][j][1][1]
+
+    if form in ("fluid_mass", "solid_mass"):
+        return vector(lambda i, a, j, b: mass2[i][j] * (a == b))
+    if form == "pressure_mass":
+        return [[det * mass1[p][q] for q in range(3)] for p in range(3)]
+    if form == "gradient":
+        return vector(lambda i, a, j, b: trace(i, j) * (a == b))
+    if form == "fluid_strain":
+        return vector(lambda i, a, j, b: (trace(i, j) * (a == b) + h[i][j][b][a]) / 2)
+    if form == "solid_stiffness":
+        return vector(lambda i, a, j, b: lam * h[i][j][a][b]
+                      + mu * (trace(i, j) * (a == b) + h[i][j][b][a]))
+    assert form == "divergence"
+    return [[-det * sum(inv[b][a] * div[p][i][b] for b in (0, 1))
+             for i in range(6) for a in (0, 1)] for p in range(3)]
+
+
+_ROUNDOFF_MODULI = (fem.MaterialParams(lame_lambda=3.0, lame_mu=0.7),
+                    fem.MaterialParams(lame_lambda=1e6, lame_mu=1e-3))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, "jittered"])
+def test_element_kernels_drop_exactly_the_exact_zeros(level, jittered_mesh1):
+    # an entry whose integral is zero in exact arithmetic is exactly 0.0,
+    # and every other entry is kept with the bits of the quadrature sum;
+    # at Lame lambda 1e6 and mu 1e-3 that keeps the stiffness's mu-part
+    msh = jittered_mesh1 if level == "jittered" else meshmod.generate(level)
+    space = fem.build_space(msh)
+    for region, forms in _REGION_FORMS:
+        jac, _ = fem._jacobian_classes(space, region)
+        for form in forms:
+            for params in _ROUNDOFF_MODULI[:1 + (form == "solid_stiffness")]:
+                kept = fem._element_kernel(jac, params, form)
+                summed = fem._quadrature_kernel(jac, params, form)[0]
+                exact_zero = np.array([np.array(_exact_local_matrix(j, params, form)) == 0
+                                       for j in jac])
+                label = (region, form, params)
+                assert np.all(kept[exact_zero] == 0.0), label
+                assert np.all(kept[~exact_zero] != 0.0), label
+                assert kept[~exact_zero].tobytes() == summed[~exact_zero].tobytes(), label
+
+
+@pytest.mark.parametrize("level", [1, "jittered"])
+def test_no_entry_lies_within_a_decade_of_the_roundoff_bound(level, mesh1, jittered_mesh1):
+    # the bound is gamma_n sqrt(r_i c_j), n = 16 nq + 16 = 272 at the 16
+    # points of the system rule.  Measured against sqrt(r_i c_j): every
+    # dropped sum is at most 5.8e-16 and every kept one at least 1.6e-10
+    # (structured) or 1.9e-12 (jittered, Lame lambda 1e6 and mu 1e-3),
+    # against a bound of 3.0e-14, so no entry is near the bound
+    u = 2.0**-53
+    assert fem._ROUNDOFF == 272 * u / (1 - 272 * u)
+    space = fem.build_space(jittered_mesh1 if level == "jittered" else mesh1)
+    for region, forms in _REGION_FORMS:
+        jac, _ = fem._jacobian_classes(space, region)
+        for form in forms:
+            for params in _ROUNDOFF_MODULI:
+                summed, rows, cols = fem._quadrature_kernel(jac, params, form)
+                scale = np.sqrt(rows[:, :, None] * cols[:, None, :])
+                kept = fem._element_kernel(jac, params, form) != 0
+                dropped = ~kept & (summed != 0)
+                label = (region, form, params)
+                assert np.all(np.abs(summed[dropped])
+                              <= fem._ROUNDOFF / 10 * scale[dropped]), label
+                assert np.all(np.abs(summed[kept]) >= 10 * fem._ROUNDOFF * scale[kept]), label
+
+
+def test_level3_forms_store_no_roundoff():
+    # the quadrature round-off of the element matrices held 23 % of the
+    # saddle's entries: 352 907 strain, 78 769 divergence, 190 464 velocity
+    # mass, 24 066 / 22 786 / 46 778 solid mass / gradient / stiffness and
+    # 545 939 saddle entries
+    params = fem.MaterialParams()
+    space = fem.build_space(meshmod.generate(3))
+    fops, solid = fem.fluid_operators(space), fem.solid_operators(space, params)
+    sizes = (fops.strain.nnz, fops.div.nnz, fem.fluid_mass(space).nnz,
+             solid.mass.nnz, solid.grad.nnz, solid.stiffness.nnz,
+             solver.resolvent_saddle(space, params)[0].nnz)
+    assert sizes == (239_618, 45_809, 140_288, 17_666, 12_802, 30_650, 428_523)
 
 
 # -- class-grouped assembly --------------------------------------------------
