@@ -29,6 +29,9 @@ from . import sparse as sla
 from .fem import MaterialParams
 
 RATE_FLOOR = 1e-15
+# the largest `verify_data_identity` residual a study or a resolvent run
+# accepts as the manufactured case's data
+DATA_IDENTITY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +455,9 @@ class ConvergenceReport:
         return self.rates("ew_h1")
 
 
-def _check_levels(levels):
-    """Refuse levels that are none, or not ascending and distinct, as the CLI does."""
+def check_levels(levels):
+    """Refuse levels that are none, or not ascending and distinct; the
+    CLI's check of `--levels` too."""
     if not levels:
         raise ValueError("levels must contain at least one entry")
     if list(levels) != sorted(set(levels)):
@@ -462,12 +466,12 @@ def _check_levels(levels):
 
 def convergence_study(levels, params: MaterialParams) -> ConvergenceReport:
     """Solve the manufactured case on each level and tabulate errors/rates."""
-    _check_levels(levels)
+    check_levels(levels)
     case = manufactured_case(params.shift)
     residual = verify_data_identity(case)
-    if residual > 1e-12:
+    if residual > DATA_IDENTITY_TOL:
         raise RuntimeError(f"manufactured data identity residual {residual:.3e} "
-                           "exceeds 1e-12; refusing to run the study")
+                           f"exceeds {DATA_IDENTITY_TOL:.0e}; refusing to run the study")
     rows = []
     for level in levels:
         msh = meshmod.generate(level)
@@ -540,7 +544,7 @@ def infsup_beta(space) -> float:
 
 
 def infsup_study(levels) -> InfSupReport:
-    _check_levels(levels)
+    check_levels(levels)
     rows = []
     for level in levels:
         msh = meshmod.generate(level)

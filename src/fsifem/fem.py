@@ -42,6 +42,21 @@ Lame moduli, so a request at another shift reuses them.  The solid
 operators are one build, the mass, gradient and stiffness in that
 order, so a request at other moduli assembles all three.
 
+Every local matrix is one of two products (`_quadrature_kernel`).  A
+mass is det times the one cached reference mass of its basis
+(`_mass_ref`), on both components for the vector masses.  Every
+derivative form starts from the physical P2 gradients g at the points of
+the system rule, one broadcast product of the reference gradients with
+the inverse Jacobians, (nt, nq, 12) in the interleaved local order (i, a).
+The divergence is -det (W P1)^T g, and the square forms are index
+arithmetic on the Gram tensor G = det g^T W g, which holds
+int d_a phi_i d_b phi_j at ((i, a), (j, b)) (`_gram_form`): div-div is G,
+grad:grad the sum of its two diagonal component blocks on both, eps:eps
+half of grad:grad plus G with its components swapped, and the solid
+stiffness lambda G + 2 mu eps:eps.  The row and column scales of the
+round-off rule below come from the same product of magnitudes,
+|reference gradient| |inverse Jacobian|, through the same arithmetic.
+
 Assembly and the exact fields of the error norms are class-grouped by
 `sparse.bit_classes`, which groups rows of floats by their exact bits.  Every
 local matrix depends on its triangle only through the affine Jacobian
@@ -60,7 +75,7 @@ or a cancellation that a right triangle adds.  Kept, those sums were 23 %
 of the level-3 resolvent saddle's entries.  The rule is local, so a sum
 of genuine local entries that cancels across a vertex patch stays stored,
 such as a pressure row's coupling to the velocity at its own vertex: at
-level 3, 4 201 divergence, 530 strain and 448 solid-stiffness entries lie
+level 3, 4 172 divergence, 560 strain and 450 solid-stiffness entries lie
 below 1e-12 of their row's largest.  Their bound needs the terms of the
 global sum, which the scatter does not keep.  The separable exact
 fields, in the error norms and in the fluid load, have one evaluation
@@ -367,75 +382,35 @@ def _tri_geometry(space, tris):
     return _jacobian_inverse(jac[:, 0], jac[:, 1])
 
 
-def _ref_to_phys(inv, rule):
-    """Physical P2 gradients at the rule's points, (nt, nq, 6, 2)."""
-    return np.einsum("qib,tba->tqia", p2_grads(rule.points), inv)
-
-
-def _local_vector_mass(det, mref):
-    nt = det.size
-    out = np.zeros((nt, 12, 12))
-    m = det[:, None, None] * mref[None, :, :]
-    out[:, 0::2, 0::2] = m
-    out[:, 1::2, 1::2] = m
-    return out
-
-
-def _local_gradient(det, g, w):
-    """grad(u):grad(v) local matrices, (nt, 12, 12)."""
-    e1 = np.einsum("q,tqic,tqjc->tij", w, g, g) * det[:, None, None]
-    out = np.zeros((det.size, 12, 12))
-    out[:, 0::2, 0::2] = e1
-    out[:, 1::2, 1::2] = e1
-    return out
-
-
-def _local_strain(det, g, w, mu_factor=1.0):
-    """eps(u):eps(v) local matrices, (nt, 12, 12)."""
-    e1 = np.einsum("q,tqic,tqjc->tij", w, g, g)       # grad . grad
-    t2 = np.einsum("q,tqib,tqja->tiajb", w, g, g)     # d_b Ni d_a Nj at (ia, jb)
-    nt = det.size
-    out = np.zeros((nt, 12, 12))
-    half = 0.5 * mu_factor
-    for a in range(2):
-        for b in range(2):
-            blk = half * t2[:, :, a, :, b]
-            if a == b:
-                blk = blk + half * e1
-            out[:, a::2, b::2] = blk
-    return out * det[:, None, None]
-
-
-def _local_div_div(det, g, w):
-    d = np.einsum("q,tqia,tqjb->tiajb", w, g, g)
-    nt = det.size
-    out = np.zeros((nt, 12, 12))
-    for a in range(2):
-        for b in range(2):
-            out[:, a::2, b::2] = d[:, :, a, :, b]
-    return out * det[:, None, None]
-
-
-def _local_divergence(det, g, rule):
-    """b(v, mu) = -(mu, div v) local blocks, (nt, 3, 12)."""
-    p1 = p1_values(rule.points)                        # (nq, 3)
-    b = -np.einsum("q,qp,tqia->tpia", rule.weights, p1, g)
-    nt = det.size
-    return (b * det[:, None, None, None]).reshape(nt, 3, 12)
-
-
 @lru_cache(maxsize=None)
-def _p2_mass_ref():
+def _mass_ref(values):
+    """int N_i N_j on the reference triangle for the basis `values`,
+    `p1_values` or `p2_values`."""
     rule = triangle_rule(SYSTEM_QUAD_DEGREE)
-    n = p2_values(rule.points)
+    n = values(rule.points)
     return np.einsum("q,qi,qj->ij", rule.weights, n, n)
 
 
-@lru_cache(maxsize=None)
-def _p1_mass_ref():
-    rule = triangle_rule(SYSTEM_QUAD_DEGREE)
-    n = p1_values(rule.points)
-    return np.einsum("q,qi,qj->ij", rule.weights, n, n)
+def _gram_form(gram, params, form):
+    """The local matrices of a derivative form, (nt, 12, 12), from the
+    Gram tensor gram[(i, a), (j, b)] = int d_a phi_i d_b phi_j in the
+    interleaved local order.  div-div is the tensor itself, grad:grad its
+    two diagonal component blocks summed and placed on both, and
+    eps:eps half of grad:grad plus the tensor with its components
+    swapped."""
+    trace = gram[:, 0::2, 0::2] + gram[:, 1::2, 1::2]
+    grad = np.zeros_like(gram)
+    grad[:, 0::2, 0::2] = grad[:, 1::2, 1::2] = trace
+    if form == "gradient":
+        return grad
+    swapped = gram.reshape(-1, 6, 2, 6, 2).transpose(0, 1, 4, 3, 2).reshape(gram.shape)
+    strain = 0.5 * (grad + swapped)
+    if form == "fluid_strain":
+        return strain
+    if form == "solid_stiffness":
+        # (sigma(u), eps(v)) = lambda (div u, div v) + 2 mu (eps u, eps v)
+        return params.lame_lambda * gram + 2.0 * params.lame_mu * strain
+    raise ValueError(f"unknown form {form!r}")
 
 
 def _gamma(n):
@@ -483,40 +458,36 @@ def _quadrature_kernel(jac, params, form):
     """The quadrature sums of `_element_kernel`, before round-off is
     dropped, and the scales of their rows and columns.
 
-    A mass kernel's scales are its diagonal magnitudes.  The others take
-    the integrals of the squared derivatives with each physical derivative
+    A mass is det times the reference mass, on both components for the
+    vector ones.  The derivative forms come from the physical P2 gradients
+    g, (nt, nq, 12) in the interleaved local order: the divergence is
+    -det (W P1)^T g, and the square forms are `_gram_form` of the Gram
+    tensor det g^T W g.  A mass's scales are its diagonal magnitudes.  The
+    others repeat the derivative integrals with each physical derivative
     replaced by the magnitudes of the two products that make it,
     |reference derivative| |inverse Jacobian|, which bound its rounding
-    error where the products cancel: the square kernels the diagonals
-    they give, and the divergence these integrals for its columns and the
-    P1-mass diagonal for its rows."""
+    error where the products cancel: the square forms take the diagonal
+    that `_gram_form` makes of them, and the divergence these integrals
+    for its columns and the P1-mass diagonal for its rows."""
     det, inv = _jacobian_inverse(jac[:, 0], jac[:, 1])
-    if form in ("fluid_mass", "solid_mass", "pressure_mass"):
-        local = (det[:, None, None] * _p1_mass_ref()[None, :, :] if form == "pressure_mass"
-                 else _local_vector_mass(det, _p2_mass_ref()))
+    if form.endswith("_mass"):
+        local = det[:, None, None] * (_mass_ref(p1_values) if form == "pressure_mass"
+                                      else np.kron(_mass_ref(p2_values), np.eye(2)))
         diag = np.abs(np.diagonal(local, axis1=1, axis2=2))
         return local, diag, diag
     rule = triangle_rule(SYSTEM_QUAD_DEGREE)
-    w = rule.weights
-    g = _ref_to_phys(inv, rule)
-    bound = np.abs(p2_grads(rule.points)) @ np.abs(inv)[:, None]     # (nt, nq, 6, 2)
-    part = np.abs(det)[:, None, None] * np.einsum("q,tqia->tia", w, bound * bound)
-    whole = part.sum(axis=2, keepdims=True)          # both components
+    w, ref = rule.weights, p2_grads(rule.points)
+    shape = (det.size, w.size, 12)
+    g = (ref @ inv[:, None]).reshape(shape)
+    bound = (np.abs(ref) @ np.abs(inv)[:, None]).reshape(shape)
+    part = np.abs(det)[:, None] * (w @ (bound * bound))
     if form == "divergence":
-        return (_local_divergence(det, g, rule), np.abs(det)[:, None] * np.diag(_p1_mass_ref()),
-                part.reshape(det.size, 12))
-    if form == "fluid_strain":
-        local, diag = _local_strain(det, g, w), (whole + part) / 2
-    elif form == "gradient":
-        local, diag = _local_gradient(det, g, w), np.broadcast_to(whole, part.shape)
-    elif form == "solid_stiffness":
-        # (sigma(u), eps(v)) = lambda (div u, div v) + 2 mu (eps u, eps v)
-        local = (params.lame_lambda * _local_div_div(det, g, w)
-                 + _local_strain(det, g, w, mu_factor=2.0 * params.lame_mu))
-        diag = params.lame_lambda * part + params.lame_mu * (whole + part)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    diag = diag.reshape(det.size, 12)
+        local = -det[:, None, None] * ((w[:, None] * p1_values(rule.points)).T @ g)
+        return local, np.abs(det)[:, None] * np.diag(_mass_ref(p1_values)), part
+    local = _gram_form(det[:, None, None] * (np.swapaxes(g, 1, 2) @ (w[:, None] * g)),
+                       params, form)
+    diag = np.diagonal(_gram_form(part[:, :, None] * np.eye(12), params, form),
+                       axis1=1, axis2=2)
     return local, diag, diag
 
 

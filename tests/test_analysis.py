@@ -205,7 +205,7 @@ def _single_batch_squares(space, state, pi, case, rule, tris):
     triangle of `tris` in one batch and the physical gradients of all basis
     functions formed explicitly."""
     det, inv = fem._tri_geometry(space, tris)
-    g = fem._ref_to_phys(inv, rule)
+    g = np.einsum("qib,tba->tqia", fem.p2_grads(rule.points), inv)
     pts = quadrature_points(space, tris, rule)
     n = fem.p2_values(rule.points)
     dofs = space.velocity_dofs_of_tris(tris)

@@ -275,48 +275,80 @@ def test_patch_test_rigid_motions(space1):
         assert abs(v @ (k @ v)) <= 1e-12
 
 
-def test_solid_stiffness_matches_symbolic_oracle(space0, params):
+def _symbolic_local_matrices(verts, lam, mu):
+    """The local gradient, strain, stiffness and divergence matrices of the
+    triangle with vertices `verts` (3, 2), from their definitions: sympy
+    derivatives in x and y of the P2 and P1 bases built from the vertices
+    (taken as the rationals their floats are), integrated exactly with the
+    monomial rule int xi^a eta^b = a! b! / (a + b + 2)! through the affine
+    map.  Vector basis function 2 i + a is the i-th P2 shape in component a."""
     sympy = pytest.importorskip("sympy")
-    tri = int(space0.solid_tris[0])
-    computed = fem._local_matrices(space0, "solid", params, "solid_stiffness")[0]
-
-    x, y = sympy.symbols("x y")
-    v = space0.mesh.vertices[space0.mesh.triangles[tri]]
-    a = sympy.Matrix([[1, v[0, 0], v[0, 1]], [1, v[1, 0], v[1, 1]],
-                      [1, v[2, 0], v[2, 1]]]).T
-    lam = a.inv() * sympy.Matrix([1, x, y])
-    l0, l1, l2 = [sympy.nsimplify(e, rational=True) for e in lam]
+    x, y, xi, eta = sympy.symbols("x y xi eta")
+    v = [[sympy.Rational(float(c)) for c in row] for row in verts]
+    lam, mu = sympy.Rational(lam), sympy.Rational(mu)
+    a = sympy.Matrix([[1, 1, 1], [p[0] for p in v], [p[1] for p in v]])
+    l0, l1, l2 = a.inv() * sympy.Matrix([1, x, y])
     shapes = [l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
               4 * l0 * l1, 4 * l1 * l2, 4 * l2 * l0]
+    xmap = v[0][0] + (v[1][0] - v[0][0]) * xi + (v[2][0] - v[0][0]) * eta
+    ymap = v[0][1] + (v[1][1] - v[0][1]) * xi + (v[2][1] - v[0][1]) * eta
+    det = ((v[1][0] - v[0][0]) * (v[2][1] - v[0][1])
+           - (v[2][0] - v[0][0]) * (v[1][1] - v[0][1]))
 
-    def eps(ux, uy):
-        return sympy.Matrix([
-            [sympy.diff(ux, x), (sympy.diff(ux, y) + sympy.diff(uy, x)) / 2],
-            [(sympy.diff(ux, y) + sympy.diff(uy, x)) / 2, sympy.diff(uy, y)]])
+    @lru_cache(maxsize=None)
+    def monomial(p, q):   # int over the triangle of x^p y^q
+        poly = sympy.Poly(sympy.expand(xmap**p * ymap**q), xi, eta)
+        return det * sum(c * sympy.Rational(math.factorial(s) * math.factorial(t),
+                                            math.factorial(s + t + 2))
+                         for (s, t), c in poly.terms())
 
-    xi, eta = sympy.symbols("xi eta")
-    xmap = v[0, 0] + (v[1, 0] - v[0, 0]) * xi + (v[2, 0] - v[0, 0]) * eta
-    ymap = v[0, 1] + (v[1, 1] - v[0, 1]) * xi + (v[2, 1] - v[0, 1]) * eta
-    jac = sympy.nsimplify((v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1])
-                          - (v[2, 0] - v[0, 0]) * (v[1, 1] - v[0, 1]), rational=True)
+    def integrate(poly):
+        return float(sum(c * monomial(p, q) for (p, q), c in poly.terms()))
 
-    def integrate(expr):
-        e = sympy.expand(expr.subs({x: xmap, y: ymap}, simultaneous=True))
-        return sympy.integrate(sympy.integrate(e, (eta, 0, 1 - xi)), (xi, 0, 1)) * jac
+    # grads[k][c][d] = d_d of component c of vector basis function k, as
+    # polynomials in x and y
+    zero = sympy.Poly(0, x, y)
+    grads = [[[sympy.Poly(sympy.diff(n, d), x, y) if c == comp else zero for d in (x, y)]
+              for c in (0, 1)] for n in shapes for comp in (0, 1)]
+    half = sympy.Rational(1, 2)   # a Poly keeps its type only on the left
+    eps = [[[(g[c][d] + g[d][c]) * half for d in (0, 1)] for c in (0, 1)] for g in grads]
+    div = [g[0][0] + g[1][1] for g in grads]
 
-    # spot-check a representative set of entries (full 12x12 symbolic
-    # integration is slow; symmetry plus these entries pin the kernel)
-    entries = [(0, 0), (0, 1), (0, 5), (2, 7), (3, 3), (6, 11), (4, 9), (10, 10)]
-    for r, c in entries:
-        i, comp_a = divmod(r, 2)
-        j, comp_b = divmod(c, 2)
-        ui = (shapes[i], 0) if comp_a == 0 else (0, shapes[i])
-        uj = (shapes[j], 0) if comp_b == 0 else (0, shapes[j])
-        ei, ej = eps(*ui), eps(*uj)
-        sigma_i = (ei[0, 0] + ei[1, 1]) * sympy.eye(2) + 2 * ei
-        integrand = sum(sigma_i[p, q] * ej[p, q] for p in range(2) for q in range(2))
-        exact = float(integrate(integrand))
-        assert computed[r, c] == pytest.approx(exact, abs=1e-12)
+    def double(u, w):
+        return sum(u[c][d] * w[c][d] for c in (0, 1) for d in (0, 1))
+
+    square = {
+        "gradient": lambda k, m: double(grads[k], grads[m]),
+        "fluid_strain": lambda k, m: double(eps[k], eps[m]),
+        "solid_stiffness": lambda k, m: (div[k] * div[m] * lam
+                                         + double(eps[k], eps[m]) * (2 * mu)),
+    }
+    out = {form: np.array([[integrate(entry(k, m)) for m in range(12)] for k in range(12)])
+           for form, entry in square.items()}
+    out["divergence"] = np.array([[integrate(-sympy.Poly(p, x, y) * div[k]) for k in range(12)]
+                                  for p in (l0, l1, l2)])
+    return out
+
+
+@pytest.mark.parametrize("triangle", ["right", "jittered"])
+def test_derivative_kernels_match_symbolic_oracle(triangle, mesh0, jittered_mesh1):
+    # every entry, at Lame moduli that tell lambda from mu, on a right
+    # triangle and on a jittered one, which has no right angle to hide a
+    # component swap
+    params = fem.MaterialParams(lame_lambda=3.0, lame_mu=0.7)
+    msh = mesh0 if triangle == "right" else jittered_mesh1
+    corners = msh.vertices[msh.triangles]
+    sides = np.roll(corners, -1, axis=1) - corners
+    dots = np.einsum("tkd,tkd->tk", sides, np.roll(sides, 1, axis=1))
+    oblique = np.flatnonzero(np.all(dots != 0, axis=1))
+    tri = 0 if triangle == "right" else int(oblique[0])
+    assert (tri in oblique) == (triangle == "jittered")
+    verts = corners[tri]
+    jac = (verts[1:] - verts[:1])[None]
+    for form, exact in _symbolic_local_matrices(
+            verts, params.lame_lambda, params.lame_mu).items():
+        computed = fem._element_kernel(jac, params, form)[0]
+        assert computed == pytest.approx(exact, abs=1e-12), form
 
 
 @pytest.mark.parametrize("form", ["nonsense", "gradient", "fluid_grad"])
@@ -525,14 +557,17 @@ def test_level3_forms_store_no_roundoff():
     # the quadrature round-off of the element matrices held 23 % of the
     # saddle's entries: 352 907 strain, 78 769 divergence, 190 464 velocity
     # mass, 24 066 / 22 786 / 46 778 solid mass / gradient / stiffness and
-    # 545 939 saddle entries
+    # 545 939 saddle entries.  The local entries' pattern is fixed, but a
+    # global sum that cancels across a vertex patch lands on an exact 0.0
+    # or not by the last bits of its terms, so these sizes follow the
+    # kernels' summation order
     params = fem.MaterialParams()
     space = fem.build_space(meshmod.generate(3))
     fops, solid = fem.fluid_operators(space), fem.solid_operators(space, params)
     sizes = (fops.strain.nnz, fops.div.nnz, fem.fluid_mass(space).nnz,
              solid.mass.nnz, solid.grad.nnz, solid.stiffness.nnz,
              solver.resolvent_saddle(space, params)[0].nnz)
-    assert sizes == (239_618, 45_809, 140_288, 17_666, 12_802, 30_650, 428_523)
+    assert sizes == (239_648, 45_780, 140_288, 17_666, 12_802, 30_652, 428_503)
 
 
 # -- class-grouped assembly --------------------------------------------------
