@@ -24,17 +24,17 @@ constant, falls to 1.25e-10 while the next stays above 0.12.  So the
 matrix is factorized bordered against that mode, by one multiplier row
 and column m = 2^-30 M_p 1 on the pressure rows, which holds the
 pressure to mean zero; the exact scaling keeps SuperLU from pivoting on
-the border row.  `resolvent_saddle` builds it, and the operator keeps
-none of its blocks.  It is factorized in the nested-dissection order
-computed from the coordinates of its unknowns (`saddle_coordinates`),
-the multiplier last.  c0 then comes from the
-flux equation g^T u = 0, g = B^T 1, by block elimination (T. F. Chan,
-SIAM J. Sci. Stat. Comput. 5, 1984): one bordered solve for h, with
-right-hand side g, at build time, and per solve one checked bordered
-solve x_f and the combination c0 = mu_f / mu_h of their multipliers,
-x = x_f - c0 h and pi = pi_0 + c0.  The state's residual against the
-unbordered saddle is bounded from the residuals of the two bordered
-solves and gated at 1e-10.  The solid displacement is
+the border row.  `resolvent_saddle` builds it from scipy's sparse
+products, sums and all-CSR stacking, and the operator keeps none of its
+blocks.  It is factorized in the nested-dissection order computed from
+the coordinates of its unknowns (`saddle_coordinates`), the multiplier
+last.  c0 then comes from the flux equation g^T u = 0, g = B^T 1, by
+block elimination (T. F. Chan, SIAM J. Sci. Stat. Comput. 5, 1984): one
+bordered solve for h, with right-hand side g, at build time, and per
+solve one checked bordered solve x_f and the combination
+c0 = mu_f / mu_h of their multipliers, x = x_f - c0 h and
+pi = pi_0 + c0.  The state's residual against the unbordered saddle is
+measured and gated at 1e-10.  The solid displacement is
 w = (u + w*)/lam on Gamma_s and
 v/lam inside, and the solid velocity is z = lam * w - w*.  The
 discrete-kernel projection factorizes its [[M, B^T], [B, 0]] the same way,
@@ -88,7 +88,6 @@ DIV_TOL = 1e-10
 TRACE_TOL = 1e-12
 GAMMA_F_TOL = 1e-12
 FLUX_TOL = 1e-9
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # The resolvent saddle's border is 2^-30 M_p 1, an exact scaling that only
 # moves its multiplier.  SuperLU's threshold test, which swaps in a row
 # when a diagonal is below 1e-3 of its column's largest entry, then never
@@ -270,49 +269,12 @@ def saddle_coordinates(space, solid_dofs=()):
                       pressure_coordinates(space)])
 
 
-def _with_shape(mat, shape):
-    """The CSR matrix `mat` widened to `shape`, sharing its data and
-    indices: empty rows appended to its row pointer, columns added."""
-    indptr = np.concatenate([mat.indptr, np.full(shape[0] - mat.shape[0],
-                                                 mat.indptr[-1], mat.indptr.dtype)])
-    return sp.csr_matrix((mat.data, mat.indices, indptr), shape=shape)
-
-
-def _block_csr(blocks):
-    """`sp.bmat(blocks, format="csr")`, bit for bit, for a grid of CSR
-    blocks with sorted indices, None a zero block, each block row and
-    column holding at least one block.
-
-    Each row of the result takes its blocks' rows left to right, written
-    straight into arrays of exactly the result's nnz; a block row of
-    several blocks routes their entries by an int8 mask of the owning
-    block, two bytes of scratch per entry.  `sp.bmat` instead copies every
-    block to COO, or the blocks of each row into one array, first.
-    """
-    heights = [next(b.shape[0] for b in row if b is not None) for row in blocks]
-    widths = [next(row[j].shape[1] for row in blocks if row[j] is not None)
-              for j in range(len(blocks[0]))]
-    col_start = np.cumsum([0] + widths)
-    row_nnz = [[np.diff(b.indptr) for b in row if b is not None] for row in blocks]
-    counts = np.concatenate([sum(row) for row in row_nnz])
-    nnz = int(counts.sum())
-    index = np.int32 if max(nnz, col_start[-1]) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(counts.size + 1, dtype=index)
-    np.cumsum(counts, out=indptr[1:])
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=index)
-    top = 0
-    for row, lengths, height in zip(blocks, row_nnz, heights):
-        rows = slice(indptr[top], indptr[top + height])
-        top += height
-        present = [j for j, b in enumerate(row) if b is not None]
-        owner = np.repeat(np.tile(np.arange(len(present), dtype=np.int8), height),
-                          np.column_stack(lengths).ravel())
-        for k, j in enumerate(present):
-            mask = owner == k
-            data[rows][mask] = row[j].data
-            indices[rows][mask] = row[j].indices + index(col_start[j])
-    return sp.csr_matrix((data, indices, indptr), shape=(sum(heights), col_start[-1]))
+def _placement(targets, size):
+    """The 0/1 CSR matrix of `size` rows that moves row k of the matrix it
+    multiplies to row `targets[k]`: each product entry is one entry moved,
+    none summed.  Its transpose, on the right, moves columns."""
+    k = np.arange(len(targets))
+    return sp.csr_matrix((np.ones(k.size), (targets, k)), shape=(size, k.size))
 
 
 def resolvent_saddle(space, params: MaterialParams):
@@ -328,42 +290,51 @@ def resolvent_saddle(space, params: MaterialParams):
     the interior after the velocity.  Its leading block, without the
     multiplier, is the resolvent saddle.
 
-    The velocity-solid block is one CSR sum: A_lam on the free velocity
-    dofs, its row pointer padded over the solid interior, plus (1/lam) S
-    with its rows gathered into velocity-solid order and its columns
-    renumbered.  `_block_csr` then writes the saddle's arrays once, at
-    their exact size, with no COO copy of any block.  The blocks are
-    temporaries of this call, so none is alive while the caller
-    factorizes the saddle.
+    The top block row is A_lam on the free velocity dofs, widened in
+    place, plus one sparse sum of the pieces off it, each placed by 0/1
+    products (`_placement`): (1/lam) Q S Q^T, Q putting solid dof k on
+    row `solid_rows[k]`, and B^T on the pressure columns.  scipy's
+    all-CSR `vstack` then stacks it on the bordered B row and the border
+    row.  A_lam is built first, since its assembly temporaries are the
+    largest: in this order the level-3 build peaks at 2.33 times the
+    saddle's bytes (11.6 MiB, 46.9 MiB at level 4), against 2.68 times
+    with the pieces built first.  The blocks are temporaries of this
+    call, so none is alive while the caller factorizes the saddle.
     """
     lam = params.shift
     nf = space.free_velocity_dofs.size
     ii = space.solid_interior_dofs
     n_vs = nf + ii.size
     npr = space.num_pressure_dofs
+    n = n_vs + npr + 1
     solid_rows = np.empty(space.num_solid_dofs, dtype=np.int64)
     solid_rows[space.iface_solid_dofs] = space.iface_free_dofs
     solid_rows[ii] = nf + np.arange(ii.size)
 
-    a_free = shifted_velocity_block(space, lam)
-    s = _shifted_solid_matrix(space, params)
-    # S's row for each velocity-solid row: an empty row appended to S for
-    # the free velocity dofs off Gamma_s
-    source = np.full(n_vs, s.shape[0])
-    source[solid_rows] = np.arange(s.shape[0])
-    solid = _with_shape(s, (s.shape[0] + 1, s.shape[1]))[source]
-    solid.data /= lam
-    solid = sp.csr_matrix((solid.data, solid_rows[solid.indices], solid.indptr),
-                          shape=(n_vs, n_vs))
+    top = shifted_velocity_block(space, lam)
+    top.resize(n_vs, n)
+    q = _placement(solid_rows, n_vs)
+    solid = q @ _shifted_solid_matrix(space, params) @ q.T
+    # scipy's products leave each row's columns unsorted; sorted, the sums
+    # below merge rows in column order, as the saddle keeps them
     solid.sort_indices()
-    velocity_solid = _with_shape(a_free, (n_vs, n_vs)) + solid
-    del a_free, solid
+    solid.data /= lam
+    solid.resize(n_vs, n)
     b_free = free_divergence(space)
-    border = _BORDER_SCALE * (fem.fluid_operators(space).pressure_mass @ np.ones(npr))
-    saddle = _block_csr([
-        [velocity_solid, _with_shape(b_free.T.tocsr(), (n_vs, npr)), None],
-        [_with_shape(b_free, (npr, n_vs)), None, sp.csr_matrix(border[:, None])],
-        [None, sp.csr_matrix(border), None]])
+    to_pressure = _placement(np.arange(n_vs, n - 1), n)
+    # B^T on the pressure columns: B placed on the pressure rows and
+    # transposed, the CSC-to-CSR conversion sorting each row
+    b_t = (to_pressure @ b_free).T.tocsr()
+    b_t.resize(n_vs, n)
+    off = solid + b_t
+    del solid, b_t
+    top = top + off
+    del off
+    mass_p = fem.fluid_operators(space).pressure_mass
+    border = sp.csr_matrix(_BORDER_SCALE * (mass_p @ np.ones(npr))[:, None])
+    b_free.resize(npr, n - 1)
+    saddle = sp.vstack([top, sp.hstack([b_free, border], format="csr"),
+                        (to_pressure @ border).T.tocsr()], format="csr")
     return saddle, solid_rows
 
 
@@ -390,13 +361,8 @@ class ResolventOperator:
     divergence rows B u = 0, through the flux equation g^T u = 0.
 
     The report's residual is that of the returned state against the
-    unbordered saddle, bounded from the two measured bordered residuals
-    as (||r_f|| + |c0| ||r_h|| + the rounding of c0) / ||b||: O(n) work per
-    solve instead of a second product with the saddle.  It leaves out the
-    rounding of the combination, of the order of a residual evaluation's
-    own; on random data over the 15-case parameter grid at levels 0-3 it
-    read 0.84 to 1.38 times the measured residual with double factors,
-    and 0.74 to 1.41 times with refined single ones.  Above 1e-10 it raises
+    unbordered saddle, measured by one product of the saddle with x, its
+    multiplier zeroed, the border row dropped.  Above 1e-10 it raises
     SolveAccuracyError.  The operator keeps the dofs and sizes it reads of
     its space, not the space: a cached operator dies with the space that
     caches it, or when the space is asked for another parameter set's
@@ -429,12 +395,7 @@ class ResolventOperator:
         unit[self._pressure] = 1.0
         flux = self.saddle @ unit
         flux[-1] = 0.0
-        self._flux_solution, report = self.factor.solve(flux)
-        # ||r_h|| and ||m||, the two norms of the residual bound of `solve`
-        # (BLAS-free, as the bound is reported)
-        self._flux_residual = report.residual * np.sqrt(sla.dot(flux, flux))
-        border = self.saddle[-1].data
-        self._border_norm = np.sqrt(sla.dot(border, border))
+        self._flux_solution, _ = self.factor.solve(flux)
 
     # -- data handling ------------------------------------------------------
 
@@ -462,38 +423,38 @@ class ResolventOperator:
 
     def deferred_solve(self, data: ResolventData):
         """The solve of `solve` without its check: (state, check), where
-        `check()` runs the bordered solve's residual gate and then the
-        unbordered bound's, and returns the report or raises
-        SolveAccuracyError.  The state is unchecked until then; the check
-        may run on another thread.  The callers are `solve` and
-        `semigroup.Stepper.deferred_step`."""
+        `check()` runs the bordered solve's residual gate and then measures
+        the returned state's residual against the unbordered saddle, and
+        returns the report or raises SolveAccuracyError.  The state is
+        unchecked until then; the check may run on another thread.  The
+        callers are `solve` and `semigroup.Stepper.deferred_step`."""
         lam = self.params.shift
         nf = self._free.size
         w_lift = _solid_lift(self._iface_solid, lam, data.w_star)
         rhs = self._rhs(data, w_lift)
         x_f, bordered_check = self.factor.deferred_solve(rhs)
         h = self._flux_solution
-        mu_f = x_f[-1]
-        c0 = mu_f / h[-1]
+        c0 = x_f[-1] / h[-1]
 
         def check():
             bordered = bordered_check()
-            # The unbordered residual of x_f - c0 h + c0 (0, 1) is
-            # r_f - c0 r_h - (mu_f - c0 mu_h) m, and |mu_f - c0 mu_h| <= u |mu_f|
-            # for the rounded quotient c0; the rounding of the combination
-            # below is of the order of a residual evaluation's own.
+            # the unbordered residual of the state, A x - b in one array:
+            # x with its multiplier zeroed, the border row dropped
+            r = self.saddle @ x
+            r -= rhs
+            r[-1] = 0.0
             norm_b = np.sqrt(sla.dot(rhs, rhs))
-            bound = (bordered.residual + (abs(c0) * self._flux_residual + _UNIT_ROUNDOFF
-                                          * self._border_norm * abs(mu_f)) / norm_b
-                     if norm_b > 0 else 0.0)
-            return sla.checked_report(replace(bordered, residual=float(bound)))
+            residual = np.sqrt(sla.dot(r, r)) / norm_b if norm_b > 0 else 0.0
+            return sla.checked_report(replace(bordered, residual=float(residual)))
 
-        # a new array: the check still reads x_f
+        # a new array: the check still reads x_f, and then x, so no field
+        # of the state is a view of it
         x = x_f - c0 * h
         x[self._pressure] += c0
+        x[-1] = 0.0
         u = np.zeros(self._num_velocity)
         u[self._free] = x[:nf]
-        pi = x[self._pressure]
+        pi = x[self._pressure].copy()
         w = x[self._solid_rows] / lam + w_lift
         z = lam * w - data.w_star
         return FsiState(u=u, w=w, z=z, pi=pi), check
@@ -518,19 +479,22 @@ def kernel_projection(space):
     Returns `project(v)`, which solves [[M, B^T], [B, 0]] [w; p] = [M v; 0]
     (free-velocity mass M, divergence B) with one checked solve and returns
     w, the divergence-free vector closest to v in the L2 norm.  The saddle
-    matrix is written once at its exact size by `_block_csr`, as the
-    resolvent saddle is, and factorized once, in the nested-dissection
-    order of `saddle_coordinates`.  It takes no material parameter, and its
+    matrix is one `sp.bmat` of CSR blocks, the zero pressure block an
+    explicit empty one, so scipy stacks it without a COO copy of any
+    block, and it is factorized once, in the nested-dissection order of
+    `saddle_coordinates`.  It takes no material parameter, and its
     smallest pivot, 3.1e-2 of max|A| at level 0 and 1.45e-3 at level 4,
     about halves per level, so even at level 12 it stays near 6e-6 of
     max|A|: unlike the resolvent saddle, it needs no border.
     """
     m_free = free_velocity_block(space, fem.fluid_mass(space))
     b_free = free_divergence(space)
-    factor = sla.factorize(_block_csr([[m_free, b_free.T.tocsr()], [b_free, None]]),
+    npr = space.num_pressure_dofs
+    factor = sla.factorize(sp.bmat([[m_free, b_free.T.tocsr()],
+                                    [b_free, sp.csr_matrix((npr, npr))]], format="csr"),
                            saddle_coordinates(space))
     nf = m_free.shape[0]
-    zero_pressure = np.zeros(space.num_pressure_dofs)
+    zero_pressure = np.zeros(npr)
 
     def project(v):
         x, _ = factor.solve(np.concatenate([m_free @ v, zero_pressure]))

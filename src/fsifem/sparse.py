@@ -573,8 +573,9 @@ def smallest_gen_eig(apply_s, m, xy):
     else:
         raise EigenIterationError(
             f"Lanczos did not converge in {EIG_MAX_ITER} Lanczos steps", None, None)
-    res = np.linalg.norm(apply_s(q) - theta * mq)
-    if not res <= EIG_TOL * abs(theta) * np.linalg.norm(mq):
+    r = apply_s(q) - theta * mq
+    res = np.sqrt(dot(r, r))
+    if not res <= EIG_TOL * abs(theta) * np.sqrt(dot(mq, mq)):
         raise EigenIterationError(
             f"eigenresidual {res:.3e} exceeds {EIG_TOL:.0e} * theta * ||M q|| "
             f"(value {theta})", theta, q)

@@ -200,12 +200,32 @@ def test_error_norm_includes_seminorm_column(solved1, params, case):
     assert err.ew_h1 <= err.ew_h1_full * 3.0 + 1e-30
 
 
+def _p2_physical_gradients(space, tris, bary):
+    """det, twice the signed area, and the physical gradients (nt, nq, 6, 2)
+    of the P2 basis (order v0 v1 v2 m01 m12 m20) at the barycentric points
+    `bary` of `tris`, from the vertex coordinates alone: grad lambda_k =
+    (y_{k+1} - y_{k+2}, x_{k+2} - x_{k+1}) / det, the rows of the inverse
+    Jacobian, and the closed forms (4 lambda_k - 1) grad lambda_k at a
+    vertex and 4 (lambda_a grad lambda_b + lambda_b grad lambda_a) at the
+    midpoint of edge ab."""
+    xy = space.mesh.vertices[space.mesh.triangles[tris]]
+    x, y = xy[..., 0], xy[..., 1]
+    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    ahead, behind = [1, 2, 0], [2, 0, 1]
+    grad_l = np.stack([y[:, ahead] - y[:, behind], x[:, behind] - x[:, ahead]],
+                      axis=-1) / det[:, None, None]
+    lam, grad_l = bary[None, :, :, None], grad_l[:, None]
+    vertex = (4 * lam - 1) * grad_l
+    edge = 4 * (lam * grad_l[:, :, ahead] + lam[:, :, ahead] * grad_l)
+    return det, np.concatenate([vertex, edge], axis=2)
+
+
 def _single_batch_squares(space, state, pi, case, rule, tris):
     """Squared (L2, full-gradient, eps, pressure) errors with every
     triangle of `tris` in one batch and the physical gradients of all basis
-    functions formed explicitly."""
-    det, inv = fem._tri_geometry(space, tris)
-    g = np.einsum("qib,tba->tqia", fem.p2_grads(rule.points), inv)
+    functions formed explicitly (`_p2_physical_gradients`), sharing no
+    geometry or basis gradient with the package."""
+    det, g = _p2_physical_gradients(space, tris, rule.points)
     pts = quadrature_points(space, tris, rule)
     n = fem.p2_values(rule.points)
     dofs = space.velocity_dofs_of_tris(tris)
@@ -248,8 +268,10 @@ def test_chunked_norms_match_single_batch_formula(params, case):
                                       analysis.manufactured_data(space, case))
     err = analysis.error_norms(space, state, state.pi, case, params)
     expected = _single_batch_fluid_norms(space, state, state.pi, case)
+    # abs=0: pytest's default absolute tolerance, 1e-12, would dwarf
+    # rel=1e-13 on norms of order 1e-9
     assert (err.eu_h1, err.epi_l2, err.eu_seminorm) == pytest.approx(expected,
-                                                                     rel=1e-13)
+                                                                     rel=1e-13, abs=0.0)
 
 
 def _full_rule_groups(space, tris):
