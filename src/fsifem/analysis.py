@@ -9,7 +9,9 @@ identically zero; the solid fields are identically zero.  phi is expanded
 once from its factored form in exact rationals, and phi', phi'' and
 phi''' are its exact derivatives, each rounded once to floats.  The data
 identity checks u* against a second, two-dimensional derivation of
-lam u - (1/2) Laplace u that shares no code with it.
+lam u - (1/2) Laplace u that shares no code with it.  The error norms
+integrate only the one nonzero exact field, u, by quadrature; the errors
+of the zero fields pi and w are Gram forms of the discrete fields.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class ManufacturedCase:
 
     def velocity(self, x, y):
         return self.velocity_and_gradient(x, y)[:2]
-
-    def pressure(self, x, y):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def data_factors(self, t):
         """(phi, phi', phi'', phi''') at the coordinates t."""
@@ -190,7 +189,9 @@ def manufactured_data(space, case: ManufacturedCase) -> solver.ResolventData:
 class ErrorNorms:
     """Errors against the exact fields; `ew_h1` is the solid energy norm
     sqrt((sigma(e), eps(e)) + ||e||^2); the full-H1 and eps-seminorm
-    variants are reported alongside."""
+    variants are reported alongside.  The exact pressure and solid fields
+    are zero, so `epi_l2`, `ew_h1` and `ew_h1_full` are norms of the
+    discrete fields themselves."""
 
     eu_h1: float
     epi_l2: float
@@ -199,29 +200,25 @@ class ErrorNorms:
     ew_h1_full: float
 
 
-def _fluid_error_squares(space, u, pi, case, rule, tris, table):
-    """Squared L2, full-gradient, eps and pressure errors on `tris`.
+def _fluid_error_squares(space, u, case, rule, tris, table):
+    """Squared L2, full-gradient and eps velocity errors on `tris`.
 
-    The four integrands w det (...) are formed in row blocks of
+    The three integrands w det (...) are formed in row blocks of
     `_ERROR_NORM_BLOCK` triangles, whose (triangle x point) temporaries
-    stay in cache, and written to the caller's (4, nt, nq) `table`, which
-    no other chunk in flight uses; each of the four planes is summed once,
-    so the block size changes no bit.  Each integrand is bitwise that of the
-    per-point formula with the exact fields u = (A B', -A' B): negation
-    is exact, so u2 - (-(A' B)) is u2 + A' B, d u2/dx - (-(A'' B)) is
-    d u2/dx + A'' B, and d u2/dy = -(A' B') = -d u1/dx."""
+    stay in cache, and written to the caller's (3, nt, nq) `table`, which
+    no other chunk in flight uses; each of the three planes is summed once,
+    so the block size changes no bit.  The exact u and its gradient come
+    from `velocity_fields` on each block's gathered class factors, so
+    each integrand is bitwise that of the per-point formula."""
     det, inv = fem._tri_geometry(space, tris)
-    (x, fx, x_cls), (y, fy, y_cls) = fem.class_factors(space, tris, rule,
-                                                        case.factors)
+    (fx, x_cls), (fy, y_cls) = fem.class_factors(space, tris, rule, case.factors)
     dofs = space.velocity_dofs_of_tris(tris)
     cx = u[dofs[:, 0::2]]
     cy = u[dofs[:, 1::2]]
-    cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
     n = fem.p2_values(rule.points).T                 # (6, nq)
     # d/dx_a = d/dxi inv[0, a] + d/deta inv[1, a], affine on each triangle
     gref = fem.p2_grads(rule.points)                 # (nq, 6, 2)
     g_xi, g_eta = gref[..., 0].T, gref[..., 1].T
-    p1 = fem.p1_values(rule.points).T
 
     def product(c, m, s):
         """Rows s of c @ m.  numpy hands a one-row product to gemv, whose
@@ -243,29 +240,26 @@ def _fluid_error_squares(space, u, pi, case, rule, tris, table):
         r_xi += r_eta
         return d_dx, r_xi
 
-    l2, grad, eps, pres = table
+    l2, grad, eps = table
     for start in range(0, tris.size, _ERROR_NORM_BLOCK):
         s = slice(start, min(start + _ERROR_NORM_BLOCK, tris.size))
-        a, da, d2a = (f[x_cls[s]] for f in fx)
-        b, db, d2b = (f[y_cls[s]] for f in fy)
+        u1, u2, *exact_grad = velocity_fields(
+            tuple(f[x_cls[s]] for f in fx), tuple(f[y_cls[s]] for f in fy))
         wdet = rule.weights * det[s, None]
 
         e_x = product(cx, n, s)
-        e_x -= a * db
+        e_x -= u1
         e_y = product(cy, n, s)
-        e_y += da * b
+        e_y -= u2
         e_x *= e_x
         e_y *= e_y
         e_x += e_y
         np.multiply(wdet, e_x, out=l2[s])
 
-        dadb = da * db                               # d u1/dx = -d u2/dy
         e11, e12 = gradient(cx, s)
         e21, e22 = gradient(cy, s)
-        e11 -= dadb
-        e12 -= a * d2b
-        e21 += d2a * b
-        e22 += dadb
+        for e, exact in zip((e11, e12, e21, e22), exact_grad):
+            e -= exact
         eps12 = e12 + e21
         eps12 *= 0.5
         eps12 *= eps12
@@ -279,18 +273,13 @@ def _fluid_error_squares(space, u, pi, case, rule, tris, table):
         e11 += e22
         e11 += eps12
         np.multiply(wdet, e11, out=eps[s])
-
-        e_p = product(cp, p1, s)
-        e_p -= case.pressure(x[x_cls[s]], y[y_cls[s]])
-        e_p *= e_p
-        np.multiply(wdet, e_p, out=pres[s])
     return np.array([np.sum(plane) for plane in table])
 
 
 # Fluid triangles per chunk of the error-norm quadrature.  The chunks fix
-# the order of the sums, and the four (triangle x point) integrand tables
-# of a chunk take about 7 MB under the 220-point rules of the generated
-# meshes (13 MB under the 400-point rule), so the chunk loop needs a few
+# the order of the sums, and the three (triangle x point) integrand tables
+# of a chunk take about 5.4 MB under the 220-point rules of the generated
+# meshes (9.8 MB under the 400-point rule), so the chunk loop needs a few
 # tens of MB whatever the mesh level.
 ERROR_NORM_CHUNK = 1024
 # Triangles per row block inside a chunk: each (triangle x point)
@@ -299,8 +288,8 @@ ERROR_NORM_CHUNK = 1024
 # and the lock hand-offs between them bound what the helper thread gains:
 # at level 4 the norms take 0.13-0.15 s with 128-row blocks and 0.16-0.19
 # s with 64-row ones (medians of 9 calls, 2-core VM).  With two chunks in
-# flight the level-3 norms trace a 25.1 MB peak (20.8 MB with 64-row
-# blocks); the block size changes no bit.
+# flight the level-3 norms trace a 23.3-24.0 MB peak (18.0-18.2 MB with
+# 64-row blocks); the block size changes no bit.
 _ERROR_NORM_BLOCK = 128
 
 
@@ -332,7 +321,14 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     """Errors of (state, pi) against the exact fields of `case`; the
     solid energy norm uses the Lame moduli of `params`.
 
-    The fluid integrals are exact: each group of `_error_rule_groups`
+    Only the exact velocity is nonzero, so only the velocity errors are
+    integrated by quadrature.  The pressure error is pi^T M_p pi with the
+    cached pressure mass, the solid energy error w^T (K + M) w, and the
+    solid full-H1 error w^T G w + w^T M w, two Gram products with the
+    solid gradient and mass matrices; each Gram matrix is exact for its
+    polynomial integrand.
+
+    The velocity integrals are exact: each group of `_error_rule_groups`
     takes its own rule, 220 points per triangle on a triangle with an
     axis-parallel side, which every triangle of the generated meshes has,
     and 400 on any other.  Each group is summed chunk by chunk over at most
@@ -342,7 +338,7 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     of equal vertex y-triples (`fem.class_factors`), bitwise the per-point
     values.  A level-4 mesh has 1 824 x-classes and 310 y-classes, summed
     over chunks, against 16 384 fluid triangles.  Building the classes per
-    chunk keeps memory bounded on any mesh.  Inside a chunk the four
+    chunk keeps memory bounded on any mesh.  Inside a chunk the three
     integrands are formed in row blocks of `_ERROR_NORM_BLOCK` triangles,
     whose temporaries stay in cache, and each chunk's integrand table is
     summed once, so every sum is bitwise that of the unblocked formula.
@@ -360,9 +356,9 @@ def error_norms(space, state, pi, case: ManufacturedCase,
     taken back and evaluated by the caller; without a second CPU every
     odd chunk runs inline at its submission.  One helper is a fixed design
     constant, not a setting: each of the two chunks of a pair has its own
-    integrand table, allocated here for the largest chunk (7 MB on the
+    integrand table, allocated here for the largest chunk (5.4 MB on the
     generated meshes), so a call of two or more chunks holds two tables,
-    with or without the helper.  Each chunk's four sums are kept and added
+    with or without the helper.  Each chunk's three sums are kept and added
     in chunk order once all pairs are done, so every norm is bitwise that
     of the serial loop.  An exception in either chunk of a pair propagates
     with its own type, at the latest at that pair's join, and no later
@@ -374,28 +370,27 @@ def error_norms(space, state, pi, case: ManufacturedCase,
 
     def evaluate(k, table):
         rule, tris = chunks[k]
-        squares = table[:4 * tris.size * rule.weights.size].reshape(4, tris.size, -1)
-        sums[k] = _fluid_error_squares(space, state.u, pi, case, rule, tris, squares)
+        squares = table[:3 * tris.size * rule.weights.size].reshape(3, tris.size, -1)
+        sums[k] = _fluid_error_squares(space, state.u, case, rule, tris, squares)
 
     # both tables are allocated on this thread: a table that the helper
     # allocated in its own malloc arena raised the peak RSS of the
     # levels 0-4 study by 12 MB (2-core VM)
     with helper.thread(len(chunks)) as submit:
-        size = max(4 * tris.size * rule.weights.size for rule, tris in chunks)
+        size = max(3 * tris.size * rule.weights.size for rule, tris in chunks)
         tables = [np.empty(size) for _ in chunks[:2]]
         for k in range(0, len(chunks), 2):
             join = (submit(partial(evaluate, k + 1, tables[1]))
                     if k + 1 < len(chunks) else lambda: None)
             evaluate(k, tables[0])
             join()
-    l2_sq, grad_sq, eps_sq, pi_sq = reduce(np.add, sums, np.zeros(4))
+    l2_sq, grad_sq, eps_sq = reduce(np.add, sums, np.zeros(3))
 
-    # exact solid fields are identically zero: the Gram quadratic forms are
-    # exact (polynomial integrands within the degree-6 rule)
+    pi_sq = sla.dot(pi, fem.fluid_operators(space).pressure_mass @ pi)
     sops = fem.solid_operators(space, params)
     ew = state.w
     ew_energy_sq = sla.dot(ew, sops.energy @ ew)
-    ew_full_sq = sla.dot(ew, (sops.grad + sops.mass) @ ew)
+    ew_full_sq = sla.dot(ew, sops.grad @ ew) + sla.dot(ew, sops.mass @ ew)
 
     return ErrorNorms(
         eu_h1=math.sqrt(l2_sq + grad_sq),

@@ -22,7 +22,8 @@ without forming a physical-gradient tensor.
 `quadrature_coordinate` gives one coordinate of the physical points as a
 (triangle x point) plane, by an explicit barycentric sum, so a point's x
 depends only on the x of the triangle's vertices and its y only on their
-y.  `class_factors` takes the planes it needs.
+y.  `class_factors` evaluates the 1-D factors on the planes of one
+triangle per coordinate class.
 
 `assemble(space, form, params)` is the one entry to global assembly.  The
 form's entry in `_FORMS` names its element kernel and its row and column
@@ -78,10 +79,10 @@ such as a pressure row's coupling to the velocity at its own vertex: at
 level 3, 4 172 divergence, 560 strain and 450 solid-stiffness entries lie
 below 1e-12 of their row's largest.  Their bound needs the terms of the
 global sum, which the scatter does not keep.  The separable exact
-fields, in the error norms and in the fluid load, have one evaluation
-path: `class_factors` groups the triangles by their vertex x-triples
-and, separately, y-triples, and evaluates the 1-D factors on one
-representative per class.  Every global matrix then goes through one
+fields, the velocity in the error norms and the data in the fluid load,
+have one evaluation path: `class_factors` groups the triangles by their
+vertex x-triples and, separately, y-triples, and evaluates the 1-D
+factors on one representative per class.  Every global matrix then goes through one
 COO-to-CSR scatter (`_scatter`) whose row and column arrays are built as
 int32, the index type of the result, and whose result holds exactly
 its nnz entries, with no COO-sized buffer behind them (`owned_csr`, which
@@ -604,8 +605,8 @@ def quadrature_coordinate(space, tris, rule, axis):
 
 
 def class_factors(space, tris, rule, factors):
-    """For x and then y: the quadrature coordinate of the rule's points on
-    one representative triangle per coordinate class, `factors` of it (a
+    """For x and then y: `factors` of the quadrature coordinate of the
+    rule's points on one representative triangle per coordinate class (a
     tuple of (class x point) planes), and the class of every triangle.
 
     The x of a quadrature point depends only on the x of the triangle's
@@ -618,8 +619,8 @@ def class_factors(space, tris, rule, factors):
     tables = []
     for axis in (0, 1):
         first, cls = sla.bit_classes(verts[..., axis])
-        coord = quadrature_coordinate(space, tris[first], rule, axis)
-        tables.append((coord, factors(coord), cls))
+        tables.append((factors(quadrature_coordinate(space, tris[first], rule, axis)),
+                       cls))
     return tables
 
 
@@ -635,7 +636,7 @@ def assemble_fluid_load(space, factors, field):
     tris = space.fluid_tris
     rule = triangle_rule(DATA_QUAD_DEGREE)
     det, _ = _tri_geometry(space, tris)
-    (_, fx, x_cls), (_, fy, y_cls) = class_factors(space, tris, rule, factors)
+    (fx, x_cls), (fy, y_cls) = class_factors(space, tris, rule, factors)
     fx, fy = field(tuple(f[x_cls] for f in fx), tuple(f[y_cls] for f in fy))
     n = p2_values(rule.points)                       # (nq, 6)
     lx = np.einsum("q,qi,tq->ti", rule.weights, n, fx) * det[:, None]

@@ -224,7 +224,9 @@ def _single_batch_squares(space, state, pi, case, rule, tris):
     """Squared (L2, full-gradient, eps, pressure) errors with every
     triangle of `tris` in one batch and the physical gradients of all basis
     functions formed explicitly (`_p2_physical_gradients`), sharing no
-    geometry or basis gradient with the package."""
+    geometry or basis gradient with the package.  The pressure error is
+    integrated at the quadrature points, independently of the package's
+    Gram form."""
     det, g = _p2_physical_gradients(space, tris, rule.points)
     pts = quadrature_points(space, tris, rule)
     n = fem.p2_values(rule.points)
@@ -248,8 +250,7 @@ def _single_batch_squares(space, state, pi, case, rule, tris):
     eps_sq = np.sum(wdet * (e11**2 + e22**2 + 2.0 * eps12**2))
     cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
     pih = np.einsum("ti,qi->tq", cp, fem.p1_values(rule.points))
-    e_p = pih - case.pressure(pts[..., 0], pts[..., 1])
-    pi_sq = np.sum(wdet * e_p**2)
+    pi_sq = np.sum(wdet * pih**2)   # the exact pressure is zero
     return np.array([l2_sq, grad_sq, eps_sq, pi_sq])
 
 
@@ -282,9 +283,11 @@ def _full_rule_groups(space, tris):
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_reduced_rules_match_full_rule_norms(level, params, case, monkeypatch):
-    # both rules are exact for the integrands, so they differ only by the
-    # rounding of e = u_h - u at other points, which grows as e shrinks:
-    # at most 2.9e-12 over levels 0-3, and 2.0e-11 at level 4
+    # both rules are exact for the velocity integrands, so the velocity
+    # norms differ only by the rounding of e = u_h - u at other points,
+    # which grows as e shrinks: at most 2.9e-12 over levels 0-3, and
+    # 2.0e-11 at level 4.  The pressure and solid norms are Gram forms,
+    # which read no error rule
     space = fem.build_space(meshmod.generate(level))
     state, _ = solver.solve_resolvent(space, params,
                                       analysis.manufactured_data(space, case))
@@ -292,9 +295,11 @@ def test_reduced_rules_match_full_rule_norms(level, params, case, monkeypatch):
     monkeypatch.setattr(analysis, "_error_rule_groups", _full_rule_groups)
     full = analysis.error_norms(space, state, state.pi, case, params)
     assert reduced.eu_h1 != full.eu_h1   # other points, other rounding
-    for field in ("eu_h1", "epi_l2", "eu_seminorm"):
-        assert getattr(reduced, field) == pytest.approx(getattr(full, field), rel=1e-10)
-    assert (reduced.ew_h1, reduced.ew_h1_full) == (full.ew_h1, full.ew_h1_full)
+    for field in ("eu_h1", "eu_seminorm"):
+        assert getattr(reduced, field) == pytest.approx(getattr(full, field),
+                                                        rel=1e-10, abs=0.0)
+    assert ((reduced.epi_l2, reduced.ew_h1, reduced.ew_h1_full)
+            == (full.epi_l2, full.ew_h1, full.ew_h1_full))
 
 
 def test_error_rule_degrees_follow_the_manufactured_case():
@@ -320,7 +325,8 @@ def test_norms_do_not_depend_on_chunk_size(solved1, params, case, monkeypatch):
         norms[chunk] = analysis.error_norms(space, state, state.pi, case, params)
     many, one = norms.values()
     for field in ("eu_h1", "epi_l2", "ew_h1", "eu_seminorm", "ew_h1_full"):
-        assert getattr(many, field) == pytest.approx(getattr(one, field), rel=1e-13)
+        assert getattr(many, field) == pytest.approx(getattr(one, field),
+                                                     rel=1e-13, abs=0.0)
 
 
 def test_norms_do_not_depend_on_block_size(solved1, params, case, monkeypatch):
@@ -335,10 +341,11 @@ def test_norms_do_not_depend_on_block_size(solved1, params, case, monkeypatch):
         assert norms[0] == norms[1] == norms[2]
 
 
-def _per_point_fluid_error_squares(space, u, pi, case, rule, tris, table):
+def _per_point_error_squares(space, u, pi, case, rule, tris):
     """`analysis._fluid_error_squares` with the exact fields evaluated at
     every quadrature point of every triangle, no coordinate classes and no
-    caller's table."""
+    caller's table, followed by the squared pressure error integrated at
+    the same points."""
     det, inv = fem._tri_geometry(space, tris)
     pts = quadrature_points(space, tris, rule)
     ex_x, ex_y, d11, d12, d21, d22 = case.velocity_and_gradient(
@@ -369,7 +376,7 @@ def _per_point_fluid_error_squares(space, u, pi, case, rule, tris, table):
     eps_sq = np.sum(wdet * (e11**2 + e22**2 + 2.0 * eps12**2))
 
     cp = pi[space.pressure_loc[space.mesh.triangles[tris]]]
-    e_p = cp @ fem.p1_values(rule.points).T - case.pressure(pts[..., 0], pts[..., 1])
+    e_p = cp @ fem.p1_values(rule.points).T   # the exact pressure is zero
     pi_sq = np.sum(wdet * e_p**2)
     return np.array([l2_sq, grad_sq, eps_sq, pi_sq])
 
@@ -384,12 +391,23 @@ def _noisy_state(space, case, rng):
 
 
 def _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch):
+    """The velocity norms are bitwise those of the per-point kernel, and
+    the Gram pressure norm matches the pressure integrated at its points."""
     state, pi = _noisy_state(space, case, rng)
     grouped = analysis.error_norms(space, state, pi, case, params)
+    pi_squares = []
+
+    def per_point_kernel(space, u, case, rule, tris, table):
+        *velocity, pi_sq = _per_point_error_squares(space, u, pi, case, rule, tris)
+        pi_squares.append(pi_sq)
+        return np.array(velocity)
+
     with monkeypatch.context() as m:
-        m.setattr(analysis, "_fluid_error_squares", _per_point_fluid_error_squares)
+        m.setattr(analysis, "_fluid_error_squares", per_point_kernel)
         per_point = analysis.error_norms(space, state, pi, case, params)
     assert grouped == per_point
+    assert grouped.epi_l2 == pytest.approx(math.sqrt(math.fsum(pi_squares)),
+                                           rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -470,11 +488,11 @@ def test_fault_in_helper_chunk_propagates(space1, params, case, rng, monkeypatch
     failed = []
     real = analysis._fluid_error_squares
 
-    def faulty(space, u, pi, case, rule, tris, table):
+    def faulty(space, u, case, rule, tris, table):
         if threading.current_thread() is not threading.main_thread():
             failed.append(tris.size)
             raise InjectedFault("injected in the helper")
-        return real(space, u, pi, case, rule, tris, table)
+        return real(space, u, case, rule, tris, table)
 
     monkeypatch.setattr(analysis, "_fluid_error_squares", faulty)
     monkeypatch.setattr(helper, "_helper_cpus", helper_on_any_cpu)
@@ -495,12 +513,12 @@ def test_fault_in_caller_chunk_propagates(space1, params, case, rng, monkeypatch
               in analysis._error_rule_groups(space1, space1.fluid_tris)
               for start in range(0, tris.size, 7)]
 
-    def faulty(space, u, pi, case, rule, tris, table):
+    def faulty(space, u, case, rule, tris, table):
         chunk = firsts.index(int(tris[0]))
         started.append((chunk, threading.current_thread() is threading.main_thread()))
         if chunk == 0:
             raise InjectedFault("injected in the caller")
-        return real(space, u, pi, case, rule, tris, table)
+        return real(space, u, case, rule, tris, table)
 
     monkeypatch.setattr(analysis, "_fluid_error_squares", faulty)
     monkeypatch.setattr(helper, "_helper_cpus", helper_on_any_cpu)
@@ -562,6 +580,28 @@ def test_solid_error_norm_uses_given_moduli(space0, case, rng):
     assert err.ew_h1 > 1.5 * unit.ew_h1
     with pytest.raises(TypeError):
         analysis.error_norms(space0, state, np.zeros(space0.num_pressure_dofs), case)
+
+
+def test_solid_full_h1_error_matches_quadrature(space1, params, case, rng):
+    # the exact solid field is zero, so the full-H1 error is the norm of w
+    # itself, here integrated at the points of a degree-4 rule from the
+    # closed-form P2 gradients, independently of the Gram matrices
+    w = rng.standard_normal(space1.num_solid_dofs)
+    state = solver.FsiState(u=np.zeros(space1.num_velocity_dofs), w=w,
+                            z=np.zeros(space1.num_solid_dofs))
+    err = analysis.error_norms(space1, state, np.zeros(space1.num_pressure_dofs),
+                               case, params)
+    tris = space1.solid_tris
+    rule = fem.triangle_rule(4)
+    det, g = _p2_physical_gradients(space1, tris, rule.points)
+    dofs = space1.solid_dofs_of_tris(tris)
+    squares = 0.0
+    for c in (w[dofs[:, 0::2]], w[dofs[:, 1::2]]):
+        value = np.einsum("ti,qi->tq", c, fem.p2_values(rule.points))
+        d_dx = np.einsum("ti,tqi->tq", c, g[..., 0])
+        d_dy = np.einsum("ti,tqi->tq", c, g[..., 1])
+        squares += np.sum(rule.weights * det[:, None] * (value**2 + d_dx**2 + d_dy**2))
+    assert err.ew_h1_full == pytest.approx(math.sqrt(squares), rel=1e-13, abs=0.0)
 
 
 def test_error_norm_memory_is_bounded(params, case, traced_peak):
