@@ -286,8 +286,9 @@ ERROR_NORM_CHUNK = 1024
 # temporary then takes about 225 KB (410 KB under the 400-point rule), so
 # a block's passes run from cache.  A block makes dozens of numpy calls,
 # and the lock hand-offs between them bound what the helper thread gains:
-# at level 4 the norms take 0.13-0.15 s with 128-row blocks and 0.16-0.19
-# s with 64-row ones (medians of 9 calls, 2-core VM).  With two chunks in
+# at level 4 the norms take 0.14-0.20 s with 128-row blocks and 0.16-0.23
+# s with 64-row ones, against 0.21-0.22 s without the helper (medians of 9
+# calls in each of 9 fresh processes, 2-core VM).  With two chunks in
 # flight the level-3 norms trace a 23.3-24.0 MB peak (18.0-18.2 MB with
 # 64-row blocks); the block size changes no bit.
 _ERROR_NORM_BLOCK = 128

@@ -18,14 +18,17 @@ more.  The ordering works on nodes, the unknowns at one coordinate, and
 splits every block of a depth at once: each median cut keeps the smaller
 of its two boundary layers as the separator, so on a P2 mesh the
 separator is one line of nodes.  The wrapper enforces the contracts this
-package relies on: there is no unchecked solve, since each solve is
-checked before any result leaves the call that made it, and each check
-measures the relative residual with the caller's own matrix and
-right-hand side; singular factors raise a typed error; and repeated
-solves of identical inputs are bitwise reproducible.  A solve may hand
-its check to the call that made it (`Factorization.deferred_solve`):
-`solve` runs it at once, and `semigroup.Stepper.certify` runs it,
-in `evolve` on the helper thread, before the state leaves `evolve`.
+package relies on: a solve is of one vector, and any other right-hand
+side is refused before SuperLU runs; there is no unchecked solve, since
+each solve is checked before any result leaves the call that made it,
+and each check measures the relative residual ||b - Ax|| / ||b|| with
+the caller's own matrix and right-hand side (`relative_residual`, the
+package's one such measure); singular factors raise a typed error; and
+repeated solves of identical inputs are bitwise reproducible.  A solve
+may hand its check to the call that made it
+(`Factorization.deferred_solve`): `solve` runs it at once, and
+`semigroup.Stepper.certify` runs it, in `evolve` on the helper thread,
+before the state leaves `evolve`.
 
 The interpreter lock: SuperLU's triangular solve releases it for its
 arithmetic and takes it back about three times per solve (with a 0.2 s
@@ -115,7 +118,7 @@ class EigenIterationError(Exception):
 class LinearSolveReport:
     """Measured (never assumed) quality of a direct solve."""
 
-    residual: float       # ||Ax - b|| / ||b||, 0 for b = 0
+    residual: float       # `relative_residual` of the solve
     solve_time: float     # seconds in this solve alone, refinement included
     factor_time: float    # seconds of the factorization it reused
     precision: str = "double"   # of the factor that made the solution
@@ -156,12 +159,12 @@ class Factorization:
     121-127 MB instead of 191 (one BLAS thread).  Its solves are refined
     in double (Buttari et al., ACM TOMS 34, 2008; Carson & Higham, SIAM
     J. Sci. Comput. 40, 2018): x += LU^-1 r on the residual r = b - Ax
-    that the check computes anyway.  Each column of r is scaled by the power of
-    two just above its largest entry before the cast, so the cast cannot
-    overflow, loses only entries below 2^-149 of the largest, and a data
-    scale of 2^k changes no bit.  The loop stops once
-    ||r|| <= 2^-50 || |A||x| + |b| || (`_REFINE_TARGET`, in every
-    column; |A||x| is taken at the first iterate): a fixed multiple of the
+    that the check computes anyway.  r is scaled by the power of two just
+    above its largest entry before the cast, so the cast cannot overflow,
+    loses only entries below 2^-149 of the largest, and a data scale of
+    2^k changes no bit.  The loop stops once
+    ||r|| <= 2^-50 || |A||x| + |b| || (`_REFINE_TARGET`; |A||x| is taken
+    at the first iterate): a fixed multiple of the
     rounding error of evaluating Ax in double, where a double factor's
     solve lands (2^-53 to 2^-52 on the resolvent saddles).  A target
     relative to ||b|| alone stopped too early where b is dominated by a
@@ -232,78 +235,75 @@ class Factorization:
         return max_u / self._max_a if self._max_a > 0 else 0.0
 
     def _residual(self, x, b):
-        """r = b - Ax and the 2-norm of each of its columns."""
+        """r = b - Ax and its 2-norm."""
         r = b - self._a @ x
-        return r, np.linalg.norm(r, axis=0)
+        return r, np.sqrt(dot(r, r))
 
     def _single_solve(self, r):
-        """LU^-1 r in double through the single factor: each column of r
-        scaled by 2^-e, 2^e just above its largest entry, cast to float32,
-        solved, and scaled back; every scaling is exact."""
-        _, e = np.frexp(np.abs(r).max(axis=0, initial=0.0))
+        """LU^-1 r in double through the single factor: r scaled by 2^-e,
+        2^e just above its largest entry, cast to float32, solved, and
+        scaled back; every scaling is exact."""
+        _, e = np.frexp(np.abs(r).max(initial=0.0))
         y = np.empty_like(r)
         y[self._perm] = self._lu.solve(np.ldexp(r[self._perm], -e).astype(np.float32))
         return np.ldexp(y, e)
 
     def _refined_solve(self, b):
-        """(x, the column norms of b - Ax, steps) of the refinement loop on
-        the single factor."""
+        """(x, b - Ax, steps) of the refinement loop on the single factor."""
         x = self._single_solve(b)
         a = self._a
-        # || |A||x| + |b| || per column, from the first iterate: refinement
-        # moves |x| by less than its first residual
+        # || |A||x| + |b| || from the first iterate: refinement moves |x| by
+        # less than its first residual
         abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
-        target = _REFINE_TARGET * np.linalg.norm(abs_a @ np.abs(x) + np.abs(b), axis=0)
-        del abs_a
+        bound = abs_a @ np.abs(x) + np.abs(b)
+        target = _REFINE_TARGET * np.sqrt(dot(bound, bound))
+        del abs_a, bound
         r, norm_r = self._residual(x, b)
-        above = _largest_ratio(norm_r, target)   # at most 1 on the target
         steps = 0
-        while above > 1.0:
+        while norm_r > target:
             x_next = x + self._single_solve(r)
             r_next, norm_next = self._residual(x_next, b)
-            next_above = _largest_ratio(norm_next, target)
             steps += 1
-            if not next_above <= _REFINE_CONTRACTION * above:
-                if next_above < above:
-                    x, norm_r = x_next, norm_next
+            if not norm_next <= _REFINE_CONTRACTION * norm_r:
+                if norm_next < norm_r:
+                    x, r = x_next, r_next
                 break
-            x, r, norm_r, above = x_next, r_next, norm_next, next_above
-        return x, norm_r, steps
+            x, r, norm_r = x_next, r_next, norm_next
+        return x, r, steps
 
     def solve(self, b):
-        """Solve AX = B for a vector or a matrix of columns; returns
-        (X, LinearSolveReport) with the largest per-column relative
-        residual ||AX - B|| / ||B||; above 1e-10, or NaN, it raises.  A
-        non-finite entry of B raises ValueError before SuperLU runs.  A
-        single factor refines, or falls back to double (see the class).
-        It is `deferred_solve` followed at once by its check."""
+        """Solve Ax = b for one vector b; returns (x, LinearSolveReport)
+        with the relative residual ||Ax - b|| / ||b||; above 1e-10, or NaN,
+        it raises.  A right-hand side that is not a vector of the matrix's
+        size, or that has a non-finite entry, raises ValueError before
+        SuperLU runs.  A single factor refines, or falls back to double
+        (see the class).  It is `deferred_solve` followed at once by its
+        check."""
         x, check = self.deferred_solve(b)
         return x, check()
 
     def deferred_solve(self, b):
-        """The solve of `solve` without its check: (X, check), where
+        """The solve of `solve` without its check: (x, check), where
         `check()` measures the residual and returns the checked report or
-        raises, as `solve` would.  X is unchecked until then, and neither
-        X nor B may change before it; the check may run on another thread.  A double
-        factor defers the residual product and norms; a single factor
-        needs the residual inside its refinement, so its check only
-        reports.  The callers are a `solve`, `ResolventOperator`'s own
+        raises, as `solve` would.  x is unchecked until then, and neither
+        x nor b may change before it; the check may run on another
+        thread.  A double factor defers the residual product and norms; a
+        single factor needs the residual inside its refinement, so its
+        check only reports.  The callers are a `solve`, `ResolventOperator`'s own
         `deferred_solve` and `semigroup.Stepper.deferred_step` (kept so by
         tests/test_dependencies.py)."""
         b = np.asarray(b, dtype=float)
-        if b.ndim not in (1, 2):
-            raise ValueError(f"rhs must be a vector or a matrix of columns, "
-                             f"got shape {b.shape}")
-        if b.shape[0] != self._a.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: matrix {self._a.shape}, rhs {b.shape}")
+        if b.shape != self._a.shape[:1]:
+            raise ValueError(f"dimension mismatch: matrix {self._a.shape} needs a "
+                             f"vector rhs, got shape {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("rhs has a non-finite entry")
         t0 = time.perf_counter()
         if self.precision == "single":
-            x, norm_r, steps = self._refined_solve(b)
-            if _largest_ratio(norm_r, np.linalg.norm(b, axis=0)) <= _SOLVE_TOL:
-                return x, self._check(x, b, t0, norm_r, steps)
+            x, r, steps = self._refined_solve(b)
+            residual = relative_residual(r, b)
+            if residual <= _SOLVE_TOL:
+                return x, self._check(x, b, t0, residual, steps)
             # the double factor that replaces it solves afresh below
             t1 = time.perf_counter()
             self._lu = None   # dropped before the double factor is made
@@ -315,18 +315,18 @@ class Factorization:
         x[self._perm] = self._lu.solve(b[self._perm])
         return x, self._check(x, b, t0)
 
-    def _check(self, x, b, t0, norm_r=None, steps=0):
-        """The check of the solve of AX = B begun at `t0`: it takes the
-        residual's column norms `norm_r`, or measures them, and its time
-        counts in the report's `solve_time`."""
+    def _check(self, x, b, t0, residual=None, steps=0):
+        """The check of the solve of Ax = b begun at `t0`: it takes the
+        relative residual `residual`, or measures it, and its time counts
+        in the report's `solve_time`."""
         solve_time = time.perf_counter() - t0
         precision, factor_time = self.precision, self.factor_time
 
         def check():
             t1 = time.perf_counter()
-            r_norms = self._residual(x, b)[1] if norm_r is None else norm_r
             return checked_report(LinearSolveReport(
-                residual=float(_largest_ratio(r_norms, np.linalg.norm(b, axis=0))),
+                residual=(relative_residual(b - self._a @ x, b) if residual is None
+                          else residual),
                 solve_time=solve_time + time.perf_counter() - t1,
                 factor_time=factor_time, precision=precision,
                 refinement_steps=steps))
@@ -334,17 +334,19 @@ class Factorization:
         return check
 
 
-def _largest_ratio(num, den):
-    """max_j num_j / den_j over the columns, 0 where den_j = 0."""
-    return np.max(np.divide(num, den, out=np.zeros_like(num), where=den > 0),
-                  initial=0.0)
-
-
 def _splu(csc):
     """SuperLU with the package's options: the caller's order (NATURAL),
     symmetric mode, a diagonal pivot unless below 1e-3 of its column."""
     return spla.splu(csc, permc_spec="NATURAL", diag_pivot_thresh=1e-3,
                      options=dict(SymmetricMode=True))
+
+
+def relative_residual(r, b):
+    """||r|| / ||b|| in the 2-norm, 0 for b = 0: the relative residual of
+    a solve of Ax = b with residual r = b - Ax, the one measure that
+    `checked_report` gates."""
+    norm_b = np.sqrt(dot(b, b))
+    return float(np.sqrt(dot(r, r)) / norm_b) if norm_b > 0 else 0.0
 
 
 def checked_report(report):

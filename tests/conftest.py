@@ -51,6 +51,25 @@ def zero_data(space):
                                 np.zeros(space.num_solid_dofs))
 
 
+def random_data(space, rng):
+    """Resolvent data of standard normal entries from `rng`."""
+    return solver.data_from_vectors(
+        space,
+        rng.standard_normal(space.num_velocity_dofs),
+        rng.standard_normal(space.num_solid_dofs),
+        rng.standard_normal(space.num_solid_dofs))
+
+
+# `helper._helper_cpus` stand-ins: no helper thread, or one on any CPU of
+# this process (the caller's own too), whatever the machine
+def no_helper(jobs):
+    return set()
+
+
+def helper_on_any_cpu(jobs):
+    return os.sched_getaffinity(0)
+
+
 def pressure_schur_complement(space):
     """Dense S = B K^{-1} B^T in the eps-seminorm convention, the oracle of
     `analysis.infsup_beta`: K^{-1} B^T comes from LAPACK's dense Cholesky

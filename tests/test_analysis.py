@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from conftest import (perturbed_case, pressure_schur_complement, quadrature_points,
-                      zero_state)
+from conftest import (helper_on_any_cpu, no_helper, perturbed_case,
+                      pressure_schur_complement, quadrature_points, zero_state)
 from fsifem import analysis, cli, fem, helper, mesh as meshmod, solver, sparse as sla
 
 
@@ -425,16 +425,6 @@ def test_jittered_mesh_norms_are_bitwise_per_point(jittered_mesh1, params, case,
     for axis in (0, 1):
         assert sla.bit_classes(verts[..., axis])[0].size >= space.fluid_tris.size - 2
     _assert_norms_bitwise_per_point(space, params, case, rng, monkeypatch)
-
-
-# `helper._helper_cpus` stand-ins: no helper thread, or one on any CPU of
-# this process (the caller's own too), whatever the machine
-def no_helper(jobs):
-    return set()
-
-
-def helper_on_any_cpu(jobs):
-    return os.sched_getaffinity(0)
 
 
 def test_exact_field_evaluated_once_per_coordinate_class(params, case, monkeypatch):

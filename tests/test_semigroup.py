@@ -7,21 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import plant_step_fault, zero_data, zero_state
+from conftest import (helper_on_any_cpu, no_helper, plant_step_fault, random_data,
+                      zero_data, zero_state)
 from fsifem import fem, helper, mesh, semigroup, solver, sparse as sla
-
-
-def _random_data(space, rng):
-    return solver.data_from_vectors(
-        space,
-        rng.standard_normal(space.num_velocity_dofs),
-        rng.standard_normal(space.num_solid_dofs),
-        rng.standard_normal(space.num_solid_dofs))
 
 
 def _smooth_state(space, params, rng, passes=3):
     """Resolvent-smoothed random state (discretely in the generator domain)."""
-    data = _random_data(space, rng)
+    data = random_data(space, rng)
     state, _ = solver.solve_resolvent(space, params, data)
     for _ in range(passes - 1):
         state, _ = solver.solve_resolvent(
@@ -107,7 +100,7 @@ def test_h_inner_matches_separate_sum_formula_bitwise(space1, params, rng):
     mass = fem.fluid_mass(space1)
     sops = fem.solid_operators(space1, params)
     a, b = solver.random_state(space1, rng), solver.random_state(space1, rng)
-    data = _random_data(space1, rng)
+    data = random_data(space1, rng)
     assert semigroup.h_inner(space1, params, a, b) == float(
         dot(a.u, mass @ b.u) + dot(a.w, (sops.stiffness + sops.mass) @ b.w)
         + dot(a.z, sops.mass @ b.z))
@@ -248,16 +241,6 @@ def test_evolve_keeps_largest_step_residual(space0, params, rng):
     assert result.solve_residual_max == max(r.solve_residual for r in rows[1:])
 
 
-# `helper._helper_cpus` stand-ins: no helper thread, or one on any CPU of
-# this process (the caller's own too), whatever the machine
-def _no_helper(jobs):
-    return set()
-
-
-def _helper_on_any_cpu(jobs):
-    return os.sched_getaffinity(0)
-
-
 def _serial_evolution(space, params, initial, config):
     """The rows, final state and sums of `evolve` from a plain loop of
     `Stepper.step`, each sum added in step order."""
@@ -285,9 +268,9 @@ def test_evolve_pipeline_changes_no_bit(level, params, monkeypatch):
     initial = solver.random_state(space, np.random.default_rng(level))
     config = semigroup.EvolutionConfig(t_final=0.12, n_steps=12)
     results = []
-    monkeypatch.setattr(helper, "_helper_cpus", _no_helper)
+    monkeypatch.setattr(helper, "_helper_cpus", no_helper)
     results.append(semigroup.evolve(space, params, initial, config))
-    monkeypatch.setattr(helper, "_helper_cpus", _helper_on_any_cpu)
+    monkeypatch.setattr(helper, "_helper_cpus", helper_on_any_cpu)
     # the threads trade the interpreter lock a thousand times more often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(5e-6)
@@ -317,7 +300,7 @@ def test_evolve_on_one_cpu_starts_no_thread(space0, params, rng, monkeypatch):
     assert len(result.trace.rows) == 6
 
 
-@pytest.mark.parametrize("cpus, solves", [(_no_helper, 3), (_helper_on_any_cpu, 4)],
+@pytest.mark.parametrize("cpus, solves", [(no_helper, 3), (helper_on_any_cpu, 4)],
                          ids=["inline", "helper"])
 def test_planted_fault_at_step_3_raises_there(cpus, solves, params, rng, monkeypatch):
     monkeypatch.setattr(helper, "_helper_cpus", cpus)
@@ -382,7 +365,7 @@ def test_energy_identity_manufactured(solved1, params, case):
 
 def test_generator_sign_many_random(space1, params, rng):
     for _ in range(50):
-        data = _random_data(space1, rng)
+        data = random_data(space1, rng)
         qform, dissipation = semigroup.generator_quadratic_form(space1, params, data)
         assert qform <= 1e-10 * max(1.0, dissipation)
         assert abs(qform + dissipation) <= 1e-8 * max(1.0, dissipation)

@@ -9,16 +9,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import peak_rss_growth_mb, zero_data, zero_state
+from conftest import peak_rss_growth_mb, random_data, zero_data, zero_state
 from fsifem import analysis, cli, fem, mesh as meshmod, semigroup, solver, sparse as sla
-
-
-def _random_data(space, rng):
-    return solver.data_from_vectors(
-        space,
-        rng.standard_normal(space.num_velocity_dofs),
-        rng.standard_normal(space.num_solid_dofs),
-        rng.standard_normal(space.num_solid_dofs))
 
 
 def _rel(a, b):
@@ -176,7 +168,7 @@ def test_manufactured_level0_error_magnitude(space0, params, case):
 
 
 def test_monolithic_oracle_equivalence(space0, params, rng):
-    data = _random_data(space0, rng)
+    data = random_data(space0, rng)
     schur_state, _ = solver.solve_resolvent(space0, params, data)
     mono = solver.monolithic_solve(space0, params, data)
     assert _rel(schur_state.u, mono.u) <= 1e-10
@@ -212,7 +204,7 @@ def test_sparse_resolvent_matches_schur_form(params, rng):
     # eliminating v = lam w_i from the sparse resolvent gives the Schur form
     for level in range(4):
         space = fem.build_space(meshmod.generate(level))
-        data = _random_data(space, rng)
+        data = random_data(space, rng)
         assert np.abs(data.w_star).max() > 0 and np.abs(data.z_star).max() > 0
         state, _ = solver.ResolventOperator(space, params).solve(data)
         schur = _schur_solve(space, params, data)
@@ -244,7 +236,7 @@ def test_euler_step_makes_one_checked_solve(space1, params, rng, monkeypatch):
 
 
 def test_solve_deterministic_bitwise(space0, params, rng):
-    data = _random_data(space0, rng)
+    data = random_data(space0, rng)
     s1, _ = solver.solve_resolvent(space0, params, data)
     s2, _ = solver.solve_resolvent(space0, params, data)
     assert np.array_equal(s1.u, s2.u)
@@ -253,7 +245,7 @@ def test_solve_deterministic_bitwise(space0, params, rng):
 
 
 def test_operator_rebuild_is_bitwise_identical(space1, params, rng):
-    data = _random_data(space1, rng)
+    data = random_data(space1, rng)
     s1, _ = solver.ResolventOperator(space1, params).solve(data)
     s2, _ = solver.ResolventOperator(space1, params).solve(data)
     for a, b in ((s1.u, s2.u), (s1.pi, s2.pi), (s1.w, s2.w), (s1.z, s2.z)):
@@ -412,16 +404,17 @@ def test_operator_build_peak_rss_growth_is_bounded():
     # freed heap that the allocator keeps and that tracemalloc does not
     # see: a level-3 operator build raised it by 60.5 MB with the saddle
     # built through COO copies of its blocks, by 43-47 MB without them,
-    # and by 26.7-29.5 MB (10 fresh processes) with the single-precision
-    # factor, the bound being below every double build
+    # and by 22.7-25.1 MB (8 fresh processes) with the single-precision
+    # factor and the element round-off dropped, the bound being below
+    # every double build
     assert _peak_rss_growth_mb("solver.ResolventOperator(space, params)") < 38
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
 def test_shift_sweep_peak_rss_growth_stays_within_one_build():
     # six shifts on one space keep one factor alive at a time, so the
-    # sweep, manufactured load included, stays near one build: 30.5-35.1
-    # MB over 10 fresh processes with single factors, against 26.7-29.5
+    # sweep, manufactured load included, stays near one build: 26.1-27.1
+    # MB over 8 fresh processes with single factors, against 22.7-25.1
     # MB for one build (46-48 MB with double factors, above the bound).
     # VmHWM, not tracemalloc, because SuperLU's factor memory is not
     # traced
@@ -456,7 +449,7 @@ def test_shift_sweep_keeps_one_operator_alive(rng, no_gc):
     # each shift replaces the space's operator, so a sweep holds one
     # factor at a time instead of one per shift
     space = fem.build_space(meshmod.generate(3))
-    data = _random_data(space, rng)
+    data = random_data(space, rng)
     shifts = np.logspace(-3, 3, 10)
     first, _ = solver.solve_resolvent(space, fem.MaterialParams(shift=shifts[0]), data)
     operators = [weakref.ref(solver._operator(space, fem.MaterialParams(shift=shift)))
@@ -472,7 +465,7 @@ def test_operator_solves_after_its_space_is_dropped(params, rng, no_gc):
     # built as the `operators` fixture of test_sparse builds them, the
     # operator outlives its space
     space = fem.build_space(meshmod.generate(1))
-    data = _random_data(space, rng)
+    data = random_data(space, rng)
     expected, _ = solver.solve_resolvent(space, params, data)
     op = solver.ResolventOperator(space, params)
     dropped = weakref.ref(space)
@@ -491,7 +484,7 @@ def test_operator_solves_after_its_space_is_dropped(params, rng, no_gc):
 def test_solve_on_a_shared_space_is_a_fresh_space_solve(mesh0, space0, shifts, seed):
     # what the shared space holds depends only on the last request for
     # each name, so its call history never shows in a solve
-    data = _random_data(space0, np.random.default_rng(seed))
+    data = random_data(space0, np.random.default_rng(seed))
     for shift in shifts:
         params = fem.MaterialParams(shift=shift)
         state, _ = solver.solve_resolvent(space0, params, data)
@@ -564,7 +557,7 @@ def test_small_shift_nearly_incompressible_solid_solves(level, lame_mu, rng):
     # unbordered saddle and every domain condition, with a c0 of order 1e9
     space = fem.build_space(meshmod.generate(level))
     params = fem.MaterialParams(lame_lambda=1e6, lame_mu=lame_mu, shift=1e-3)
-    data = _random_data(space, rng)
+    data = random_data(space, rng)
     op = solver.ResolventOperator(space, params)
     state, report = op.solve(data)
     rhs = op._rhs(data, solver._solid_lift(space.iface_solid_dofs, params.shift,
@@ -594,7 +587,7 @@ def test_report_is_the_measured_unbordered_residual(lame_lambda, lame_mu, shift,
     # the saddle without its border row and column, not a bound of it
     space = fem.build_space(meshmod.generate(1))
     params = fem.MaterialParams(lame_lambda=lame_lambda, lame_mu=lame_mu, shift=shift)
-    data = _random_data(space, rng)
+    data = random_data(space, rng)
     op = solver.ResolventOperator(space, params)
     state, report = op.solve(data)
     rhs = op._rhs(data, solver._solid_lift(space.iface_solid_dofs, shift, data.w_star))
@@ -620,7 +613,7 @@ def test_stiff_single_factor_falls_back_to_the_double_state(level, rng):
     # bit for bit, and the report says so
     space = fem.build_space(meshmod.generate(level))
     params = fem.MaterialParams(lame_lambda=1e6, lame_mu=1.0, shift=1e-3)
-    data = _random_data(space, rng)
+    data = random_data(space, rng)
     single = solver.ResolventOperator(space, params, "single")
     double = solver.ResolventOperator(space, params, "double")
     state, report = single.solve(data)
@@ -641,7 +634,7 @@ def test_refined_solves_at_a_small_shift_pass_the_divergence_check():
     params = fem.MaterialParams(shift=1e-3)
     op = solver.ResolventOperator(space, params)
     for seed in range(6):
-        data = _random_data(space, np.random.default_rng(seed))
+        data = random_data(space, np.random.default_rng(seed))
         state, report = op.solve(data)
         assert report.precision == "single"
         conditions = solver.check_domain_conditions(space, params, state, state.pi, data)
@@ -667,7 +660,7 @@ def test_power_of_two_data_scale_changes_no_bit(single_op0, space0, k, seed):
     # every float32 right-hand side is scaled by a power of two before the
     # cast, and the stop rule compares ratios, so data times 2^k gives the
     # state times 2^k exactly, in as many refinement steps
-    data = _random_data(space0, np.random.default_rng(seed))
+    data = random_data(space0, np.random.default_rng(seed))
     state, report = single_op0.solve(data)
     scaled, scaled_report = single_op0.solve(_scaled(data, 2.0 ** k))
     assert single_op0.factor.precision == "single"
@@ -680,7 +673,7 @@ def test_power_of_two_data_scale_changes_no_bit(single_op0, space0, k, seed):
 @settings(database=None, derandomize=True, deadline=None, max_examples=25)
 @given(k=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
 def test_decimal_data_scale_passes_the_gate(single_op0, space0, k, seed):
-    data = _scaled(_random_data(space0, np.random.default_rng(seed)), 10.0 ** k)
+    data = _scaled(random_data(space0, np.random.default_rng(seed)), 10.0 ** k)
     _, report = single_op0.solve(data)   # above 1e-10 it would raise
     assert report.precision == "single"
     assert report.refinement_steps <= 2
@@ -689,14 +682,14 @@ def test_decimal_data_scale_passes_the_gate(single_op0, space0, k, seed):
 def test_non_finite_load_is_refused(space0, params, rng):
     # the NaN goes in the load: one in w* or z* raises a RuntimeWarning in
     # the solid products before the solve
-    data = _random_data(space0, rng)
+    data = random_data(space0, rng)
     data.u_load[space0.free_velocity_dofs[7]] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         solver.solve_resolvent(space0, params, data)
 
 
 def test_interface_trace_identity(space1, params, rng):
-    data = _random_data(space1, rng)
+    data = random_data(space1, rng)
     state, _ = solver.solve_resolvent(space1, params, data)
     u_gamma = state.u[space1.iface_velocity_dofs]
     z_gamma = state.z[space1.iface_solid_dofs]
@@ -763,7 +756,7 @@ def test_flux_extension_independence(solved1, params, rng):
     space, manufactured, _, _ = solved1
     off_gamma = np.setdiff1d(space.free_velocity_dofs, space.iface_velocity_dofs)
     moments = []
-    for data in (manufactured, _random_data(space, rng)):
+    for data in (manufactured, random_data(space, rng)):
         state, _ = solver.solve_resolvent(space, params, data)
         residual = solver._momentum_residual(space, params, state.u, state.pi,
                                              data.u_load)
@@ -783,7 +776,7 @@ def test_flux_matching_all_basis_traces(solved1, params, rng):
 
 
 def test_flux_matching_random_data(space0, params, rng):
-    data = _random_data(space0, rng)
+    data = random_data(space0, rng)
     state, _ = solver.solve_resolvent(space0, params, data)
     g = rng.standard_normal(space0.num_iface_dofs)
     fl, so = solver.interface_traction_moments(space0, params, state, state.pi, data)
@@ -792,7 +785,7 @@ def test_flux_matching_random_data(space0, params, rng):
 
 
 def test_a5b_and_c0_read_one_traction_path(space0, params, rng, monkeypatch):
-    data = _random_data(space0, rng)
+    data = random_data(space0, rng)
     state, _ = solver.solve_resolvent(space0, params, data)
     pressures = []
     real = solver.interface_traction_moments
@@ -822,7 +815,7 @@ def test_recover_c0_zero_state(space0, params):
 def test_recover_c0_synthetic_constant(space1, params, rng):
     # add a constant to a solved pressure and shift the fluid data by the
     # matching boundary-traction term: the recovery must report it
-    data = _random_data(space1, rng)
+    data = random_data(space1, rng)
     state, _ = solver.solve_resolvent(space1, params, data)
     q0, c0_base = solver.decompose_pressure(space1, state.pi)
     shift = 3.7
@@ -852,7 +845,7 @@ def test_recover_c0_consistent_with_volume_average(params, case):
             if label == "manufactured":
                 run_params, data = params, analysis.manufactured_data(space, case)
             else:
-                run_params, data = _C0_PARAMS[label], _random_data(space, rng)
+                run_params, data = _C0_PARAMS[label], random_data(space, rng)
             state, _ = solver.solve_resolvent(space, run_params, data)
             q0, c0 = solver.decompose_pressure(space, state.pi)
             c0_flux = solver.recover_c0(space, run_params, state, q0, data)
@@ -862,7 +855,7 @@ def test_recover_c0_consistent_with_volume_average(params, case):
 # -- domain conditions -------------------------------------------------------
 
 def test_domain_conditions_pass_after_solve(space1, params, rng):
-    data = _random_data(space1, rng)
+    data = random_data(space1, rng)
     state, _ = solver.solve_resolvent(space1, params, data)
     report = solver.check_domain_conditions(space1, params, state, state.pi, data)
     assert report.all_passed
@@ -871,7 +864,7 @@ def test_domain_conditions_pass_after_solve(space1, params, rng):
 
 
 def test_domain_conditions_detect_corruption(space0, params, rng):
-    data = _random_data(space0, rng)
+    data = random_data(space0, rng)
     state, _ = solver.solve_resolvent(space0, params, data)
     corrupted = replace(state, u=state.u.copy())
     bad_dof = np.flatnonzero(space0.constrained_mask)[4]
