@@ -345,22 +345,27 @@ class ResolventOperator:
 
     `saddle` is the bordered matrix of `resolvent_saddle` and `factor` its
     nested-dissection LU, the multiplier numbered last, which holds that
-    same object.  `precision` is that of the factor (`sparse.Factorization`).
-    "single", the default, is for one-shot use (the convergence study,
-    certify, resolvent mode, `solve_resolvent`): its float32 factor takes
-    about half the memory and time to build, and each solve is refined
-    to a double factor's residual, two corrections at the default
-    parameters through level 4.  `semigroup.Stepper` asks for "double",
-    since it makes hundreds of solves per factor.  Where the refinement
-    cannot reach the residual gate, as at Lame lambda 1e6, the factor
-    becomes double at the first solve, the flux solve below, and every
-    state is then the double operator's, bit for bit.  At build time the
-    operator solves it once for h, with
-    g = B^T 1 on the free velocity rows.  `solve` builds the right-hand
-    side from the data with sparse solid products, no solid solve, makes
-    one checked bordered solve x_f and takes c0 = mu_f / mu_h from the two
-    multipliers: then x = x_f - c0 h with pi = pi_0 + c0 meets the
-    divergence rows B u = 0, through the flux equation g^T u = 0.
+    same object.  `precision` is the one asked for the factor
+    (`sparse.Factorization`).  "single", the default, is for one-shot use
+    (the convergence study, certify, resolvent mode, `solve_resolvent`):
+    its float32 factor takes about half the memory and time to build, and
+    each solve is refined to a double factor's residual, two corrections
+    at the default parameters through level 4.  `semigroup.Stepper` asks
+    for "double", since it makes hundreds of solves per factor.
+
+    At build time the operator solves once for h, with g = B^T 1 on the
+    free velocity rows, and that solve settles the factor's precision for
+    good.  Where its refinement cannot reach the residual gate, as at Lame
+    lambda 1e6 (kappa u_32 near 1), the float32 factor is dropped, the
+    saddle is factorized in double and h is solved again: every state is
+    then the double operator's, bit for bit, and each report says
+    "double".  On the 15 parameter sets of tests/test_solver.py at levels
+    0-1, a single factor that passed its flux solve passed every later
+    one.  `solve` builds the right-hand side from the data with sparse
+    solid products, no solid solve, makes one checked bordered solve x_f
+    and takes c0 = mu_f / mu_h from the two multipliers: then
+    x = x_f - c0 h with pi = pi_0 + c0 meets the divergence rows B u = 0,
+    through the flux equation g^T u = 0.
 
     The report's residual is that of the returned state against the
     unbordered saddle, measured by one product of the saddle with x, its
@@ -388,15 +393,25 @@ class ResolventOperator:
         self._num_velocity = space.num_velocity_dofs
         self.saddle, self._solid_rows = resolvent_saddle(space, params)
         self._pressure = slice(self._free.size + self._num_interior, -1)
-        self.factor = sla.factorize(self.saddle,
-                                    saddle_coordinates(space, space.solid_interior_dofs),
-                                    precision)
+        xy = saddle_coordinates(space, space.solid_interior_dofs)
+        self.factor = sla.factorize(self.saddle, xy, precision)
         # g = B^T 1 is the saddle applied to the unit constant pressure,
         # its border row m^T 1 cleared
         unit = np.zeros(self.saddle.shape[0])
         unit[self._pressure] = 1.0
         flux = self.saddle @ unit
         flux[-1] = 0.0
+        try:
+            self._flux_solution, _ = self.factor.solve(flux)
+            return
+        except sla.SolveAccuracyError:
+            if self.factor.precision == "double":
+                raise
+        # the refinement cannot reach the gate: the float32 LU, which the
+        # handled error's traceback no longer holds, goes before the double
+        # one is made
+        del self.factor
+        self.factor = sla.factorize(self.saddle, xy)
         self._flux_solution, _ = self.factor.solve(flux)
 
     # -- data handling ------------------------------------------------------

@@ -64,15 +64,14 @@ so it pays for half the factor's bytes with two or three cheaper solves
 where a double factor makes one.  Only the one-shot resolvent operator
 asks for it; the stepper's operator, which serves hundreds of solves, and
 the SPD and kernel-projection factors are double, and their solves are
-those of the double factor alone.  A single factor that cannot reach
-the residual gate becomes a double one, so no solve fails for its
-precision.
+those of the double factor alone.  A factor's precision is fixed when it
+is made: a single solve that misses the residual gate raises, as a
+double one does, and choosing the precision from that is the caller's.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +118,6 @@ class LinearSolveReport:
     """Measured (never assumed) quality of a direct solve."""
 
     residual: float       # `relative_residual` of the solve
-    solve_time: float     # seconds in this solve alone, refinement included
-    factor_time: float    # seconds of the factorization it reused
     precision: str = "double"   # of the factor that made the solution
     refinement_steps: int = 0   # corrections after the first solve
 
@@ -171,12 +168,11 @@ class Factorization:
     few large rows, e.g. the solid rows at shift 1e-3.  The loop also
     stops at a step that does not cut the residual by 8
     (`_REFINE_CONTRACTION`), keeping the better iterate.  If its residual
-    is then above the 1e-10 gate, or the cast would overflow, or SuperLU
-    refuses the float32 matrix, the single factor is dropped and the
-    matrix is factorized in double, for this solve and every later one:
-    the answer is then bit for bit a double factor's, and the report says
-    `precision="double"`.  That happens where kappa(A) u_32 is near 1,
-    e.g. the resolvent saddle at Lame lambda 1e6.
+    is then above the 1e-10 gate, the solve raises SolveAccuracyError, as
+    a double solve does; that happens where kappa(A) u_32 is near 1.
+    Where the cast would overflow, or SuperLU refuses the float32 matrix,
+    the factor is made in double and `precision` says "double".  Nothing
+    of a factor changes after it is made.
     """
 
     def __init__(self, a, xy, precision="double"):
@@ -191,7 +187,6 @@ class Factorization:
         if not 0 < lead <= n:
             raise ValueError(f"need a coordinate row for each of 1 to {n} leading "
                              f"unknowns, got shape {xy.shape}")
-        t0 = time.perf_counter()
         leading = nested_dissection(csr if lead == n else csr[:lead, :lead], xy)
         self._perm = np.concatenate([leading, np.arange(lead, n)])
         self._a = csr
@@ -200,29 +195,20 @@ class Factorization:
         if not np.isfinite(max_a):
             raise ValueError(f"matrix has a non-finite entry (max|A| = {max_a})")
         self._max_a = max_a
-        self.precision = precision
-        self._lu = None
+        lu = None
         if precision == "single" and max_a <= np.finfo(np.float32).max:
-            # cast before the permutation, so no double copy of P A P^T is made
-            csc = csr.astype(np.float32)[self._perm][:, self._perm].tocsc()
             try:
-                self._lu = _splu(csc)
+                # cast before the permutation, so no double copy of P A P^T is made
+                lu = _splu(csr.astype(np.float32)[self._perm][:, self._perm].tocsc())
             except RuntimeError:
                 pass   # SuperLU refused the float32 matrix: factorized in double below
-            del csc
-        if self._lu is None:
-            self._lu = self._double_factor()
-        self.factor_time = time.perf_counter() - t0
-
-    def _double_factor(self):
-        """SuperLU's double LU of P A P^T, which is only its input, with
-        `precision` set to "double"; a zero pivot raises
-        SingularMatrixError."""
-        self.precision = "double"
-        try:
-            return _splu(self._a[self._perm][:, self._perm].tocsc())
-        except RuntimeError as err:
-            raise SingularMatrixError(str(err)) from err
+        if lu is None:
+            precision = "double"
+            try:
+                lu = _splu(csr[self._perm][:, self._perm].tocsc())
+            except RuntimeError as err:
+                raise SingularMatrixError(str(err)) from err
+        self._lu, self.precision = lu, precision
 
     @functools.cached_property
     def pivot_growth(self):
@@ -276,9 +262,8 @@ class Factorization:
         with the relative residual ||Ax - b|| / ||b||; above 1e-10, or NaN,
         it raises.  A right-hand side that is not a vector of the matrix's
         size, or that has a non-finite entry, raises ValueError before
-        SuperLU runs.  A single factor refines, or falls back to double
-        (see the class).  It is `deferred_solve` followed at once by its
-        check."""
+        SuperLU runs.  A single factor refines (see the class).  It is
+        `deferred_solve` followed at once by its check."""
         x, check = self.deferred_solve(b)
         return x, check()
 
@@ -289,8 +274,9 @@ class Factorization:
         x nor b may change before it; the check may run on another
         thread.  A double factor defers the residual product and norms; a
         single factor needs the residual inside its refinement, so its
-        check only reports.  The callers are a `solve`, `ResolventOperator`'s own
-        `deferred_solve` and `semigroup.Stepper.deferred_step` (kept so by
+        check only gates the residual measured there.  The callers are a
+        `solve`, `ResolventOperator`'s own `deferred_solve` and
+        `semigroup.Stepper.deferred_step` (kept so by
         tests/test_dependencies.py)."""
         b = np.asarray(b, dtype=float)
         if b.shape != self._a.shape[:1]:
@@ -298,40 +284,14 @@ class Factorization:
                              f"vector rhs, got shape {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("rhs has a non-finite entry")
-        t0 = time.perf_counter()
         if self.precision == "single":
             x, r, steps = self._refined_solve(b)
-            residual = relative_residual(r, b)
-            if residual <= _SOLVE_TOL:
-                return x, self._check(x, b, t0, residual, steps)
-            # the double factor that replaces it solves afresh below
-            t1 = time.perf_counter()
-            self._lu = None   # dropped before the double factor is made
-            self._lu = self._double_factor()
-            refactor = time.perf_counter() - t1
-            self.factor_time += refactor
-            t0 += refactor
+            report = LinearSolveReport(relative_residual(r, b), "single", steps)
+            return x, lambda: checked_report(report)
         x = np.empty_like(b)
         x[self._perm] = self._lu.solve(b[self._perm])
-        return x, self._check(x, b, t0)
-
-    def _check(self, x, b, t0, residual=None, steps=0):
-        """The check of the solve of Ax = b begun at `t0`: it takes the
-        relative residual `residual`, or measures it, and its time counts
-        in the report's `solve_time`."""
-        solve_time = time.perf_counter() - t0
-        precision, factor_time = self.precision, self.factor_time
-
-        def check():
-            t1 = time.perf_counter()
-            return checked_report(LinearSolveReport(
-                residual=(relative_residual(b - self._a @ x, b) if residual is None
-                          else residual),
-                solve_time=solve_time + time.perf_counter() - t1,
-                factor_time=factor_time, precision=precision,
-                refinement_steps=steps))
-
-        return check
+        return x, lambda: checked_report(
+            LinearSolveReport(relative_residual(b - self._a @ x, b)))
 
 
 def _splu(csc):

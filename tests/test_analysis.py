@@ -703,7 +703,7 @@ def test_study_frees_each_factor_before_the_error_norms(params, monkeypatch):
 
 
 def test_partial_report_marks_failed_level(params, monkeypatch, tmp_path):
-    measured = sla.LinearSolveReport(residual=1.0, solve_time=0.0, factor_time=0.0)
+    measured = sla.LinearSolveReport(residual=1.0)
     error = sla.SolveAccuracyError("injected failure", measured)
     _fail_second_solve(monkeypatch, error)
     report = analysis.convergence_study([0, 1], params)

@@ -606,15 +606,29 @@ def test_report_is_the_measured_unbordered_residual(lame_lambda, lame_mu, shift,
 
 
 @pytest.mark.parametrize("level", [0, 1])
-def test_stiff_single_factor_falls_back_to_the_double_state(level, rng):
+def test_stiff_single_factor_falls_back_to_the_double_state(level, rng, monkeypatch):
     # at Lame lambda 1e6 the float32 factor's refinement diverges (kappa
     # u_32 >= 1), so the operator's first solve, the flux solve at build
-    # time, refactors in double: the state is then the double operator's,
-    # bit for bit, and the report says so
+    # time, raises and the operator refactors in double: the state is then
+    # the double operator's, bit for bit, and the report says so.  The
+    # float32 factor is freed before the double one is made
     space = fem.build_space(meshmod.generate(level))
     params = fem.MaterialParams(lame_lambda=1e6, lame_mu=1.0, shift=1e-3)
     data = random_data(space, rng)
+    made, alive = [], []
+    real = sla.factorize
+
+    def factorize(a, xy, precision="double"):
+        alive.append([ref() is not None for ref, _ in made])
+        factor = real(a, xy, precision)
+        made.append((weakref.ref(factor), factor.precision))
+        return factor
+
+    monkeypatch.setattr(sla, "factorize", factorize)
     single = solver.ResolventOperator(space, params, "single")
+    monkeypatch.undo()
+    assert [precision for _, precision in made] == ["single", "double"]
+    assert alive == [[], [False]]
     double = solver.ResolventOperator(space, params, "double")
     state, report = single.solve(data)
     reference, reference_report = double.solve(data)
@@ -623,6 +637,58 @@ def test_stiff_single_factor_falls_back_to_the_double_state(level, rng):
     assert report.residual == reference_report.residual
     for field in ("u", "w", "z", "pi"):
         assert np.array_equal(getattr(state, field), getattr(reference, field)), field
+
+
+_GRID = [fem.MaterialParams(lame_lambda=lame_lambda, lame_mu=lame_mu, shift=shift)
+         for shift in (1e-3, 1.0, 1e3)
+         for lame_lambda, lame_mu in ((1.0, 1.0), (1e6, 1.0), (1e6, 1e-3), (1.0, 1e-3),
+                                      (1.0, 1e3))]
+
+
+def _solve_outcome(op, data):
+    """(precision of the report, or None where the solve raised
+    SolveAccuracyError)."""
+    try:
+        return op.solve(data)[1].precision
+    except sla.SolveAccuracyError:
+        return None
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_factor_precision_is_settled_at_build(level):
+    # the flux solve at build time decides the precision: over the grid a
+    # single operator's solve raises exactly where the double operator's
+    # does, and every report carries the precision of the factor as built
+    space = fem.build_space(meshmod.generate(level))
+    for params in _GRID:
+        single = solver.ResolventOperator(space, params, "single")
+        double = solver.ResolventOperator(space, params, "double")
+        built = single.factor.precision
+        for data in (random_data(space, np.random.default_rng(0)),
+                     analysis.manufactured_data(space, analysis.manufactured_case(params.shift))):
+            outcome = _solve_outcome(single, data)
+            assert (outcome is None) == (_solve_outcome(double, data) is None), params
+            assert outcome in (None, built), params
+            assert single.factor.precision == built, params
+
+
+def test_failed_solve_leaves_the_cached_operator_unchanged(space0, params, rng):
+    # the border is 2^-30 M_p 1, so a nonzero multiplier row asks for a
+    # pressure mean of order 2^30: that solve raises, the factor stays
+    # single, and later solves give the bits they gave before it
+    op = solver._operator(space0, params)
+    data = random_data(space0, rng)
+    state, report = op.solve(data)
+    b = np.zeros(op.saddle.shape[0])
+    b[-1] = 1.0
+    with pytest.raises(sla.SolveAccuracyError) as err:
+        op.factor.solve(b)
+    assert err.value.report.precision == "single"
+    assert op.factor.precision == "single"
+    again, again_report = op.solve(data)
+    assert again_report == report
+    for field in ("u", "w", "z", "pi"):
+        assert np.array_equal(getattr(again, field), getattr(state, field)), field
 
 
 def test_refined_solves_at_a_small_shift_pass_the_divergence_check():

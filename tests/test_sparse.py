@@ -40,9 +40,9 @@ def _resolvent_rhs(rng, n):
 
 
 def test_level0_saddle_vs_dense_oracle(space0, params, rng):
-    # an operator of its own: the failed solve below turns a single factor
-    # into a double one, which the space's cached operator must not become
-    op = solver.ResolventOperator(space0, params)
+    # the cached operator: the failed solve below raises and leaves its
+    # single factor as it was
+    op = solver._operator(space0, params)
     a = op.saddle
     b = _resolvent_rhs(rng, a.shape[0])
     x_dense = np.linalg.solve(a.toarray(), b)
@@ -101,15 +101,22 @@ def test_single_factor_refines_to_the_stop_target(level, params, rng):
 @pytest.mark.parametrize("gap", [1e-9, 1e-6])
 def test_single_factor_falls_back_to_double_bit_for_bit(gap):
     # [[1, 1], [1, 1 + gap]]: at 1e-9 the float32 matrix is singular and
-    # SuperLU refuses it; at 1e-6 it factors, kappa u_32 is near 1 and the
-    # refinement fails to contract.  Either way the single factor is
-    # dropped, and the solve is the double factor's, bit for bit
+    # SuperLU refuses it, so the factor is made in double and its solve is
+    # the double factor's, bit for bit.  At 1e-6 it factors, kappa u_32 is
+    # near 1 and the refinement fails to contract: the solve raises and the
+    # factor stays single, while a double factor of the matrix solves it
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + gap]]))
     xy = np.array([[0.0], [1.0]])
     b = np.array([1.0, -1.0])
     factor = sla.factorize(a, xy, "single")
-    x, report = factor.solve(b)
     x_double, report_double = sla.factorize(a, xy).solve(b)
+    if gap == 1e-6:
+        with pytest.raises(sla.SolveAccuracyError) as err:
+            factor.solve(b)
+        assert err.value.report.precision == "single"
+        assert factor.precision == "single"
+        return
+    x, report = factor.solve(b)
     assert np.array_equal(x, x_double)
     assert report.residual == report_double.residual
     assert (report.precision, report.refinement_steps) == ("double", 0)
@@ -359,8 +366,6 @@ def test_report_fields_are_measured(space0, params):
         a, solver.saddle_coordinates(space0, space0.solid_interior_dofs)).solve(b)
     direct = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
     assert report.residual == pytest.approx(direct, rel=1e-6)
-    assert report.solve_time > 0.0
-    assert report.factor_time > 0.0
 
 
 def test_pivot_growth_is_max_abs_u_over_max_abs_a(space0, params, rng):
@@ -374,16 +379,6 @@ def test_pivot_growth_is_max_abs_u_over_max_abs_a(space0, params, rng):
         factor = sla.Factorization(a, coordinates)
         expected = np.abs(factor._lu.U.data).max() / np.abs(a.data).max()
         assert factor.pivot_growth == expected
-
-
-def test_repeated_solve_time_excludes_factor_time(rng):
-    a = sp.csr_matrix(rng.standard_normal((30, 30)) + 30 * np.eye(30))
-    factor = sla.Factorization(a, _one_point(30))
-    factor.factor_time = 1e3   # far above any real solve of this size
-    for _ in range(2):
-        _, report = factor.solve(rng.standard_normal(30))
-        assert report.factor_time == 1e3
-        assert 0.0 < report.solve_time < 1e3
 
 
 def test_level0_schur_spd(space0):
