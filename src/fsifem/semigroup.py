@@ -13,8 +13,9 @@ number of BLAS threads.
 
 A step has two halves, both `Stepper`'s: `Stepper.deferred_step`, the
 solve, which needs only the state before it, and `Stepper.certify`, the
-solve's residual gate and then the energy row.  `Stepper.step` runs them
-one after the other.  `evolve` pipelines them: the calling thread solves
+solve's residual gate and then the energy row.  They hand over only the
+new state and the solve's check; each forms its own velocity-mass
+product.  `Stepper.step` runs them one after the other.  `evolve` pipelines them: the calling thread solves
 step k + 1 while the package's helper thread (`helper.thread`) certifies
 step k and adds ||Y_k - Y_{k-1}||_H^2, and the rows and sums are added
 in step order, so the trace is bitwise that of `Stepper.step` in a loop.
@@ -82,19 +83,16 @@ class EnergyTrace:
     rows: list
 
 
-def _h_terms(space, params: MaterialParams, a, b: FsiState, mass_u=None):
+def _h_terms(space, params: MaterialParams, a, b: FsiState):
     """The fluid, solid-potential and solid-kinetic terms of (a, b)_H.
 
     `a` is a state or resolvent data Y* = (u*, w*, z*), whose fluid part
-    enters through its load vector (u*, phi_i).  `mass_u` is the product
-    M_f b.u where the caller already holds it."""
+    enters through its load vector (u*, phi_i)."""
     sops = fem.solid_operators(space, params)
     if isinstance(a, solver.ResolventData):
         fluid, w, z = sla.dot(a.u_load, b.u), a.w_star, a.z_star
     else:
-        if mass_u is None:
-            mass_u = fem.fluid_mass(space) @ b.u
-        fluid, w, z = sla.dot(a.u, mass_u), a.w, a.z
+        fluid, w, z = sla.dot(a.u, fem.fluid_mass(space) @ b.u), a.w, a.z
     return fluid, sla.dot(w, sops.energy @ b.w), sla.dot(z, sops.mass @ b.z)
 
 
@@ -110,11 +108,10 @@ def h_inner(space, params: MaterialParams, a, b: FsiState) -> float:
     return float(fluid + potential + kinetic)
 
 
-def energy_components(space, params: MaterialParams, state: FsiState, mass_u=None):
+def energy_components(space, params: MaterialParams, state: FsiState):
     """(fluid, solid potential, solid kinetic) squared norms and the
-    dissipation integrand ||eps(u)||^2; `mass_u` is M_f u where the caller
-    already holds it."""
-    e_fluid, e_pot, e_kin = _h_terms(space, params, state, state, mass_u)
+    dissipation integrand ||eps(u)||^2."""
+    e_fluid, e_pot, e_kin = _h_terms(space, params, state, state)
     return float(e_fluid), float(e_pot), float(e_kin), float(_dissipation(space, state.u))
 
 
@@ -123,8 +120,8 @@ def h_norm(space, state: FsiState, params: MaterialParams) -> float:
     return math.sqrt(max(h_inner(space, params, state, state), 0.0))
 
 
-def _trace_row(space, params, state, mass_u, step, time, solve_residual):
-    e_fluid, e_pot, e_kin, dis = energy_components(space, params, state, mass_u)
+def _trace_row(space, params, state, step, time, solve_residual):
+    e_fluid, e_pot, e_kin, dis = energy_components(space, params, state)
     return EnergyTraceRow(step=step, time=time, e_fluid=e_fluid,
                           e_solid_potential=e_pot, e_solid_kinetic=e_kin,
                           dissipation=dis, solve_residual=solve_residual)
@@ -144,25 +141,24 @@ class Stepper:
         self.params = params
         self.op = solver._operator(space, params, "double")
 
-    def deferred_step(self, state: FsiState, mass_u=None):
+    def deferred_step(self, state: FsiState):
         """A step's unchecked solve (lam I - A_h)^{-1} (lam Y), lam = 1/dt:
-        (new state, its M_f u, the solve's check).  `mass_u` is M_f u of
-        `state` where the caller already holds it."""
-        data = self.op.data_from_state(state, self.params.shift, mass_u)
-        new, check = self.op.deferred_solve(data)
-        return new, self.op.mass_f @ new.u, check
+        (new state, the solve's check)."""
+        lam = self.params.shift
+        return self.op.deferred_solve(solver.ResolventData(
+            lam * (self.op.mass_f @ state.u), lam * state.w, lam * state.z))
 
-    def certify(self, new: FsiState, mass_u, check, step_index, time):
+    def certify(self, new: FsiState, check, step_index, time):
         """The solve's residual gate (SolveAccuracyError if it fails), then
         the new state's energy-trace row."""
-        return _trace_row(self.space, self.params, new, mass_u, step_index, time,
+        return _trace_row(self.space, self.params, new, step_index, time,
                           check().residual)
 
     def step(self, state: FsiState, step_index=0, time=0.0):
         """One backward-Euler step, both halves: the new state (its
         pressure in `.pi`) and its checked energy-trace row."""
-        new, mass_u, check = self.deferred_step(state)
-        return new, self.certify(new, mass_u, check, step_index, time)
+        new, check = self.deferred_step(state)
+        return new, self.certify(new, check, step_index, time)
 
 
 @dataclass
@@ -202,13 +198,13 @@ def evolve(space, params: MaterialParams, initial: FsiState,
     at the join after the next solve, also when that solve fails."""
     dt = config.dt
     stepper = Stepper(space, replace(params, shift=1.0 / dt))
-    state, mass_u = initial, stepper.op.mass_f @ initial.u
-    rows = [_trace_row(space, params, initial, mass_u, 0, 0.0, 0.0)]
+    state = initial
+    rows = [_trace_row(space, params, initial, 0, 0.0, 0.0)]
     phys = num = worst = 0.0
 
-    def certify(k, new, new_mass_u, check, prev):
+    def certify(k, new, check, prev):
         """Step k's checked energy row and ||Y_k - Y_{k-1}||_H^2."""
-        row = stepper.certify(new, new_mass_u, check, k, k * dt)
+        row = stepper.certify(new, check, k, k * dt)
         diff = FsiState(new.u - prev.u, new.w - prev.w, new.z - prev.z)
         return row, h_inner(space, params, diff, diff)
 
@@ -217,15 +213,15 @@ def evolve(space, params: MaterialParams, initial: FsiState,
         pending = None   # the join of the step before's second half
         for k in range(1, config.n_steps + 1):
             try:
-                new, new_mass_u, check = stepper.deferred_step(state, mass_u)
+                new, check = stepper.deferred_step(state)
             except BaseException:
                 if pending is not None:
                     pending()   # the step before failed first
                 raise
             if pending is not None:
                 halves.append(pending())
-            pending = submit(partial(certify, k, new, new_mass_u, check, state))
-            state, mass_u = new, new_mass_u
+            pending = submit(partial(certify, k, new, check, state))
+            state = new
         halves.append(pending())
     for row, diff_sq in halves:
         phys += 2.0 * dt * row.dissipation

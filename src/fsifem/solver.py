@@ -389,10 +389,9 @@ class ResolventOperator:
         # reference to the space whose cache keeps it
         self._free = space.free_velocity_dofs
         self._iface_solid = space.iface_solid_dofs
-        self._num_interior = space.solid_interior_dofs.size
         self._num_velocity = space.num_velocity_dofs
         self.saddle, self._solid_rows = resolvent_saddle(space, params)
-        self._pressure = slice(self._free.size + self._num_interior, -1)
+        self._pressure = slice(self._free.size + space.solid_interior_dofs.size, -1)
         xy = saddle_coordinates(space, space.solid_interior_dofs)
         self.factor = sla.factorize(self.saddle, xy, precision)
         # g = B^T 1 is the saddle applied to the unit constant pressure,
@@ -413,15 +412,6 @@ class ResolventOperator:
         del self.factor
         self.factor = sla.factorize(self.saddle, xy)
         self._flux_solution, _ = self.factor.solve(flux)
-
-    # -- data handling ------------------------------------------------------
-
-    def data_from_state(self, state, scale=1.0, mass_u=None):
-        """Data vector scale * (u, w, z), e.g. lam * Y for one Euler step;
-        `mass_u` is the product M_f u where the caller already holds it."""
-        if mass_u is None:
-            mass_u = self.mass_f @ state.u
-        return ResolventData(scale * mass_u, scale * state.w, scale * state.z)
 
     def _rhs(self, data, w_lift):
         """The bordered saddle's right-hand side for the data, given the

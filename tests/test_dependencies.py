@@ -2,16 +2,18 @@
 nothing else (the test tools, sympy among them, stay in the tests); no
 public name that only the tests call; no public name but the known ones
 that only the benchmark's trace layer keeps; no attribute that only the
-tests read; no attribute of a factor set after it is made; no caller of
-a solve's unchecked half but the few that run its check before any
-result leaves them; one assembly site of the velocity mass; and one
-module that starts threads."""
+tests read; no attribute of a factor, a resolvent operator or a stepper
+set after it is made; no caller of a solve's unchecked half but the few
+that run its check before any result leaves them; one assembly site of
+the velocity mass; and one module that starts threads."""
 
 import ast
 import collections
 import importlib
 import pathlib
 import sys
+
+import pytest
 
 import fsifem
 
@@ -136,13 +138,16 @@ def test_every_attribute_set_on_self_is_read():
     assert not unread, unread
 
 
-# A factor is fixed when it is made: no method of `sparse.Factorization`
-# but `__init__` stores or deletes an attribute of `self`, so a solve, a
-# deferred check on another thread and every later solve read one LU and
-# one precision.  (`pivot_growth` is a cached property of the benchmark's
-# traced passes, which fills the instance dictionary without an
-# attribute store.)
-FROZEN_CLASS = "Factorization"
+# The objects that both threads of `evolve` read are fixed when they are
+# made: no method of these classes but `__init__` stores or deletes an
+# attribute of `self`, so a solve, a deferred check on another thread and
+# every later solve read one LU, one precision and one operator.
+# (`pivot_growth` is a cached property of the benchmark's traced passes,
+# which fills the instance dictionary without an attribute store;
+# `ResolventOperator.__init__` deletes its float32 factor before it makes
+# the double one.)
+FROZEN_CLASSES = {"sparse": "Factorization", "solver": "ResolventOperator",
+                  "semigroup": "Stepper"}
 
 
 def _mutating_methods(tree, class_name):
@@ -160,8 +165,11 @@ def _mutating_methods(tree, class_name):
                     yield item.name
 
 
-def test_factorization_stores_no_attribute_after_init():
-    mutating = list(_mutating_methods(_parse(PACKAGE / "sparse.py"), FROZEN_CLASS))
+@pytest.mark.parametrize("module", sorted(FROZEN_CLASSES))
+def test_shared_objects_store_no_attribute_after_init(module):
+    tree, name = _parse(PACKAGE / f"{module}.py"), FROZEN_CLASSES[module]
+    assert any(isinstance(node, ast.ClassDef) and node.name == name for node in tree.body)
+    mutating = list(_mutating_methods(tree, name))
     assert not mutating, mutating
 
 
@@ -175,7 +183,7 @@ def test_factorization_guard_flags_a_store_after_init():
                      "        def again():\n            self.precision = 'double'\n"
                      "        again()\n"
                      "class Other:\n    def set(self):\n        self.x = 1\n")
-    assert list(_mutating_methods(tree, FROZEN_CLASS)) == ["solve", "drop", "refactor"]
+    assert list(_mutating_methods(tree, "Factorization")) == ["solve", "drop", "refactor"]
 
 
 # The halves of a solve that hand the residual check to their caller

@@ -289,6 +289,30 @@ def test_evolve_pipeline_changes_no_bit(level, params, monkeypatch):
     assert threading.enumerate() == [threading.main_thread()]
 
 
+def test_evolve_helper_thread_builds_nothing(params, monkeypatch):
+    # the certifying half looks up the velocity mass, the strain and the
+    # solid operators on the helper thread; a build there would allocate in
+    # the helper's malloc arena (`analysis.error_norms`)
+    monkeypatch.setattr(helper, "_helper_cpus", helper_on_any_cpu)
+    space = fem.build_space(mesh.generate(1))
+    initial = solver.random_state(space, np.random.default_rng(1))
+    cached = fem.TaylorHoodSpace.cached
+    lookups = []   # (on the main thread, name, hit)
+
+    def recording(self, name, build, *dependencies):
+        held = self._cache.get(name)
+        lookups.append((threading.current_thread() is threading.main_thread(), name,
+                        held is not None and held[0] == dependencies))
+        return cached(self, name, build, *dependencies)
+
+    monkeypatch.setattr(fem.TaylorHoodSpace, "cached", recording)
+    semigroup.evolve(space, params, initial, semigroup.EvolutionConfig(0.2, 20))
+    on_helper = [(name, hit) for main, name, hit in lookups if not main]
+    assert "fluid_mass" in {name for name, _ in on_helper}
+    assert all(hit for _, hit in on_helper), on_helper
+    assert not all(hit for *_, hit in lookups)   # the main thread built what they read
+
+
 def test_evolve_on_one_cpu_starts_no_thread(space0, params, rng, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a helper thread was started on one CPU")
@@ -385,14 +409,15 @@ def test_generator_kernel_is_the_pressurized_solid_state(space0, params):
     def coords(state):
         return np.concatenate([state.u[free], state.w, state.z])
 
-    def state_of(y):
-        return solver.FsiState(space.expand_velocity(y[:nf]), y[nf:nf + ns], y[nf + ns:])
+    def data_of(y):
+        return solver.data_from_vectors(space, space.expand_velocity(y[:nf]),
+                                        y[nf:nf + ns], y[nf + ns:])
 
     r = np.empty((n, n))
     for k in range(n):
         unit = np.zeros(n)
         unit[k] = 1.0
-        r[:, k] = coords(op.solve(op.data_from_state(state_of(unit)))[0])
+        r[:, k] = coords(op.solve(data_of(unit))[0])
     rho, vectors = np.linalg.eig(r)
     # R maps to zero the data (u*, 0, z*) whose load on the saddle's velocity
     # and solid rows is a pressure gradient (B^T q, 0): one direction per
@@ -408,5 +433,5 @@ def test_generator_kernel_is_the_pressurized_solid_state(space0, params):
     u, w, z = y[:nf], y[nf:nf + ns], y[nf + ns:]
     assert np.linalg.norm(u) <= 1e-12 * np.linalg.norm(w)
     assert np.linalg.norm(z) <= 1e-12 * np.linalg.norm(w)
-    pi = op.solve(op.data_from_state(state_of(y)))[0].pi
+    pi = op.solve(data_of(y))[0].pi
     assert np.ptp(pi) <= 1e-12 * np.abs(pi).max()
